@@ -147,7 +147,7 @@ def inspect_cmd(seq_file, target_file, granularity):
     seq = read_sequence_file(seq_file)
     target = read_tsdf(target_file)
     cfg = PlanConfig(granularity=_GRANULARITIES[granularity])
-    iv = relative_scores(seq, render(seq, target.spec), target, cfg)
+    iv = relative_scores(seq, target, cfg)
     for line in influence_lines(iv.entries):
         click.echo(line)
     selected = select_segments(iv, cfg)

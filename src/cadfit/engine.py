@@ -133,26 +133,6 @@ def _embedded(candidates: CandidateSet, target_latent: np.ndarray, spec: GridSpe
     return out
 
 
-def _pool_res_of(latent: np.ndarray) -> int:
-    pool_res = round(len(latent) ** (1 / 3))
-    if pool_res**3 != len(latent):
-        raise ResolutionMismatchError(f"latent length {len(latent)} is not a cube")
-    return pool_res
-
-
-def verify_select(
-    candidates: CandidateSet,
-    target_latent: np.ndarray,
-    queue: PriorityQueue,
-    spec: GridSpec,
-) -> tuple[ConstructionSequence | None, PriorityQueue]:
-    """Embed and push every candidate, then pick the queue minimum."""
-    for seq, latent, dist in _embedded(candidates, target_latent, spec, _pool_res_of(target_latent)):
-        queue.push(seq, latent, dist)
-    head = queue.best()
-    return (head.seq if head else None), queue
-
-
 # -- engine configuration and results ----------------------------------------
 
 
@@ -228,6 +208,8 @@ def run(
     ``ablate`` disables one stage: "plan" scores segments uniformly at
     random, "verify" picks a random candidate instead of the embedding
     argmin, "queue" forgets everything but the current round's argmin.
+    With generation enabled, an original that renders empty raises
+    RenderInvalidError before the first round.
     """
     cfg = cfg or EngineConfig()
     plan_cfg = plan_cfg or PlanConfig()
@@ -250,11 +232,10 @@ def run(
     spec = target.spec
     target_latent = embed_shape(target, cfg.pool_res)
     queue = PriorityQueue(cfg.queue_capacity)
-    origin_latent = embed_sequence(original, spec, cfg.pool_res)
-    if np.isfinite(origin_latent).all():
-        # the starting sequence counts as seen, so the loop can never end
-        # on something farther from the target than where it began
-        queue.push(original, origin_latent, latent_distance(origin_latent, target_latent))
+    # the starting sequence counts as seen, so the loop can never end
+    # on something farther from the target than where it began
+    origin_latent = embed_shape(render(original, spec), cfg.pool_res)
+    queue.push(original, origin_latent, latent_distance(origin_latent, target_latent))
 
     current = original
     records: list[RoundRecord] = []
@@ -265,8 +246,7 @@ def run(
 
     for r in range(1, cfg.max_rounds + 1):
         rounds_used = r
-        current_grid = render(current, spec)
-        iv = relative_scores(current, current_grid, target, plan_cfg)
+        iv = relative_scores(current, target, plan_cfg)
         if ablate == "plan":
             iv = _uniform_influence(iv, np.random.default_rng([cfg.seed, r, 1]))
         selected = select_segments(iv, plan_cfg)

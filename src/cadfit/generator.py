@@ -89,9 +89,6 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.candidates)
 
-    def sequences(self) -> list[ConstructionSequence]:
-        return [c.seq for c in self.candidates]
-
 
 # -- surrogate sampling ------------------------------------------------------
 

@@ -35,10 +35,6 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def write_bytes_atomic(path: str, data: bytes) -> None:
-    _atomic_write(path, data)
-
-
 def write_text_atomic(path: str, text: str) -> None:
     _atomic_write(path, text.encode("utf-8"))
 
@@ -58,14 +54,18 @@ def read_tsdf(path: str) -> TSDFGrid:
         data = fh.read()
     if data[:4] != MAGIC:
         raise ValueError(f"{path}: not a tsdf file")
+    offset = 4 + struct.calcsize("<BHf")
+    if len(data) < offset:
+        raise ValueError(f"{path}: truncated header")
     version, resolution, tau = struct.unpack_from("<BHf", data, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    offset = 4 + struct.calcsize("<BHf")
-    count = resolution**3
-    values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-    if len(values) != count:
+    size = offset + 4 * resolution**3
+    if len(data) < size:
         raise ValueError(f"{path}: truncated payload")
+    if len(data) > size:
+        raise ValueError(f"{path}: {len(data) - size} trailing bytes after the payload")
+    values = np.frombuffer(data, dtype="<f4", offset=offset)
     cube = values.reshape((resolution, resolution, resolution), order="F")
     return TSDFGrid(GridSpec(resolution=resolution, tau=float(tau)), cube)
 
@@ -81,6 +81,8 @@ def write_grid_text(path: str, grid: TSDFGrid) -> None:
 def read_grid_text(path: str) -> TSDFGrid:
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline().split()
+        if len(head) < 2:
+            raise ValueError(f"{path}: header needs a resolution and a tau")
         resolution, tau = int(head[0]), float(head[1])
         values = np.loadtxt(fh, dtype=np.float32).ravel()
     cube = values.reshape((resolution, resolution, resolution), order="F")

@@ -90,7 +90,11 @@ class TSDFGrid:
         if vals.shape != (n, n, n):
             raise ValueError(f"values shape {vals.shape} does not match resolution {n}")
         tau = np.float32(self.spec.tau)
-        if vals.min() < -tau or vals.max() > tau:
+        lo, hi = vals.min(), vals.max()
+        # min propagates NaN; infinities fail the band check below
+        if np.isnan(lo):
+            raise ValueError("values must be finite")
+        if lo < -tau or hi > tau:
             raise ValueError("values exceed the truncation band")
         vals = vals.copy()
         vals.flags.writeable = False

@@ -15,7 +15,7 @@ from .errors import (
     RenderInvalidError,
     SpecMismatchError,
 )
-from .kernel import GridSpec, TSDFGrid, render, surface_points
+from .kernel import TSDFGrid, render, surface_points
 from .sequence import ConstructionSequence, edit_distance, sequence_tokens
 
 DEFAULT_LAMBDA = 0.1
@@ -91,31 +91,6 @@ def invalid_rate(invalid_flags) -> float:
     return sum(bool(f) for f in flags) / len(flags)
 
 
-def composite_objective(
-    candidate: ConstructionSequence,
-    target: TSDFGrid,
-    original: ConstructionSequence,
-    lam: float = DEFAULT_LAMBDA,
-    spec: GridSpec | None = None,
-) -> float:
-    """Geometry discrepancy plus lam times normalized structural disturbance.
-
-    The geometry term is the chamfer distance between surface samples of the
-    candidate's rendering and of the target; a candidate that fails to render
-    scores infinite rather than raising.
-    """
-    spec = spec or target.spec
-    try:
-        rendered = render(candidate, spec)
-    except RenderInvalidError:
-        return math.inf
-    geometry = chamfer(surface_points(rendered), surface_points(target))
-    if lam == 0.0:
-        return geometry
-    structure = edit_distance(candidate, original) / len(sequence_tokens(original))
-    return geometry + lam * structure
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """Flat record of every metric for one candidate; absent fields stay None.
@@ -146,20 +121,27 @@ def report_for(
     original: ConstructionSequence | None = None,
     lam: float = DEFAULT_LAMBDA,
 ) -> MetricsReport:
-    """Assemble the full report for a candidate against a target grid."""
+    """Assemble the full report for a candidate against a target grid.
+
+    The objective is the chamfer distance between surface samples of the
+    candidate's rendering and of the target, plus lam times the edit
+    distance normalized by the original's token count; a candidate that
+    fails to render scores infinite rather than raising.
+    """
     dist = edit_distance(candidate, original) if original is not None else None
     try:
         rendered = render(candidate, target.spec)
     except RenderInvalidError:
         objective = math.inf if original is not None else None
         return MetricsReport(invalid=True, edit_distance=dist, objective=objective)
-    objective = (
-        composite_objective(candidate, target, original, lam) if original is not None else None
-    )
+    geometry = chamfer(surface_points(rendered), surface_points(target))
+    objective = None
+    if original is not None:
+        objective = geometry + lam * (dist / len(sequence_tokens(original)))
     return MetricsReport(
         invalid=False,
         iou=iou(rendered, target),
-        chamfer_mean=chamfer(surface_points(rendered), surface_points(target)),
+        chamfer_mean=geometry,
         jsd=jsd(occupancy_histogram([rendered]), occupancy_histogram([target])),
         edit_distance=dist,
         objective=objective,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyListError, SpecMismatchError
+from .errors import EmptyListError
 from .kernel import AttributionGrid, TSDFGrid, attribute
 from .sequence import (
     ConstructionSequence,
@@ -24,23 +24,18 @@ from .sequence import (
     segments,
 )
 
-TIE_RULES = ("document",)
-
 
 @dataclass(frozen=True)
 class PlanConfig:
     granularity: Granularity = Granularity.PRIMITIVE
     band_width: float = 2.0
     min_mask: int = 0
-    tie_rule: str = "document"
 
     def __post_init__(self) -> None:
         if self.band_width < 1:
             raise ValueError("band_width must be at least one voxel")
         if self.min_mask < 0:
             raise ValueError("min_mask must be non-negative")
-        if self.tie_rule not in TIE_RULES:
-            raise ValueError(f"tie_rule must be one of {TIE_RULES}")
 
 
 @dataclass(frozen=True)
@@ -91,29 +86,21 @@ def _band_m(ag, lifted, shape: TSDFGrid, cfg: PlanConfig, n_segments: int) -> np
     return inter / (sizes + 1)
 
 
-def influence(seq: ConstructionSequence, shape: TSDFGrid, cfg: PlanConfig | None = None) -> np.ndarray:
-    """Per-segment M values, aligned with segments(seq, cfg.granularity)."""
-    cfg = cfg or PlanConfig()
-    ag = attribute(seq, shape.spec)
-    segs, index = _segment_index(seq, cfg.granularity)
-    lifted = _lift_owners(ag, cfg.granularity, index)
-    return _band_m(ag, lifted, shape, cfg, len(segs))
-
-
 def relative_scores(
     seq: ConstructionSequence,
-    s_current: TSDFGrid,
     s_target: TSDFGrid,
     cfg: PlanConfig | None = None,
 ) -> InfluenceVector:
-    """Contribution change of every segment between the two shapes."""
+    """Contribution change of every segment between seq's shape and the target.
+
+    One attribution pass yields both the owners and the current shape: its
+    composed field is the one render would produce.
+    """
     cfg = cfg or PlanConfig()
-    if s_current.spec != s_target.spec:
-        raise SpecMismatchError("current and target grids use different specs")
-    ag = attribute(seq, s_current.spec)
+    ag = attribute(seq, s_target.spec)
     segs, index = _segment_index(seq, cfg.granularity)
     lifted = _lift_owners(ag, cfg.granularity, index)
-    m_cur = _band_m(ag, lifted, s_current, cfg, len(segs))
+    m_cur = _band_m(ag, lifted, ag.grid(), cfg, len(segs))
     m_tgt = _band_m(ag, lifted, s_target, cfg, len(segs))
     entries = tuple(
         InfluenceEntry(seg, float(mc), float(mt), abs(float(mt) - float(mc)))

@@ -531,9 +531,6 @@ class MaskedSequence:
     def text(self) -> str:
         return " ".join(self.tokens())
 
-    def unmask(self) -> ConstructionSequence:
-        return self.base
-
 
 def apply_mask(seq: ConstructionSequence, ids) -> MaskedSequence:
     """Mask the spans of ``ids`` (an iterable of SegmentId) in ``seq``."""

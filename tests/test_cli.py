@@ -81,6 +81,16 @@ def test_corrupt_grid_file_reports_error_class(runner):
         assert res.stderr.startswith("ValueError:")
 
 
+def test_empty_text_grid_reports_error_class(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        open("empty.grid", "w").close()
+        res = runner.invoke(main, ["metrics", "cyl.seq", "empty.grid"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("ValueError:")
+        assert "Traceback" not in res.output
+
+
 # -- inspect and metrics -----------------------------------------------------
 
 
@@ -132,6 +142,17 @@ def test_edit_fixed_point_round_trips_the_input(runner):
         assert sections["engine"]["stop_reason"] == ["empty-mask"]
         assert sections["round 1"]["selected"] == ["-"]
         assert sections["final"]["iou"] == ["1"]
+
+
+def test_edit_unrenderable_original_exits_two(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        res = runner.invoke(
+            main, ["edit", "bad.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt"]
+        )
+        assert res.exit_code == 2
+        assert res.stderr.startswith("RenderInvalidError:")
 
 
 def test_edit_recovers_a_radius_change(runner):

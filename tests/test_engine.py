@@ -14,14 +14,13 @@ from cadfit.engine import (
     embed_sequence,
     latent_distance,
     run,
-    verify_select,
 )
 from cadfit.errors import (
     InvalidOriginalError,
+    RenderInvalidError,
     ResolutionMismatchError,
     TargetSpecMismatchError,
 )
-from cadfit.generator import Candidate, CandidateSet, GenPolicy, ORIGIN_SURROGATE
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
 from cadfit.planner import PlanConfig
@@ -34,10 +33,6 @@ def _sphere_grid(spec: GridSpec, radius: float = 0.35) -> TSDFGrid:
     vals = np.linalg.norm(pts, axis=1) - radius
     vals = np.clip(vals, -spec.tau, spec.tau).astype(np.float32)
     return TSDFGrid(spec, vals.reshape((spec.resolution,) * 3))
-
-
-def _candidates(*seqs) -> CandidateSet:
-    return CandidateSet(tuple(Candidate(s, (), ORIGIN_SURROGATE) for s in seqs))
 
 
 # -- embedding ---------------------------------------------------------------
@@ -177,23 +172,30 @@ def test_queue_rejects_bad_distances():
         PriorityQueue(capacity=0)
 
 
-def test_verify_select_picks_exact_match():
+def _push_all(q, seqs, target_lat, spec):
+    for seq in seqs:
+        latent = embed_sequence(seq, spec, 8)
+        q.push(seq, latent, latent_distance(latent, target_lat))
+    return q.best().seq
+
+
+def test_queue_push_picks_exact_match():
     spec = GridSpec()
     good = cylinder_sequence()
     target_lat = embed_shape(render(good, spec), 8)
     q = PriorityQueue(capacity=3)
-    best, q = verify_select(_candidates(cylinder_sequence(r=30), good), target_lat, q, spec)
+    best = _push_all(q, (cylinder_sequence(r=30), good), target_lat, spec)
     assert best == good
     assert q.best_distance() == 0.0
 
 
-def test_verify_select_remembers_earlier_rounds():
+def test_queue_push_remembers_earlier_rounds():
     spec = GridSpec()
     target_lat = embed_shape(render(cylinder_sequence(r=60), spec), 8)
     q = PriorityQueue(capacity=3)
-    close, q = verify_select(_candidates(cylinder_sequence(r=58)), target_lat, q, spec)
+    close = _push_all(q, (cylinder_sequence(r=58),), target_lat, spec)
     before = q.best_distance()
-    best, q = verify_select(_candidates(cylinder_sequence(r=30)), target_lat, q, spec)
+    best = _push_all(q, (cylinder_sequence(r=30),), target_lat, spec)
     assert best == close
     assert q.best_distance() == before
 
@@ -257,6 +259,13 @@ def test_invalid_original_is_rejected():
     target = render(cylinder_sequence(), GridSpec())
     with pytest.raises(InvalidOriginalError):
         run(bad, target)
+
+
+def test_unrenderable_original_is_rejected_before_round_one():
+    outside = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
+    target = render(cylinder_sequence(), GridSpec())
+    with pytest.raises(RenderInvalidError):
+        run(outside, target, EngineConfig(n=2, max_rounds=1))
 
 
 def test_target_must_match_pool_resolution():

@@ -98,6 +98,28 @@ def test_read_tsdf_rejects_truncated_payload(grid, tmp_path):
         read_tsdf(path)
 
 
+def test_read_tsdf_rejects_truncated_header(grid, tmp_path):
+    path = tmp_path / "short.tsdf"
+    path.write_bytes(tsdf_bytes(grid)[:7])
+    with pytest.raises(ValueError):
+        read_tsdf(path)
+
+
+def test_read_tsdf_rejects_trailing_bytes(grid, tmp_path):
+    path = tmp_path / "long.tsdf"
+    path.write_bytes(tsdf_bytes(grid) + b"\0")
+    with pytest.raises(ValueError):
+        read_tsdf(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "16\n"])
+def test_read_grid_text_rejects_short_header(tmp_path, text):
+    path = tmp_path / "bad.grid"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError):
+        read_grid_text(path)
+
+
 def test_parse_serialize_identity_through_files(tmp_path):
     text = serialize_sequence(cylinder_sequence())
     assert serialize_sequence(parse_sequence(text)) == text

@@ -1,5 +1,6 @@
 """Geometry kernel checks against independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from cadfit.sequence import (
     SegmentKind,
     Sketch,
 )
+from cadfit.synth import random_renderable
 
 
 # -- dense-sampling oracle for 2D loops -------------------------------------
@@ -322,6 +324,15 @@ def test_render_values_stay_in_band_and_deterministic():
     assert a.values.dtype == np.float32
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_rejects_non_finite_values(bad):
+    spec = GridSpec(resolution=8)
+    vals = np.zeros((8, 8, 8), dtype=np.float32)
+    vals[3, 4, 5] = bad
+    with pytest.raises(ValueError):
+        TSDFGrid(spec, vals)
+
+
 def test_render_out_of_domain_profile_is_invalid():
     seq = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
     with pytest.raises(RenderInvalidError):
@@ -356,12 +367,30 @@ def test_attribution_single_pair_owns_everything():
     assert kinds == {SegmentKind.PRIMITIVE, SegmentKind.EXTRUSION}
 
 
+def _tilted(seq, rng):
+    """Every pair's sketch plane turned to a random non-zero phi bin."""
+    pairs = []
+    for sketch, ext in seq.pairs:
+        theta, _, gamma = ext.orientation
+        phi = int(rng.integers(1, 256))
+        pairs.append((sketch, dataclasses.replace(ext, orientation=(theta, phi, gamma))))
+    return ConstructionSequence(tuple(pairs))
+
+
 def test_attribution_matches_render_values():
     seq = ConstructionSequence(
         cylinder_sequence().pairs + (circle_pair(op=BoolOp.CUT, r=30, origin=(128, 128, 80)),)
     )
     ag = attribute(seq)
     assert np.array_equal(ag.values, render(seq).values)
+    # the planner reads the current shape off attribution instead of a
+    # render, so the two must agree on random sequences, tilted ones too
+    rng = np.random.default_rng(61)
+    spec = GridSpec()
+    for _ in range(12):
+        drawn = random_renderable(rng, spec)
+        for seq in (drawn, _tilted(drawn, rng)):
+            assert np.array_equal(attribute(seq, spec).values, render(seq, spec).values)
 
 
 def test_attribution_disjoint_union_against_field_oracle():

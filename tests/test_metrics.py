@@ -17,7 +17,6 @@ from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import (
     MetricsReport,
     chamfer,
-    composite_objective,
     invalid_rate,
     iou,
     jsd,
@@ -179,23 +178,23 @@ def test_invalid_rate_counting():
         invalid_rate([])
 
 
-# -- composite objective ----------------------------------------------------
+# -- objective --------------------------------------------------------------
 
 
 def test_objective_zero_at_fixed_point():
     seq = cylinder_sequence()
     target = render(seq)
     for lam in (0.0, 0.1, 5.0):
-        assert composite_objective(seq, target, seq, lam) == pytest.approx(0.0, abs=1e-12)
+        assert report_for(seq, target, seq, lam).objective == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_lambda_zero_ignores_original():
     seq = cylinder_sequence()
     other = ConstructionSequence((circle_pair(r=40),))
     target = render(ConstructionSequence((circle_pair(r=80),)))
-    a = composite_objective(seq, target, seq, 0.0)
-    b = composite_objective(seq, target, other, 0.0)
-    assert a == b
+    a = report_for(seq, target, seq, 0.0)
+    b = report_for(seq, target, other, 0.0)
+    assert a.objective == b.objective == a.chamfer_mean
 
 
 def test_objective_grows_with_distance_error():
@@ -205,7 +204,7 @@ def test_objective_grows_with_distance_error():
     # stay under bin 191 so the taller candidates still fit in the domain
     for dist in (128, 144, 160, 184):
         cand = ConstructionSequence((circle_pair(dist_pos=dist, origin=(128, 128, 64)),))
-        vals.append(composite_objective(cand, target, base, 0.1))
+        vals.append(report_for(cand, target, base, 0.1).objective)
     assert vals == sorted(vals)
     assert vals[0] < vals[1] < vals[2] < vals[3]
 
@@ -213,7 +212,7 @@ def test_objective_grows_with_distance_error():
 def test_objective_invalid_render_is_infinite():
     bad = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
     target = render(cylinder_sequence())
-    assert composite_objective(bad, target, cylinder_sequence(), 0.1) == math.inf
+    assert report_for(bad, target, cylinder_sequence(), 0.1).objective == math.inf
 
 
 # -- report assembly --------------------------------------------------------
