@@ -263,7 +263,7 @@ class ExternalGenerator:
     ``INFILL <n> <seed>`` followed by one line holding the masked token
     stream; the response is exactly n candidate token streams, one per line,
     then a line ``END``.  The process is kept alive between requests and
-    respawned if it died.
+    respawned if it died or was closed.
     """
 
     def __init__(self, command, timeout: float = 30.0):
@@ -361,14 +361,17 @@ def external_infill(
 ) -> CandidateSet:
     """Candidates from the endpoint, surrogate-backfilled to exactly n.
 
-    An unreachable endpoint degrades to the full surrogate set with a note
-    in each candidate's provenance.  Garbage lines are dropped one by one.
+    An unreachable, silent or protocol-breaking endpoint degrades to the
+    full surrogate set with a note in each candidate's provenance, and its
+    process is closed so a later request cannot read this one's leftover
+    lines.  Garbage lines are dropped one by one.
     """
     ids = masked.ids()
     try:
         lines = endpoint.request(masked.text(), policy.n, policy.seed)
-    except EndpointUnavailableError as err:
-        note = f"endpoint unavailable, surrogate fallback: {err}"
+    except (EndpointUnavailableError, GeneratorProtocolError) as err:
+        endpoint.close()
+        note = f"endpoint failed, surrogate fallback: {err}"
         return CandidateSet(
             tuple(dataclasses.replace(c, note=note) for c in infill(masked, policy))
         )

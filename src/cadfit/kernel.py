@@ -2,13 +2,18 @@
 
 Profiles are exact 2D signed distance fields (negative inside) built from
 loop boundary distance with a winding-number sign.  Bodies extrude those
-profiles along a placed sketch plane; booleans compose bodies with the
-pointwise min/max algebra on untruncated fields.  Truncation to [-tau, tau]
-happens once, when a composed field is stored on a grid.
+profiles along a placed sketch plane.  Booleans fold the bodies left to
+right on untruncated fields: the first body starts the scene, then NEW and
+JOIN apply ``sdf_union`` (min), CUT ``sdf_difference`` (max with the
+negated body) and INTERSECT ``sdf_intersection`` (max).  Truncation to
+[-tau, tau] happens once, when the composed field is stored on a grid.
 
-Attribution tracks, per voxel, which pair wins the boolean chain and which
-primitive (or the extrusion parameter block, for cap-dominated voxels) of
-that pair sits nearest, which is what the planner consumes.
+Attribution runs inside the same fold, which is what the planner consumes.
+A voxel belongs to the last pair that changed its composed value; a pair
+that only ties the value leaves it with the earlier pair.  Within that
+pair, voxels where the slab term exceeds the profile term belong to the
+extrusion parameter block and the rest to the nearest primitive (the first
+one on a distance tie).
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .errors import (
 )
 from .quant import Channel, dequantize
 from .sequence import (
-    Arc,
     BoolOp,
     Circle,
     ConstructionSequence,
@@ -35,9 +39,9 @@ from .sequence import (
     Line,
     Loop,
     SegmentId,
-    SegmentKind,
     Sketch,
     chain_vertices,
+    segments,
 )
 
 DOMAIN_MIN = -0.5
@@ -109,7 +113,7 @@ class AttributionGrid:
     """Composed field plus, per voxel, the segment that owns it.
 
     ``owner`` holds indices into ``segment_ids`` (primitive-granularity ids:
-    primitives and extrusion blocks); -1 marks voxels without an owner.
+    primitives and extrusion blocks).
     """
 
     spec: GridSpec
@@ -154,8 +158,7 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     return center, radius
 
 
-def _arc_distance(a, b, sweep, ccw, pts) -> np.ndarray:
-    center, radius = arc_center_radius(a, b, sweep, ccw)
+def _arc_distance(a, b, center, radius, sweep, ccw, pts) -> np.ndarray:
     rel = pts - center
     ang = np.arctan2(rel[..., 1], rel[..., 0])
     start = math.atan2(a[1] - center[1], a[0] - center[0])
@@ -172,7 +175,8 @@ def _arc_distance(a, b, sweep, ccw, pts) -> np.ndarray:
 def _winding_contribution(a, b, pts, arc=None) -> np.ndarray:
     """Angle swept at each point by travel from ``a`` to ``b``.
 
-    The same cross product feeds the chord angle and the bulge-side test so
+    ``arc`` is the arc's ``(center, radius, ccw)``, or None for a line.  The
+    same cross product feeds the chord angle and the bulge-side test so
     the two cannot disagree on which side a borderline point falls.  Points
     exactly on an arc's open chord get the value both one-sided limits share.
     """
@@ -181,8 +185,7 @@ def _winding_contribution(a, b, pts, arc=None) -> np.ndarray:
     angle = np.arctan2(cross, dot)
     if arc is None:
         return angle
-    sweep, ccw = arc
-    center, radius = arc_center_radius(a, b, sweep, ccw)
+    center, radius, ccw = arc
     inside = np.linalg.norm(pts - center, axis=-1) < radius
     if ccw:
         angle = np.where(inside & (cross < 0), angle + _TWO_PI, angle)
@@ -202,54 +205,52 @@ def _loop_vertices(loop: Loop) -> list[np.ndarray]:
     return verts
 
 
-def _loop_boundary_distances(loop: Loop, pts: np.ndarray) -> np.ndarray:
-    """Distance from each point to each primitive's curve, shape (nprim, ...)."""
+def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed field (negative inside) and per-primitive boundary distances (nprim, ...)."""
     prim = loop.primitives[0]
     if isinstance(prim, Circle):
         center = np.array([dequantize(prim.center[0], Channel.COORD_2D), dequantize(prim.center[1], Channel.COORD_2D)])
         radius = dequantize(prim.radius, Channel.DISTANCE)
-        d = np.abs(np.linalg.norm(pts - center, axis=-1) - radius)
-        return d[None]
+        f = np.linalg.norm(pts - center, axis=-1) - radius
+        return f, np.abs(f)[None]
     verts = _loop_vertices(loop)
     rows = []
+    total = np.zeros(pts.shape[:-1])
     for k, p in enumerate(loop.primitives):
         a, b = verts[k], verts[(k + 1) % len(verts)]
         if isinstance(p, Line):
             rows.append(_segment_distance(a, b, pts))
+            total += _winding_contribution(a, b, pts)
         else:
             sweep = dequantize(p.sweep, Channel.ANGLE)
-            rows.append(_arc_distance(a, b, sweep, p.ccw, pts))
-    return np.stack(rows)
+            center, radius = arc_center_radius(a, b, sweep, p.ccw)
+            rows.append(_arc_distance(a, b, center, radius, sweep, p.ccw, pts))
+            total += _winding_contribution(a, b, pts, (center, radius, p.ccw))
+    rows = np.stack(rows)
+    dist = rows.min(axis=0)
+    winding = np.rint(total / _TWO_PI)
+    return np.where(winding != 0, -dist, dist), rows
+
+
+def _profile_eval(sketch: Sketch, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Profile field plus every loop's boundary-distance rows, in loop order."""
+    f, rows = _loop_eval(sketch.loops[0], pts)
+    all_rows = [rows]
+    for hole in sketch.loops[1:]:
+        g, rows = _loop_eval(hole, pts)
+        f = np.maximum(f, -g)
+        all_rows.append(rows)
+    return f, all_rows
 
 
 def loop_sdf(loop: Loop, pts) -> np.ndarray:
     """Signed distance to the loop's region, negative inside."""
-    pts = np.asarray(pts, dtype=float)
-    prim = loop.primitives[0]
-    if isinstance(prim, Circle):
-        center = np.array([dequantize(prim.center[0], Channel.COORD_2D), dequantize(prim.center[1], Channel.COORD_2D)])
-        radius = dequantize(prim.radius, Channel.DISTANCE)
-        return np.linalg.norm(pts - center, axis=-1) - radius
-    dist = _loop_boundary_distances(loop, pts).min(axis=0)
-    verts = _loop_vertices(loop)
-    total = np.zeros(pts.shape[:-1])
-    for k, p in enumerate(loop.primitives):
-        a, b = verts[k], verts[(k + 1) % len(verts)]
-        arc = None
-        if isinstance(p, Arc):
-            arc = (dequantize(p.sweep, Channel.ANGLE), p.ccw)
-        total += _winding_contribution(a, b, pts, arc)
-    winding = np.rint(total / _TWO_PI)
-    return np.where(winding != 0, -dist, dist)
+    return _loop_eval(loop, np.asarray(pts, dtype=float))[0]
 
 
 def profile_sdf(sketch: Sketch, pts) -> np.ndarray:
     """Sketch SDF: the outer loop minus every hole loop."""
-    pts = np.asarray(pts, dtype=float)
-    f = loop_sdf(sketch.loops[0], pts)
-    for hole in sketch.loops[1:]:
-        f = np.maximum(f, -loop_sdf(hole, pts))
-    return f
+    return _profile_eval(sketch, np.asarray(pts, dtype=float))[0]
 
 
 # --------------------------------------------------------------------------
@@ -283,31 +284,32 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
     return -dneg, dpos
 
 
-def _body_eval(sketch: Sketch, ext: Extrusion, pts: np.ndarray, with_parts: bool):
+def _body_eval(sketch: Sketch, ext: Extrusion, pts: np.ndarray, owners: bool):
+    """Body field plus, when ``owners``, the cap mask and nearest primitive.
+
+    The cap mask marks points where the slab term exceeds the profile term;
+    the nearest primitive indexes the sketch's primitives in loop order.
+    """
     rot, origin = placement_frame(ext)
     local = (pts - origin) @ rot  # rows of pts times R == R^T (q - o)
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
         raise ValueError("extrusion scale dequantizes to zero")
     plane = local[..., :2] / scale
-    d = profile_sdf(sketch, plane) * scale
+    d, rows = _profile_eval(sketch, plane)
+    d = d * scale
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     slab = np.abs(local[..., 2] - mid) - half
     f = np.minimum(np.maximum(d, slab), 0.0) + np.hypot(np.maximum(d, 0.0), np.maximum(slab, 0.0))
-    if not with_parts:
-        return f, None, None, None
-    rows = []
-    for loop in sketch.loops:
-        rows.append(_loop_boundary_distances(loop, plane))
-    nearest = np.argmin(np.concatenate(rows, axis=0), axis=0)
-    return f, d, slab, nearest
+    if not owners:
+        return f, None, None
+    return f, slab > d, np.argmin(np.concatenate(rows), axis=0)
 
 
 def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     """Untruncated SDF of one extruded (scaled, placed) sketch profile."""
-    pts = np.asarray(pts, dtype=float)
-    return _body_eval(sketch, ext, pts, with_parts=False)[0]
+    return _body_eval(sketch, ext, np.asarray(pts, dtype=float), owners=False)[0]
 
 
 # --------------------------------------------------------------------------
@@ -326,38 +328,43 @@ def sdf_intersection(f, g):
     return np.maximum(f, g)
 
 
+_BOOLEAN = {
+    BoolOp.NEW: sdf_union,
+    BoolOp.JOIN: sdf_union,
+    BoolOp.CUT: sdf_difference,
+    BoolOp.INTERSECT: sdf_intersection,
+}
+
+
 # --------------------------------------------------------------------------
 # rendering and attribution
 
 
-def _compose(seq: ConstructionSequence, spec: GridSpec, with_parts: bool):
+def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
+    """Truncated (n, n, n) field and, when ``owners``, the owner grid.
+
+    Owner values index ``segments(seq)``: each pair's primitives in loop
+    order, then its extrusion block.
+    """
     pts = spec.points()
     scene = None
-    winner = None
-    parts = []
-    for k, (sketch, ext) in enumerate(seq.pairs):
-        f, d, slab, nearest = _body_eval(sketch, ext, pts, with_parts)
-        parts.append((d, slab, nearest))
-        if scene is None:
-            scene = f
-            winner = np.zeros(len(pts), dtype=np.int32)
-            continue
-        if ext.bool_op in (BoolOp.NEW, BoolOp.JOIN):
-            takes = f < scene
-            scene = np.minimum(scene, f)
-        elif ext.bool_op is BoolOp.CUT:
-            takes = -f > scene
-            scene = np.maximum(scene, -f)
-        else:
-            takes = f > scene
-            scene = np.maximum(scene, f)
-        winner[takes] = k
-    return scene, winner, parts
-
-
-def _clamp(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    owner = np.empty(len(pts), dtype=np.int32) if owners else None
+    first = 0  # index of the current pair's first primitive id
+    for sketch, ext in seq.pairs:
+        f, cap, nearest = _body_eval(sketch, ext, pts, owners)
+        composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
+        if owners:
+            ext_id = first + sum(len(loop.primitives) for loop in sketch.loops)
+            took = True if scene is None else composed != scene
+            np.copyto(owner, np.where(cap, ext_id, first + nearest), where=took)
+            first = ext_id + 1
+        scene = composed
+    n = spec.resolution
     tau = np.float32(spec.tau)
-    return np.clip(values.astype(np.float32), -tau, tau)
+    values = np.clip(scene.astype(np.float32), -tau, tau).reshape(n, n, n)
+    if not (values < 0).any():
+        raise RenderInvalidError("composed field has no interior voxels")
+    return values, (owner.reshape(n, n, n) if owners else None)
 
 
 def render(seq: ConstructionSequence, spec: GridSpec = GridSpec()) -> TSDFGrid:
@@ -365,55 +372,13 @@ def render(seq: ConstructionSequence, spec: GridSpec = GridSpec()) -> TSDFGrid:
 
     Raises RenderInvalidError when the composed occupancy is empty.
     """
-    scene, _, _ = _compose(seq, spec, with_parts=False)
-    n = spec.resolution
-    values = _clamp(scene, spec).reshape(n, n, n)
-    if not (values < 0).any():
-        raise RenderInvalidError("composed field has no interior voxels")
-    return TSDFGrid(spec, values)
-
-
-def _primitive_segment_ids(seq: ConstructionSequence) -> tuple[tuple[SegmentId, ...], list[int], list[list[int]]]:
-    """Default-granularity ids plus per-pair lookup tables into that tuple."""
-    ids: list[SegmentId] = []
-    ext_index: list[int] = []
-    prim_index: list[list[int]] = []
-    for pi, (sketch, _) in enumerate(seq.pairs):
-        ordinals: list[int] = []
-        for li, loop in enumerate(sketch.loops):
-            for ci in range(len(loop.primitives)):
-                ordinals.append(len(ids))
-                ids.append(SegmentId(pi, SegmentKind.PRIMITIVE, li, ci))
-        ext_index.append(len(ids))
-        ids.append(SegmentId(pi, SegmentKind.EXTRUSION))
-        prim_index.append(ordinals)
-    return tuple(ids), ext_index, prim_index
+    return TSDFGrid(spec, _compose(seq, spec, owners=False)[0])
 
 
 def attribute(seq: ConstructionSequence, spec: GridSpec = GridSpec()) -> AttributionGrid:
-    """Composed field plus per-voxel owning segment.
-
-    The boolean chain picks a winning pair per voxel (ties keep the earlier
-    pair).  Within that pair, voxels where the slab term dominates belong to
-    the extrusion parameter block and the rest to the nearest primitive.
-    """
-    scene, winner, parts = _compose(seq, spec, with_parts=True)
-    ids, ext_index, prim_index = _primitive_segment_ids(seq)
-    owner = np.full(len(scene), -1, dtype=np.int32)
-    for k in range(len(seq.pairs)):
-        sel = winner == k
-        if not sel.any():
-            continue
-        d, slab, nearest = parts[k]
-        cap = slab[sel] > d[sel]
-        table = np.asarray(prim_index[k], dtype=np.int32)
-        owned = np.where(cap, np.int32(ext_index[k]), table[nearest[sel]])
-        owner[sel] = owned
-    n = spec.resolution
-    values = _clamp(scene, spec).reshape(n, n, n)
-    if not (values < 0).any():
-        raise RenderInvalidError("composed field has no interior voxels")
-    return AttributionGrid(spec, values, owner.reshape(n, n, n), ids)
+    """Composed field plus per-voxel owning segment (see the module notes)."""
+    values, owner = _compose(seq, spec, owners=True)
+    return AttributionGrid(spec, values, owner, tuple(s.id for s in segments(seq)))
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import cylinder_sequence, extrusion, square_loop
 
+from cadfit.engine import EngineConfig, run
 from cadfit.errors import GeneratorProtocolError
 from cadfit.generator import (
     ORIGIN_EXTERNAL,
@@ -18,7 +19,7 @@ from cadfit.generator import (
     external_infill,
     infill,
 )
-from cadfit.kernel import GridSpec
+from cadfit.kernel import GridSpec, render
 from cadfit.sequence import (
     Arc,
     BoolOp,
@@ -256,6 +257,59 @@ sys.stdin.readline()
 time.sleep(30)
 """
 
+PARTIAL_LINE_STUB = """\
+import sys, time
+
+sys.stdin.readline()
+sys.stdin.readline()
+sys.stdout.write("SOL C 90")
+sys.stdout.flush()
+time.sleep(30)
+"""
+
+DYING_STUB = """\
+import sys
+
+sys.stdin.readline()
+masked = sys.stdin.readline().strip()
+print(masked.replace("MASK", "C 90 90 40"))
+sys.stdout.flush()
+"""
+
+EXTRA_LINE_STUB = """\
+import sys
+
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    n = int(header.split()[1])
+    masked = sys.stdin.readline().strip()
+    for _ in range(n + 1):
+        print(masked)
+    print("END")
+    sys.stdout.flush()
+"""
+
+# answers every request with a circle of radius 10 + seed; the answer to
+# seed 1 comes only after the client has given up waiting for it
+LATE_SEED_STUB = """\
+import sys, time
+
+while True:
+    header = sys.stdin.readline()
+    if not header:
+        break
+    _, n, seed = header.split()
+    masked = sys.stdin.readline().strip()
+    if seed == "1":
+        time.sleep(1.5)
+    for _ in range(int(n)):
+        print(masked.replace("MASK", "C 128 128 %d" % (10 + int(seed))))
+    print("END")
+    sys.stdout.flush()
+"""
+
 TAMPER_STUB = """\
 import sys
 
@@ -350,11 +404,50 @@ def test_stalling_endpoint_times_out_to_fallback(tmp_path):
     assert all("fallback" in c.note for c in out)
 
 
+@pytest.mark.parametrize("body", [PARTIAL_LINE_STUB, DYING_STUB], ids=["partial-line", "dies"])
+def test_endpoint_breaking_off_mid_response_falls_back(tmp_path, body):
+    _, masked = _masked_circle()
+    pol = GenPolicy(n=3, seed=8)
+    with ExternalGenerator(_stub(tmp_path, "broken.py", body), timeout=0.3) as gen:
+        out = external_infill(masked, pol, gen)
+    assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, pol)]
+
+
 def test_missing_end_is_a_protocol_error(tmp_path):
     _, masked = _masked_circle()
-    with ExternalGenerator(_stub(tmp_path, "noend.py", NO_END_STUB)) as gen:
+    cmd = _stub(tmp_path, "noend.py", NO_END_STUB)
+    with ExternalGenerator(cmd) as gen:
         with pytest.raises(GeneratorProtocolError):
-            external_infill(masked, GenPolicy(n=3, seed=8), gen)
+            gen.request(masked.text(), 3, 8)
+    pol = GenPolicy(n=3, seed=8)
+    with ExternalGenerator(cmd) as gen:
+        out = external_infill(masked, pol, gen)
+    assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, pol)]
+
+
+def test_run_survives_an_endpoint_that_sends_extra_lines(tmp_path):
+    spec = GridSpec(resolution=16)
+    seq = cylinder_sequence()
+    target = render(cylinder_sequence(r=90), spec)
+    cfg = EngineConfig(max_rounds=2, n=4)
+    with ExternalGenerator(_stub(tmp_path, "extra.py", EXTRA_LINE_STUB)) as gen:
+        result = run(seq, target, cfg, endpoint=gen)
+    alone = run(seq, target, cfg)
+    assert result.trace[0].selected
+    assert result == alone
+
+
+def test_late_answer_is_not_read_by_the_next_request(tmp_path):
+    _, masked = _masked_circle()
+    cmd = _stub(tmp_path, "late.py", LATE_SEED_STUB)
+    with ExternalGenerator(cmd, timeout=1.0) as gen:
+        first = external_infill(masked, GenPolicy(n=2, seed=1), gen)
+        second = external_infill(masked, GenPolicy(n=2, seed=7), gen)
+    assert all("fallback" in c.note for c in first)
+    assert all(c.origin == ORIGIN_EXTERNAL for c in second)
+    assert [c.seq.pairs[0][0].loops[0].primitives[0].radius for c in second] == [17, 17]
 
 
 def test_endpoint_survives_repeated_requests(tmp_path):

@@ -37,6 +37,7 @@ from cadfit.sequence import (
     Extent,
     Line,
     Loop,
+    SegmentId,
     SegmentKind,
     Sketch,
 )
@@ -405,6 +406,70 @@ def test_attribution_disjoint_union_against_field_oracle():
     band = np.abs(ag.values) < 2 * spec.pitch
     owner_pair = np.vectorize(lambda i: ag.segment_ids[i].pair)(ag.owner[band])
     assert np.array_equal(owner_pair, (fb[band] < fa[band]).astype(int))
+
+
+def _winner_chain(seq, pts):
+    """Pair that last strictly changed each point's value in the boolean chain."""
+    scene, winner = None, np.zeros(len(pts), dtype=int)
+    for k, (sketch, ext) in enumerate(seq.pairs):
+        f = body_sdf(sketch, ext, pts)
+        if scene is None:
+            scene = f
+            continue
+        if ext.bool_op is BoolOp.CUT:
+            takes, scene = -f > scene, np.maximum(scene, -f)
+        elif ext.bool_op is BoolOp.INTERSECT:
+            takes, scene = f > scene, np.maximum(scene, f)
+        else:
+            takes, scene = f < scene, np.minimum(scene, f)
+        winner[takes] = k
+    return winner
+
+
+def test_attribution_owner_pair_matches_strict_chain_oracle():
+    rng = np.random.default_rng(67)
+    spec = GridSpec(resolution=16)
+    pts = spec.points()
+    ops = (BoolOp.JOIN, BoolOp.CUT, BoolOp.INTERSECT)
+    checked = 0
+    while checked < 12:
+        drawn = random_renderable(rng, spec, min_pairs=2)
+        pairs = [drawn.pairs[0]] + [
+            (sketch, dataclasses.replace(ext, bool_op=ops[int(rng.integers(3))]))
+            for sketch, ext in drawn.pairs[1:]
+        ]
+        seq = _tilted(ConstructionSequence(tuple(pairs)), rng)
+        try:
+            ag = attribute(seq, spec)
+        except RenderInvalidError:
+            continue
+        owner_pair = np.array([sid.pair for sid in ag.segment_ids])[ag.owner.ravel()]
+        assert np.array_equal(owner_pair, _winner_chain(seq, pts))
+        checked += 1
+
+
+def test_attribution_duplicate_join_stays_with_the_first_pair():
+    seq = ConstructionSequence((circle_pair(), circle_pair(BoolOp.JOIN), circle_pair(BoolOp.JOIN)))
+    ag = attribute(seq)
+    assert {ag.segment_ids[i].pair for i in np.unique(ag.owner)} == {0}
+
+
+def test_attribution_annulus_inner_wall_belongs_to_the_hole():
+    sketch = Sketch((Loop((Circle((128, 128), 102),)), Loop((Circle((128, 128), 51),))))
+    seq = ConstructionSequence(((sketch, extrusion(origin=(128, 128, 64))),))
+    spec = GridSpec()
+    ag = attribute(seq, spec)
+    pts = spec.points().reshape(ag.owner.shape + (3,))
+    ax = _circle_axis_xy()
+    r = np.hypot(pts[..., 0] - ax, pts[..., 1] - ax)
+    z_lo = dequantize(64, Channel.COORD_3D)
+    height = dequantize(128, Channel.DISTANCE)
+    wall = (np.abs(r - dequantize(51, Channel.DISTANCE)) < spec.pitch / 2) & (
+        np.abs(pts[..., 2] - (z_lo + height / 2)) < height / 4
+    )
+    assert wall.sum() > 50
+    owners = {ag.segment_ids[i] for i in np.unique(ag.owner[wall])}
+    assert owners == {SegmentId(0, SegmentKind.PRIMITIVE, 1, 0)}
 
 
 def test_attribution_cut_cavity_owned_by_cut_pair():
