@@ -244,13 +244,9 @@ def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularit
         result = run(t.original, t.target, cfg, plan_cfg, ablate=ablate)
         rows.append((f"{k:04d}", t.edit_class, result, t.truth_edit_distance))
         if not result.report.invalid:
-            final_grids.append(render(result.final, t.target.spec))
+            final_grids.append(result.report.grid)
             target_grids.append(t.target)
-    corpus_jsd = (
-        jsd(occupancy_histogram(final_grids), occupancy_histogram(target_grids))
-        if final_grids
-        else None
-    )
+    corpus_jsd = jsd(occupancy_histogram(final_grids), occupancy_histogram(target_grids)) if final_grids else None
     header = [
         ("seed", seed),
         ("rounds", rounds),

@@ -84,7 +84,10 @@ def read_grid_text(path: str) -> TSDFGrid:
         if len(head) < 2:
             raise ValueError(f"{path}: header needs a resolution and a tau")
         resolution, tau = int(head[0]), float(head[1])
-        values = np.loadtxt(fh, dtype=np.float32).ravel()
+        with np.errstate(over="ignore"):  # out-of-range samples become inf, which TSDFGrid rejects
+            values = np.array(fh.read().split(), dtype=np.float32)
+    if values.size != resolution**3:
+        raise ValueError(f"{path}: expected {resolution**3} samples for resolution {resolution}, found {values.size}")
     cube = values.reshape((resolution, resolution, resolution), order="F")
     return TSDFGrid(GridSpec(resolution=resolution, tau=tau), cube)
 

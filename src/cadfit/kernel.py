@@ -14,6 +14,18 @@ that only ties the value leaves it with the earlier pair.  Within that
 pair, voxels where the slab term exceeds the profile term belong to the
 extrusion parameter block and the rest to the nearest primitive (the first
 one on a distance tie).
+
+A body whose placement frame is exactly z-aligned, that is whose rotation
+has rot[2,0] == rot[2,1] == rot[0,2] == rot[1,2] == 0 (every phi-bin-0
+extrusion, whatever its theta and gamma), is evaluated on the n^2 lattice:
+the profile on the iz = 0 layer of cell centers, the slab term on the n z
+centers, both broadcast over the grid.  The result is exact, not close: a
+point's sketch-plane coordinates gain only the term (z - o_z) * 0 = +-0 from
+its height, which leaves every nonzero sum unchanged and can flip only the
+sign of a zero one, and the profile never sees that sign because no
+quantized 2D coordinate is zero; likewise x and y enter the height only as
++-0 terms.  Values and owners are bit-identical to evaluating every body at
+every cell center, which every other body still does.
 """
 
 from __future__ import annotations
@@ -284,23 +296,22 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
     return -dneg, dpos
 
 
-def _body_eval(sketch: Sketch, ext: Extrusion, pts: np.ndarray, owners: bool):
-    """Body field plus, when ``owners``, the cap mask and nearest primitive.
+def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray, owners: bool):
+    """Body field from sketch-plane coordinates and heights along the normal.
 
-    The cap mask marks points where the slab term exceeds the profile term;
-    the nearest primitive indexes the sketch's primitives in loop order.
+    ``plane`` (..., 2) and ``height`` broadcast against each other.  When
+    ``owners``, also return the cap mask, which marks points where the slab
+    term exceeds the profile term, and the nearest primitive, which indexes
+    the sketch's primitives in loop order and keeps ``plane``'s shape.
     """
-    rot, origin = placement_frame(ext)
-    local = (pts - origin) @ rot  # rows of pts times R == R^T (q - o)
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
         raise ValueError("extrusion scale dequantizes to zero")
-    plane = local[..., :2] / scale
-    d, rows = _profile_eval(sketch, plane)
+    d, rows = _profile_eval(sketch, plane / scale)
     d = d * scale
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    slab = np.abs(local[..., 2] - mid) - half
+    slab = np.abs(height - mid) - half
     f = np.minimum(np.maximum(d, slab), 0.0) + np.hypot(np.maximum(d, 0.0), np.maximum(slab, 0.0))
     if not owners:
         return f, None, None
@@ -309,7 +320,9 @@ def _body_eval(sketch: Sketch, ext: Extrusion, pts: np.ndarray, owners: bool):
 
 def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     """Untruncated SDF of one extruded (scaled, placed) sketch profile."""
-    return _body_eval(sketch, ext, np.asarray(pts, dtype=float), owners=False)[0]
+    rot, origin = placement_frame(ext)
+    local = (np.asarray(pts, dtype=float) - origin) @ rot  # rows of pts times R == R^T (q - o)
+    return _extrude(sketch, ext, local[..., :2], local[..., 2], owners=False)[0]
 
 
 # --------------------------------------------------------------------------
@@ -346,12 +359,31 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
     Owner values index ``segments(seq)``: each pair's primitives in loop
     order, then its extrusion block.
     """
-    pts = spec.points()
+    n = spec.resolution
+    c = spec.centers()
+    layer = np.stack(np.meshgrid(c, c, c[:1], indexing="ij"), axis=-1).reshape(n * n, 3)
+    column = np.stack(np.meshgrid(c[:1], c[:1], c, indexing="ij"), axis=-1).reshape(n, 3)
+    pts = None  # the n^3 cell centers, built only for a body that needs them
+
+    def coords(ext):
+        """Sketch-plane coordinates and heights that broadcast to (n, n, n)."""
+        nonlocal pts
+        rot, origin = placement_frame(ext)
+        if rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
+            # z-aligned: the profile on the iz = 0 layer, the slab on the
+            # ix = iy = 0 column (see the module notes)
+            return ((layer - origin) @ rot)[:, :2].reshape(n, n, 1, 2), ((column - origin) @ rot)[:, 2]
+        if pts is None:
+            pts = spec.points()
+        local = ((pts - origin) @ rot).reshape(n, n, n, 3)
+        return local[..., :2], local[..., 2]
+
     scene = None
-    owner = np.empty(len(pts), dtype=np.int32) if owners else None
+    owner = np.empty((n, n, n), dtype=np.int32) if owners else None
     first = 0  # index of the current pair's first primitive id
     for sketch, ext in seq.pairs:
-        f, cap, nearest = _body_eval(sketch, ext, pts, owners)
+        # the coordinates die with the call, before the fold allocates
+        f, cap, nearest = _extrude(sketch, ext, *coords(ext), owners)
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
             ext_id = first + sum(len(loop.primitives) for loop in sketch.loops)
@@ -359,12 +391,11 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
             np.copyto(owner, np.where(cap, ext_id, first + nearest), where=took)
             first = ext_id + 1
         scene = composed
-    n = spec.resolution
     tau = np.float32(spec.tau)
-    values = np.clip(scene.astype(np.float32), -tau, tau).reshape(n, n, n)
+    values = np.clip(scene.astype(np.float32), -tau, tau)
     if not (values < 0).any():
         raise RenderInvalidError("composed field has no interior voxels")
-    return values, (owner.reshape(n, n, n) if owners else None)
+    return values, owner
 
 
 def render(seq: ConstructionSequence, spec: GridSpec = GridSpec()) -> TSDFGrid:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -96,7 +96,8 @@ class MetricsReport:
     """Flat record of every metric for one candidate; absent fields stay None.
 
     An invalid candidate keeps only the structure fields: there is no shape
-    to measure.
+    to measure.  ``grid`` holds the rendering the shape metrics were taken
+    from, so callers need not render again; comparisons ignore it.
     """
 
     invalid: bool
@@ -105,6 +106,7 @@ class MetricsReport:
     jsd: float | None = None
     edit_distance: int | None = None
     objective: float | None = None
+    grid: TSDFGrid | None = field(default=None, compare=False, repr=False)
 
     def to_fields(self) -> list[tuple[str, object]]:
         out: list[tuple[str, object]] = [("invalid", self.invalid)]
@@ -145,4 +147,5 @@ def report_for(
         jsd=jsd(occupancy_histogram([rendered]), occupancy_histogram([target])),
         edit_distance=dist,
         objective=objective,
+        grid=rendered,
     )

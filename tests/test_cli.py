@@ -91,6 +91,17 @@ def test_empty_text_grid_reports_error_class(runner):
         assert "Traceback" not in res.output
 
 
+@pytest.mark.filterwarnings("error")
+def test_header_only_text_grid_reports_the_sample_count(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        with open("body.grid", "w", encoding="utf-8") as fh:
+            fh.write("8 0.2\n")
+        res = runner.invoke(main, ["metrics", "cyl.seq", "body.grid"])
+        assert res.exit_code == 1
+        assert res.stderr == "ValueError: body.grid: expected 512 samples for resolution 8, found 0\n"
+
+
 # -- inspect and metrics -----------------------------------------------------
 
 

@@ -120,6 +120,16 @@ def test_read_grid_text_rejects_short_header(tmp_path, text):
         read_grid_text(path)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [0, 5])
+def test_read_grid_text_counts_missing_samples(tmp_path, samples):
+    path = tmp_path / "short.grid"
+    path.write_text("8 0.2\n" + " 0.1" * samples + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_grid_text(path)
+    assert str(err.value) == f"{path}: expected 512 samples for resolution 8, found {samples}"
+
+
 def test_parse_serialize_identity_through_files(tmp_path):
     text = serialize_sequence(cylinder_sequence())
     assert serialize_sequence(parse_sequence(text)) == text

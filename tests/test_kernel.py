@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import circle_pair, cube_sequence, cylinder_sequence, extrusion, square_loop, star_polygon_loop
 
@@ -17,10 +19,12 @@ from cadfit.errors import (
 from cadfit.kernel import (
     GridSpec,
     TSDFGrid,
+    _extrude,
     arc_center_radius,
     attribute,
     body_sdf,
     loop_sdf,
+    placement_frame,
     profile_sdf,
     render,
     sdf_difference,
@@ -41,7 +45,7 @@ from cadfit.sequence import (
     SegmentKind,
     Sketch,
 )
-from cadfit.synth import random_renderable
+from cadfit.synth import random_renderable, random_sequence
 
 
 # -- dense-sampling oracle for 2D loops -------------------------------------
@@ -378,6 +382,17 @@ def _tilted(seq, rng):
     return ConstructionSequence(tuple(pairs))
 
 
+def _turned(seq, rng, tilt_share=0.0):
+    """Every pair at random non-zero theta and gamma bins; about ``tilt_share``
+    of them also tilted to a random non-zero phi bin, the rest z-aligned."""
+    pairs = []
+    for sketch, ext in seq.pairs:
+        theta, gamma = (int(b) for b in rng.integers(1, 256, size=2))
+        phi = int(rng.integers(1, 256)) if rng.random() < tilt_share else 0
+        pairs.append((sketch, dataclasses.replace(ext, orientation=(theta, phi, gamma))))
+    return ConstructionSequence(tuple(pairs))
+
+
 def test_attribution_matches_render_values():
     seq = ConstructionSequence(
         cylinder_sequence().pairs + (circle_pair(op=BoolOp.CUT, r=30, origin=(128, 128, 80)),)
@@ -385,12 +400,13 @@ def test_attribution_matches_render_values():
     ag = attribute(seq)
     assert np.array_equal(ag.values, render(seq).values)
     # the planner reads the current shape off attribution instead of a
-    # render, so the two must agree on random sequences, tilted ones too
+    # render, so the two must agree on random sequences, tilted ones and
+    # z-aligned ones turned in their plane too
     rng = np.random.default_rng(61)
     spec = GridSpec()
     for _ in range(12):
         drawn = random_renderable(rng, spec)
-        for seq in (drawn, _tilted(drawn, rng)):
+        for seq in (drawn, _tilted(drawn, rng), _turned(drawn, rng)):
             assert np.array_equal(attribute(seq, spec).values, render(seq, spec).values)
 
 
@@ -408,44 +424,134 @@ def test_attribution_disjoint_union_against_field_oracle():
     assert np.array_equal(owner_pair, (fb[band] < fa[band]).astype(int))
 
 
-def _winner_chain(seq, pts):
-    """Pair that last strictly changed each point's value in the boolean chain."""
-    scene, winner = None, np.zeros(len(pts), dtype=int)
-    for k, (sketch, ext) in enumerate(seq.pairs):
+def _dense_fold(seq, spec):
+    """Clamped field and owner grid of a strict-comparison chain over every
+    cell center: each body from ``body_sdf``, its cap mask and nearest
+    primitive from the same dense per-point evaluation."""
+    pts = spec.points()
+    scene, owner, first = None, np.zeros(len(pts), dtype=np.int32), 0
+    for sketch, ext in seq.pairs:
         f = body_sdf(sketch, ext, pts)
+        rot, origin = placement_frame(ext)
+        local = (pts - origin) @ rot
+        _, cap, nearest = _extrude(sketch, ext, local[:, :2], local[:, 2], owners=True)
         if scene is None:
-            scene = f
-            continue
-        if ext.bool_op is BoolOp.CUT:
+            takes, scene = np.ones(len(pts), dtype=bool), f
+        elif ext.bool_op is BoolOp.CUT:
             takes, scene = -f > scene, np.maximum(scene, -f)
         elif ext.bool_op is BoolOp.INTERSECT:
             takes, scene = f > scene, np.maximum(scene, f)
         else:
             takes, scene = f < scene, np.minimum(scene, f)
-        winner[takes] = k
-    return winner
+        ext_id = first + sum(len(loop.primitives) for loop in sketch.loops)
+        owner[takes] = np.where(cap, ext_id, first + nearest)[takes]
+        first = ext_id + 1
+    n, tau = spec.resolution, np.float32(spec.tau)
+    return np.clip(scene.astype(np.float32), -tau, tau).reshape(n, n, n), owner.reshape(n, n, n)
+
+
+def _assert_equals_dense_fold(seq, spec):
+    """render and attribute against ``_dense_fold``, bit for bit (so -0.0
+    and 0.0 differ); False when the sequence has no interior voxels."""
+    values, owner = _dense_fold(seq, spec)
+    if not (values < 0).any():
+        with pytest.raises(RenderInvalidError):
+            render(seq, spec)
+        return False
+    assert np.array_equal(render(seq, spec).values.view(np.uint32), values.view(np.uint32))
+    ag = attribute(seq, spec)
+    assert np.array_equal(ag.values.view(np.uint32), values.view(np.uint32))
+    assert np.array_equal(ag.owner, owner)
+    return True
 
 
 def test_attribution_owner_pair_matches_strict_chain_oracle():
     rng = np.random.default_rng(67)
     spec = GridSpec(resolution=16)
-    pts = spec.points()
     ops = (BoolOp.JOIN, BoolOp.CUT, BoolOp.INTERSECT)
     checked = 0
-    while checked < 12:
+    while checked < 16:
         drawn = random_renderable(rng, spec, min_pairs=2)
         pairs = [drawn.pairs[0]] + [
             (sketch, dataclasses.replace(ext, bool_op=ops[int(rng.integers(3))]))
             for sketch, ext in drawn.pairs[1:]
         ]
-        seq = _tilted(ConstructionSequence(tuple(pairs)), rng)
+        # tilted pairs take the dense path, z-aligned ones the lattice path
+        seq = _turned(ConstructionSequence(tuple(pairs)), rng, tilt_share=0.5)
         try:
             ag = attribute(seq, spec)
         except RenderInvalidError:
             continue
-        owner_pair = np.array([sid.pair for sid in ag.segment_ids])[ag.owner.ravel()]
-        assert np.array_equal(owner_pair, _winner_chain(seq, pts))
+        pair_of = np.array([sid.pair for sid in ag.segment_ids])
+        assert np.array_equal(pair_of[ag.owner], pair_of[_dense_fold(seq, spec)[1]])
         checked += 1
+
+
+def _z_aligned(seq, rng):
+    """Phi bin 0 with random theta and gamma bins, origin, scale, extent and
+    boolean per pair; a one-circle profile gains a hole half the time."""
+    pairs = []
+    for k, (sketch, ext) in enumerate(seq.pairs):
+        outer = sketch.loops[0].primitives[0]
+        if isinstance(outer, Circle) and len(sketch.loops) == 1 and rng.random() < 0.5:
+            cx, cy = (c + int(d) for c, d in zip(outer.center, rng.integers(-8, 9, size=2)))
+            hole = Circle((cx, cy), int(rng.integers(8, outer.radius - 12)))
+            sketch = Sketch(sketch.loops + (Loop((hole,)),))
+        ext = dataclasses.replace(
+            ext,
+            orientation=(int(rng.integers(256)), 0, int(rng.integers(256))),
+            origin=tuple(int(b) for b in rng.integers(96, 161, size=3)),
+            scale=int(rng.integers(150, 256)),
+            extent=Extent(int(rng.integers(3))),
+            dist_neg=int(rng.integers(100)),
+            bool_op=tuple(BoolOp)[int(rng.integers(4))] if k else ext.bool_op,
+        )
+        pairs.append((sketch, ext))
+    return ConstructionSequence(tuple(pairs))
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 32])
+def test_z_aligned_sequences_match_the_dense_fold_bitwise(resolution):
+    rng = np.random.default_rng(resolution)
+    spec = GridSpec(resolution=resolution)
+    checked = 0
+    while checked < 8:
+        checked += _assert_equals_dense_fold(_z_aligned(random_sequence(rng), rng), spec)
+
+
+@st.composite
+def z_aligned_bodies(draw):
+    """One phi-bin-0 body: a circle, an annulus or a chain of lines and arcs,
+    at any theta and gamma bins, origin, scale and extent."""
+    kind = draw(st.sampled_from(("circle", "annulus", "chain")))
+    if kind == "chain":
+        loops = (star_polygon_loop(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), arc_prob=0.4),)
+    else:
+        cx, cy, r = draw(st.integers(64, 192)), draw(st.integers(64, 192)), draw(st.integers(20, 90))
+        loops = (Loop((Circle((cx, cy), r),)),)
+        if kind == "annulus":
+            loops += (Loop((Circle((cx, cy), draw(st.integers(1, r - 1))),)),)
+    bins = st.integers(0, 255)
+    ext = extrusion(
+        orientation=(draw(bins), 0, draw(bins)),
+        origin=(draw(st.integers(32, 224)), draw(st.integers(32, 224)), draw(st.integers(32, 224))),
+        scale=draw(st.integers(1, 255)),
+        extent=draw(st.sampled_from(tuple(Extent))),
+        dist_pos=draw(st.integers(1, 255)),
+        dist_neg=draw(bins),
+    )
+    return ConstructionSequence(((Sketch(loops), ext),)), GridSpec(resolution=draw(st.integers(8, 24)))
+
+
+@given(z_aligned_bodies())
+def test_z_aligned_body_matches_the_dense_fold_bitwise(case):
+    _assert_equals_dense_fold(*case)
+
+
+def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
+    seq = _z_aligned(random_renderable(np.random.default_rng(71), GridSpec()), np.random.default_rng(73))
+    monkeypatch.setattr(GridSpec, "points", None)  # a call would now raise
+    assert (attribute(seq).values < 0).any()
 
 
 def test_attribution_duplicate_join_stays_with_the_first_pair():
