@@ -49,14 +49,17 @@ def embed_shape(grid: TSDFGrid, pool_res: int = 8) -> np.ndarray:
     return blocks.mean(axis=(1, 3, 5)).ravel()
 
 
-def embed_sequence(seq: ConstructionSequence, spec: GridSpec, pool_res: int = 8) -> np.ndarray:
+def embed_sequence(
+    seq: ConstructionSequence, spec: GridSpec, pool_res: int = 8, *, bodies: dict | None = None
+) -> np.ndarray:
     """Render then embed; an unrenderable sequence gets the all-inf sentinel.
 
     The sentinel sits at infinite distance from every finite latent, so such
-    a candidate can never win a comparison.
+    a candidate can never win a comparison.  ``bodies`` is the run's body
+    store, which the render reads.
     """
     try:
-        grid = render(seq, spec)
+        grid = render(seq, spec, bodies=bodies)
     except RenderInvalidError:
         return np.full(pool_res**3, math.inf)
     return embed_shape(grid, pool_res)
@@ -125,10 +128,10 @@ class PriorityQueue:
         return h.hexdigest()[:12]
 
 
-def _embedded(candidates: CandidateSet, target_latent: np.ndarray, spec: GridSpec, pool_res: int):
+def _embedded(candidates: CandidateSet, target_latent: np.ndarray, spec: GridSpec, pool_res: int, bodies: dict):
     out = []
     for cand in candidates:
-        latent = embed_sequence(cand.seq, spec, pool_res)
+        latent = embed_sequence(cand.seq, spec, pool_res, bodies=bodies)
         out.append((cand.seq, latent, latent_distance(latent, target_latent)))
     return out
 
@@ -210,6 +213,10 @@ def run(
     argmin, "queue" forgets everything but the current round's argmin.
     With generation enabled, an original that renders empty raises
     RenderInvalidError before the first round.
+
+    The run owns one body store (see ``cadfit.kernel``): each round's
+    attribution of the current sequence fills it, and the candidates' and
+    the final report's renders reuse the bodies they share with it.
     """
     cfg = cfg or EngineConfig()
     plan_cfg = plan_cfg or PlanConfig()
@@ -230,11 +237,12 @@ def run(
         return EditResult(original, 0, (), report, "generation-disabled")
 
     spec = target.spec
+    bodies: dict = {}
     target_latent = embed_shape(target, cfg.pool_res)
     queue = PriorityQueue(cfg.queue_capacity)
     # the starting sequence counts as seen, so the loop can never end
     # on something farther from the target than where it began
-    origin_latent = embed_shape(render(original, spec), cfg.pool_res)
+    origin_latent = embed_shape(render(original, spec, bodies=bodies), cfg.pool_res)
     queue.push(original, origin_latent, latent_distance(origin_latent, target_latent))
 
     current = original
@@ -246,7 +254,7 @@ def run(
 
     for r in range(1, cfg.max_rounds + 1):
         rounds_used = r
-        iv = relative_scores(current, target, plan_cfg)
+        iv = relative_scores(current, target, plan_cfg, bodies=bodies)
         if ablate == "plan":
             iv = _uniform_influence(iv, np.random.default_rng([cfg.seed, r, 1]))
         selected = select_segments(iv, plan_cfg)
@@ -262,7 +270,7 @@ def run(
         else:
             cands = external_infill(masked, pol, endpoint)
 
-        scored = _embedded(cands, target_latent, spec, cfg.pool_res)
+        scored = _embedded(cands, target_latent, spec, cfg.pool_res, bodies)
         distances = tuple(dist for _, _, dist in scored)
         if ablate == "queue":
             queue = PriorityQueue(capacity=1)
@@ -291,5 +299,5 @@ def run(
             stop_reason = "patience"
             break
 
-    report = report_for(current, target, original, lam=cfg.lam)
+    report = report_for(current, target, original, lam=cfg.lam, bodies=bodies)
     return EditResult(current, rounds_used, tuple(records), report, stop_reason)

@@ -281,16 +281,24 @@ class ExternalGenerator:
         self.close()
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.kill()
-            self._proc.wait()
-        self._proc = None
+        """Kill the process if it still runs, reap it and close its pipes."""
+        proc, self._proc = self._proc, None
         self._buf = bytearray()
+        if proc is None:
+            return
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass  # a failed flush to a dead reader; the pipe is closed all the same
 
     def _ensure(self) -> subprocess.Popen:
         if self._proc is not None and self._proc.poll() is None:
             return self._proc
-        self._buf = bytearray()
+        self.close()  # a child that died still holds its pipes
         try:
             self._proc = subprocess.Popen(
                 self.command,

@@ -26,6 +26,19 @@ sign of a zero one, and the profile never sees that sign because no
 quantized 2D coordinate is zero; likewise x and y enter the height only as
 +-0 terms.  Values and owners are bit-identical to evaluating every body at
 every cell center, which every other body still does.
+
+``render`` and ``attribute`` accept a body store: a dict, owned by the
+caller, from the frozen ``(Sketch, Extrusion, GridSpec)`` to the body's
+field, cap mask and nearest primitive, all read-only.  Both read it.  Once
+its fold is done, ``attribute`` replaces the store's contents with the
+bodies of the sequence it attributed; ``render`` never writes it.  So the
+store holds at most one sequence's bodies and needs no size limit.  A
+caller that keeps one store across the attribution of a sequence and the
+renders of its variants evaluates only the bodies a variant changed.  A
+hit is exact: a body's arrays depend only on the key, and ``_extrude``
+computes the field the same way whether or not it also returns the cap
+mask and nearest primitive, so the fold sees the same float64 values it
+would have computed.
 """
 
 from __future__ import annotations
@@ -353,11 +366,13 @@ _BOOLEAN = {
 # rendering and attribution
 
 
-def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
+def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: dict | None):
     """Truncated (n, n, n) field and, when ``owners``, the owner grid.
 
     Owner values index ``segments(seq)``: each pair's primitives in loop
-    order, then its extrusion block.
+    order, then its extrusion block.  ``bodies`` is the body store (see the
+    module notes): every call reads it, and an attribution replaces its
+    contents with the sequence's bodies once the fold is done.
     """
     n = spec.resolution
     c = spec.centers()
@@ -378,12 +393,23 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
         local = ((pts - origin) @ rot).reshape(n, n, n, 3)
         return local[..., :2], local[..., 2]
 
+    keep = owners and bodies is not None
+    kept = {}  # this sequence's bodies: the store's contents after an attribution
     scene = None
     owner = np.empty((n, n, n), dtype=np.int32) if owners else None
     first = 0  # index of the current pair's first primitive id
     for sketch, ext in seq.pairs:
-        # the coordinates die with the call, before the fold allocates
-        f, cap, nearest = _extrude(sketch, ext, *coords(ext), owners)
+        key = (sketch, ext, spec)
+        body = None if bodies is None else bodies.get(key)
+        if body is None:
+            # the coordinates die with the call, before the fold allocates
+            body = _extrude(sketch, ext, *coords(ext), owners)
+            if keep:
+                for a in body:
+                    a.flags.writeable = False
+        if keep:
+            kept[key] = body
+        f, cap, nearest = body
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
             ext_id = first + sum(len(loop.primitives) for loop in sketch.loops)
@@ -391,6 +417,9 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
             np.copyto(owner, np.where(cap, ext_id, first + nearest), where=took)
             first = ext_id + 1
         scene = composed
+    if keep:
+        bodies.clear()
+        bodies.update(kept)
     tau = np.float32(spec.tau)
     values = np.clip(scene.astype(np.float32), -tau, tau)
     if not (values < 0).any():
@@ -398,17 +427,25 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool):
     return values, owner
 
 
-def render(seq: ConstructionSequence, spec: GridSpec = GridSpec()) -> TSDFGrid:
+def render(seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, bodies: dict | None = None) -> TSDFGrid:
     """Fold the sequence's bodies into one truncated grid.
 
-    Raises RenderInvalidError when the composed occupancy is empty.
+    ``bodies`` is a body store an attribution filled; render reads it and
+    never writes it.  Raises RenderInvalidError when the composed occupancy
+    is empty.
     """
-    return TSDFGrid(spec, _compose(seq, spec, owners=False)[0])
+    return TSDFGrid(spec, _compose(seq, spec, False, bodies)[0])
 
 
-def attribute(seq: ConstructionSequence, spec: GridSpec = GridSpec()) -> AttributionGrid:
-    """Composed field plus per-voxel owning segment (see the module notes)."""
-    values, owner = _compose(seq, spec, owners=True)
+def attribute(
+    seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, bodies: dict | None = None
+) -> AttributionGrid:
+    """Composed field plus per-voxel owning segment (see the module notes).
+
+    With a body store, reuses the bodies it holds, then leaves it holding
+    exactly this sequence's bodies.
+    """
+    values, owner = _compose(seq, spec, True, bodies)
     return AttributionGrid(spec, values, owner, tuple(s.id for s in segments(seq)))
 
 

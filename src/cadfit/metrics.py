@@ -68,19 +68,23 @@ def occupancy_histogram(grids, bins: int = HISTOGRAM_BINS) -> np.ndarray:
     """Aggregate occupied-voxel centers of several grids into one normalized histogram.
 
     A fixed spatial binning makes the divergence comparable across grid
-    resolutions.
+    resolutions.  Each axis's n cell centers are binned once, by the rule
+    ``np.histogramdd`` applies (a bin holds its left edge, the last bin its
+    right edge too), so the counts equal histogramdd's on the n^3 centers.
     """
     edges = np.linspace(-0.5, 0.5, bins + 1)
-    total = np.zeros((bins, bins, bins))
+    total = np.zeros(bins**3)
     for grid in grids:
-        pts = grid.spec.points()[grid.occupancy().ravel()]
-        if len(pts):
-            hist, _ = np.histogramdd(pts, bins=(edges, edges, edges))
-            total += hist
+        c = grid.spec.centers()
+        k = np.searchsorted(edges, c, side="right") - (c == edges[-1]) - 1
+        inside = (k >= 0) & (k < bins)
+        ix, iy, iz = np.nonzero(grid.occupancy())
+        keep = inside[ix] & inside[iy] & inside[iz]
+        total += np.bincount(((k[ix] * bins + k[iy]) * bins + k[iz])[keep], minlength=bins**3)
     mass = total.sum()
     if mass == 0:
         raise NormalizationError("no occupied voxels to histogram")
-    return total / mass
+    return (total / mass).reshape(bins, bins, bins)
 
 
 def invalid_rate(invalid_flags) -> float:
@@ -122,17 +126,20 @@ def report_for(
     target: TSDFGrid,
     original: ConstructionSequence | None = None,
     lam: float = DEFAULT_LAMBDA,
+    *,
+    bodies: dict | None = None,
 ) -> MetricsReport:
     """Assemble the full report for a candidate against a target grid.
 
     The objective is the chamfer distance between surface samples of the
     candidate's rendering and of the target, plus lam times the edit
     distance normalized by the original's token count; a candidate that
-    fails to render scores infinite rather than raising.
+    fails to render scores infinite rather than raising.  ``bodies`` is a
+    body store the render reads.
     """
     dist = edit_distance(candidate, original) if original is not None else None
     try:
-        rendered = render(candidate, target.spec)
+        rendered = render(candidate, target.spec, bodies=bodies)
     except RenderInvalidError:
         objective = math.inf if original is not None else None
         return MetricsReport(invalid=True, edit_distance=dist, objective=objective)

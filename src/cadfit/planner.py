@@ -90,14 +90,17 @@ def relative_scores(
     seq: ConstructionSequence,
     s_target: TSDFGrid,
     cfg: PlanConfig | None = None,
+    *,
+    bodies: dict | None = None,
 ) -> InfluenceVector:
     """Contribution change of every segment between seq's shape and the target.
 
     One attribution pass yields both the owners and the current shape: its
-    composed field is the one render would produce.
+    composed field is the one render would produce.  ``bodies`` is a body
+    store the attribution reads and then fills with seq's bodies.
     """
     cfg = cfg or PlanConfig()
-    ag = attribute(seq, s_target.spec)
+    ag = attribute(seq, s_target.spec, bodies=bodies)
     segs, index = _segment_index(seq, cfg.granularity)
     lifted = _lift_owners(ag, cfg.granularity, index)
     m_cur = _band_m(ag, lifted, ag.grid(), cfg, len(segs))

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -148,7 +149,7 @@ def test_edit_fixed_point_round_trips_the_input(runner):
         )
         assert res.exit_code == 0
         assert read_sequence_file("out.seq") == cylinder_sequence()
-        sections = _parse_kv(open("run.txt").read())
+        sections = _parse_kv(Path("run.txt").read_text())
         assert sections["engine"]["rounds_used"] == ["1"]
         assert sections["engine"]["stop_reason"] == ["empty-mask"]
         assert sections["round 1"]["selected"] == ["-"]
@@ -175,7 +176,7 @@ def test_edit_recovers_a_radius_change(runner):
             ["edit", "big.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt", "--seed", "3"],
         )
         assert res.exit_code == 0
-        sections = _parse_kv(open("run.txt").read())
+        sections = _parse_kv(Path("run.txt").read_text())
         assert float(sections["final"]["iou"][0]) >= 0.85
         rounds = [k for k in sections if k.startswith("round ")]
         assert len(rounds) == int(sections["engine"]["rounds_used"][0])
@@ -237,7 +238,7 @@ def test_synth_emits_documented_layout(runner):
             "0001.orig.seq", "0001.target.tsdf", "0001.truth.seq",
             "manifest",
         ]
-        manifest = open("corpus/manifest").read()
+        manifest = Path("corpus/manifest").read_text()
         assert "seed 7" in manifest
         assert "triplet 0000 param-jitter" in manifest
         # the target re-renders from the truth bit-identically
@@ -262,7 +263,7 @@ def test_eval_report_structure_and_determinism(runner):
         res = runner.invoke(main, args)
         assert res.exit_code == 0, res.stderr
         assert res.stdout.startswith("[aggregate]")
-        sections = _parse_kv(open("r1.txt").read())
+        sections = _parse_kv(Path("r1.txt").read_text())
         assert sections["eval"]["seed"] == ["5"]
         assert sections["eval"]["triplets"] == ["2"]
         assert "triplet 0000" in sections and "triplet 0001" in sections
@@ -272,14 +273,14 @@ def test_eval_report_structure_and_determinism(runner):
         res2 = runner.invoke(main, ["eval", "corpus", "--report", "r2.txt",
                                     "--rounds", "3", "--seed", "5"])
         assert res2.exit_code == 0
-        assert open("r1.txt", "rb").read() == open("r2.txt", "rb").read()
+        assert Path("r1.txt").read_bytes() == Path("r2.txt").read_bytes()
 
 
 def test_eval_aggregate_recomputes_from_triplet_rows(runner):
     with runner.isolated_filesystem():
         _tiny_corpus(runner)
         runner.invoke(main, ["eval", "corpus", "--report", "r.txt", "--rounds", "2"])
-        sections = _parse_kv(open("r.txt").read())
+        sections = _parse_kv(Path("r.txt").read_text())
         ious = [float(sections[f"triplet {k:04d}"]["iou"][0]) for k in range(2)]
         dists = [float(sections[f"triplet {k:04d}"]["edit_distance"][0]) for k in range(2)]
         agg = sections["aggregate"]
@@ -295,7 +296,7 @@ def test_eval_ablation_toggle_runs(runner):
         res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt",
                                    "--rounds", "2", "--ablate", "plan"])
         assert res.exit_code == 0
-        assert "ablate plan" in open("r.txt").read()
+        assert "ablate plan" in Path("r.txt").read_text()
 
 
 def test_eval_seed_env_override(runner):
@@ -304,7 +305,7 @@ def test_eval_seed_env_override(runner):
         res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", "--rounds", "1"],
                             env={"CADFIT_SEED": "9"})
         assert res.exit_code == 0
-        assert "seed 9" in open("r.txt").read()
+        assert "seed 9" in Path("r.txt").read_text()
 
 
 # -- report formatting -------------------------------------------------------

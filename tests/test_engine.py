@@ -1,13 +1,16 @@
 """Engine checks: pooling embeds, queue semantics, and the full edit loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import circle_pair, cylinder_sequence
+from helpers import circle_pair, cylinder_sequence, extrusion, square_loop
 
+from cadfit import engine, kernel
 from cadfit.engine import (
+    ABLATION_MODES,
     EngineConfig,
     PriorityQueue,
     embed_shape,
@@ -24,7 +27,7 @@ from cadfit.errors import (
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
 from cadfit.planner import PlanConfig
-from cadfit.sequence import BoolOp, ConstructionSequence, serialize_sequence
+from cadfit.sequence import BoolOp, ConstructionSequence, Sketch, serialize_sequence
 from cadfit.synth import SynthSpec, random_renderable, synth
 
 
@@ -291,6 +294,58 @@ def test_ablations_complete_and_are_deterministic(mode):
     b = run(t.original, t.target, cfg, ablate=mode)
     assert serialize_sequence(a.final) == serialize_sequence(b.final)
     assert a.trace == b.trace
+
+
+def _tilted_three_pairs(r0, r2):
+    """A circle, a joined square and a cut circle, every plane at phi bin 64."""
+    pairs = (
+        circle_pair(r=r0, origin=(128, 128, 90), dist_pos=120),
+        (Sketch((square_loop(70, 186),)), extrusion(op=BoolOp.JOIN, origin=(128, 128, 110), dist_pos=60)),
+        circle_pair(op=BoolOp.CUT, r=r2, origin=(128, 128, 60), dist_pos=200),
+    )
+    return ConstructionSequence(
+        tuple((sketch, dataclasses.replace(ext, orientation=(0, 64, 0))) for sketch, ext in pairs)
+    )
+
+
+def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
+    original = _tilted_three_pairs(64, 20)
+    target = render(_tilted_three_pairs(80, 34), GridSpec())
+
+    extruded, drawn, before_report = [], [], []
+    real_extrude, real_infill, real_report = kernel._extrude, engine.infill, engine.report_for
+
+    def counted_extrude(*args, **kwargs):
+        extruded.append(args[:2])
+        return real_extrude(*args, **kwargs)
+
+    def kept_infill(*args, **kwargs):
+        drawn.append(real_infill(*args, **kwargs))
+        return drawn[-1]
+
+    def marked_report(*args, **kwargs):
+        before_report.append(len(extruded))
+        return real_report(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_extrude", counted_extrude)
+        m.setattr(engine, "infill", kept_infill)
+        m.setattr(engine, "report_for", marked_report)
+        run(original, target, EngineConfig(max_rounds=1, seed=1))
+    # the original's render and its attribution evaluate every body; a
+    # candidate's render evaluates only the bodies the infill changed
+    changed = sum(pair not in original.pairs for cand in drawn[0] for pair in cand.seq.pairs)
+    assert changed > 0
+    assert before_report == [2 * len(original.pairs) + changed]
+
+    cfg = EngineConfig(max_rounds=3, seed=1)
+    results = {mode: run(original, target, cfg, ablate=mode) for mode in (None,) + ABLATION_MODES}
+    real_compose = kernel._compose
+    monkeypatch.setattr(
+        kernel, "_compose", lambda seq, spec, owners, bodies: real_compose(seq, spec, owners, None)
+    )
+    for mode, result in results.items():
+        assert run(original, target, cfg, ablate=mode) == result
 
 
 @pytest.mark.parametrize(

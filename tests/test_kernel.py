@@ -554,6 +554,65 @@ def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
     assert (attribute(seq).values < 0).any()
 
 
+# -- body store ---------------------------------------------------------------
+
+
+def _placed(seq, rng, variant):
+    """``_z_aligned`` bodies, then all tilted, or about half of them."""
+    seq = _z_aligned(seq, rng)
+    if variant == "tilted":
+        return _tilted(seq, rng)
+    if variant == "mixed":
+        return _turned(seq, rng, tilt_share=0.5)
+    return seq
+
+
+def _swap_one(seq, other, rng):
+    """``seq`` with one pair replaced by ``other``'s first body, keeping the
+    boolean of the pair it replaces."""
+    k = int(rng.integers(len(seq.pairs)))
+    sketch, ext = other.pairs[0]
+    pairs = list(seq.pairs)
+    pairs[k] = (sketch, dataclasses.replace(ext, bool_op=seq.pairs[k][1].bool_op))
+    return ConstructionSequence(tuple(pairs))
+
+
+@pytest.mark.parametrize("variant", ["z-aligned", "tilted", "mixed"])
+@pytest.mark.parametrize("resolution", [16, 17, 32])
+def test_body_store_reuse_is_bitwise_equal_to_a_fresh_fold(resolution, variant):
+    rng = np.random.default_rng([resolution, len(variant)])
+    spec = GridSpec(resolution=resolution)
+    ops, checked = set(), 0
+    while checked < 6 or ops != set(BoolOp):
+        a = _placed(random_sequence(rng, min_pairs=2), rng, variant)
+        b = _swap_one(a, _placed(random_sequence(rng), rng, variant), rng)
+        store = {}
+        try:
+            attribute(a, spec, bodies=store)
+            fresh = attribute(b, spec)
+        except RenderInvalidError:
+            continue
+        warm = dict(store)
+        shared = warm.keys() & {(s, e, spec) for s, e in b.pairs}
+        assert shared
+
+        grid = render(b, spec, bodies=store)
+        assert store.keys() == warm.keys()
+        assert all(store[key] is warm[key] for key in warm)
+        assert np.array_equal(grid.values.view(np.uint32), fresh.values.view(np.uint32))
+
+        ag = attribute(b, spec, bodies=store)
+        assert np.array_equal(ag.values.view(np.uint32), fresh.values.view(np.uint32))
+        assert np.array_equal(ag.owner, fresh.owner)
+        assert ag.segment_ids == fresh.segment_ids
+        assert store.keys() == {(s, e, spec) for s, e in b.pairs}
+        assert all(store[key] is warm[key] for key in shared)
+        assert not any(arr.flags.writeable for body in store.values() for arr in body)
+
+        ops.update(ext.bool_op for _, ext in b.pairs)
+        checked += 1
+
+
 def test_attribution_duplicate_join_stays_with_the_first_pair():
     seq = ConstructionSequence((circle_pair(), circle_pair(BoolOp.JOIN), circle_pair(BoolOp.JOIN)))
     ag = attribute(seq)

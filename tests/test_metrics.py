@@ -159,6 +159,27 @@ def test_occupancy_histogram_normalized_and_usable():
     assert jsd(h, h2) > 0.1
 
 
+@pytest.mark.parametrize("resolution", [8, 13, 14, 16, 17, 28, 32, 42, 56, 64])
+def test_occupancy_histogram_matches_histogramdd_bitwise(resolution):
+    # at 13, 14, 17 and 42 some cell centers fall exactly on a bin edge
+    rng = np.random.default_rng(resolution)
+    spec = GridSpec(resolution=resolution)
+    edges = np.linspace(-0.5, 0.5, 29)
+    grids = []
+    for _ in range(5):
+        vals = np.where(rng.random((resolution,) * 3) < rng.random(), -0.1, 0.1).astype(np.float32)
+        grids.append(TSDFGrid(spec, vals))
+    # one grid alone and several pooled
+    for batch in [grids[:1], grids[1:2], grids[2:]]:
+        total = np.zeros((28, 28, 28))
+        for g in batch:
+            total += np.histogramdd(spec.points()[g.occupancy().ravel()], bins=(edges, edges, edges))[0]
+        expected = total / total.sum()
+        got = occupancy_histogram(batch)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_occupancy_histogram_empty_raises():
     spec = GridSpec()
     n = spec.resolution
