@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import EngineConfig, run
 from .errors import CadfitError, RenderInvalidError
-from .generator import ExternalGenerator, GenPolicy
+from .generator import ExternalGenerator
 from .gridio import (
     read_grid_text,
     read_sequence_file,
@@ -27,7 +27,7 @@ from .gridio import (
 )
 from .kernel import GridSpec, render
 from .metrics import jsd, occupancy_histogram, report_for
-from .planner import PlanConfig, relative_scores, select_segments
+from .planner import relative_scores, select_segments
 from .report import (
     eval_report,
     influence_lines,
@@ -102,8 +102,9 @@ def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
     click.echo(f"wrote {out}")
 
 
-def _engine_config(rounds, n, queue, seed) -> EngineConfig:
-    return EngineConfig(max_rounds=rounds, n=n, queue_capacity=queue, seed=seed)
+def _engine_config(rounds, n, queue, seed, granularity) -> EngineConfig:
+    granularity = _GRANULARITIES[granularity]
+    return EngineConfig(max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=granularity)
 
 
 @main.command("edit")
@@ -122,13 +123,12 @@ def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, 
     """Update a sequence toward a target grid and write the run report."""
     original = read_sequence_file(seq_file)
     target = read_tsdf(target_file)
-    cfg = _engine_config(rounds, n, queue, seed)
-    plan_cfg = PlanConfig(granularity=_GRANULARITIES[granularity])
+    cfg = _engine_config(rounds, n, queue, seed, granularity)
     if generator_cmd is None:
-        result = run(original, target, cfg, plan_cfg)
+        result = run(original, target, cfg)
     else:
         with ExternalGenerator(shlex.split(generator_cmd)) as endpoint:
-            result = run(original, target, cfg, plan_cfg, endpoint=endpoint)
+            result = run(original, target, cfg, endpoint=endpoint)
     write_sequence_file(out, result.final)
     write_report(report_file, run_report(result, cfg))
     click.echo(f"rounds_used {result.rounds_used}")
@@ -146,11 +146,10 @@ def inspect_cmd(seq_file, target_file, granularity):
     """Print the per-segment influence table against a target grid."""
     seq = read_sequence_file(seq_file)
     target = read_tsdf(target_file)
-    cfg = PlanConfig(granularity=_GRANULARITIES[granularity])
-    iv = relative_scores(seq, target, cfg)
+    iv = relative_scores(seq, target, _GRANULARITIES[granularity])
     for line in influence_lines(iv.entries):
         click.echo(line)
-    selected = select_segments(iv, cfg)
+    selected = select_segments(iv)
     click.echo("selected " + (" ".join(s.label() for s in selected) or "-"))
 
 
@@ -233,15 +232,14 @@ def synth_cmd(spec_file, out, seed, res):
 def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularity):
     """Run the engine over every triplet in a corpus and aggregate metrics."""
     triplets = load_corpus(corpus_dir)
-    plan_cfg = PlanConfig(granularity=_GRANULARITIES[granularity])
     rows = []
     final_grids = []
     target_grids = []
     for k, t in enumerate(triplets):
         cfg = _engine_config(
-            rounds, n, queue, int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+            rounds, n, queue, int(np.random.SeedSequence([seed, k]).generate_state(1)[0]), granularity
         )
-        result = run(t.original, t.target, cfg, plan_cfg, ablate=ablate)
+        result = run(t.original, t.target, cfg, ablate=ablate)
         rows.append((f"{k:04d}", t.edit_class, result, t.truth_edit_distance))
         if not result.report.invalid:
             final_grids.append(result.report.grid)

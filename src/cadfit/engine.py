@@ -21,12 +21,13 @@ from .errors import (
     ResolutionMismatchError,
     TargetSpecMismatchError,
 )
-from .generator import CandidateSet, ExternalGenerator, GenPolicy, external_infill, infill
-from .kernel import GridSpec, TSDFGrid, render
-from .metrics import DEFAULT_LAMBDA, MetricsReport, report_for
-from .planner import InfluenceEntry, PlanConfig, relative_scores, select_segments
+from .generator import Candidate, ExternalGenerator, external_infill, infill
+from .kernel import GridSpec, TSDFGrid, attribute, render
+from .metrics import MetricsReport, report_for
+from .planner import InfluenceEntry, relative_scores, select_segments
 from .sequence import (
     ConstructionSequence,
+    Granularity,
     SegmentId,
     apply_mask,
     serialize_sequence,
@@ -35,11 +36,18 @@ from .sequence import (
 
 ABLATION_MODES = ("plan", "verify", "queue")
 
+# latent grid per axis; a target's resolution must be a multiple of it
+POOL_RES = 8
+# a best latent distance below EPSILON ends the run
+EPSILON = 1e-3
+# rounds without a new best latent distance before the run gives up
+PATIENCE = 3
+
 
 # -- latent embedding --------------------------------------------------------
 
 
-def embed_shape(grid: TSDFGrid, pool_res: int = 8) -> np.ndarray:
+def embed_shape(grid: TSDFGrid, pool_res: int = POOL_RES) -> np.ndarray:
     """Block-mean pool the grid to pool_res per axis and flatten."""
     n = grid.spec.resolution
     if pool_res < 1 or n % pool_res:
@@ -50,7 +58,7 @@ def embed_shape(grid: TSDFGrid, pool_res: int = 8) -> np.ndarray:
 
 
 def embed_sequence(
-    seq: ConstructionSequence, spec: GridSpec, pool_res: int = 8, *, bodies: dict | None = None
+    seq: ConstructionSequence, spec: GridSpec, pool_res: int = POOL_RES, *, bodies: dict | None = None
 ) -> np.ndarray:
     """Render then embed; an unrenderable sequence gets the all-inf sentinel.
 
@@ -128,10 +136,10 @@ class PriorityQueue:
         return h.hexdigest()[:12]
 
 
-def _embedded(candidates: CandidateSet, target_latent: np.ndarray, spec: GridSpec, pool_res: int, bodies: dict):
+def _embedded(candidates: tuple[Candidate, ...], target_latent: np.ndarray, spec: GridSpec, bodies: dict):
     out = []
     for cand in candidates:
-        latent = embed_sequence(cand.seq, spec, pool_res, bodies=bodies)
+        latent = embed_sequence(cand.seq, spec, POOL_RES, bodies=bodies)
         out.append((cand.seq, latent, latent_distance(latent, target_latent)))
     return out
 
@@ -144,11 +152,8 @@ class EngineConfig:
     max_rounds: int = 10
     n: int = 8
     queue_capacity: int = 5
-    pool_res: int = 8
-    epsilon: float = 1e-3
-    patience: int = 3
     seed: int = 0
-    lam: float = DEFAULT_LAMBDA
+    granularity: Granularity = Granularity.PRIMITIVE
 
     def __post_init__(self) -> None:
         if self.max_rounds < 1:
@@ -157,10 +162,6 @@ class EngineConfig:
             raise ValueError("queue_capacity must be at least 1")
         if self.n < 0:
             raise ValueError("candidate count cannot be negative")
-        if self.pool_res < 1:
-            raise ValueError("pool_res must be positive")
-        if self.epsilon < 0 or self.patience < 1:
-            raise ValueError("epsilon must be non-negative and patience positive")
 
 
 @dataclass(frozen=True)
@@ -199,50 +200,49 @@ def run(
     original: ConstructionSequence,
     target: TSDFGrid,
     cfg: EngineConfig | None = None,
-    plan_cfg: PlanConfig | None = None,
-    policy: GenPolicy | None = None,
     endpoint: ExternalGenerator | None = None,
     ablate: str | None = None,
 ) -> EditResult:
     """Iterate plan, generate, verify until the shapes agree or budget ends.
 
-    The config's candidate count and seed override the generation policy's;
-    each round derives its own policy seed so rounds explore independently.
-    ``ablate`` disables one stage: "plan" scores segments uniformly at
-    random, "verify" picks a random candidate instead of the embedding
-    argmin, "queue" forgets everything but the current round's argmin.
+    Each round masks segments at ``cfg.granularity`` and draws ``cfg.n``
+    candidates under a seed derived from ``cfg.seed`` and the round index,
+    so rounds explore independently.  ``ablate`` disables one stage:
+    "plan" scores segments uniformly at random, "verify" picks a random
+    candidate instead of the embedding argmin, "queue" forgets everything
+    but the current round's argmin.
     With generation enabled, an original that renders empty raises
     RenderInvalidError before the first round.
 
-    The run owns one body store (see ``cadfit.kernel``): each round's
-    attribution of the current sequence fills it, and the candidates' and
-    the final report's renders reuse the bodies they share with it.
+    The run owns one body store (see ``cadfit.kernel``): the original's
+    attribution and then each round's attribution of the current sequence
+    fill it, and the candidates' and the final report's renders reuse the
+    bodies they share with it.
     """
     cfg = cfg or EngineConfig()
-    plan_cfg = plan_cfg or PlanConfig()
-    policy = policy or GenPolicy()
     if ablate is not None and ablate not in ABLATION_MODES:
         raise ValueError(f"unknown ablation {ablate!r}, expected one of {ABLATION_MODES}")
     problems = validate_sequence(original)
     if problems:
         first = problems[0]
         raise InvalidOriginalError(f"{first.where}: {first.message}")
-    if target.spec.resolution % cfg.pool_res:
+    if target.spec.resolution % POOL_RES:
         raise TargetSpecMismatchError(
-            f"target resolution {target.spec.resolution} not divisible by pool {cfg.pool_res}"
+            f"target resolution {target.spec.resolution} not divisible by pool {POOL_RES}"
         )
 
     if cfg.n == 0:
-        report = report_for(original, target, original, lam=cfg.lam)
+        report = report_for(original, target, original)
         return EditResult(original, 0, (), report, "generation-disabled")
 
     spec = target.spec
     bodies: dict = {}
-    target_latent = embed_shape(target, cfg.pool_res)
+    target_latent = embed_shape(target, POOL_RES)
     queue = PriorityQueue(cfg.queue_capacity)
     # the starting sequence counts as seen, so the loop can never end
-    # on something farther from the target than where it began
-    origin_latent = embed_shape(render(original, spec, bodies=bodies), cfg.pool_res)
+    # on something farther from the target than where it began; its
+    # attribution fills the store, so round 1's planning reads every body
+    origin_latent = embed_shape(attribute(original, spec, bodies=bodies).grid(), POOL_RES)
     queue.push(original, origin_latent, latent_distance(origin_latent, target_latent))
 
     current = original
@@ -254,23 +254,23 @@ def run(
 
     for r in range(1, cfg.max_rounds + 1):
         rounds_used = r
-        iv = relative_scores(current, target, plan_cfg, bodies=bodies)
+        iv = relative_scores(current, target, cfg.granularity, bodies=bodies)
         if ablate == "plan":
             iv = _uniform_influence(iv, np.random.default_rng([cfg.seed, r, 1]))
-        selected = select_segments(iv, plan_cfg)
+        selected = select_segments(iv)
         if not selected:
             records.append(RoundRecord(r, iv.entries, (), (), queue.digest(), best_seen))
             stop_reason = "empty-mask"
             break
 
         masked = apply_mask(current, selected)
-        pol = dataclasses.replace(policy, n=cfg.n, seed=_round_seed(cfg.seed, r))
+        seed = _round_seed(cfg.seed, r)
         if endpoint is None:
-            cands = infill(masked, pol)
+            cands = infill(masked, cfg.n, seed)
         else:
-            cands = external_infill(masked, pol, endpoint)
+            cands = external_infill(masked, cfg.n, seed, endpoint)
 
-        scored = _embedded(cands, target_latent, spec, cfg.pool_res, bodies)
+        scored = _embedded(cands, target_latent, spec, bodies)
         distances = tuple(dist for _, _, dist in scored)
         if ablate == "queue":
             queue = PriorityQueue(capacity=1)
@@ -291,13 +291,13 @@ def run(
         best_seen = min(best_seen, queue.best_distance())
         records.append(RoundRecord(r, iv.entries, selected, distances, queue.digest(), best_seen))
 
-        if best_seen < cfg.epsilon:
+        if best_seen < EPSILON:
             stop_reason = "epsilon"
             break
         stall = 0 if best_seen < prev_best else stall + 1
-        if stall >= cfg.patience:
+        if stall >= PATIENCE:
             stop_reason = "patience"
             break
 
-    report = report_for(current, target, original, lam=cfg.lam, bodies=bodies)
+    report = report_for(current, target, original, bodies=bodies)
     return EditResult(current, rounds_used, tuple(records), report, stop_reason)

@@ -46,30 +46,6 @@ _RETRIES_PER_CANDIDATE = 64
 
 
 @dataclass(frozen=True)
-class GenPolicy:
-    """Sampling knobs for one infill call."""
-
-    n: int = 8
-    jitter_sigma: float = 12.0
-    p_substitute: float = 0.15
-    p_structural: float = 0.10
-    p_keep: float = 0.6
-    p_wide: float = 0.5
-    p_focus: float = 0.7
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one candidate per round")
-        if not self.jitter_sigma > 0.0:
-            raise ValueError("jitter_sigma must be positive")
-        for name in ("p_substitute", "p_structural", "p_keep", "p_wide", "p_focus"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability")
-
-
-@dataclass(frozen=True)
 class Candidate:
     """One proposed sequence plus where it came from."""
 
@@ -79,29 +55,29 @@ class Candidate:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    candidates: tuple[Candidate, ...]
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __iter__(self):
-        return iter(self.candidates)
-
-
 # -- surrogate sampling ------------------------------------------------------
 
 
+# Sampling weights.  A numeric token is kept with probability _KEEP
+# (_FOCUS_KEEP in the focused draws, a _FOCUS share of candidates), else
+# jittered by a normal of _JITTER_SIGMA bins, _WIDE_FACTOR times wider with
+# probability _WIDE.  A chain primitive flips kind with probability
+# _SUBSTITUTE, and a masked pair adds or drops a loop with _STRUCTURAL.
+_JITTER_SIGMA = 12.0
+_SUBSTITUTE = 0.15
+_STRUCTURAL = 0.10
+_KEEP = 0.6
+_WIDE = 0.5
+_FOCUS = 0.7
 _WIDE_FACTOR = 4.0
 _FOCUS_KEEP = 0.93
 
 
 def _gauss_bin(rng, center: int, sigma: float, lo: int = 0, hi: int = 255) -> int:
-    return int(np.clip(round(rng.normal(center, sigma)), lo, hi))
+    return min(max(round(rng.normal(center, sigma)), lo), hi)
 
 
-def _num_tok(rng, pol: GenPolicy, center: int, lo: int = 0, hi: int = 255) -> int:
+def _num_tok(rng, keep: float, center: int, lo: int = 0, hi: int = 255) -> int:
     """One numeric token: usually kept, else jittered, sometimes widely.
 
     Sparse updates keep most proposals a small Hamming step from the base,
@@ -109,18 +85,18 @@ def _num_tok(rng, pol: GenPolicy, center: int, lo: int = 0, hi: int = 255) -> in
     component reaches edits several sigma out that the narrow scale would
     practically never propose.
     """
-    if rng.random() < pol.p_keep:
-        return int(np.clip(center, lo, hi))
-    sigma = pol.jitter_sigma * (_WIDE_FACTOR if rng.random() < pol.p_wide else 1.0)
+    if rng.random() < keep:
+        return min(max(center, lo), hi)
+    sigma = _JITTER_SIGMA * (_WIDE_FACTOR if rng.random() < _WIDE else 1.0)
     return _gauss_bin(rng, center, sigma, lo, hi)
 
 
-def _sample_chain_prim(rng, prim, pol: GenPolicy):
+def _sample_chain_prim(rng, prim, keep: float):
     end = (
-        _num_tok(rng, pol, prim.end[0]),
-        _num_tok(rng, pol, prim.end[1]),
+        _num_tok(rng, keep, prim.end[0]),
+        _num_tok(rng, keep, prim.end[1]),
     )
-    flip = rng.random() < pol.p_substitute
+    flip = rng.random() < _SUBSTITUTE
     if isinstance(prim, Line):
         if flip:
             # no sweep to center on and no reason to prefer any bulge depth,
@@ -130,34 +106,34 @@ def _sample_chain_prim(rng, prim, pol: GenPolicy):
         return Line(end)
     if flip:
         return Line(end)
-    return Arc(end, _num_tok(rng, pol, prim.sweep, 1, 254), prim.ccw)
+    return Arc(end, _num_tok(rng, keep, prim.sweep, 1, 254), prim.ccw)
 
 
-def _sample_primitive(rng, prim, pol: GenPolicy):
+def _sample_primitive(rng, prim, keep: float):
     # a circle stays a circle: it is the sole primitive of its loop and a
     # kind change there is a loop-level move, not a primitive edit
     if isinstance(prim, Circle):
         center = (
-            _num_tok(rng, pol, prim.center[0]),
-            _num_tok(rng, pol, prim.center[1]),
+            _num_tok(rng, keep, prim.center[0]),
+            _num_tok(rng, keep, prim.center[1]),
         )
-        return Circle(center, _num_tok(rng, pol, prim.radius, 1, 255))
-    return _sample_chain_prim(rng, prim, pol)
+        return Circle(center, _num_tok(rng, keep, prim.radius, 1, 255))
+    return _sample_chain_prim(rng, prim, keep)
 
 
-def _sample_extrusion(rng, ext, pol: GenPolicy):
+def _sample_extrusion(rng, ext, keep: float):
     return dataclasses.replace(
         ext,
-        orientation=tuple(_num_tok(rng, pol, b) for b in ext.orientation),
-        origin=tuple(_num_tok(rng, pol, b) for b in ext.origin),
-        scale=_num_tok(rng, pol, ext.scale, 1, 255),
-        dist_pos=_num_tok(rng, pol, ext.dist_pos),
-        dist_neg=_num_tok(rng, pol, ext.dist_neg),
+        orientation=tuple(_num_tok(rng, keep, b) for b in ext.orientation),
+        origin=tuple(_num_tok(rng, keep, b) for b in ext.origin),
+        scale=_num_tok(rng, keep, ext.scale, 1, 255),
+        dist_pos=_num_tok(rng, keep, ext.dist_pos),
+        dist_neg=_num_tok(rng, keep, ext.dist_neg),
     )
 
 
-def _sample_loop(rng, loop: Loop, pol: GenPolicy) -> Loop:
-    return Loop(tuple(_sample_primitive(rng, p, pol) for p in loop.primitives))
+def _sample_loop(rng, loop: Loop, keep: float) -> Loop:
+    return Loop(tuple(_sample_primitive(rng, p, keep) for p in loop.primitives))
 
 
 def _loop_anchor(loop: Loop) -> tuple[int, int]:
@@ -171,61 +147,61 @@ def _loop_anchor(loop: Loop) -> tuple[int, int]:
     )
 
 
-def _structural_loops(rng, loops: list[Loop], pol: GenPolicy) -> list[Loop]:
+def _structural_loops(rng, loops: list[Loop]) -> list[Loop]:
     """Add or drop one loop; the outer boundary always stays."""
     if len(loops) > 1 and rng.random() < 0.5:
         drop = 1 + int(rng.integers(len(loops) - 1))
         return loops[:drop] + loops[drop + 1 :]
     ax, ay = _loop_anchor(loops[0])
     hole = Circle(
-        (_gauss_bin(rng, ax, pol.jitter_sigma), _gauss_bin(rng, ay, pol.jitter_sigma)),
+        (_gauss_bin(rng, ax, _JITTER_SIGMA), _gauss_bin(rng, ay, _JITTER_SIGMA)),
         _gauss_bin(rng, 18, 6.0, 5, 60),
     )
     return loops + [Loop((hole,))]
 
 
-def _sample_pair(rng, pair, pol: GenPolicy):
+def _sample_pair(rng, pair, keep: float):
     sketch, ext = pair
-    loops = [_sample_loop(rng, lp, pol) for lp in sketch.loops]
-    if rng.random() < pol.p_structural:
-        loops = _structural_loops(rng, loops, pol)
-    return (Sketch(tuple(loops)), _sample_extrusion(rng, ext, pol))
+    loops = [_sample_loop(rng, lp, keep) for lp in sketch.loops]
+    if rng.random() < _STRUCTURAL:
+        loops = _structural_loops(rng, loops)
+    return (Sketch(tuple(loops)), _sample_extrusion(rng, ext, keep))
 
 
-def _resample_masked(masked: MaskedSequence, pol: GenPolicy, rng) -> ConstructionSequence:
+def _resample_masked(masked: MaskedSequence, keep: float, rng) -> ConstructionSequence:
     masked_ids = set(masked.ids())
     pairs = []
     for pi, (sketch, ext) in enumerate(masked.base.pairs):
         if SegmentId(pi, SegmentKind.PAIR) in masked_ids:
-            pairs.append(_sample_pair(rng, (sketch, ext), pol))
+            pairs.append(_sample_pair(rng, (sketch, ext), keep))
             continue
         loops = []
         for li, loop in enumerate(sketch.loops):
             if SegmentId(pi, SegmentKind.LOOP, li) in masked_ids:
-                loops.append(_sample_loop(rng, loop, pol))
+                loops.append(_sample_loop(rng, loop, keep))
                 continue
             prims = tuple(
-                _sample_primitive(rng, prim, pol)
+                _sample_primitive(rng, prim, keep)
                 if SegmentId(pi, SegmentKind.PRIMITIVE, li, ci) in masked_ids
                 else prim
                 for ci, prim in enumerate(loop.primitives)
             )
             loops.append(Loop(prims))
         if SegmentId(pi, SegmentKind.EXTRUSION) in masked_ids:
-            ext = _sample_extrusion(rng, ext, pol)
+            ext = _sample_extrusion(rng, ext, keep)
         pairs.append((Sketch(tuple(loops)), ext))
     return ConstructionSequence(tuple(pairs))
 
 
-def _fill_once(masked: MaskedSequence, pol: GenPolicy, rng) -> ConstructionSequence:
+def _fill_once(masked: MaskedSequence, rng) -> ConstructionSequence:
     # two proposal temperatures: focused draws move about one numeric token,
     # which is the smallest step the selector can accept without dragging
     # collateral changes along; the rest resample broadly so far values and
     # structure stay reachable
-    focused = rng.random() < pol.p_focus
-    eff = dataclasses.replace(pol, p_keep=_FOCUS_KEEP) if focused else pol
+    focused = rng.random() < _FOCUS
+    keep = _FOCUS_KEEP if focused else _KEEP
     for _ in range(_RETRIES_PER_CANDIDATE):
-        cand = _resample_masked(masked, eff, rng)
+        cand = _resample_masked(masked, keep, rng)
         if focused and cand == masked.base:
             continue  # parroting every masked span proposes nothing
         if not validate_sequence(cand):
@@ -235,22 +211,24 @@ def _fill_once(masked: MaskedSequence, pol: GenPolicy, rng) -> ConstructionSeque
     )
 
 
-def infill(masked: MaskedSequence, policy: GenPolicy) -> CandidateSet:
-    """Exactly ``policy.n`` valid candidates, deterministic given the seed.
+def infill(masked: MaskedSequence, n: int, seed: int) -> tuple[Candidate, ...]:
+    """Exactly ``n`` valid candidates, deterministic given the seed.
 
     Candidate ``k`` draws from its own stream seeded ``[seed, k]``, so the
     set is stable under changes to ``n``.  Zero masked spans short-circuit
     to copies of the base sequence.
     """
+    if n < 1:
+        raise ValueError("need at least one candidate per round")
     ids = masked.ids()
     if not ids:
         base = Candidate(masked.base, (), ORIGIN_SURROGATE)
-        return CandidateSet((base,) * policy.n)
+        return (base,) * n
     out = []
-    for k in range(policy.n):
-        rng = np.random.default_rng([policy.seed, k])
-        out.append(Candidate(_fill_once(masked, policy, rng), ids, ORIGIN_SURROGATE))
-    return CandidateSet(tuple(out))
+    for k in range(n):
+        rng = np.random.default_rng([seed, k])
+        out.append(Candidate(_fill_once(masked, rng), ids, ORIGIN_SURROGATE))
+    return tuple(out)
 
 
 # -- external endpoint -------------------------------------------------------
@@ -365,8 +343,8 @@ def _accept_external(line: str, masked: MaskedSequence) -> ConstructionSequence 
 
 
 def external_infill(
-    masked: MaskedSequence, policy: GenPolicy, endpoint: ExternalGenerator
-) -> CandidateSet:
+    masked: MaskedSequence, n: int, seed: int, endpoint: ExternalGenerator
+) -> tuple[Candidate, ...]:
     """Candidates from the endpoint, surrogate-backfilled to exactly n.
 
     An unreachable, silent or protocol-breaking endpoint degrades to the
@@ -374,22 +352,22 @@ def external_infill(
     process is closed so a later request cannot read this one's leftover
     lines.  Garbage lines are dropped one by one.
     """
+    if n < 1:
+        raise ValueError("need at least one candidate per round")
     ids = masked.ids()
     try:
-        lines = endpoint.request(masked.text(), policy.n, policy.seed)
+        lines = endpoint.request(masked.text(), n, seed)
     except (EndpointUnavailableError, GeneratorProtocolError) as err:
         endpoint.close()
         note = f"endpoint failed, surrogate fallback: {err}"
-        return CandidateSet(
-            tuple(dataclasses.replace(c, note=note) for c in infill(masked, policy))
-        )
+        return tuple(dataclasses.replace(c, note=note) for c in infill(masked, n, seed))
     kept = []
     for line in lines:
         seq = _accept_external(line, masked)
         if seq is not None:
             kept.append(Candidate(seq, ids, ORIGIN_EXTERNAL))
-        if len(kept) == policy.n:
+        if len(kept) == n:
             break
-    if len(kept) < policy.n:
-        kept.extend(infill(masked, policy).candidates[: policy.n - len(kept)])
-    return CandidateSet(tuple(kept))
+    if len(kept) < n:
+        kept.extend(infill(masked, n, seed)[: n - len(kept)])
+    return tuple(kept)

@@ -25,17 +25,8 @@ from .sequence import (
 )
 
 
-@dataclass(frozen=True)
-class PlanConfig:
-    granularity: Granularity = Granularity.PRIMITIVE
-    band_width: float = 2.0
-    min_mask: int = 0
-
-    def __post_init__(self) -> None:
-        if self.band_width < 1:
-            raise ValueError("band_width must be at least one voxel")
-        if self.min_mask < 0:
-            raise ValueError("min_mask must be non-negative")
+# half-width of the near-surface band, in voxels
+BAND_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -62,7 +53,7 @@ def _segment_index(seq: ConstructionSequence, granularity: Granularity):
 
 
 def _lift_owners(ag: AttributionGrid, granularity: Granularity, index) -> np.ndarray:
-    """Map attribution's primitive/extrusion ids onto cfg-granularity slots."""
+    """Map attribution's primitive/extrusion ids onto granularity slots."""
     lifted = []
     for sid in ag.segment_ids:
         if granularity is Granularity.PAIR:
@@ -75,8 +66,8 @@ def _lift_owners(ag: AttributionGrid, granularity: Granularity, index) -> np.nda
     return np.array(lifted, dtype=np.int64)
 
 
-def _band_m(ag, lifted, shape: TSDFGrid, cfg: PlanConfig, n_segments: int) -> np.ndarray:
-    band = cfg.band_width * ag.spec.pitch
+def _band_m(ag, lifted, shape: TSDFGrid, n_segments: int) -> np.ndarray:
+    band = BAND_WIDTH * ag.spec.pitch
     in_band = np.abs(ag.values) < band
     near = np.abs(shape.values) < band
     mapped = lifted[ag.owner]
@@ -89,7 +80,7 @@ def _band_m(ag, lifted, shape: TSDFGrid, cfg: PlanConfig, n_segments: int) -> np
 def relative_scores(
     seq: ConstructionSequence,
     s_target: TSDFGrid,
-    cfg: PlanConfig | None = None,
+    granularity: Granularity = Granularity.PRIMITIVE,
     *,
     bodies: dict | None = None,
 ) -> InfluenceVector:
@@ -99,12 +90,11 @@ def relative_scores(
     composed field is the one render would produce.  ``bodies`` is a body
     store the attribution reads and then fills with seq's bodies.
     """
-    cfg = cfg or PlanConfig()
     ag = attribute(seq, s_target.spec, bodies=bodies)
-    segs, index = _segment_index(seq, cfg.granularity)
-    lifted = _lift_owners(ag, cfg.granularity, index)
-    m_cur = _band_m(ag, lifted, ag.grid(), cfg, len(segs))
-    m_tgt = _band_m(ag, lifted, s_target, cfg, len(segs))
+    segs, index = _segment_index(seq, granularity)
+    lifted = _lift_owners(ag, granularity, index)
+    m_cur = _band_m(ag, lifted, ag.grid(), len(segs))
+    m_tgt = _band_m(ag, lifted, s_target, len(segs))
     entries = tuple(
         InfluenceEntry(seg, float(mc), float(mt), abs(float(mt) - float(mc)))
         for seg, mc, mt in zip(segs, m_cur, m_tgt)
@@ -112,13 +102,11 @@ def relative_scores(
     return InfluenceVector(entries)
 
 
-def select_segments(iv: InfluenceVector, cfg: PlanConfig | None = None) -> tuple[SegmentId, ...]:
+def select_segments(iv: InfluenceVector) -> tuple[SegmentId, ...]:
     """Segments strictly above the mean score, in document order.
 
-    An empty result is the engine's termination signal unless min_mask forces
-    a top-k fallback.
+    An empty result is the engine's termination signal.
     """
-    cfg = cfg or PlanConfig()
     if not iv.entries:
         raise EmptyListError("influence vector has no entries")
     # exact rational comparison: "all equal" must select nothing even when
@@ -126,8 +114,4 @@ def select_segments(iv: InfluenceVector, cfg: PlanConfig | None = None) -> tuple
     js = [Fraction(e.j) for e in iv.entries]
     total = sum(js)
     count = len(js)
-    chosen = tuple(e.segment.id for e, j in zip(iv.entries, js) if j * count > total)
-    if chosen or cfg.min_mask == 0:
-        return chosen
-    ranked = sorted(range(count), key=lambda k: (-js[k], k))[: cfg.min_mask]
-    return tuple(iv.entries[k].segment.id for k in sorted(ranked))
+    return tuple(e.segment.id for e, j in zip(iv.entries, js) if j * count > total)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import statistics
 
-from .engine import EditResult, EngineConfig
+from .engine import EPSILON, PATIENCE, POOL_RES, EditResult, EngineConfig
 from .gridio import write_text_atomic
-from .metrics import MetricsReport, invalid_rate
+from .metrics import DEFAULT_LAMBDA, MetricsReport, invalid_rate
 from .planner import InfluenceEntry
 
 
@@ -42,10 +42,10 @@ def _engine_pairs(cfg: EngineConfig, ablate: str | None):
         ("max_rounds", cfg.max_rounds),
         ("candidates_per_round", cfg.n),
         ("queue_capacity", cfg.queue_capacity),
-        ("pool_res", cfg.pool_res),
-        ("epsilon", cfg.epsilon),
-        ("patience", cfg.patience),
-        ("lam", cfg.lam),
+        ("pool_res", POOL_RES),
+        ("epsilon", EPSILON),
+        ("patience", PATIENCE),
+        ("lam", DEFAULT_LAMBDA),
         ("ablate", ablate or "none"),
     ]
 

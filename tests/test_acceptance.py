@@ -15,7 +15,7 @@ import pytest
 
 from cadfit.engine import EngineConfig, run
 from cadfit.errors import RenderInvalidError
-from cadfit.generator import GenPolicy, infill
+from cadfit.generator import infill
 from cadfit.kernel import (
     GridSpec,
     TSDFGrid,
@@ -25,7 +25,7 @@ from cadfit.kernel import (
     sdf_union,
     surface_points,
 )
-from cadfit.planner import PlanConfig, relative_scores
+from cadfit.planner import relative_scores
 from cadfit.quant import Channel, dequantize
 from cadfit.report import run_report
 from cadfit.sequence import (
@@ -204,11 +204,10 @@ def test_criterion_05_planner(capfd):
         else:
             break
     trips = synth(SynthSpec(corpus_size=100, classes=BENCH_CLASSES, seed=101))
-    cfg = PlanConfig(granularity=Granularity.PAIR)
     hits = 0
     for t in trips:
         truth_pairs = changed_segments(t.original, t.truth, Granularity.PAIR)
-        iv = relative_scores(t.original, t.target, cfg)
+        iv = relative_scores(t.original, t.target, Granularity.PAIR)
         top = max(range(len(iv.entries)), key=lambda k: iv.entries[k].j)
         hits += top in truth_pairs
     el = time.perf_counter() - t0
@@ -278,7 +277,7 @@ def test_criterion_09_generator_contract(capfd):
         segs = segments(seq, grans[trial % 3])
         ids = [s.id for s in segs if rng.random() < 0.4] or [segs[0].id]
         masked = apply_mask(seq, ids)
-        for cand in infill(masked, GenPolicy(n=4, seed=trial)):
+        for cand in infill(masked, 4, trial):
             if validate_sequence(cand.seq):
                 bad += 1
             elif parse_sequence(serialize_sequence(cand.seq)) != cand.seq:

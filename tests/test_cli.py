@@ -13,7 +13,7 @@ from cadfit.cli import main
 from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file
 from cadfit.kernel import GridSpec, render
 from cadfit.report import fmt
-from cadfit.sequence import ConstructionSequence, serialize_sequence
+from cadfit.sequence import ConstructionSequence
 
 
 @pytest.fixture
@@ -154,6 +154,31 @@ def test_edit_fixed_point_round_trips_the_input(runner):
         assert sections["engine"]["stop_reason"] == ["empty-mask"]
         assert sections["round 1"]["selected"] == ["-"]
         assert sections["final"]["iou"] == ["1"]
+
+
+def test_edit_report_engine_section_is_pinned(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        res = runner.invoke(
+            main, ["edit", "cyl.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt"]
+        )
+        assert res.exit_code == 0
+        head = Path("run.txt").read_text().split("\n\n")[0]
+    assert head.splitlines() == [
+        "[engine]",
+        "seed 0",
+        "max_rounds 10",
+        "candidates_per_round 8",
+        "queue_capacity 5",
+        "pool_res 8",
+        "epsilon 0.001",
+        "patience 3",
+        "lam 0.1",
+        "ablate none",
+        "rounds_used 1",
+        "stop_reason empty-mask",
+    ]
 
 
 def test_edit_unrenderable_original_exits_two(runner):

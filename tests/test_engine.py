@@ -26,7 +26,6 @@ from cadfit.errors import (
 )
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
-from cadfit.planner import PlanConfig
 from cadfit.sequence import BoolOp, ConstructionSequence, Sketch, serialize_sequence
 from cadfit.synth import SynthSpec, random_renderable, synth
 
@@ -225,9 +224,9 @@ def test_run_never_ends_farther_than_it_started():
     for t in trips:
         cfg = EngineConfig(max_rounds=4, seed=5)
         result = run(t.original, t.target, cfg)
-        target_lat = embed_shape(t.target, cfg.pool_res)
-        d_final = latent_distance(embed_sequence(result.final, spec, cfg.pool_res), target_lat)
-        d_orig = latent_distance(embed_sequence(t.original, spec, cfg.pool_res), target_lat)
+        target_lat = embed_shape(t.target)
+        d_final = latent_distance(embed_sequence(result.final, spec), target_lat)
+        d_orig = latent_distance(embed_sequence(t.original, spec), target_lat)
         assert d_final <= d_orig
         assert result.rounds_used <= cfg.max_rounds
         best = [rec.best_distance for rec in result.trace]
@@ -273,9 +272,9 @@ def test_unrenderable_original_is_rejected_before_round_one():
 
 def test_target_must_match_pool_resolution():
     seq = cylinder_sequence()
-    target = render(seq, GridSpec())
+    target = render(seq, GridSpec(resolution=12))
     with pytest.raises(TargetSpecMismatchError):
-        run(seq, target, EngineConfig(pool_res=7))
+        run(seq, target)
 
 
 def test_unknown_ablation_rejected():
@@ -332,11 +331,11 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
         m.setattr(engine, "infill", kept_infill)
         m.setattr(engine, "report_for", marked_report)
         run(original, target, EngineConfig(max_rounds=1, seed=1))
-    # the original's render and its attribution evaluate every body; a
-    # candidate's render evaluates only the bodies the infill changed
+    # the original's attribution evaluates every body once; a candidate's
+    # render evaluates only the bodies the infill changed
     changed = sum(pair not in original.pairs for cand in drawn[0] for pair in cand.seq.pairs)
     assert changed > 0
-    assert before_report == [2 * len(original.pairs) + changed]
+    assert before_report == [len(original.pairs) + changed]
 
     cfg = EngineConfig(max_rounds=3, seed=1)
     results = {mode: run(original, target, cfg, ablate=mode) for mode in (None,) + ABLATION_MODES}
@@ -354,9 +353,6 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
         {"max_rounds": 0},
         {"queue_capacity": 0},
         {"n": -1},
-        {"pool_res": 0},
-        {"epsilon": -0.1},
-        {"patience": 0},
     ],
 )
 def test_engine_config_rejects_bad_fields(kw):

@@ -1,21 +1,20 @@
 """Generator checks: surrogate sampling contracts and the external protocol."""
 
+import hashlib
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import cylinder_sequence, extrusion, square_loop
+from helpers import cylinder_sequence, extrusion
 
+from cadfit import generator
 from cadfit.engine import EngineConfig, run
 from cadfit.errors import GeneratorProtocolError
 from cadfit.generator import (
     ORIGIN_EXTERNAL,
     ORIGIN_SURROGATE,
-    Candidate,
-    CandidateSet,
     ExternalGenerator,
-    GenPolicy,
     external_infill,
     infill,
 )
@@ -59,31 +58,21 @@ def _two_loop_pair() -> ConstructionSequence:
     return ConstructionSequence(((sketch, extrusion(BoolOp.NEW, Extent.ONE_SIDED)),))
 
 
-# -- policy ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kw",
-    [
-        {"n": 0},
-        {"jitter_sigma": 0.0},
-        {"jitter_sigma": -1.0},
-        {"p_substitute": 1.5},
-        {"p_structural": -0.1},
-    ],
-)
-def test_policy_rejects_bad_fields(kw):
-    with pytest.raises(ValueError):
-        GenPolicy(**kw)
-
-
 # -- surrogate ---------------------------------------------------------------
+
+
+def test_infill_rejects_zero_candidates():
+    masked = apply_mask(cylinder_sequence(), [SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)])
+    with pytest.raises(ValueError):
+        infill(masked, 0, 0)
+    with pytest.raises(ValueError):
+        external_infill(masked, 0, 0, ExternalGenerator(["/nonexistent/binary/path"]))
 
 
 def test_zero_masks_returns_base_copies():
     seq = cylinder_sequence()
     masked = apply_mask(seq, ())
-    out = infill(masked, GenPolicy(n=5, seed=3))
+    out = infill(masked, 5, 3)
     assert len(out) == 5
     for cand in out:
         assert cand.seq == seq
@@ -93,7 +82,7 @@ def test_zero_masks_returns_base_copies():
 
 def test_candidates_validate_and_preserve_unmasked_spans():
     rng = np.random.default_rng(11)
-    pol = GenPolicy(n=4, seed=7)
+    n, seed = 4, 7
     for _ in range(6):
         seq = random_renderable(rng, GridSpec())
         for gran in Granularity:
@@ -101,7 +90,7 @@ def test_candidates_validate_and_preserve_unmasked_spans():
             take = min(len(segs), 1 + int(rng.integers(2)))
             picked = rng.choice(len(segs), size=take, replace=False)
             masked = apply_mask(seq, [segs[i].id for i in picked])
-            for cand in infill(masked, pol):
+            for cand in infill(masked, n, seed):
                 assert validate_sequence(cand.seq) == []
                 assert parse_sequence(serialize_sequence(cand.seq)) == cand.seq
                 assert apply_mask(cand.seq, masked.ids()).tokens() == masked.tokens()
@@ -111,12 +100,37 @@ def test_candidates_validate_and_preserve_unmasked_spans():
 def test_infill_deterministic_and_seed_sensitive():
     seq = cylinder_sequence()
     masked = apply_mask(seq, [SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)])
-    a = infill(masked, GenPolicy(n=6, seed=9))
-    b = infill(masked, GenPolicy(n=6, seed=9))
-    c = infill(masked, GenPolicy(n=6, seed=10))
+    a = infill(masked, 6, 9)
+    b = infill(masked, 6, 9)
+    c = infill(masked, 6, 10)
     texts = [serialize_sequence(x.seq) for x in a]
     assert texts == [serialize_sequence(x.seq) for x in b]
     assert texts != [serialize_sequence(x.seq) for x in c]
+
+
+# sha256 of the candidate streams below: any change to a draw, to its
+# order or to a clamp moves it
+SAMPLER_PIN = "52fc6d3a0bfdbc142f16f2eabfbbb82e3b9f54104429078eb39c584039c606f8"
+
+
+def test_seeded_infill_streams_are_pinned():
+    lines = []
+    seeds = iter(range(1000))
+    for name, seq in (("chain", _chain_pair()), ("circle", cylinder_sequence()), ("two-loop", _two_loop_pair())):
+        for gran in Granularity:
+            segs = segments(seq, gran)
+            masks = [[s.id] for s in segs] + [[s.id for s in segs]]
+            for ids in masks:
+                masked = apply_mask(seq, ids)
+                seed = next(seeds)
+                for cand in infill(masked, 6, seed):
+                    labels = " ".join(i.label() for i in cand.filled)
+                    lines.append(f"{name} {gran.value} {seed} [{labels}] {serialize_sequence(cand.seq)}")
+    _, masked = _masked_circle()
+    for cand in external_infill(masked, 4, 3, ExternalGenerator(["/nonexistent/binary/path"])):
+        lines.append(f"fallback {cand.origin} {cand.note.split(':')[0]} {serialize_sequence(cand.seq)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SAMPLER_PIN
 
 
 def test_radius_jitter_statistics():
@@ -125,7 +139,7 @@ def test_radius_jitter_statistics():
     # narrow sigma without escaping the channel clamp
     seq = cylinder_sequence(r=100)
     masked = apply_mask(seq, [SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)])
-    out = infill(masked, GenPolicy(n=10_000, jitter_sigma=12.0, seed=5))
+    out = infill(masked, 10_000, 5)
     radii = np.array([c.seq.pairs[0][0].loops[0].primitives[0].radius for c in out])
     assert abs(radii.mean() - 100.0) <= 1.0
     kept = np.mean(radii == 100)
@@ -137,18 +151,18 @@ def test_radius_jitter_statistics():
     assert radii.min() >= 1 and radii.max() <= 255
 
 
-def test_substitution_flips_chain_kinds_only():
+def test_substitution_flips_chain_kinds_only(monkeypatch):
     seq = _chain_pair()
     line_id = SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)
     arc_id = SegmentId(0, SegmentKind.PRIMITIVE, 0, 2)
-    always = GenPolicy(n=8, p_substitute=1.0, seed=1)
-    never = GenPolicy(n=8, p_substitute=0.0, seed=1)
 
-    for cand in infill(apply_mask(seq, [line_id]), always):
+    monkeypatch.setattr(generator, "_SUBSTITUTE", 1.0)
+    for cand in infill(apply_mask(seq, [line_id]), 8, 1):
         assert isinstance(cand.seq.pairs[0][0].loops[0].primitives[0], Arc)
-    for cand in infill(apply_mask(seq, [arc_id]), always):
+    for cand in infill(apply_mask(seq, [arc_id]), 8, 1):
         assert isinstance(cand.seq.pairs[0][0].loops[0].primitives[2], Line)
-    for cand in infill(apply_mask(seq, [line_id, arc_id]), never):
+    monkeypatch.setattr(generator, "_SUBSTITUTE", 0.0)
+    for cand in infill(apply_mask(seq, [line_id, arc_id]), 8, 1):
         prims = cand.seq.pairs[0][0].loops[0].primitives
         assert isinstance(prims[0], Line)
         arc = prims[2]
@@ -157,24 +171,28 @@ def test_substitution_flips_chain_kinds_only():
         assert 1 <= arc.sweep <= 254
 
 
-def test_circle_kind_is_stable_under_substitution():
+def test_circle_kind_is_stable_under_substitution(monkeypatch):
     seq = cylinder_sequence()
     masked = apply_mask(seq, [SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)])
-    for cand in infill(masked, GenPolicy(n=8, p_substitute=1.0, seed=2)):
+    monkeypatch.setattr(generator, "_SUBSTITUTE", 1.0)
+    for cand in infill(masked, 8, 2):
         assert isinstance(cand.seq.pairs[0][0].loops[0].primitives[0], Circle)
 
 
-def test_structural_moves_change_loop_count_within_masked_pair():
+def test_structural_moves_change_loop_count_within_masked_pair(monkeypatch):
     seq = _two_loop_pair()
     masked = apply_mask(seq, [SegmentId(0, SegmentKind.PAIR)])
-    for cand in infill(masked, GenPolicy(n=16, p_structural=1.0, seed=4)):
+    monkeypatch.setattr(generator, "_STRUCTURAL", 1.0)
+    for cand in infill(masked, 16, 4):
         assert len(cand.seq.pairs[0][0].loops) in (1, 3)
-    for cand in infill(masked, GenPolicy(n=16, p_structural=0.0, seed=4)):
+    monkeypatch.setattr(generator, "_STRUCTURAL", 0.0)
+    for cand in infill(masked, 16, 4):
         assert len(cand.seq.pairs[0][0].loops) == 2
 
     single = cylinder_sequence()
     masked = apply_mask(single, [SegmentId(0, SegmentKind.PAIR)])
-    for cand in infill(masked, GenPolicy(n=8, p_structural=1.0, seed=4)):
+    monkeypatch.setattr(generator, "_STRUCTURAL", 1.0)
+    for cand in infill(masked, 8, 4):
         assert len(cand.seq.pairs[0][0].loops) == 2
 
 
@@ -182,7 +200,7 @@ def test_extrusion_mask_keeps_op_and_extent():
     seq = cylinder_sequence()
     ext = seq.pairs[0][1]
     masked = apply_mask(seq, [SegmentId(0, SegmentKind.EXTRUSION)])
-    out = infill(masked, GenPolicy(n=12, seed=6))
+    out = infill(masked, 12, 6)
     changed = 0
     for cand in out:
         got = cand.seq.pairs[0][1]
@@ -342,7 +360,7 @@ def test_echo_endpoint_restores_base(tmp_path):
         sequence_tokens(seq)[slice(*segments(seq)[0].span)]
     )
     with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, *span.split())) as gen:
-        out = external_infill(masked, GenPolicy(n=4, seed=0), gen)
+        out = external_infill(masked, 4, 0, gen)
     assert len(out) == 4
     for cand in out:
         assert cand.seq == seq
@@ -352,23 +370,23 @@ def test_echo_endpoint_restores_base(tmp_path):
 
 def test_garbage_endpoint_backfills_with_surrogate(tmp_path):
     _, masked = _masked_circle()
-    pol = GenPolicy(n=5, seed=8)
+    n, seed = 5, 8
     with ExternalGenerator(_stub(tmp_path, "garbage.py", GARBAGE_STUB)) as gen:
-        out = external_infill(masked, pol, gen)
+        out = external_infill(masked, n, seed, gen)
     assert len(out) == 5
     assert all(c.origin == ORIGIN_SURROGATE for c in out)
-    assert [c.seq for c in out] == [c.seq for c in infill(masked, pol)]
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 def test_partial_endpoint_mixes_external_and_surrogate(tmp_path):
     _, masked = _masked_circle()
-    pol = GenPolicy(n=5, seed=8)
+    n, seed = 5, 8
     cmd = _stub(tmp_path, "partial.py", PARTIAL_STUB, "C", "90", "90", "40")
     with ExternalGenerator(cmd) as gen:
-        out = external_infill(masked, pol, gen)
+        out = external_infill(masked, n, seed, gen)
     origins = [c.origin for c in out]
     assert origins == [ORIGIN_EXTERNAL] + [ORIGIN_SURROGATE] * 4
-    got = out.candidates[0].seq.pairs[0][0].loops[0].primitives[0]
+    got = out[0].seq.pairs[0][0].loops[0].primitives[0]
     assert got == Circle((90, 90), 40)
 
 
@@ -379,39 +397,39 @@ def test_tampering_endpoint_is_rejected(tmp_path):
         ConstructionSequence(((seq.pairs[0][0], extrusion(BoolOp.NEW, Extent.ONE_SIDED, dist_pos=31)),))
     )
     assert validate_sequence(parse_sequence(tampered)) == []
-    pol = GenPolicy(n=3, seed=8)
+    n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "tamper.py", TAMPER_STUB, *tampered.split())) as gen:
-        out = external_infill(masked, pol, gen)
+        out = external_infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE for c in out)
 
 
 def test_unreachable_endpoint_falls_back_with_note():
     _, masked = _masked_circle()
-    pol = GenPolicy(n=4, seed=8)
+    n, seed = 4, 8
     gen = ExternalGenerator(["/nonexistent/binary/path"])
-    out = external_infill(masked, pol, gen)
+    out = external_infill(masked, n, seed, gen)
     assert len(out) == 4
     for cand in out:
         assert cand.origin == ORIGIN_SURROGATE
         assert "fallback" in cand.note
-    assert [c.seq for c in out] == [c.seq for c in infill(masked, pol)]
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 def test_stalling_endpoint_times_out_to_fallback(tmp_path):
     _, masked = _masked_circle()
     with ExternalGenerator(_stub(tmp_path, "stall.py", STALL_STUB), timeout=0.3) as gen:
-        out = external_infill(masked, GenPolicy(n=3, seed=8), gen)
+        out = external_infill(masked, 3, 8, gen)
     assert all("fallback" in c.note for c in out)
 
 
 @pytest.mark.parametrize("body", [PARTIAL_LINE_STUB, DYING_STUB], ids=["partial-line", "dies"])
 def test_endpoint_breaking_off_mid_response_falls_back(tmp_path, body):
     _, masked = _masked_circle()
-    pol = GenPolicy(n=3, seed=8)
+    n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "broken.py", body), timeout=0.3) as gen:
-        out = external_infill(masked, pol, gen)
+        out = external_infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
-    assert [c.seq for c in out] == [c.seq for c in infill(masked, pol)]
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 def test_missing_end_is_a_protocol_error(tmp_path):
@@ -420,11 +438,11 @@ def test_missing_end_is_a_protocol_error(tmp_path):
     with ExternalGenerator(cmd) as gen:
         with pytest.raises(GeneratorProtocolError):
             gen.request(masked.text(), 3, 8)
-    pol = GenPolicy(n=3, seed=8)
+    n, seed = 3, 8
     with ExternalGenerator(cmd) as gen:
-        out = external_infill(masked, pol, gen)
+        out = external_infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
-    assert [c.seq for c in out] == [c.seq for c in infill(masked, pol)]
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 def test_run_survives_an_endpoint_that_sends_extra_lines(tmp_path):
@@ -443,8 +461,8 @@ def test_late_answer_is_not_read_by_the_next_request(tmp_path):
     _, masked = _masked_circle()
     cmd = _stub(tmp_path, "late.py", LATE_SEED_STUB)
     with ExternalGenerator(cmd, timeout=1.0) as gen:
-        first = external_infill(masked, GenPolicy(n=2, seed=1), gen)
-        second = external_infill(masked, GenPolicy(n=2, seed=7), gen)
+        first = external_infill(masked, 2, 1, gen)
+        second = external_infill(masked, 2, 7, gen)
     assert all("fallback" in c.note for c in first)
     assert all(c.origin == ORIGIN_EXTERNAL for c in second)
     assert [c.seq.pairs[0][0].loops[0].primitives[0].radius for c in second] == [17, 17]
@@ -454,7 +472,7 @@ def test_endpoint_survives_repeated_requests(tmp_path):
     seq, masked = _masked_circle()
     span = sequence_tokens(seq)[slice(*segments(seq)[0].span)]
     with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, *span)) as gen:
-        first = external_infill(masked, GenPolicy(n=2, seed=0), gen)
-        second = external_infill(masked, GenPolicy(n=2, seed=1), gen)
+        first = external_infill(masked, 2, 0, gen)
+        second = external_infill(masked, 2, 1, gen)
     assert [c.seq for c in first] == [c.seq for c in second]
     assert all(c.origin == ORIGIN_EXTERNAL for c in second)

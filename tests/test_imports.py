@@ -1,0 +1,45 @@
+"""Static check: every name a cadfit module imports is used in that module.
+
+Standard library only, so it runs wherever the tests do; no linter needed.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cadfit").glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name to line number for each module-level or local import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        # a quoted annotation names its types inside a string
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            ann = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval")) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
+    assert unused == []

@@ -10,13 +10,13 @@ from helpers import circle_pair
 from cadfit.errors import EmptyListError, RenderInvalidError
 from cadfit.kernel import GridSpec, attribute, render
 from cadfit.planner import (
+    BAND_WIDTH,
     InfluenceEntry,
     InfluenceVector,
-    PlanConfig,
     relative_scores,
     select_segments,
 )
-from cadfit.sequence import BoolOp, ConstructionSequence, Granularity, SegmentKind, segments
+from cadfit.sequence import BoolOp, ConstructionSequence, Granularity, segments
 from cadfit.synth import SynthSpec, random_renderable, synth
 from test_synth import changed_segments
 
@@ -39,14 +39,7 @@ def _three_pair_sequence():
     )
 
 
-# -- config and entry invariants --------------------------------------------
-
-
-def test_plan_config_validation():
-    with pytest.raises(ValueError):
-        PlanConfig(band_width=0.5)
-    with pytest.raises(ValueError):
-        PlanConfig(min_mask=-1)
+# -- entry invariants -------------------------------------------------------
 
 
 def test_influence_entry_enforces_consistency():
@@ -62,12 +55,11 @@ def test_influence_self_overlap_matches_attribution_counts():
     seq = _three_pair_sequence()
     spec = GridSpec()
     shape = render(seq, spec)
-    cfg = PlanConfig(granularity=Granularity.PAIR)
-    m = np.array([e.m_current for e in relative_scores(seq, shape, cfg).entries])
+    m = np.array([e.m_current for e in relative_scores(seq, shape, Granularity.PAIR).entries])
     # against its own render, every banded voxel is near-surface, so M
     # reduces to |A_i| / (|A_i| + 1); recompute that from attribution
     ag = attribute(seq, spec)
-    band = np.abs(ag.values) < cfg.band_width * spec.pitch
+    band = np.abs(ag.values) < BAND_WIDTH * spec.pitch
     for k in range(3):
         owned = np.zeros_like(band)
         for idx, sid in enumerate(ag.segment_ids):
@@ -82,7 +74,7 @@ def test_influence_propagates_render_errors():
     bad = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
     shape = render(_three_pair_sequence())
     with pytest.raises(RenderInvalidError):
-        relative_scores(bad, shape, PlanConfig())
+        relative_scores(bad, shape)
 
 
 def test_relative_scores_zero_on_identical_shapes():
@@ -105,8 +97,7 @@ def test_moved_cylinder_tops_ablation_oracle():
     current = render(seq, spec)
     target = render(ConstructionSequence((a, b_moved)), spec)
 
-    cfg = PlanConfig(granularity=Granularity.PAIR)
-    iv = relative_scores(seq, target, cfg)
+    iv = relative_scores(seq, target, Granularity.PAIR)
     planner_pick = max(range(2), key=lambda k: iv.entries[k].j)
 
     # oracle: a pair's relevance is how much of the current/target mismatch
@@ -127,11 +118,10 @@ def test_single_edit_cases_rank_edited_segment_first():
     # extrusion's caps too, so sub-pair credit can split between the two
     trips = synth(SynthSpec(corpus_size=20, classes=("param-jitter",), seed=101))
     hits = 0
-    cfg = PlanConfig(granularity=Granularity.PAIR)
     for t in trips:
         assert len(changed_segments(t.original, t.truth)) == 1
         truth_pairs = changed_segments(t.original, t.truth, Granularity.PAIR)
-        iv = relative_scores(t.original, t.target, cfg)
+        iv = relative_scores(t.original, t.target, Granularity.PAIR)
         top = max(range(len(iv.entries)), key=lambda k: iv.entries[k].j)
         hits += top in truth_pairs
     assert hits >= 17
@@ -143,7 +133,7 @@ def test_single_edit_cases_rank_edited_segment_first():
 def test_select_above_mean_strict():
     seq = _three_pair_sequence()
     iv = _fake_vector(seq, [0.1, 0.4, 0.1])
-    picked = select_segments(iv, PlanConfig())
+    picked = select_segments(iv)
     assert [p.pair for p in picked] == [1]
 
 
@@ -151,44 +141,32 @@ def test_select_all_equal_is_empty():
     seq = _three_pair_sequence()
     for v in (0.0, 0.3, 0.1):
         iv = _fake_vector(seq, [v, v, v])
-        assert select_segments(iv, PlanConfig()) == ()
+        assert select_segments(iv) == ()
 
 
 def test_select_two_above_mean():
     seq = _three_pair_sequence()
     iv = _fake_vector(seq, [0.3, 0.3, 0.0])
-    picked = select_segments(iv, PlanConfig())
+    picked = select_segments(iv)
     assert [p.pair for p in picked] == [0, 1]
-
-
-def test_select_min_mask_forces_top_k_in_document_order():
-    seq = _three_pair_sequence()
-    iv = _fake_vector(seq, [0.2, 0.2, 0.2])
-    picked = select_segments(iv, PlanConfig(min_mask=2))
-    assert [p.pair for p in picked] == [0, 1]
-    assert [p.pair for p in select_segments(iv, PlanConfig(min_mask=1))] == [0]
-    # a nonempty above-mean set wins over the fallback regardless of min_mask
-    ranked = _fake_vector(seq, [0.1, 0.0, 0.3])
-    picked = select_segments(ranked, PlanConfig(min_mask=2))
-    assert [p.pair for p in picked] == [2]
 
 
 def test_select_empty_never_picks_zero_without_force():
     seq = _three_pair_sequence()
     iv = _fake_vector(seq, [0.0, 0.0, 0.3])
-    picked = select_segments(iv, PlanConfig())
+    picked = select_segments(iv)
     assert [p.pair for p in picked] == [2]
-    assert select_segments(_fake_vector(seq, [0.0, 0.0, 0.0]), PlanConfig()) == ()
+    assert select_segments(_fake_vector(seq, [0.0, 0.0, 0.0])) == ()
 
 
 def test_select_scale_invariant():
     seq = _three_pair_sequence()
     base = [0.05, 0.2, 0.1]
-    a = select_segments(_fake_vector(seq, base), PlanConfig())
-    b = select_segments(_fake_vector(seq, [3 * v for v in base]), PlanConfig())
+    a = select_segments(_fake_vector(seq, base))
+    b = select_segments(_fake_vector(seq, [3 * v for v in base]))
     assert a == b
 
 
 def test_select_rejects_empty_vector():
     with pytest.raises(EmptyListError):
-        select_segments(InfluenceVector(()), PlanConfig())
+        select_segments(InfluenceVector(()))
