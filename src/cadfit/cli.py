@@ -7,6 +7,7 @@ when rendering found no solid and 1 for everything else.  ``--res`` and
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import shlex
 from pathlib import Path
@@ -14,7 +15,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .engine import EngineConfig, run
+from .engine import ABLATION_MODES, EngineConfig, run
 from .errors import CadfitError, RenderInvalidError
 from .generator import ExternalGenerator
 from .gridio import (
@@ -23,26 +24,15 @@ from .gridio import (
     read_tsdf,
     write_grid_text,
     write_sequence_file,
+    write_text_atomic,
     write_tsdf,
 )
-from .kernel import GridSpec, render
+from .kernel import GridSpec, attribute, render
 from .metrics import jsd, occupancy_histogram, report_for
 from .planner import relative_scores, select_segments
-from .report import (
-    eval_report,
-    influence_lines,
-    metrics_lines,
-    run_report,
-    write_report,
-)
+from .report import eval_report, influence_lines, metrics_lines, run_report
 from .sequence import Granularity
 from .synth import SynthSpec, load_corpus, save_corpus, synth
-
-_GRANULARITIES = {
-    "primitive": Granularity.PRIMITIVE,
-    "loop": Granularity.LOOP,
-    "pair": Granularity.PAIR,
-}
 
 _res_option = click.option(
     "--res",
@@ -62,7 +52,7 @@ _seed_option = click.option(
 )
 _granularity_option = click.option(
     "--granularity",
-    type=click.Choice(sorted(_GRANULARITIES)),
+    type=click.Choice(sorted(g.value for g in Granularity)),
     default="primitive",
     show_default=True,
     help="Segment size the planner scores and masks.",
@@ -103,8 +93,9 @@ def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
 
 
 def _engine_config(rounds, n, queue, seed, granularity) -> EngineConfig:
-    granularity = _GRANULARITIES[granularity]
-    return EngineConfig(max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=granularity)
+    return EngineConfig(
+        max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=Granularity(granularity)
+    )
 
 
 @main.command("edit")
@@ -121,16 +112,16 @@ def _engine_config(rounds, n, queue, seed, granularity) -> EngineConfig:
 @_guarded
 def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, report_file, granularity):
     """Update a sequence toward a target grid and write the run report."""
+    cfg = _engine_config(rounds, n, queue, seed, granularity)
     original = read_sequence_file(seq_file)
     target = read_tsdf(target_file)
-    cfg = _engine_config(rounds, n, queue, seed, granularity)
     if generator_cmd is None:
         result = run(original, target, cfg)
     else:
         with ExternalGenerator(shlex.split(generator_cmd)) as endpoint:
             result = run(original, target, cfg, endpoint=endpoint)
     write_sequence_file(out, result.final)
-    write_report(report_file, run_report(result, cfg))
+    write_text_atomic(report_file, run_report(result, cfg))
     click.echo(f"rounds_used {result.rounds_used}")
     click.echo(f"stop_reason {result.stop_reason}")
     for line in metrics_lines(result.report):
@@ -146,7 +137,7 @@ def inspect_cmd(seq_file, target_file, granularity):
     """Print the per-segment influence table against a target grid."""
     seq = read_sequence_file(seq_file)
     target = read_tsdf(target_file)
-    iv = relative_scores(seq, target, _GRANULARITIES[granularity])
+    iv = relative_scores(attribute(seq, target.spec), target, Granularity(granularity))
     for line in influence_lines(iv.entries):
         click.echo(line)
     selected = select_segments(iv)
@@ -222,7 +213,7 @@ def synth_cmd(spec_file, out, seed, res):
 @main.command("eval")
 @click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
 @click.option("--report", "report_file", required=True, type=click.Path(dir_okay=False))
-@click.option("--ablate", type=click.Choice(["plan", "verify", "queue"]), default=None)
+@click.option("--ablate", type=click.Choice(ABLATION_MODES), default=None)
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--n", type=int, default=8, show_default=True, help="Candidates per round.")
 @click.option("--queue", type=int, default=5, show_default=True, help="Queue capacity.")
@@ -231,15 +222,14 @@ def synth_cmd(spec_file, out, seed, res):
 @_guarded
 def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularity):
     """Run the engine over every triplet in a corpus and aggregate metrics."""
+    cfg = _engine_config(rounds, n, queue, seed, granularity)
     triplets = load_corpus(corpus_dir)
     rows = []
     final_grids = []
     target_grids = []
     for k, t in enumerate(triplets):
-        cfg = _engine_config(
-            rounds, n, queue, int(np.random.SeedSequence([seed, k]).generate_state(1)[0]), granularity
-        )
-        result = run(t.original, t.target, cfg, ablate=ablate)
+        triplet_seed = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+        result = run(t.original, t.target, dataclasses.replace(cfg, seed=triplet_seed), ablate=ablate)
         rows.append((f"{k:04d}", t.edit_class, result, t.truth_edit_distance))
         if not result.report.invalid:
             final_grids.append(result.report.grid)
@@ -254,7 +244,7 @@ def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularit
         ("ablate", ablate or "none"),
     ]
     text = eval_report(header, rows, corpus_jsd)
-    write_report(report_file, text)
+    write_text_atomic(report_file, text)
     tail = text[text.index("[aggregate]") :]
     click.echo(tail.rstrip("\n"))
 

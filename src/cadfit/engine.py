@@ -21,7 +21,7 @@ from .errors import (
     ResolutionMismatchError,
     TargetSpecMismatchError,
 )
-from .generator import Candidate, ExternalGenerator, external_infill, infill
+from .generator import ExternalGenerator, external_infill, infill
 from .kernel import GridSpec, TSDFGrid, attribute, render
 from .metrics import MetricsReport, report_for
 from .planner import InfluenceEntry, relative_scores, select_segments
@@ -47,19 +47,17 @@ PATIENCE = 3
 # -- latent embedding --------------------------------------------------------
 
 
-def embed_shape(grid: TSDFGrid, pool_res: int = POOL_RES) -> np.ndarray:
-    """Block-mean pool the grid to pool_res per axis and flatten."""
+def embed_shape(grid: TSDFGrid) -> np.ndarray:
+    """Block-mean pool the grid to POOL_RES per axis and flatten."""
     n = grid.spec.resolution
-    if pool_res < 1 or n % pool_res:
-        raise ResolutionMismatchError(f"resolution {n} not divisible by pool {pool_res}")
-    b = n // pool_res
-    blocks = grid.values.astype(np.float64).reshape(pool_res, b, pool_res, b, pool_res, b)
+    if n % POOL_RES:
+        raise ResolutionMismatchError(f"resolution {n} not divisible by pool {POOL_RES}")
+    b = n // POOL_RES
+    blocks = grid.values.astype(np.float64).reshape(POOL_RES, b, POOL_RES, b, POOL_RES, b)
     return blocks.mean(axis=(1, 3, 5)).ravel()
 
 
-def embed_sequence(
-    seq: ConstructionSequence, spec: GridSpec, pool_res: int = POOL_RES, *, bodies: dict | None = None
-) -> np.ndarray:
+def embed_sequence(seq: ConstructionSequence, spec: GridSpec, *, bodies: dict | None = None) -> np.ndarray:
     """Render then embed; an unrenderable sequence gets the all-inf sentinel.
 
     The sentinel sits at infinite distance from every finite latent, so such
@@ -69,8 +67,8 @@ def embed_sequence(
     try:
         grid = render(seq, spec, bodies=bodies)
     except RenderInvalidError:
-        return np.full(pool_res**3, math.inf)
-    return embed_shape(grid, pool_res)
+        return np.full(POOL_RES**3, math.inf)
+    return embed_shape(grid)
 
 
 def latent_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -83,9 +81,7 @@ def latent_distance(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(frozen=True)
 class QueueEntry:
     seq: ConstructionSequence
-    latent: np.ndarray
     distance: float
-    order: int
 
 
 class PriorityQueue:
@@ -97,7 +93,6 @@ class PriorityQueue:
         self.capacity = capacity
         self._entries: list[QueueEntry] = []
         self._streams: set[str] = set()
-        self._counter = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -105,18 +100,16 @@ class PriorityQueue:
     def entries(self) -> tuple[QueueEntry, ...]:
         return tuple(self._entries)
 
-    def push(self, seq: ConstructionSequence, latent: np.ndarray, distance: float) -> None:
+    def push(self, seq: ConstructionSequence, distance: float) -> None:
         if distance < 0 or math.isnan(distance):
             raise ValueError("queue distances must be non-negative")
         stream = serialize_sequence(seq)
         if stream in self._streams:
             return
-        entry = QueueEntry(seq, latent, distance, self._counter)
-        self._counter += 1
-        self._entries.append(entry)
-        # stable sort on (distance, insertion order); trimming the tail can
+        self._entries.append(QueueEntry(seq, distance))
+        # a stable sort keeps ties in insertion order; trimming the tail can
         # never touch the head, so the best entry survives every push
-        self._entries.sort(key=lambda e: (e.distance, e.order))
+        self._entries.sort(key=lambda e: e.distance)
         self._streams.add(stream)
         if len(self._entries) > self.capacity:
             dropped = self._entries.pop()
@@ -134,14 +127,6 @@ class PriorityQueue:
             h.update(serialize_sequence(e.seq).encode())
             h.update(f" {e.distance:.17g}\n".encode())
         return h.hexdigest()[:12]
-
-
-def _embedded(candidates: tuple[Candidate, ...], target_latent: np.ndarray, spec: GridSpec, bodies: dict):
-    out = []
-    for cand in candidates:
-        latent = embed_sequence(cand.seq, spec, POOL_RES, bodies=bodies)
-        out.append((cand.seq, latent, latent_distance(latent, target_latent)))
-    return out
 
 
 # -- engine configuration and results ----------------------------------------
@@ -162,6 +147,8 @@ class EngineConfig:
             raise ValueError("queue_capacity must be at least 1")
         if self.n < 0:
             raise ValueError("candidate count cannot be negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -191,8 +178,7 @@ def _uniform_influence(iv, rng):
     """Ablation stand-in: forget geometry, score segments at random."""
     entries = []
     for e in iv.entries:
-        jv = float(rng.random())
-        entries.append(dataclasses.replace(e, m_current=0.0, m_target=jv, j=jv))
+        entries.append(dataclasses.replace(e, m_current=0.0, m_target=float(rng.random())))
     return dataclasses.replace(iv, entries=tuple(entries))
 
 
@@ -214,9 +200,10 @@ def run(
     With generation enabled, an original that renders empty raises
     RenderInvalidError before the first round.
 
-    The run owns one body store (see ``cadfit.kernel``): the original's
-    attribution and then each round's attribution of the current sequence
-    fill it, and the candidates' and the final report's renders reuse the
+    Each round plans from one attribution of the current sequence; round 1
+    reuses the original's, which also gives the starting latent.  The run
+    owns one body store (see ``cadfit.kernel``): these attributions fill
+    it, and the candidates' and the final report's renders reuse the
     bodies they share with it.
     """
     cfg = cfg or EngineConfig()
@@ -237,13 +224,12 @@ def run(
 
     spec = target.spec
     bodies: dict = {}
-    target_latent = embed_shape(target, POOL_RES)
+    target_latent = embed_shape(target)
     queue = PriorityQueue(cfg.queue_capacity)
     # the starting sequence counts as seen, so the loop can never end
-    # on something farther from the target than where it began; its
-    # attribution fills the store, so round 1's planning reads every body
-    origin_latent = embed_shape(attribute(original, spec, bodies=bodies).grid(), POOL_RES)
-    queue.push(original, origin_latent, latent_distance(origin_latent, target_latent))
+    # on something farther from the target than where it began
+    ag = attribute(original, spec, bodies=bodies)
+    queue.push(original, latent_distance(embed_shape(ag.grid()), target_latent))
 
     current = original
     records: list[RoundRecord] = []
@@ -254,7 +240,9 @@ def run(
 
     for r in range(1, cfg.max_rounds + 1):
         rounds_used = r
-        iv = relative_scores(current, target, cfg.granularity, bodies=bodies)
+        if r > 1:
+            ag = attribute(current, spec, bodies=bodies)
+        iv = relative_scores(ag, target, cfg.granularity)
         if ablate == "plan":
             iv = _uniform_influence(iv, np.random.default_rng([cfg.seed, r, 1]))
         selected = select_segments(iv)
@@ -270,18 +258,21 @@ def run(
         else:
             cands = external_infill(masked, cfg.n, seed, endpoint)
 
-        scored = _embedded(cands, target_latent, spec, bodies)
-        distances = tuple(dist for _, _, dist in scored)
+        scored = [
+            (cand.seq, latent_distance(embed_sequence(cand.seq, spec, bodies=bodies), target_latent))
+            for cand in cands
+        ]
+        distances = tuple(dist for _, dist in scored)
         if ablate == "queue":
             queue = PriorityQueue(capacity=1)
-        for seq, latent, dist in scored:
-            queue.push(seq, latent, dist)
+        for seq, dist in scored:
+            queue.push(seq, dist)
         head = queue.best()
         if ablate == "verify":
             # a random renderable candidate; an unrenderable one would wedge
             # the next round's planning
             rng = np.random.default_rng([cfg.seed, r, 2])
-            finite = [seq for seq, _, dist in scored if math.isfinite(dist)]
+            finite = [seq for seq, dist in scored if math.isfinite(dist)]
             if finite:
                 current = finite[int(rng.integers(len(finite)))]
         elif head is not None and math.isfinite(head.distance):

@@ -1,9 +1,11 @@
 """Scores each segment's contribution mismatch and picks which ones to mask.
 
-A segment's contribution M to a shape is measured by how much of its owned
-near-surface voxel set lies in the shape's own near-surface band; masking
-candidates are the segments whose contribution changes most between the
-current rendering and the target.
+The planner reads one map, the attribution of the current sequence (see
+``cadfit.kernel.attribute``), which gives the current shape and the owner of
+every voxel.  A segment's contribution M to a shape is measured by how much
+of its owned near-surface voxel set lies in the shape's own near-surface
+band; masking candidates are the segments whose contribution changes most
+between the current rendering and the target.
 """
 
 from __future__ import annotations
@@ -14,15 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyListError
-from .kernel import AttributionGrid, TSDFGrid, attribute
-from .sequence import (
-    ConstructionSequence,
-    Granularity,
-    Segment,
-    SegmentId,
-    SegmentKind,
-    segments,
-)
+from .kernel import AttributionGrid, TSDFGrid
+from .sequence import Granularity, SegmentId, SegmentKind
 
 
 # half-width of the near-surface band, in voxels
@@ -31,14 +26,13 @@ BAND_WIDTH = 2.0
 
 @dataclass(frozen=True)
 class InfluenceEntry:
-    segment: Segment
+    segment: SegmentId
     m_current: float
     m_target: float
-    j: float
 
-    def __post_init__(self) -> None:
-        if self.j != abs(self.m_target - self.m_current):
-            raise ValueError("j must equal |m_target - m_current|")
+    @property
+    def j(self) -> float:
+        return abs(self.m_target - self.m_current)
 
 
 @dataclass(frozen=True)
@@ -46,24 +40,13 @@ class InfluenceVector:
     entries: tuple[InfluenceEntry, ...]
 
 
-def _segment_index(seq: ConstructionSequence, granularity: Granularity):
-    segs = segments(seq, granularity)
-    index = {(s.id.pair, s.id.kind, s.id.loop, s.id.prim): k for k, s in enumerate(segs)}
-    return segs, index
-
-
-def _lift_owners(ag: AttributionGrid, granularity: Granularity, index) -> np.ndarray:
-    """Map attribution's primitive/extrusion ids onto granularity slots."""
-    lifted = []
-    for sid in ag.segment_ids:
-        if granularity is Granularity.PAIR:
-            key = (sid.pair, SegmentKind.PAIR, None, None)
-        elif granularity is Granularity.LOOP and sid.kind is SegmentKind.PRIMITIVE:
-            key = (sid.pair, SegmentKind.LOOP, sid.loop, None)
-        else:
-            key = (sid.pair, sid.kind, sid.loop, sid.prim)
-        lifted.append(index[key])
-    return np.array(lifted, dtype=np.int64)
+def _holder(sid: SegmentId, granularity: Granularity) -> SegmentId:
+    """The segment at ``granularity`` that holds primitive-granularity ``sid``."""
+    if granularity is Granularity.PAIR:
+        return SegmentId(sid.pair, SegmentKind.PAIR)
+    if granularity is Granularity.LOOP and sid.kind is SegmentKind.PRIMITIVE:
+        return SegmentId(sid.pair, SegmentKind.LOOP, sid.loop)
+    return sid
 
 
 def _band_m(ag, lifted, shape: TSDFGrid, n_segments: int) -> np.ndarray:
@@ -78,28 +61,26 @@ def _band_m(ag, lifted, shape: TSDFGrid, n_segments: int) -> np.ndarray:
 
 
 def relative_scores(
-    seq: ConstructionSequence,
-    s_target: TSDFGrid,
-    granularity: Granularity = Granularity.PRIMITIVE,
-    *,
-    bodies: dict | None = None,
+    ag: AttributionGrid, s_target: TSDFGrid, granularity: Granularity = Granularity.PRIMITIVE
 ) -> InfluenceVector:
-    """Contribution change of every segment between seq's shape and the target.
+    """Contribution change of every segment between ag's shape and the target.
 
-    One attribution pass yields both the owners and the current shape: its
-    composed field is the one render would produce.  ``bodies`` is a body
-    store the attribution reads and then fills with seq's bodies.
+    Entries follow the segments of the attributed sequence at
+    ``granularity`` in document order: attribution ids are in document
+    order, so their holders, deduplicated in order, are exactly
+    ``segments(seq, granularity)``.
     """
-    ag = attribute(seq, s_target.spec, bodies=bodies)
-    segs, index = _segment_index(seq, granularity)
-    lifted = _lift_owners(ag, granularity, index)
-    m_cur = _band_m(ag, lifted, ag.grid(), len(segs))
-    m_tgt = _band_m(ag, lifted, s_target, len(segs))
-    entries = tuple(
-        InfluenceEntry(seg, float(mc), float(mt), abs(float(mt) - float(mc)))
-        for seg, mc, mt in zip(segs, m_cur, m_tgt)
+    # each holder's slot, numbered in first-seen order; lifted maps an
+    # attribution id's index to its holder's slot
+    slots: dict[SegmentId, int] = {}
+    lifted = np.empty(len(ag.segment_ids), dtype=np.int64)
+    for k, sid in enumerate(ag.segment_ids):
+        lifted[k] = slots.setdefault(_holder(sid, granularity), len(slots))
+    m_cur = _band_m(ag, lifted, ag.grid(), len(slots))
+    m_tgt = _band_m(ag, lifted, s_target, len(slots))
+    return InfluenceVector(
+        tuple(InfluenceEntry(sid, float(mc), float(mt)) for sid, mc, mt in zip(slots, m_cur, m_tgt))
     )
-    return InfluenceVector(entries)
 
 
 def select_segments(iv: InfluenceVector) -> tuple[SegmentId, ...]:
@@ -114,4 +95,4 @@ def select_segments(iv: InfluenceVector) -> tuple[SegmentId, ...]:
     js = [Fraction(e.j) for e in iv.entries]
     total = sum(js)
     count = len(js)
-    return tuple(e.segment.id for e, j in zip(iv.entries, js) if j * count > total)
+    return tuple(e.segment for e, j in zip(iv.entries, js) if j * count > total)

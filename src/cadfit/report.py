@@ -10,7 +10,6 @@ from __future__ import annotations
 import statistics
 
 from .engine import EPSILON, PATIENCE, POOL_RES, EditResult, EngineConfig
-from .gridio import write_text_atomic
 from .metrics import DEFAULT_LAMBDA, MetricsReport, invalid_rate
 from .planner import InfluenceEntry
 
@@ -31,7 +30,7 @@ def metrics_lines(rep: MetricsReport) -> list[str]:
 
 def influence_lines(entries: tuple[InfluenceEntry, ...]) -> list[str]:
     return [
-        f"influence {e.segment.id.label()} {fmt(e.m_current)} {fmt(e.m_target)} {fmt(e.j)}"
+        f"influence {e.segment.label()} {fmt(e.m_current)} {fmt(e.m_target)} {fmt(e.j)}"
         for e in entries
     ]
 
@@ -108,7 +107,3 @@ def eval_report(
     agg.append(("edit_distance_mean", statistics.fmean(r.edit_distance for r in reports)))
     lines.extend(_section("aggregate", agg))
     return "\n".join(lines[:-1]) + "\n"
-
-
-def write_report(path, text: str) -> None:
-    write_text_atomic(path, text)

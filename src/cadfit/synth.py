@@ -65,6 +65,8 @@ class SynthSpec:
             raise ValueError(f"classes must be a nonempty subset of {EDIT_CLASSES}")
         if not 1 <= self.min_pairs <= self.max_pairs:
             raise ValueError("need 1 <= min_pairs <= max_pairs")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

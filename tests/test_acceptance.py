@@ -19,6 +19,7 @@ from cadfit.generator import infill
 from cadfit.kernel import (
     GridSpec,
     TSDFGrid,
+    attribute,
     render,
     sdf_difference,
     sdf_intersection,
@@ -198,7 +199,7 @@ def test_criterion_05_planner(capfd):
             own = render(seq)
         except RenderInvalidError:
             continue
-        iv = relative_scores(seq, own)
+        iv = relative_scores(attribute(seq, own.spec), own)
         if all(e.j == 0.0 for e in iv.entries):
             zero_ok += 1
         else:
@@ -207,7 +208,7 @@ def test_criterion_05_planner(capfd):
     hits = 0
     for t in trips:
         truth_pairs = changed_segments(t.original, t.truth, Granularity.PAIR)
-        iv = relative_scores(t.original, t.target, Granularity.PAIR)
+        iv = relative_scores(attribute(t.original, t.target.spec), t.target, Granularity.PAIR)
         top = max(range(len(iv.entries)), key=lambda k: iv.entries[k].j)
         hits += top in truth_pairs
     el = time.perf_counter() - t0

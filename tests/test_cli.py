@@ -119,6 +119,16 @@ def test_inspect_prints_influence_table(runner):
         assert "influence p0 " in res.stdout
 
 
+def test_inspect_unrenderable_sequence_exits_two(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        res = runner.invoke(main, ["inspect", "bad.seq", "t.tsdf"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("RenderInvalidError:")
+        assert res.stdout == ""
+
+
 def test_metrics_against_grid_omits_structure_fields(runner):
     with runner.isolated_filesystem():
         _write_models()
@@ -331,6 +341,24 @@ def test_eval_seed_env_override(runner):
                             env={"CADFIT_SEED": "9"})
         assert res.exit_code == 0
         assert "seed 9" in Path("r.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["edit", "eval", "synth"])
+def test_negative_seed_is_rejected_before_any_work(runner, command):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        _tiny_corpus(runner)
+        args = {
+            "edit": ["edit", "big.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt", "--n", "0"],
+            "eval": ["eval", "corpus", "--report", "r.txt", "--rounds", "1"],
+            "synth": ["synth", "--spec", "recipe", "-o", "c2"],
+        }[command]
+        res = runner.invoke(main, args + ["--seed", "-1"])
+        assert res.exit_code == 1
+        assert res.stderr == "ValueError: seed must be non-negative, got -1\n"
+        assert "Traceback" not in res.output
+        assert not any(Path(p).exists() for p in ("out.seq", "run.txt", "r.txt", "c2"))
 
 
 # -- report formatting -------------------------------------------------------

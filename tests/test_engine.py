@@ -43,7 +43,7 @@ def _sphere_grid(spec: GridSpec, radius: float = 0.35) -> TSDFGrid:
 def test_constant_grid_embeds_to_constant_latent():
     spec = GridSpec()
     grid = TSDFGrid(spec, np.full((32, 32, 32), 0.125, dtype=np.float32))
-    lat = embed_shape(grid, 8)
+    lat = embed_shape(grid)
     assert lat.shape == (512,)
     assert np.allclose(lat, 0.125)
 
@@ -53,16 +53,15 @@ def test_embed_matches_bruteforce_block_means():
     spec = GridSpec()
     vals = rng.uniform(-0.2, 0.2, (32, 32, 32)).astype(np.float32)
     grid = TSDFGrid(spec, vals)
-    for pool in (2, 4, 8):
-        lat = embed_shape(grid, pool)
-        b = 32 // pool
-        ref = np.empty((pool, pool, pool))
-        for i in range(pool):
-            for j in range(pool):
-                for k in range(pool):
-                    block = vals[i * b : (i + 1) * b, j * b : (j + 1) * b, k * b : (k + 1) * b]
-                    ref[i, j, k] = block.astype(np.float64).mean()
-        assert np.allclose(lat, ref.ravel(), atol=1e-12)
+    lat = embed_shape(grid)
+    b = 32 // 8
+    ref = np.empty((8, 8, 8))
+    for i in range(8):
+        for j in range(8):
+            for k in range(8):
+                block = vals[i * b : (i + 1) * b, j * b : (j + 1) * b, k * b : (k + 1) * b]
+                ref[i, j, k] = block.astype(np.float64).mean()
+    assert np.allclose(lat, ref.ravel(), atol=1e-12)
 
 
 def test_embed_rotates_with_the_grid():
@@ -70,30 +69,30 @@ def test_embed_rotates_with_the_grid():
     spec = GridSpec()
     vals = rng.uniform(-0.2, 0.2, (32, 32, 32)).astype(np.float32)
     rotated = np.rot90(vals, axes=(0, 1)).copy()
-    lat = embed_shape(TSDFGrid(spec, vals), 8).reshape(8, 8, 8)
-    lat_rot = embed_shape(TSDFGrid(spec, rotated), 8).reshape(8, 8, 8)
+    lat = embed_shape(TSDFGrid(spec, vals)).reshape(8, 8, 8)
+    lat_rot = embed_shape(TSDFGrid(spec, rotated)).reshape(8, 8, 8)
     assert np.allclose(lat_rot, np.rot90(lat, axes=(0, 1)), atol=1e-12)
 
 
 def test_embed_rejects_non_divisible_pool():
-    grid = render(cylinder_sequence(), GridSpec())
+    grid = render(cylinder_sequence(), GridSpec(resolution=12))
     with pytest.raises(ResolutionMismatchError):
-        embed_shape(grid, 7)
+        embed_shape(grid)
 
 
 def test_embed_sequence_zero_distance_at_fixed_point():
     spec = GridSpec()
     seq = cylinder_sequence()
-    target_lat = embed_shape(render(seq, spec), 8)
-    assert latent_distance(embed_sequence(seq, spec, 8), target_lat) == 0.0
+    target_lat = embed_shape(render(seq, spec))
+    assert latent_distance(embed_sequence(seq, spec), target_lat) == 0.0
 
 
 def test_unrenderable_sequence_gets_infinite_distance():
     spec = GridSpec()
     outside = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
-    lat = embed_sequence(outside, spec, 8)
+    lat = embed_sequence(outside, spec)
     assert np.all(np.isinf(lat))
-    finite = embed_sequence(cylinder_sequence(), spec, 8)
+    finite = embed_sequence(cylinder_sequence(), spec)
     assert latent_distance(lat, finite) == math.inf
 
 
@@ -104,7 +103,7 @@ def test_lower_latent_distance_tracks_higher_iou():
     # is only trustworthy once the gap clears that disagreement band
     spec = GridSpec()
     sphere = _sphere_grid(spec)
-    sphere_lat = embed_shape(sphere, 8)
+    sphere_lat = embed_shape(sphere)
     agree = total = case = 0
     while total < 100:
         rng = np.random.default_rng([79, 0, case])
@@ -115,8 +114,8 @@ def test_lower_latent_distance_tracks_higher_iou():
         iou_b = iou(render(b, spec), sphere)
         if abs(iou_a - iou_b) < 0.12:
             continue
-        d_a = latent_distance(embed_sequence(a, spec, 8), sphere_lat)
-        d_b = latent_distance(embed_sequence(b, spec, 8), sphere_lat)
+        d_a = latent_distance(embed_sequence(a, spec), sphere_lat)
+        d_b = latent_distance(embed_sequence(b, spec), sphere_lat)
         total += 1
         agree += (iou_a > iou_b) == (d_a < d_b)
     assert agree >= 95
@@ -125,32 +124,28 @@ def test_lower_latent_distance_tracks_higher_iou():
 # -- queue -------------------------------------------------------------------
 
 
-def _dummy_latent(v: float) -> np.ndarray:
-    return np.full(8, v)
-
-
 def test_queue_keeps_lowest_distances():
     q = PriorityQueue(capacity=2)
     seqs = [cylinder_sequence(r=40 + 8 * i) for i in range(3)]
     for seq, dist in zip(seqs, (0.5, 0.3, 0.9)):
-        q.push(seq, _dummy_latent(dist), dist)
+        q.push(seq, dist)
     assert [e.distance for e in q.entries()] == [0.3, 0.5]
 
 
 def test_queue_dedups_by_stream():
     q = PriorityQueue(capacity=4)
     seq = cylinder_sequence()
-    q.push(seq, _dummy_latent(0.4), 0.4)
-    q.push(seq, _dummy_latent(0.4), 0.4)
+    q.push(seq, 0.4)
+    q.push(seq, 0.4)
     assert len(q) == 1
 
 
 def test_queue_never_evicts_the_minimum():
     q = PriorityQueue(capacity=1)
     best = cylinder_sequence(r=30)
-    q.push(best, _dummy_latent(0.1), 0.1)
+    q.push(best, 0.1)
     for i, dist in enumerate((0.7, 0.2, 0.9)):
-        q.push(cylinder_sequence(r=50 + 8 * i), _dummy_latent(dist), dist)
+        q.push(cylinder_sequence(r=50 + 8 * i), dist)
     assert q.best().seq == best
     assert q.best_distance() == 0.1
 
@@ -159,32 +154,31 @@ def test_queue_ties_break_by_insertion_order():
     q = PriorityQueue(capacity=3)
     first = cylinder_sequence(r=40)
     second = cylinder_sequence(r=41)
-    q.push(first, _dummy_latent(0.5), 0.5)
-    q.push(second, _dummy_latent(0.5), 0.5)
+    q.push(first, 0.5)
+    q.push(second, 0.5)
     assert q.best().seq == first
 
 
 def test_queue_rejects_bad_distances():
     q = PriorityQueue()
     with pytest.raises(ValueError):
-        q.push(cylinder_sequence(), _dummy_latent(0.0), -0.5)
+        q.push(cylinder_sequence(), -0.5)
     with pytest.raises(ValueError):
-        q.push(cylinder_sequence(), _dummy_latent(0.0), math.nan)
+        q.push(cylinder_sequence(), math.nan)
     with pytest.raises(ValueError):
         PriorityQueue(capacity=0)
 
 
 def _push_all(q, seqs, target_lat, spec):
     for seq in seqs:
-        latent = embed_sequence(seq, spec, 8)
-        q.push(seq, latent, latent_distance(latent, target_lat))
+        q.push(seq, latent_distance(embed_sequence(seq, spec), target_lat))
     return q.best().seq
 
 
 def test_queue_push_picks_exact_match():
     spec = GridSpec()
     good = cylinder_sequence()
-    target_lat = embed_shape(render(good, spec), 8)
+    target_lat = embed_shape(render(good, spec))
     q = PriorityQueue(capacity=3)
     best = _push_all(q, (cylinder_sequence(r=30), good), target_lat, spec)
     assert best == good
@@ -193,7 +187,7 @@ def test_queue_push_picks_exact_match():
 
 def test_queue_push_remembers_earlier_rounds():
     spec = GridSpec()
-    target_lat = embed_shape(render(cylinder_sequence(r=60), spec), 8)
+    target_lat = embed_shape(render(cylinder_sequence(r=60), spec))
     q = PriorityQueue(capacity=3)
     close = _push_all(q, (cylinder_sequence(r=58),), target_lat, spec)
     before = q.best_distance()
@@ -353,6 +347,7 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
         {"max_rounds": 0},
         {"queue_capacity": 0},
         {"n": -1},
+        {"seed": -1},
     ],
 )
 def test_engine_config_rejects_bad_fields(kw):

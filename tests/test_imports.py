@@ -1,4 +1,5 @@
-"""Static check: every name a cadfit module imports is used in that module.
+"""Static checks: every name a cadfit module imports is used in that module,
+and every module-level private name is referenced in the module defining it.
 
 Standard library only, so it runs wherever the tests do; no linter needed.
 """
@@ -24,10 +25,29 @@ def _imported(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_name`` bindings (not dunders) to their line numbers."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
 def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere in the module; binding a name does not use it."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         # a quoted annotation names its types inside a string
         elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
@@ -42,4 +62,13 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
+    assert unused == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_references_every_private_name_it_defines(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    defined = _private_definitions(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in defined.items() if name not in used]
     assert unused == []

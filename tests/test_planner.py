@@ -8,7 +8,7 @@ import pytest
 from helpers import circle_pair
 
 from cadfit.errors import EmptyListError, RenderInvalidError
-from cadfit.kernel import GridSpec, attribute, render
+from cadfit.kernel import GridSpec, TSDFGrid, attribute, render
 from cadfit.planner import (
     BAND_WIDTH,
     InfluenceEntry,
@@ -25,8 +25,12 @@ def _fake_vector(seq, js, granularity=Granularity.PAIR):
     segs = segments(seq, granularity)
     assert len(segs) == len(js)
     return InfluenceVector(
-        tuple(InfluenceEntry(seg, 0.0, j, abs(j)) for seg, j in zip(segs, js))
+        tuple(InfluenceEntry(seg.id, 0.0, j) for seg, j in zip(segs, js))
     )
+
+
+def _scores(seq, target: TSDFGrid, granularity=Granularity.PRIMITIVE):
+    return relative_scores(attribute(seq, target.spec), target, granularity)
 
 
 def _three_pair_sequence():
@@ -39,26 +43,16 @@ def _three_pair_sequence():
     )
 
 
-# -- entry invariants -------------------------------------------------------
-
-
-def test_influence_entry_enforces_consistency():
-    seg = segments(_three_pair_sequence(), Granularity.PAIR)[0]
-    with pytest.raises(ValueError):
-        InfluenceEntry(seg, 0.2, 0.5, 0.1)
-
-
 # -- influence --------------------------------------------------------------
 
 
 def test_influence_self_overlap_matches_attribution_counts():
     seq = _three_pair_sequence()
     spec = GridSpec()
-    shape = render(seq, spec)
-    m = np.array([e.m_current for e in relative_scores(seq, shape, Granularity.PAIR).entries])
+    ag = attribute(seq, spec)
+    m = np.array([e.m_current for e in relative_scores(ag, render(seq, spec), Granularity.PAIR).entries])
     # against its own render, every banded voxel is near-surface, so M
     # reduces to |A_i| / (|A_i| + 1); recompute that from attribution
-    ag = attribute(seq, spec)
     band = np.abs(ag.values) < BAND_WIDTH * spec.pitch
     for k in range(3):
         owned = np.zeros_like(band)
@@ -70,11 +64,30 @@ def test_influence_self_overlap_matches_attribution_counts():
     assert ((m >= 0) & (m < 1)).all()
 
 
-def test_influence_propagates_render_errors():
-    bad = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
-    shape = render(_three_pair_sequence())
-    with pytest.raises(RenderInvalidError):
-        relative_scores(bad, shape)
+def _tilted(seq, phi=64):
+    return ConstructionSequence(
+        tuple((sketch, replace(ext, orientation=(ext.orientation[0], phi, ext.orientation[2])))
+              for sketch, ext in seq.pairs)
+    )
+
+
+def test_scored_segments_follow_document_order():
+    rng = np.random.default_rng(59)
+    spec = GridSpec(resolution=16)
+    target = render(_three_pair_sequence(), spec)
+    checked = 0
+    while checked < 24:
+        seq = random_renderable(rng, spec)
+        if checked % 2:
+            seq = _tilted(seq)
+        try:
+            ag = attribute(seq, spec)
+        except RenderInvalidError:
+            continue
+        checked += 1
+        for g in Granularity:
+            entries = relative_scores(ag, target, g).entries
+            assert [e.segment for e in entries] == [s.id for s in segments(seq, g)]
 
 
 def test_relative_scores_zero_on_identical_shapes():
@@ -83,7 +96,7 @@ def test_relative_scores_zero_on_identical_shapes():
     for _ in range(20):
         seq = random_renderable(rng, spec)
         shape = render(seq, spec)
-        iv = relative_scores(seq, shape)
+        iv = _scores(seq, shape)
         assert all(e.j == 0.0 for e in iv.entries)
         assert all(e.m_current == e.m_target for e in iv.entries)
 
@@ -97,7 +110,7 @@ def test_moved_cylinder_tops_ablation_oracle():
     current = render(seq, spec)
     target = render(ConstructionSequence((a, b_moved)), spec)
 
-    iv = relative_scores(seq, target, Granularity.PAIR)
+    iv = _scores(seq, target, Granularity.PAIR)
     planner_pick = max(range(2), key=lambda k: iv.entries[k].j)
 
     # oracle: a pair's relevance is how much of the current/target mismatch
@@ -121,7 +134,7 @@ def test_single_edit_cases_rank_edited_segment_first():
     for t in trips:
         assert len(changed_segments(t.original, t.truth)) == 1
         truth_pairs = changed_segments(t.original, t.truth, Granularity.PAIR)
-        iv = relative_scores(t.original, t.target, Granularity.PAIR)
+        iv = _scores(t.original, t.target, Granularity.PAIR)
         top = max(range(len(iv.entries)), key=lambda k: iv.entries[k].j)
         hits += top in truth_pairs
     assert hits >= 17
