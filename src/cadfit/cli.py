@@ -93,6 +93,9 @@ def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
 
 
 def _engine_config(rounds, n, queue, seed, granularity) -> EngineConfig:
+    for flag, value, least in (("--rounds", rounds, 1), ("--n", n, 0), ("--queue", queue, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     return EngineConfig(
         max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=Granularity(granularity)
     )

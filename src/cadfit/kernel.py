@@ -25,7 +25,30 @@ its height, which leaves every nonzero sum unchanged and can flip only the
 sign of a zero one, and the profile never sees that sign because no
 quantized 2D coordinate is zero; likewise x and y enter the height only as
 +-0 terms.  Values and owners are bit-identical to evaluating every body at
-every cell center, which every other body still does.
+every cell center, which ``attribute`` still does for every other body.
+
+``render`` evaluates a body that is off the z axis, and not read from the
+store, only in the blocks of cells its surface band can reach.  It first
+evaluates the body at the centers of 4^3-cell blocks, laid over the grid
+padded up to whole blocks when 4 does not divide n (at resolution 32 these
+are ``embed_shape``'s pooling blocks).  A block whose center value f_c has
+|f_c| >= tau + 1.5 sqrt(3) pitch + a 1e-9 margin is filled with
+sign(f_c) * tau, and only the other blocks' cells are evaluated.  The result
+is again exact.  Every body field is 1-Lipschitz: a loop's boundary distance
+is, and its winding sign flips only on the boundary, where that distance is
+zero; the max with negated holes, uniform scaling, the extrusion formula
+(the distance to the quadrant d <= 0, slab <= 0, with d and the slab term
+1-Lipschitz in orthogonal coordinates) and an orthonormal placement all keep
+that.  Every cell center lies within the half-diagonal 1.5 sqrt(3) pitch of
+its block's center, so a filled cell's true value has the sign of f_c and a
+magnitude of at least tau; the margin absorbs float64 rounding.  Clamping
+to [-tau, tau] commutes with min, max and negation, and the float32 cast is
+monotone with tau exact in float32, so the stored grid is bit-identical: an
+in-band value (|v| < tau) lies strictly between the filled values of either
+sign, so every min and max of the fold picks the same in-band operand, bit
+for bit, and every out-of-band result keeps its sign and clamps to the same
++-tau.  ``attribute`` stays dense, because its owners outside the band are
+part of its contract, and bodies read from the store are full fields.
 
 ``render`` and ``attribute`` accept a body store: a dict, owned by the
 caller, from the frozen ``(Sketch, Extrusion, GridSpec)`` to the body's
@@ -73,6 +96,9 @@ DOMAIN_MIN = -0.5
 DOMAIN_MAX = 0.5
 
 _TWO_PI = 2.0 * math.pi
+
+_BLOCK = 4  # cell edge of the blocks a banded render culls (see the module notes)
+_CULL_MARGIN = 1e-9  # slack over the Lipschitz bound for float64 rounding
 
 
 @dataclass(frozen=True)
@@ -338,6 +364,29 @@ def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     return _extrude(sketch, ext, local[..., :2], local[..., 2], owners=False)[0]
 
 
+def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Body field on the (n, n, n) grid, exact wherever it can reach the
+    truncation band and sign * tau in every block it cannot (see the module
+    notes)."""
+    n, pitch, tau = spec.resolution, spec.pitch, spec.tau
+    nb = -(-n // _BLOCK)
+    # cell centers of the grid padded to whole blocks; the first n are spec.centers()
+    c = DOMAIN_MIN + (np.arange(nb * _BLOCK) + 0.5) * pitch
+    mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
+    local = (np.stack(np.meshgrid(mid, mid, mid, indexing="ij"), axis=-1).reshape(-1, 3) - origin) @ rot
+    fc = _extrude(sketch, ext, local[:, :2], local[:, 2], False)[0]
+    reach = tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN
+    near = np.flatnonzero(np.abs(fc) < reach)
+    blocks = np.repeat(np.where(fc < 0, -tau, tau)[:, None], _BLOCK**3, axis=1)
+    # each near block's cell indices, in [ix, iy, iz] order within the block
+    offsets = np.stack(np.meshgrid(*(np.arange(_BLOCK),) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    cell = np.stack(np.unravel_index(near, (nb,) * 3), axis=-1)[:, None, :] * _BLOCK + offsets
+    local = (c[cell].reshape(-1, 3) - origin) @ rot
+    blocks[near] = _extrude(sketch, ext, local[:, :2], local[:, 2], False)[0].reshape(len(near), -1)
+    m = nb * _BLOCK
+    return blocks.reshape((nb,) * 3 + (_BLOCK,) * 3).transpose(0, 3, 1, 4, 2, 5).reshape(m, m, m)[:n, :n, :n]
+
+
 # --------------------------------------------------------------------------
 # boolean algebra
 
@@ -375,23 +424,31 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
     contents with the sequence's bodies once the fold is done.
     """
     n = spec.resolution
-    c = spec.centers()
-    layer = np.stack(np.meshgrid(c, c, c[:1], indexing="ij"), axis=-1).reshape(n * n, 3)
-    column = np.stack(np.meshgrid(c[:1], c[:1], c, indexing="ij"), axis=-1).reshape(n, 3)
-    pts = None  # the n^3 cell centers, built only for a body that needs them
+    lattice = pts = None  # coordinates, built only for a body that needs them
 
-    def coords(ext):
-        """Sketch-plane coordinates and heights that broadcast to (n, n, n)."""
-        nonlocal pts
+    def evaluate(sketch, ext):
+        """A body's field, cap mask and nearest primitive, broadcastable to
+        (n, n, n); its coordinates die with the call, before the fold allocates."""
+        nonlocal lattice, pts
         rot, origin = placement_frame(ext)
         if rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
             # z-aligned: the profile on the iz = 0 layer, the slab on the
             # ix = iy = 0 column (see the module notes)
-            return ((layer - origin) @ rot)[:, :2].reshape(n, n, 1, 2), ((column - origin) @ rot)[:, 2]
+            if lattice is None:
+                c = spec.centers()
+                lattice = (
+                    np.stack(np.meshgrid(c, c, c[:1], indexing="ij"), axis=-1).reshape(n * n, 3),
+                    np.stack(np.meshgrid(c[:1], c[:1], c, indexing="ij"), axis=-1).reshape(n, 3),
+                )
+            layer, column = lattice
+            plane = ((layer - origin) @ rot)[:, :2].reshape(n, n, 1, 2)
+            return _extrude(sketch, ext, plane, ((column - origin) @ rot)[:, 2], owners)
+        if not owners:
+            return _banded(sketch, ext, spec, rot, origin), None, None
         if pts is None:
             pts = spec.points()
         local = ((pts - origin) @ rot).reshape(n, n, n, 3)
-        return local[..., :2], local[..., 2]
+        return _extrude(sketch, ext, local[..., :2], local[..., 2], owners)
 
     keep = owners and bodies is not None
     kept = {}  # this sequence's bodies: the store's contents after an attribution
@@ -402,8 +459,7 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
         key = (sketch, ext, spec)
         body = None if bodies is None else bodies.get(key)
         if body is None:
-            # the coordinates die with the call, before the fold allocates
-            body = _extrude(sketch, ext, *coords(ext), owners)
+            body = evaluate(sketch, ext)
             if keep:
                 for a in body:
                     a.flags.writeable = False

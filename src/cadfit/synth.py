@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .engine import POOL_RES
 from .errors import ExhaustedAttemptsError, RenderInvalidError
 from .gridio import (
     read_sequence_file,
@@ -67,6 +68,9 @@ class SynthSpec:
             raise ValueError("need 1 <= min_pairs <= max_pairs")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.grid.resolution % POOL_RES:
+            # the engine embeds a target by pooling it to POOL_RES per axis
+            raise ValueError(f"resolution must be a multiple of {POOL_RES}, got {self.grid.resolution}")
 
 
 @dataclass(frozen=True)

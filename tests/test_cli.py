@@ -291,6 +291,18 @@ def test_synth_rejects_unknown_recipe_key(runner):
         assert res.stderr.startswith("ValueError:")
 
 
+@pytest.mark.parametrize("where", ["flag", "recipe"])
+def test_synth_rejects_a_resolution_the_engine_cannot_pool(runner, where):
+    with runner.isolated_filesystem():
+        with open("recipe", "w") as fh:
+            fh.write("corpus_size 2\nclasses param-jitter\n" + ("resolution 12\n" if where == "recipe" else ""))
+        extra = ["--res", "12"] if where == "flag" else []
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"] + extra)
+        assert res.exit_code == 1
+        assert res.stderr == "ValueError: resolution must be a multiple of 8, got 12\n"
+        assert not Path("c").exists()
+
+
 def test_eval_report_structure_and_determinism(runner):
     with runner.isolated_filesystem():
         _tiny_corpus(runner)
@@ -359,6 +371,25 @@ def test_negative_seed_is_rejected_before_any_work(runner, command):
         assert res.stderr == "ValueError: seed must be non-negative, got -1\n"
         assert "Traceback" not in res.output
         assert not any(Path(p).exists() for p in ("out.seq", "run.txt", "r.txt", "c2"))
+
+
+@pytest.mark.parametrize("command", ["edit", "eval"])
+@pytest.mark.parametrize(
+    "flag, value, least", [("--rounds", "0", 1), ("--n", "-1", 0), ("--queue", "0", 1)]
+)
+def test_bad_engine_flag_is_named_in_the_error(runner, command, flag, value, least):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        _tiny_corpus(runner)
+        args = {
+            "edit": ["edit", "big.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt"],
+            "eval": ["eval", "corpus", "--report", "r.txt"],
+        }[command]
+        res = runner.invoke(main, args + [flag, value])
+        assert res.exit_code == 1
+        assert res.stderr == f"ValueError: {flag} must be at least {least}, got {value}\n"
+        assert not any(Path(p).exists() for p in ("out.seq", "run.txt", "r.txt"))
 
 
 # -- report formatting -------------------------------------------------------

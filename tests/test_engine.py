@@ -305,23 +305,24 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
     original = _tilted_three_pairs(64, 20)
     target = render(_tilted_three_pairs(80, 34), GridSpec())
 
-    extruded, drawn, before_report = [], [], []
-    real_extrude, real_infill, real_report = kernel._extrude, engine.infill, engine.report_for
+    evaluated, drawn, before_report = [], [], []
+    real_frame, real_infill, real_report = kernel.placement_frame, engine.infill, engine.report_for
 
-    def counted_extrude(*args, **kwargs):
-        extruded.append(args[:2])
-        return real_extrude(*args, **kwargs)
+    def counted_frame(ext):
+        # _compose places each body it evaluates exactly once
+        evaluated.append(ext)
+        return real_frame(ext)
 
     def kept_infill(*args, **kwargs):
         drawn.append(real_infill(*args, **kwargs))
         return drawn[-1]
 
     def marked_report(*args, **kwargs):
-        before_report.append(len(extruded))
+        before_report.append(len(evaluated))
         return real_report(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(kernel, "_extrude", counted_extrude)
+        m.setattr(kernel, "placement_frame", counted_frame)
         m.setattr(engine, "infill", kept_infill)
         m.setattr(engine, "report_for", marked_report)
         run(original, target, EngineConfig(max_rounds=1, seed=1))

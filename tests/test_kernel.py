@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import circle_pair, cube_sequence, cylinder_sequence, extrusion, square_loop, star_polygon_loop
 
+from cadfit import kernel
 from cadfit.errors import (
     DegenerateLoopError,
     EmptySurfaceError,
@@ -17,12 +18,14 @@ from cadfit.errors import (
     ZeroExtentError,
 )
 from cadfit.kernel import (
+    DOMAIN_MIN,
     GridSpec,
     TSDFGrid,
     _extrude,
     arc_center_radius,
     attribute,
     body_sdf,
+    extent_interval,
     loop_sdf,
     placement_frame,
     profile_sdf,
@@ -44,6 +47,7 @@ from cadfit.sequence import (
     SegmentId,
     SegmentKind,
     Sketch,
+    chain_vertices,
 )
 from cadfit.synth import random_renderable, random_sequence
 
@@ -552,6 +556,119 @@ def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
     seq = _z_aligned(random_renderable(np.random.default_rng(71), GridSpec()), np.random.default_rng(73))
     monkeypatch.setattr(GridSpec, "points", None)  # a call would now raise
     assert (attribute(seq).values < 0).any()
+
+
+# -- banded render --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ["tilted", "mixed"])
+@pytest.mark.parametrize("resolution", [16, 17, 32])
+def test_banded_render_matches_the_dense_fold_bitwise(resolution, variant):
+    rng = np.random.default_rng([resolution, len(variant), 5])
+    spec = GridSpec(resolution=resolution)
+    ops, checked = set(), 0
+    while checked < 6 or ops != set(BoolOp):
+        seq = _placed(random_sequence(rng), rng, variant)
+        if _assert_equals_dense_fold(seq, spec):
+            ops.update(ext.bool_op for _, ext in seq.pairs)
+            checked += 1
+
+
+@st.composite
+def tilted_bodies(draw):
+    """One body off the z axis: a circle or a chain of lines and arcs, at any
+    theta and gamma bins, a non-zero phi bin, and any scale and extent, placed
+    so that a point of its surface lies within a pitch of a 4^3 block corner."""
+    spec = GridSpec(resolution=draw(st.integers(8, 33)))
+    if draw(st.booleans()):
+        cx, cy, r = draw(st.integers(64, 192)), draw(st.integers(64, 192)), draw(st.integers(20, 90))
+        loop = Loop((Circle((cx, cy), r),))
+        turn = draw(st.floats(0.0, 2 * math.pi))
+        rim = np.array([dequantize(cx, Channel.COORD_2D), dequantize(cy, Channel.COORD_2D)])
+        rim += dequantize(r, Channel.DISTANCE) * np.array([math.cos(turn), math.sin(turn)])
+    else:
+        loop = star_polygon_loop(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), arc_prob=0.4)
+        rim = np.array([dequantize(b, Channel.COORD_2D) for b in chain_vertices(loop)[0]])
+    bins = st.integers(0, 255)
+    ext = extrusion(
+        orientation=(draw(bins), draw(st.integers(1, 255)), draw(bins)),
+        scale=draw(st.integers(1, 255)),
+        extent=draw(st.sampled_from(tuple(Extent))),
+        dist_pos=draw(st.integers(1, 128)),
+        dist_neg=draw(st.integers(0, 128)),
+    )
+    lo, hi = extent_interval(ext)
+    surface = np.append(dequantize(ext.scale, Channel.SCALE) * rim, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+    offset = placement_frame(ext)[0] @ surface
+    ticks = DOMAIN_MIN + 4 * spec.pitch * np.arange(-(-spec.resolution // 4) + 1)
+    # per axis, the block corners that keep the origin inside the domain
+    choices = [ticks[np.abs(ticks - o) <= 0.5] for o in offset]
+    assume(all(len(c) for c in choices))
+    origin = (draw(st.sampled_from(c.tolist())) - o for c, o in zip(choices, offset))
+    ext = dataclasses.replace(ext, origin=tuple(quantize(float(o), Channel.COORD_3D) for o in origin))
+    return ConstructionSequence(((Sketch((loop,)), ext),)), spec
+
+
+@given(tilted_bodies())
+def test_tilted_body_matches_the_dense_fold_bitwise(case):
+    _assert_equals_dense_fold(*case)
+
+
+def test_banded_render_skips_the_cells_a_small_tilted_body_cannot_reach(monkeypatch):
+    seen, real = [], kernel._extrude
+
+    def counted(sketch, ext, plane, height, owners):
+        seen.append(math.prod(np.broadcast_shapes(plane.shape[:-1], np.shape(height))))
+        return real(sketch, ext, plane, height, owners)
+
+    monkeypatch.setattr(kernel, "_extrude", counted)
+    spec = GridSpec()
+    render(ConstructionSequence((circle_pair(r=30, dist_pos=40, orientation=(0, 64, 0)),)), spec)
+    assert len(seen) == 2  # the block centers, then the cells of the blocks near the surface
+    assert sum(seen) < spec.resolution**3 // 2
+
+
+def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch):
+    """A block whose center value is exactly tau plus the 4^3 half-diagonal
+    inside the body still has every cell evaluated."""
+    spec = GridSpec(resolution=16)
+    edge = -(spec.tau + 1.5 * math.sqrt(3.0) * spec.pitch)
+    seen = []
+
+    def flat(sketch, ext, plane, height, owners):
+        shape = np.broadcast_shapes(plane.shape[:-1], np.shape(height))
+        seen.append(math.prod(shape))
+        return np.full(shape, edge), None, None
+
+    monkeypatch.setattr(kernel, "_extrude", flat)
+    grid = render(ConstructionSequence((circle_pair(orientation=(0, 64, 0)),)), spec)
+    assert seen == [4**3, 16**3]
+    assert (grid.values == -grid.spec.tau).all()
+
+
+def test_bodies_are_placed_once_and_store_hits_build_no_coordinates(monkeypatch):
+    rng = np.random.default_rng(79)
+    spec = GridSpec()
+    seq = _turned(random_renderable(rng, spec, min_pairs=2), rng, tilt_share=0.5)
+    placed, real = [], kernel.placement_frame
+
+    def counted(ext):
+        placed.append(ext)
+        return real(ext)
+
+    monkeypatch.setattr(kernel, "placement_frame", counted)
+    store = {}
+    attribute(seq, spec, bodies=store)
+    grid = render(seq, spec)
+    assert placed == [ext for _, ext in seq.pairs] * 2
+
+    def refuse(*_):
+        raise AssertionError("a body read from the store was placed again")
+
+    monkeypatch.setattr(kernel, "placement_frame", refuse)
+    monkeypatch.setattr(GridSpec, "points", None)  # a call would now raise
+    monkeypatch.setattr(GridSpec, "centers", None)
+    assert np.array_equal(render(seq, spec, bodies=store).values.view(np.uint32), grid.values.view(np.uint32))
 
 
 # -- body store ---------------------------------------------------------------
