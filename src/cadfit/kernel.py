@@ -8,6 +8,13 @@ JOIN apply ``sdf_union`` (min), CUT ``sdf_difference`` (max with the
 negated body) and INTERSECT ``sdf_intersection`` (max).  Truncation to
 [-tau, tau] happens once, when the composed field is stored on a grid.
 
+The 2D layer works on x and y planes.  ``_loop_eval`` copies the two
+coordinates of its points once per loop, and every distance is
+sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
+length-2 axis, so the values are bit-identical without that reduction.  A
+segment's projection parameter stays a matmul on the (..., 2) points: BLAS
+fuses its multiply-add, which the elementwise form would round differently.
+
 Attribution runs inside the same fold, which is what the planner consumes.
 A voxel belongs to the last pair that changed its composed value; a pair
 that only ties the value leaves it with the earlier pair.  Within that
@@ -111,11 +118,13 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 8:
             raise ValueError(f"resolution {self.resolution} below the minimum of 8")
-        if not self.tau > 0:
-            raise ValueError("truncation tau must be positive")
-        # the binary format stores tau as float32; normalize here so a
-        # written and re-read spec compares equal
-        object.__setattr__(self, "tau", float(np.float32(self.tau)))
+        # the binary format stores tau as float32; normalize here so a written
+        # and re-read spec compares equal, and reject a tau it cannot hold
+        with np.errstate(over="ignore"):
+            tau = float(np.float32(self.tau))
+        if not 0 < tau < math.inf:
+            raise ValueError(f"truncation tau {self.tau} is not positive and finite in float32")
+        object.__setattr__(self, "tau", tau)
 
     @property
     def pitch(self) -> float:
@@ -180,13 +189,15 @@ class AttributionGrid:
 # 2D primitives
 
 
-def _segment_distance(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+def _distance(x: np.ndarray, y: np.ndarray, p) -> np.ndarray:
+    return np.sqrt((x - p[0]) ** 2 + (y - p[1]) ** 2)
+
+
+def _segment_distance(a: np.ndarray, b: np.ndarray, pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ab = b - a
-    ap = pts - a
     denom = float(ab @ ab)
-    t = np.clip((ap @ ab) / denom, 0.0, 1.0)
-    closest = a + t[..., None] * ab
-    return np.linalg.norm(pts - closest, axis=-1)
+    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+    return _distance(x, y, (a[0] + t * ab[0], a[1] + t * ab[1]))
 
 
 def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]:
@@ -209,21 +220,16 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     return center, radius
 
 
-def _arc_distance(a, b, center, radius, sweep, ccw, pts) -> np.ndarray:
-    rel = pts - center
-    ang = np.arctan2(rel[..., 1], rel[..., 0])
+def _arc_distance(a, b, center, radius, sweep, ccw, x, y) -> np.ndarray:
+    ang = np.arctan2(y - center[1], x - center[0])
     start = math.atan2(a[1] - center[1], a[0] - center[0])
-    if ccw:
-        offset = (ang - start) % _TWO_PI
-    else:
-        offset = (start - ang) % _TWO_PI
-    on_arc = offset <= sweep
-    ring = np.abs(np.linalg.norm(rel, axis=-1) - radius)
-    caps = np.minimum(np.linalg.norm(pts - a, axis=-1), np.linalg.norm(pts - b, axis=-1))
+    on_arc = ((ang - start) if ccw else (start - ang)) % _TWO_PI <= sweep
+    ring = np.abs(_distance(x, y, center) - radius)
+    caps = np.minimum(_distance(x, y, a), _distance(x, y, b))
     return np.where(on_arc, ring, caps)
 
 
-def _winding_contribution(a, b, pts, arc=None) -> np.ndarray:
+def _winding_contribution(a, b, x, y, arc=None) -> np.ndarray:
     """Angle swept at each point by travel from ``a`` to ``b``.
 
     ``arc`` is the arc's ``(center, radius, ccw)``, or None for a line.  The
@@ -231,13 +237,13 @@ def _winding_contribution(a, b, pts, arc=None) -> np.ndarray:
     the two cannot disagree on which side a borderline point falls.  Points
     exactly on an arc's open chord get the value both one-sided limits share.
     """
-    cross = (b[0] - a[0]) * (pts[..., 1] - a[1]) - (b[1] - a[1]) * (pts[..., 0] - a[0])
-    dot = (a[0] - pts[..., 0]) * (b[0] - pts[..., 0]) + (a[1] - pts[..., 1]) * (b[1] - pts[..., 1])
+    cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+    dot = (a[0] - x) * (b[0] - x) + (a[1] - y) * (b[1] - y)
     angle = np.arctan2(cross, dot)
     if arc is None:
         return angle
     center, radius, ccw = arc
-    inside = np.linalg.norm(pts - center, axis=-1) < radius
+    inside = _distance(x, y, center) < radius
     if ccw:
         angle = np.where(inside & (cross < 0), angle + _TWO_PI, angle)
         return np.where(inside & (cross == 0), math.pi, angle)
@@ -258,25 +264,25 @@ def _loop_vertices(loop: Loop) -> list[np.ndarray]:
 
 def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed field (negative inside) and per-primitive boundary distances (nprim, ...)."""
+    x, y = pts[..., 0].copy(), pts[..., 1].copy()
     prim = loop.primitives[0]
     if isinstance(prim, Circle):
-        center = np.array([dequantize(prim.center[0], Channel.COORD_2D), dequantize(prim.center[1], Channel.COORD_2D)])
-        radius = dequantize(prim.radius, Channel.DISTANCE)
-        f = np.linalg.norm(pts - center, axis=-1) - radius
+        center = (dequantize(prim.center[0], Channel.COORD_2D), dequantize(prim.center[1], Channel.COORD_2D))
+        f = _distance(x, y, center) - dequantize(prim.radius, Channel.DISTANCE)
         return f, np.abs(f)[None]
     verts = _loop_vertices(loop)
     rows = []
-    total = np.zeros(pts.shape[:-1])
+    total = np.zeros(x.shape)
     for k, p in enumerate(loop.primitives):
         a, b = verts[k], verts[(k + 1) % len(verts)]
         if isinstance(p, Line):
-            rows.append(_segment_distance(a, b, pts))
-            total += _winding_contribution(a, b, pts)
+            rows.append(_segment_distance(a, b, pts, x, y))
+            total += _winding_contribution(a, b, x, y)
         else:
             sweep = dequantize(p.sweep, Channel.ANGLE)
             center, radius = arc_center_radius(a, b, sweep, p.ccw)
-            rows.append(_arc_distance(a, b, center, radius, sweep, p.ccw, pts))
-            total += _winding_contribution(a, b, pts, (center, radius, p.ccw))
+            rows.append(_arc_distance(a, b, center, radius, sweep, p.ccw, x, y))
+            total += _winding_contribution(a, b, x, y, (center, radius, p.ccw))
     rows = np.stack(rows)
     dist = rows.min(axis=0)
     winding = np.rint(total / _TWO_PI)

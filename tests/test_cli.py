@@ -62,6 +62,17 @@ def test_render_empty_solid_exits_two(runner):
         assert res.stderr.startswith("RenderInvalidError:")
 
 
+@pytest.mark.parametrize("tau", ["inf", "1e39"])
+def test_render_rejects_a_tau_that_is_infinite_in_float32(runner, tau):
+    with runner.isolated_filesystem():
+        _write_models()
+        res = runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf", "--tau", tau])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("ValueError: truncation tau")
+        assert len(res.stderr.splitlines()) == 1
+        assert not Path("t.tsdf").exists()
+
+
 def test_render_resolution_env_override(runner):
     with runner.isolated_filesystem():
         _write_models()

@@ -112,6 +112,15 @@ def test_read_tsdf_rejects_trailing_bytes(grid, tmp_path):
         read_tsdf(path)
 
 
+def test_read_tsdf_rejects_an_infinite_tau(grid, tmp_path):
+    path = tmp_path / "wide.tsdf"
+    blob = bytearray(tsdf_bytes(grid))
+    struct.pack_into("<f", blob, 7, np.inf)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="tau inf is not positive and finite"):
+        read_tsdf(path)
+
+
 @pytest.mark.parametrize("text", ["", "\n", "16\n"])
 def test_read_grid_text_rejects_short_header(tmp_path, text):
     path = tmp_path / "bad.grid"

@@ -1,6 +1,7 @@
 """Geometry kernel checks against independent oracles."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -728,6 +729,66 @@ def test_body_store_reuse_is_bitwise_equal_to_a_fresh_fold(resolution, variant):
 
         ops.update(ext.bool_op for _, ext in b.pairs)
         checked += 1
+
+
+# -- 2D layer on x/y planes -----------------------------------------------------
+
+
+# sha256 of the render values, attribute values and owners below, and of
+# every body's float64 field, which the float32 grid would hide a last-bit
+# change in: any change to a rounding anywhere in the kernel moves it
+KERNEL_PIN = "11e109855ad5f9d297cf05923ab62c325565c6f543fd53112a289bd67c9b2629"
+
+
+def test_seeded_renders_and_attributions_are_pinned():
+    digest = hashlib.sha256()
+    ops, arcs, holes = set(), 0, 0
+    for resolution in (16, 17, 32):
+        rng = np.random.default_rng([resolution, 97])
+        spec = GridSpec(resolution=resolution)
+        for variant in ("z-aligned", "tilted", "mixed"):
+            for _ in range(4):
+                seq = _placed(random_sequence(rng, min_pairs=2), rng, variant)
+                try:
+                    grid = render(seq, spec)
+                except RenderInvalidError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+                    continue
+                ag = attribute(seq, spec)
+                fields = [body_sdf(sketch, ext, spec.points()) for sketch, ext in seq.pairs]
+                for arr in [grid.values, ag.values, ag.owner] + fields:
+                    digest.update(arr.tobytes())
+                ops.update(ext.bool_op for _, ext in seq.pairs)
+                loops = [loop for sketch, _ in seq.pairs for loop in sketch.loops]
+                arcs += sum(isinstance(p, Arc) for loop in loops for p in loop.primitives)
+                holes += sum(len(sketch.loops) - 1 for sketch, _ in seq.pairs)
+    assert ops == set(BoolOp) and arcs and holes
+    assert digest.hexdigest() == KERNEL_PIN
+
+
+def test_profiles_take_no_norm_over_a_coordinate_axis(monkeypatch):
+    """The 2D layer works on x and y planes: no distance in it is a norm
+    over a trailing length-2 axis (the arc chord's norm on one 2-vector
+    stays)."""
+    real = kernel.np.linalg.norm
+
+    def flat_only(x, *args, **kwargs):
+        assert np.ndim(x) <= 1, f"norm over a {np.shape(x)} array"
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(kernel.np.linalg, "norm", flat_only)
+    rng = np.random.default_rng(83)
+    spec = GridSpec(resolution=16)
+    for variant in ("tilted", "mixed"):
+        checked = 0
+        while checked < 4:
+            seq = _placed(random_sequence(rng, min_pairs=2), rng, variant)
+            try:
+                render(seq, spec)
+            except RenderInvalidError:
+                continue
+            attribute(seq, spec)
+            checked += 1
 
 
 def test_attribution_duplicate_join_stays_with_the_first_pair():
