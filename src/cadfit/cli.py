@@ -32,7 +32,7 @@ from .metrics import jsd, occupancy_histogram, report_for
 from .planner import relative_scores, select_segments
 from .report import eval_report, influence_lines, metrics_lines, run_report
 from .sequence import Granularity
-from .synth import SynthSpec, load_corpus, save_corpus, synth
+from .synth import load_corpus, read_recipe, save_corpus, synth
 
 _res_option = click.option(
     "--res",
@@ -172,28 +172,6 @@ def metrics_cmd(seq_file, other_file, res, lam):
         click.echo(line)
 
 
-def _parse_synth_spec(path: str, seed: int, res: int) -> SynthSpec:
-    fields: dict[str, object] = {"seed": seed}
-    grid_kw = {"resolution": res}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(" ")
-        if key == "classes":
-            fields["classes"] = tuple(value.split(","))
-        elif key in ("corpus_size", "edits_per_triplet", "min_pairs", "max_pairs",
-                     "seed", "min_voxel_delta", "min_band_departure", "max_attempts"):
-            fields[key] = int(value)
-        elif key == "resolution":
-            grid_kw["resolution"] = int(value)
-        elif key == "tau":
-            grid_kw["tau"] = float(value)
-        else:
-            raise ValueError(f"{path}: unknown recipe key {key!r}")
-    return SynthSpec(grid=GridSpec(**grid_kw), **fields)
-
-
 @main.command("synth")
 @click.option("--spec", "spec_file", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--out", required=True, type=click.Path(file_okay=False))
@@ -201,12 +179,13 @@ def _parse_synth_spec(path: str, seed: int, res: int) -> SynthSpec:
 @_res_option
 @_guarded
 def synth_cmd(spec_file, out, seed, res):
-    """Generate a benchmark corpus from a recipe file.
+    """Generate a benchmark corpus from a recipe file of ``key value`` lines.
 
-    The recipe is ``key value`` lines; keys it omits fall back to --seed,
-    --res, and the built-in defaults.
+    Keys and their defaults: corpus_size 50, min_pairs 1, max_pairs 4, seed
+    --seed, resolution --res, tau 0.2, and classes (comma-separated) all of
+    param-jitter, primitive-substitute, loop-add-remove, pair-add-remove.
     """
-    spec = _parse_synth_spec(spec_file, seed, res)
+    spec = read_recipe(spec_file, seed, res)
     triplets = synth(spec)
     Path(out).mkdir(parents=True, exist_ok=True)
     save_corpus(out, triplets, spec)

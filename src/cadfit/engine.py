@@ -170,8 +170,8 @@ class EditResult:
     stop_reason: str
 
 
-def _round_seed(seed: int, round_index: int, lane: int = 0) -> int:
-    return int(np.random.SeedSequence([seed, round_index, lane]).generate_state(1)[0])
+def _round_seed(seed: int, round_index: int) -> int:
+    return int(np.random.SeedSequence([seed, round_index, 0]).generate_state(1)[0])
 
 
 def _uniform_influence(iv, rng):

@@ -9,6 +9,7 @@ token text plus a trailing newline.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import tempfile
@@ -20,6 +21,15 @@ from .sequence import ConstructionSequence, parse_sequence, serialize_sequence
 
 MAGIC = b"TSDF"
 VERSION = 1
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Re-raise a ValueError from reading ``path`` as ``path: message``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -52,22 +62,23 @@ def write_tsdf(path: str, grid: TSDFGrid) -> None:
 def read_tsdf(path: str) -> TSDFGrid:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != MAGIC:
-        raise ValueError(f"{path}: not a tsdf file")
-    offset = 4 + struct.calcsize("<BHf")
-    if len(data) < offset:
-        raise ValueError(f"{path}: truncated header")
-    version, resolution, tau = struct.unpack_from("<BHf", data, 4)
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-    size = offset + 4 * resolution**3
-    if len(data) < size:
-        raise ValueError(f"{path}: truncated payload")
-    if len(data) > size:
-        raise ValueError(f"{path}: {len(data) - size} trailing bytes after the payload")
-    values = np.frombuffer(data, dtype="<f4", offset=offset)
-    cube = values.reshape((resolution, resolution, resolution), order="F")
-    return TSDFGrid(GridSpec(resolution=resolution, tau=float(tau)), cube)
+    with _naming(path):
+        if data[:4] != MAGIC:
+            raise ValueError("not a tsdf file")
+        offset = 4 + struct.calcsize("<BHf")
+        if len(data) < offset:
+            raise ValueError("truncated header")
+        version, resolution, tau = struct.unpack_from("<BHf", data, 4)
+        if version != VERSION:
+            raise ValueError(f"unsupported version {version}")
+        size = offset + 4 * resolution**3
+        if len(data) < size:
+            raise ValueError("truncated payload")
+        if len(data) > size:
+            raise ValueError(f"{len(data) - size} trailing bytes after the payload")
+        values = np.frombuffer(data, dtype="<f4", offset=offset)
+        cube = values.reshape((resolution, resolution, resolution), order="F")
+        return TSDFGrid(GridSpec(resolution=resolution, tau=float(tau)), cube)
 
 
 def write_grid_text(path: str, grid: TSDFGrid) -> None:
@@ -79,17 +90,17 @@ def write_grid_text(path: str, grid: TSDFGrid) -> None:
 
 
 def read_grid_text(path: str) -> TSDFGrid:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _naming(path):
         head = fh.readline().split()
         if len(head) < 2:
-            raise ValueError(f"{path}: header needs a resolution and a tau")
+            raise ValueError("header needs a resolution and a tau")
         resolution, tau = int(head[0]), float(head[1])
         with np.errstate(over="ignore"):  # out-of-range samples become inf, which TSDFGrid rejects
             values = np.array(fh.read().split(), dtype=np.float32)
-    if values.size != resolution**3:
-        raise ValueError(f"{path}: expected {resolution**3} samples for resolution {resolution}, found {values.size}")
-    cube = values.reshape((resolution, resolution, resolution), order="F")
-    return TSDFGrid(GridSpec(resolution=resolution, tau=tau), cube)
+        if values.size != resolution**3:
+            raise ValueError(f"expected {resolution**3} samples for resolution {resolution}, found {values.size}")
+        cube = values.reshape((resolution, resolution, resolution), order="F")
+        return TSDFGrid(GridSpec(resolution=resolution, tau=tau), cube)
 
 
 def write_sequence_file(path: str, seq: ConstructionSequence) -> None:

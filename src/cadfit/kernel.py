@@ -94,9 +94,9 @@ from .sequence import (
     Line,
     Loop,
     SegmentId,
+    SegmentKind,
     Sketch,
     chain_vertices,
-    segments,
 )
 
 DOMAIN_MIN = -0.5
@@ -422,11 +422,10 @@ _BOOLEAN = {
 
 
 def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: dict | None):
-    """Truncated (n, n, n) field and, when ``owners``, the owner grid.
-
-    Owner values index ``segments(seq)``: each pair's primitives in loop
-    order, then its extrusion block.  ``bodies`` is the body store (see the
-    module notes): every call reads it, and an attribution replaces its
+    """Truncated (n, n, n) field and, when ``owners``, the owner grid and the
+    primitive-granularity ids its values index: each pair's primitives in
+    loop order, then its extrusion block.  ``bodies`` is the body store (see
+    the module notes): every call reads it, and an attribution replaces its
     contents with the sequence's bodies once the fold is done.
     """
     n = spec.resolution
@@ -460,8 +459,8 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
     kept = {}  # this sequence's bodies: the store's contents after an attribution
     scene = None
     owner = np.empty((n, n, n), dtype=np.int32) if owners else None
-    first = 0  # index of the current pair's first primitive id
-    for sketch, ext in seq.pairs:
+    ids: list[SegmentId] = []
+    for pi, (sketch, ext) in enumerate(seq.pairs):
         key = (sketch, ext, spec)
         body = None if bodies is None else bodies.get(key)
         if body is None:
@@ -474,10 +473,12 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
         f, cap, nearest = body
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
-            ext_id = first + sum(len(loop.primitives) for loop in sketch.loops)
+            first = len(ids)  # owner value of the pair's first primitive
+            for li, loop in enumerate(sketch.loops):
+                ids += (SegmentId(pi, SegmentKind.PRIMITIVE, li, k) for k in range(len(loop.primitives)))
+            ids.append(SegmentId(pi, SegmentKind.EXTRUSION))
             took = True if scene is None else composed != scene
-            np.copyto(owner, np.where(cap, ext_id, first + nearest), where=took)
-            first = ext_id + 1
+            np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
         scene = composed
     if keep:
         bodies.clear()
@@ -486,7 +487,7 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
     values = np.clip(scene.astype(np.float32), -tau, tau)
     if not (values < 0).any():
         raise RenderInvalidError("composed field has no interior voxels")
-    return values, owner
+    return values, owner, tuple(ids)
 
 
 def render(seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, bodies: dict | None = None) -> TSDFGrid:
@@ -507,8 +508,7 @@ def attribute(
     With a body store, reuses the bodies it holds, then leaves it holding
     exactly this sequence's bodies.
     """
-    values, owner = _compose(seq, spec, True, bodies)
-    return AttributionGrid(spec, values, owner, tuple(s.id for s in segments(seq)))
+    return AttributionGrid(spec, *_compose(seq, spec, True, bodies))
 
 
 # --------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def jsd(p, q) -> float:
     return 0.5 * kl_pm + 0.5 * kl_qm
 
 
-def occupancy_histogram(grids, bins: int = HISTOGRAM_BINS) -> np.ndarray:
+def occupancy_histogram(grids) -> np.ndarray:
     """Aggregate occupied-voxel centers of several grids into one normalized histogram.
 
     A fixed spatial binning makes the divergence comparable across grid
@@ -72,6 +72,7 @@ def occupancy_histogram(grids, bins: int = HISTOGRAM_BINS) -> np.ndarray:
     ``np.histogramdd`` applies (a bin holds its left edge, the last bin its
     right edge too), so the counts equal histogramdd's on the n^3 centers.
     """
+    bins = HISTOGRAM_BINS
     edges = np.linspace(-0.5, 0.5, bins + 1)
     total = np.zeros(bins**3)
     for grid in grids:

@@ -49,17 +49,6 @@ def _holder(sid: SegmentId, granularity: Granularity) -> SegmentId:
     return sid
 
 
-def _band_m(ag, lifted, shape: TSDFGrid, n_segments: int) -> np.ndarray:
-    band = BAND_WIDTH * ag.spec.pitch
-    in_band = np.abs(ag.values) < band
-    near = np.abs(shape.values) < band
-    mapped = lifted[ag.owner]
-    sizes = np.bincount(mapped[in_band].ravel(), minlength=n_segments)
-    inter = np.bincount(mapped[in_band & near].ravel(), minlength=n_segments)
-    # the +1 keeps segments with no banded voxels at zero instead of 0/0
-    return inter / (sizes + 1)
-
-
 def relative_scores(
     ag: AttributionGrid, s_target: TSDFGrid, granularity: Granularity = Granularity.PRIMITIVE
 ) -> InfluenceVector:
@@ -76,8 +65,16 @@ def relative_scores(
     lifted = np.empty(len(ag.segment_ids), dtype=np.int64)
     for k, sid in enumerate(ag.segment_ids):
         lifted[k] = slots.setdefault(_holder(sid, granularity), len(slots))
-    m_cur = _band_m(ag, lifted, ag.grid(), len(slots))
-    m_tgt = _band_m(ag, lifted, s_target, len(slots))
+    band = BAND_WIDTH * ag.spec.pitch
+    in_band = np.abs(ag.values) < band
+    held = lifted[ag.owner[in_band]]  # holder slot of each banded voxel
+    sizes = np.bincount(held, minlength=len(slots))
+    inter = np.bincount(held[np.abs(s_target.values[in_band]) < band], minlength=len(slots))
+    # the current shape's own band holds every banded voxel, so its
+    # intersection is sizes itself; the +1 keeps segments with no banded
+    # voxels at zero instead of 0/0
+    m_cur = sizes / (sizes + 1)
+    m_tgt = inter / (sizes + 1)
     return InfluenceVector(
         tuple(InfluenceEntry(sid, float(mc), float(mt)) for sid, mc, mt in zip(slots, m_cur, m_tgt))
     )

@@ -35,25 +35,22 @@ def influence_lines(entries: tuple[InfluenceEntry, ...]) -> list[str]:
     ]
 
 
-def _engine_pairs(cfg: EngineConfig, ablate: str | None):
-    return [
-        ("seed", cfg.seed),
-        ("max_rounds", cfg.max_rounds),
-        ("candidates_per_round", cfg.n),
-        ("queue_capacity", cfg.queue_capacity),
-        ("pool_res", POOL_RES),
-        ("epsilon", EPSILON),
-        ("patience", PATIENCE),
-        ("lam", DEFAULT_LAMBDA),
-        ("ablate", ablate or "none"),
-    ]
-
-
-def run_report(result: EditResult, cfg: EngineConfig, ablate: str | None = None) -> str:
+def run_report(result: EditResult, cfg: EngineConfig) -> str:
     lines = _section(
         "engine",
-        _engine_pairs(cfg, ablate)
-        + [("rounds_used", result.rounds_used), ("stop_reason", result.stop_reason)],
+        [
+            ("seed", cfg.seed),
+            ("max_rounds", cfg.max_rounds),
+            ("candidates_per_round", cfg.n),
+            ("queue_capacity", cfg.queue_capacity),
+            ("pool_res", POOL_RES),
+            ("epsilon", EPSILON),
+            ("patience", PATIENCE),
+            ("lam", DEFAULT_LAMBDA),
+            ("ablate", "none"),
+            ("rounds_used", result.rounds_used),
+            ("stop_reason", result.stop_reason),
+        ],
     )
     for rec in result.trace:
         lines.append(f"[round {rec.index}]")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .gridio import (
     write_tsdf,
 )
 from .kernel import GridSpec, TSDFGrid, render
+from .planner import BAND_WIDTH
 from .quant import BIN_MAX, Channel, quantize
 from .sequence import (
     Arc,
@@ -43,6 +45,9 @@ from .sequence import (
 
 EDIT_CLASSES = ("param-jitter", "primitive-substitute", "loop-add-remove", "pair-add-remove")
 
+_RENDER_ATTEMPTS = 200  # random sequences drawn before random_renderable gives up
+_ARC_SHARE = 0.25  # chance that a chain primitive is an arc rather than a line
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -50,18 +55,21 @@ class SynthSpec:
 
     corpus_size: int = 50
     classes: tuple[str, ...] = EDIT_CLASSES
-    edits_per_triplet: int = 1
     min_pairs: int = 1
     max_pairs: int = 4
     seed: int = 0
     grid: GridSpec = field(default_factory=GridSpec)
-    min_voxel_delta: int = 40
-    min_band_departure: int = 8
-    max_attempts: int = 500
+
+    # fixed for every corpus, so not part of the recipe: one edit per
+    # triplet, the two filters an edit must pass, and the draws per triplet
+    edits_per_triplet: ClassVar[int] = 1
+    min_voxel_delta: ClassVar[int] = 40
+    min_band_departure: ClassVar[int] = 8
+    max_attempts: ClassVar[int] = 500
 
     def __post_init__(self) -> None:
-        if self.corpus_size < 1 or self.edits_per_triplet < 1:
-            raise ValueError("corpus_size and edits_per_triplet must be positive")
+        if self.corpus_size < 1:
+            raise ValueError(f"corpus_size must be positive, got {self.corpus_size}")
         if not self.classes or set(self.classes) - set(EDIT_CLASSES):
             raise ValueError(f"classes must be a nonempty subset of {EDIT_CLASSES}")
         if not 1 <= self.min_pairs <= self.max_pairs:
@@ -94,7 +102,7 @@ def _circle_loop(rng) -> Loop:
     return Loop((Circle(center, _rand_bin(rng, 25, 70)),))
 
 
-def _chain_loop(rng, arc_prob: float = 0.25) -> Loop:
+def _chain_loop(rng) -> Loop:
     """Star-shaped chain of 3-6 lines/arcs around a random center."""
     while True:
         nv = _rand_bin(rng, 3, 6)
@@ -115,7 +123,7 @@ def _chain_loop(rng, arc_prob: float = 0.25) -> Loop:
             continue
         prims = []
         for v in verts:
-            if rng.random() < arc_prob:
+            if rng.random() < _ARC_SHARE:
                 prims.append(Arc(v, _rand_bin(rng, 25, 80), bool(rng.integers(2))))
             else:
                 prims.append(Line(v))
@@ -161,21 +169,17 @@ def random_sequence(rng, min_pairs: int = 1, max_pairs: int = 4) -> Construction
 
 
 def random_renderable(
-    rng,
-    spec: GridSpec | None = None,
-    min_pairs: int = 1,
-    max_pairs: int = 4,
-    attempts: int = 200,
+    rng, spec: GridSpec | None = None, min_pairs: int = 1, max_pairs: int = 4
 ) -> ConstructionSequence:
     spec = spec or GridSpec()
-    for _ in range(attempts):
+    for _ in range(_RENDER_ATTEMPTS):
         seq = random_sequence(rng, min_pairs, max_pairs)
         try:
             render(seq, spec)
         except RenderInvalidError:
             continue
         return seq
-    raise ExhaustedAttemptsError(f"no renderable sequence in {attempts} attempts")
+    raise ExhaustedAttemptsError(f"no renderable sequence in {_RENDER_ATTEMPTS} attempts")
 
 
 # -- mutations --------------------------------------------------------------
@@ -336,11 +340,7 @@ def synth(spec: SynthSpec) -> list[Triplet]:
             except ExhaustedAttemptsError:
                 continue
             edit_class = spec.classes[int(rng.integers(len(spec.classes)))]
-            truth = base
-            for _ in range(spec.edits_per_triplet):
-                truth = mutate(truth, edit_class, rng, spec.grid)
-                if truth is None:
-                    break
+            truth = mutate(base, edit_class, rng, spec.grid)
             if truth is None:
                 continue
             base_grid = render(base, spec.grid)
@@ -351,7 +351,7 @@ def synth(spec: SynthSpec) -> list[Triplet]:
             # a surface-band representation must be able to see the edit:
             # some of the old near-surface shell has to end up far from the
             # new surface, or the change is pure growth into free space
-            band = 2 * spec.grid.pitch
+            band = BAND_WIDTH * spec.grid.pitch
             departed = (np.abs(base_grid.values) < band) & ~(np.abs(target.values) < band)
             if int(departed.sum()) < spec.min_band_departure:
                 continue
@@ -396,3 +396,33 @@ def load_corpus(path) -> list[Triplet]:
         target = read_tsdf(path / f"{stem}.target.tsdf")
         out.append(Triplet(original, target, truth, edit_class, edit_distance(original, truth)))
     return out
+
+
+# how each recipe key's value converts; resolution and tau are the GridSpec's
+_RECIPE_KEYS = {
+    **dict.fromkeys(("corpus_size", "min_pairs", "max_pairs", "seed", "resolution"), int),
+    "classes": lambda text: tuple(text.split(",")),
+    "tau": float,
+}
+
+
+def read_recipe(path, seed: int, resolution: int) -> SynthSpec:
+    """The SynthSpec of a recipe file: ``key value`` lines, ``#`` comments.
+
+    ``seed`` and ``resolution`` stand in for those keys when the recipe
+    omits them; other omitted keys keep their SynthSpec or GridSpec default.
+    """
+    fields: dict[str, object] = {"seed": seed}
+    grid_kw: dict[str, object] = {"resolution": resolution}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        key, _, text = line.strip().partition(" ")
+        if not key or key.startswith("#"):
+            continue
+        if key not in _RECIPE_KEYS:
+            raise ValueError(f"{path}: unknown recipe key {key!r}")
+        try:
+            value = _RECIPE_KEYS[key](text)
+        except ValueError as err:
+            raise ValueError(f"{path}: {key}: {err}") from err
+        (grid_kw if key in ("resolution", "tau") else fields)[key] = value
+    return SynthSpec(grid=GridSpec(**grid_kw), **fields)

@@ -263,6 +263,16 @@ def test_edit_with_echo_generator_endpoint(runner, tmp_path):
         assert res.exit_code == 0
 
 
+def test_metrics_names_a_grid_file_that_fails_validation(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        with open("nan.grid", "w", encoding="utf-8") as fh:
+            fh.write("8 0.2\n" + " nan" * 512 + "\n")
+        res = runner.invoke(main, ["metrics", "cyl.seq", "nan.grid"])
+        assert res.exit_code == 1
+        assert res.stderr == "ValueError: nan.grid: values must be finite\n"
+
+
 # -- synth and eval ----------------------------------------------------------
 
 
@@ -300,6 +310,26 @@ def test_synth_rejects_unknown_recipe_key(runner):
         res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"])
         assert res.exit_code == 1
         assert res.stderr.startswith("ValueError:")
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # settings every corpus shares are not recipe keys
+        ("max_attempts 3", "unknown recipe key 'max_attempts'"),
+        ("edits_per_triplet 1", "unknown recipe key 'edits_per_triplet'"),
+        ("corpus_size x", "corpus_size: invalid literal for int() with base 10: 'x'"),
+        ("corpus_size", "corpus_size: invalid literal for int() with base 10: ''"),
+        ("tau abc", "tau: could not convert string to float: 'abc'"),
+    ],
+)
+def test_synth_names_the_recipe_and_key_it_rejects(runner, line, message):
+    with runner.isolated_filesystem():
+        with open("recipe", "w") as fh:
+            fh.write(line + "\n")
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"])
+        assert res.exit_code == 1
+        assert res.stderr == f"ValueError: recipe: {message}\n"
 
 
 @pytest.mark.parametrize("where", ["flag", "recipe"])

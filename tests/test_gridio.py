@@ -8,6 +8,7 @@ import pytest
 from helpers import cylinder_sequence
 
 from cadfit.gridio import (
+    MAGIC,
     read_grid_text,
     read_sequence_file,
     read_tsdf,
@@ -137,6 +138,50 @@ def test_read_grid_text_counts_missing_samples(tmp_path, samples):
     with pytest.raises(ValueError) as err:
         read_grid_text(path)
     assert str(err.value) == f"{path}: expected 512 samples for resolution 8, found {samples}"
+
+
+def _write_raw(path, resolution, tau, sample):
+    """A grid file whose header and resolution^3 equal samples are as given,
+    whether or not they are valid."""
+    count = resolution**3 if isinstance(resolution, int) else 1
+    if path.suffix == ".tsdf":
+        payload = np.full(count, float(sample), dtype="<f4").tobytes()
+        path.write_bytes(MAGIC + struct.pack("<BHf", 1, resolution, tau) + payload)
+    else:
+        path.write_text(f"{resolution} {tau}\n" + " ".join([sample] * count) + "\n", encoding="utf-8")
+
+
+_BAD_GRIDS = [
+    (4, 0.2, "0.1", "resolution 4 below the minimum of 8"),
+    (8, 0.2, "nan", "values must be finite"),
+    (8, 0.2, "5.0", "values exceed the truncation band"),
+    (8, np.inf, "0.1", "truncation tau inf is not positive and finite in float32"),
+]
+
+
+@pytest.mark.parametrize(
+    "suffix, resolution, tau, sample, message",
+    [(s, *case) for s in (".tsdf", ".grid") for case in _BAD_GRIDS]
+    + [
+        (".grid", "x", 0.2, "0.1", "invalid literal for int() with base 10: 'x'"),
+        (".grid", 8, 0.2, "abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_every_grid_read_error_names_the_file(tmp_path, suffix, resolution, tau, sample, message):
+    path = tmp_path / f"bad{suffix}"
+    _write_raw(path, resolution, tau, sample)
+    reader = read_tsdf if suffix == ".tsdf" else read_grid_text
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_text_grid_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "bin.grid"
+    path.write_bytes(b"\xff8 0.2\n")
+    with pytest.raises(ValueError) as err:
+        read_grid_text(path)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_parse_serialize_identity_through_files(tmp_path):

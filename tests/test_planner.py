@@ -1,5 +1,6 @@
 """Planner checks: zero vectors, an ablation oracle, and forced selection rules."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from cadfit.planner import (
     select_segments,
 )
 from cadfit.sequence import BoolOp, ConstructionSequence, Granularity, segments
-from cadfit.synth import SynthSpec, random_renderable, synth
+from cadfit.synth import SynthSpec, random_renderable, random_sequence, synth
+from test_kernel import _placed
 from test_synth import changed_segments
 
 
@@ -88,6 +90,32 @@ def test_scored_segments_follow_document_order():
         for g in Granularity:
             entries = relative_scores(ag, target, g).entries
             assert [e.segment for e in entries] == [s.id for s in segments(seq, g)]
+
+
+# recorded before relative_scores read the current shape off one band mask
+PLANNER_PIN = "ec851f07efb9c30f9fa3a54e67c3a8383d78824f16bf58ed56820b045b0c3ed8"
+
+
+def test_seeded_influence_scores_are_pinned():
+    digest = hashlib.sha256()
+    scored = 0
+    for resolution in (8, 16, 32):
+        rng = np.random.default_rng([resolution, 89])
+        spec = GridSpec(resolution=resolution)
+        for variant in ("z-aligned", "tilted", "mixed"):
+            for _ in range(3):
+                seq, other = (_placed(random_sequence(rng, min_pairs=2), rng, variant) for _ in range(2))
+                try:
+                    ag, target = attribute(seq, spec), render(other, spec)
+                except RenderInvalidError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+                    continue
+                for g in Granularity:
+                    for e in relative_scores(ag, target, g).entries:
+                        digest.update(f"{e.segment.label()} {e.m_current.hex()} {e.m_target.hex()}\n".encode())
+                        scored += e.m_target > 0
+    assert scored > 0
+    assert digest.hexdigest() == PLANNER_PIN
 
 
 def test_relative_scores_zero_on_identical_shapes():

@@ -1,5 +1,7 @@
 """Benchmark synthesis: per-class edit contracts, determinism, corpus round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from cadfit.synth import (
     mutate,
     random_renderable,
     random_sequence,
+    read_recipe,
     save_corpus,
     synth,
 )
@@ -157,9 +160,10 @@ def test_synth_is_deterministic(small_corpus):
         assert np.array_equal(t.target.values, u.target.values)
 
 
-def test_synth_exhaustion_reports_recipe():
-    spec = SynthSpec(corpus_size=1, seed=0, max_attempts=0)
-    with pytest.raises(ExhaustedAttemptsError):
+def test_synth_exhaustion_reports_recipe(monkeypatch):
+    monkeypatch.setattr(SynthSpec, "max_attempts", 0)
+    spec = SynthSpec(corpus_size=1, seed=0)
+    with pytest.raises(ExhaustedAttemptsError, match="triplet 0: .* within 0 attempts"):
         synth(spec)
 
 
@@ -197,3 +201,25 @@ def test_single_class_spec_restricts_classes():
     for t in synth(spec):
         assert t.edit_class == "param-jitter"
         assert ConstructionSequence is type(t.truth)
+
+
+def test_recipe_reads_its_seven_keys_and_defaults_the_rest(tmp_path):
+    path = tmp_path / "recipe"
+    path.write_text(
+        "# every key\ncorpus_size 3\nclasses param-jitter,pair-add-remove\nmin_pairs 2\n"
+        "max_pairs 3\nseed 9\n\nresolution 16\ntau 0.1\n",
+        encoding="utf-8",
+    )
+    assert read_recipe(path, 5, 64) == SynthSpec(
+        3, ("param-jitter", "pair-add-remove"), 2, 3, 9, GridSpec(resolution=16, tau=0.1)
+    )
+    # an empty recipe gives the defaults README and `cadfit synth --help` list
+    path.write_text("", encoding="utf-8")
+    assert read_recipe(path, 5, 64) == SynthSpec(50, EDIT_CLASSES, 1, 4, 5, GridSpec(resolution=64, tau=0.2))
+
+
+def test_synth_spec_sets_six_fields_and_reads_its_fixed_settings_off_an_instance():
+    names = [f.name for f in dataclasses.fields(SynthSpec)]
+    assert names == ["corpus_size", "classes", "min_pairs", "max_pairs", "seed", "grid"]
+    spec = SynthSpec()
+    assert (spec.edits_per_triplet, spec.min_voxel_delta, spec.min_band_departure, spec.max_attempts) == (1, 40, 8, 500)
