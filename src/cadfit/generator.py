@@ -329,9 +329,6 @@ def _accept_external(line: str, masked: MaskedSequence) -> ConstructionSequence 
     """Parsed candidate, or None when the line fails any acceptance check."""
     try:
         cand = parse_sequence(line)
-    except CadfitError:
-        return None
-    try:
         remasked = apply_mask(cand, masked.ids())
     except CadfitError:
         return None

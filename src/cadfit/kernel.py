@@ -24,15 +24,17 @@ one on a distance tie).
 
 A body whose placement frame is exactly z-aligned, that is whose rotation
 has rot[2,0] == rot[2,1] == rot[0,2] == rot[1,2] == 0 (every phi-bin-0
-extrusion, whatever its theta and gamma), is evaluated on the n^2 lattice:
-the profile on the iz = 0 layer of cell centers, the slab term on the n z
-centers, both broadcast over the grid.  The result is exact, not close: a
+extrusion, whatever its theta and gamma), is evaluated on the n^2 lattice
+points (x_i, y_j, z_j) of cell-center coordinates: the profile at all of
+them for the xy cells (i, j), the slab term at the first n for the z
+layers j, both broadcast over the grid.  The result is exact, not close: a
 point's sketch-plane coordinates gain only the term (z - o_z) * 0 = +-0 from
-its height, which leaves every nonzero sum unchanged and can flip only the
-sign of a zero one, and the profile never sees that sign because no
-quantized 2D coordinate is zero; likewise x and y enter the height only as
-+-0 terms.  Values and owners are bit-identical to evaluating every body at
-every cell center, which ``attribute`` still does for every other body.
+its height, whatever z is, which leaves every nonzero sum unchanged and can
+flip only the sign of a zero one, and the profile never sees that sign
+because no quantized 2D coordinate is zero; likewise x and y enter the
+height only as +-0 terms, and the slab term takes its absolute value.
+Values and owners are bit-identical to evaluating every body at every cell
+center, which ``attribute`` still does for every other body.
 
 ``render`` evaluates a body that is off the z axis, and not read from the
 store, only in the blocks of cells its surface band can reach.  It first
@@ -57,6 +59,21 @@ for bit, and every out-of-band result keeps its sign and clamps to the same
 +-tau.  ``attribute`` stays dense, because its owners outside the band are
 part of its contract, and bodies read from the store are full fields.
 
+On the lattice, ``render`` also skips most of the extrusion formula
+min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0)), with d the profile
+term on the n^2 xy cells and slab the slab term on the n z layers.  It takes
+max(d + 0.0, slab + 0.0) over the grid, which is max(d, slab) + 0.0, and
+writes the formula only into the outer product of the xy cells with
+0 < d < tau and the z layers with 0 < slab < tau, the very cells where both
+hold.  Where d <= 0 or slab <= 0, the formula is max(d, slab) + 0.0:
+hypot(0, x) == |x| exactly, and the + 0.0 turns a -0.0 into +0.0 as the
+formula's + hypot(0, 0) does.  Where both are positive and d >= tau or
+slab >= tau, both values are at least tau, so they clamp to the same tau
+and, by the clamp commutation above, the stored grid is bit-identical.
+``attribute``, ``body_sdf``, the store's fields and ``_banded`` keep the
+formula: ownership reads values outside the band, and the culling bound
+needs the 1-Lipschitz field.
+
 ``render`` and ``attribute`` accept a body store: a dict, owned by the
 caller, from the frozen ``(Sketch, Extrusion, GridSpec)`` to the body's
 field, cap mask and nearest primitive, all read-only.  Both read it.  Once
@@ -73,6 +90,7 @@ would have computed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -262,14 +280,14 @@ def _loop_vertices(loop: Loop) -> list[np.ndarray]:
     return verts
 
 
-def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signed field (negative inside) and per-primitive boundary distances (nprim, ...)."""
+def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Signed field (negative inside) and per-primitive boundary distances."""
     x, y = pts[..., 0].copy(), pts[..., 1].copy()
     prim = loop.primitives[0]
     if isinstance(prim, Circle):
         center = (dequantize(prim.center[0], Channel.COORD_2D), dequantize(prim.center[1], Channel.COORD_2D))
         f = _distance(x, y, center) - dequantize(prim.radius, Channel.DISTANCE)
-        return f, np.abs(f)[None]
+        return f, [np.abs(f)]
     verts = _loop_vertices(loop)
     rows = []
     total = np.zeros(x.shape)
@@ -283,20 +301,18 @@ def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             center, radius = arc_center_radius(a, b, sweep, p.ccw)
             rows.append(_arc_distance(a, b, center, radius, sweep, p.ccw, x, y))
             total += _winding_contribution(a, b, x, y, (center, radius, p.ccw))
-    rows = np.stack(rows)
-    dist = rows.min(axis=0)
+    dist = functools.reduce(np.minimum, rows)  # no distance is NaN or -0.0: any order picks the same
     winding = np.rint(total / _TWO_PI)
     return np.where(winding != 0, -dist, dist), rows
 
 
 def _profile_eval(sketch: Sketch, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Profile field plus every loop's boundary-distance rows, in loop order."""
-    f, rows = _loop_eval(sketch.loops[0], pts)
-    all_rows = [rows]
+    """Profile field plus every primitive's boundary distances, in loop order."""
+    f, all_rows = _loop_eval(sketch.loops[0], pts)
     for hole in sketch.loops[1:]:
         g, rows = _loop_eval(hole, pts)
         f = np.maximum(f, -g)
-        all_rows.append(rows)
+        all_rows += rows
     return f, all_rows
 
 
@@ -341,13 +357,14 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
     return -dneg, dpos
 
 
-def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray, owners: bool):
+def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray, owners: bool, band=None):
     """Body field from sketch-plane coordinates and heights along the normal.
 
     ``plane`` (..., 2) and ``height`` broadcast against each other.  When
     ``owners``, also return the cap mask, which marks points where the slab
     term exceeds the profile term, and the nearest primitive, which indexes
     the sketch's primitives in loop order and keeps ``plane``'s shape.
+    ``band`` = tau marks a render on the lattice (see the module notes).
     """
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
@@ -357,10 +374,16 @@ def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarr
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     slab = np.abs(height - mid) - half
+    if band is not None:
+        f = np.maximum(d + 0.0, slab + 0.0)
+        xy = np.flatnonzero((d > 0) & (d < band))
+        z = np.flatnonzero((slab > 0) & (slab < band))
+        f.reshape(-1, len(slab))[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
+        return f, None, None
     f = np.minimum(np.maximum(d, slab), 0.0) + np.hypot(np.maximum(d, 0.0), np.maximum(slab, 0.0))
     if not owners:
         return f, None, None
-    return f, slab > d, np.argmin(np.concatenate(rows), axis=0)
+    return f, slab > d, np.argmin(np.stack(rows), axis=0)
 
 
 def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
@@ -437,17 +460,14 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
         nonlocal lattice, pts
         rot, origin = placement_frame(ext)
         if rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
-            # z-aligned: the profile on the iz = 0 layer, the slab on the
-            # ix = iy = 0 column (see the module notes)
+            # z-aligned: the profile at the points (x_i, y_j, z_j), the slab
+            # at the first n of them (see the module notes)
             if lattice is None:
                 c = spec.centers()
-                lattice = (
-                    np.stack(np.meshgrid(c, c, c[:1], indexing="ij"), axis=-1).reshape(n * n, 3),
-                    np.stack(np.meshgrid(c[:1], c[:1], c, indexing="ij"), axis=-1).reshape(n, 3),
-                )
-            layer, column = lattice
-            plane = ((layer - origin) @ rot)[:, :2].reshape(n, n, 1, 2)
-            return _extrude(sketch, ext, plane, ((column - origin) @ rot)[:, 2], owners)
+                lattice = np.column_stack([np.repeat(c, n), np.tile(c, n), np.tile(c, n)])
+            local = (lattice - origin) @ rot
+            plane = local[:, :2].reshape(n, n, 1, 2)
+            return _extrude(sketch, ext, plane, local[:n, 2], owners, None if owners else spec.tau)
         if not owners:
             return _banded(sketch, ext, spec, rot, origin), None, None
         if pts is None:

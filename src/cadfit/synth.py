@@ -411,18 +411,20 @@ def read_recipe(path, seed: int, resolution: int) -> SynthSpec:
 
     ``seed`` and ``resolution`` stand in for those keys when the recipe
     omits them; other omitted keys keep their SynthSpec or GridSpec default.
+    A key may appear once.
     """
-    fields: dict[str, object] = {"seed": seed}
-    grid_kw: dict[str, object] = {"resolution": resolution}
+    given: dict[str, object] = {}
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         key, _, text = line.strip().partition(" ")
         if not key or key.startswith("#"):
             continue
         if key not in _RECIPE_KEYS:
             raise ValueError(f"{path}: unknown recipe key {key!r}")
+        if key in given:
+            raise ValueError(f"{path}: {key}: given twice")
         try:
-            value = _RECIPE_KEYS[key](text)
+            given[key] = _RECIPE_KEYS[key](text)
         except ValueError as err:
             raise ValueError(f"{path}: {key}: {err}") from err
-        (grid_kw if key in ("resolution", "tau") else fields)[key] = value
-    return SynthSpec(grid=GridSpec(**grid_kw), **fields)
+    grid = GridSpec(given.pop("resolution", resolution), given.pop("tau", GridSpec.tau))
+    return SynthSpec(grid=grid, **{"seed": seed, **given})

@@ -321,6 +321,7 @@ def test_synth_rejects_unknown_recipe_key(runner):
         ("corpus_size x", "corpus_size: invalid literal for int() with base 10: 'x'"),
         ("corpus_size", "corpus_size: invalid literal for int() with base 10: ''"),
         ("tau abc", "tau: could not convert string to float: 'abc'"),
+        ("seed 3\ncorpus_size 1\nseed 4", "seed: given twice"),
     ],
 )
 def test_synth_names_the_recipe_and_key_it_rejects(runner, line, message):

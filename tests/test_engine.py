@@ -1,6 +1,7 @@
 """Engine checks: pooling embeds, queue semantics, and the full edit loop."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -48,6 +49,15 @@ def test_constant_grid_embeds_to_constant_latent():
     assert np.allclose(lat, 0.125)
 
 
+def _numpy_block_means(vals: np.ndarray) -> np.ndarray:
+    b = vals.shape[0] // 8
+    return vals.astype(np.float64).reshape(8, b, 8, b, 8, b).mean(axis=(1, 3, 5)).ravel()
+
+
+def _assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_embed_matches_bruteforce_block_means():
     rng = np.random.default_rng(0)
     spec = GridSpec()
@@ -61,7 +71,54 @@ def test_embed_matches_bruteforce_block_means():
             for k in range(8):
                 block = vals[i * b : (i + 1) * b, j * b : (j + 1) * b, k * b : (k + 1) * b]
                 ref[i, j, k] = block.astype(np.float64).mean()
-    assert np.allclose(lat, ref.ravel(), atol=1e-12)
+    _assert_bitwise(lat, ref.ravel())
+    _assert_bitwise(lat, _numpy_block_means(vals))
+
+
+@pytest.mark.parametrize("resolution", [32, 64])
+def test_embed_equals_numpy_block_mean_bitwise(resolution):
+    rng = np.random.default_rng(resolution)
+    spec = GridSpec(resolution=resolution)
+    for _ in range(8):
+        # clipped, so whole blocks sit at +-tau as in a rendered grid
+        vals = np.clip(rng.normal(0.0, 0.15, (resolution,) * 3), -spec.tau, spec.tau).astype(np.float32)
+        _assert_bitwise(embed_shape(TSDFGrid(spec, vals)), _numpy_block_means(vals))
+
+
+def test_embed_falls_back_to_numpy_below_the_exactness_bound():
+    """A nonzero sample below 2^-26 (resolution 32, tau 0.2): the fast block
+    sums of this grid would round differently from numpy's."""
+    spec = GridSpec()
+    vals = np.random.default_rng([32, 3]).uniform(-0.2, 0.2, (32, 32, 32)).astype(np.float32)
+    vals[0, 0, 1] = 2.0**-54
+    _assert_bitwise(embed_shape(TSDFGrid(spec, vals)), _numpy_block_means(vals))
+
+
+def test_embed_of_zero_sum_blocks_equals_numpy():
+    spec = GridSpec()
+    vals = np.random.default_rng(7).uniform(-0.2, 0.2, (32, 32, 32)).astype(np.float32)
+    vals[:4, :4, :4] = -0.0
+    vals[4:8, :4, :4] = 0.0
+    vals[4:8, :4, :4][0, 0, :2] = (0.125, -0.125)
+    lat = embed_shape(TSDFGrid(spec, vals))
+    _assert_bitwise(lat, _numpy_block_means(vals))
+    assert lat[0] == lat[64] == 0.0
+
+
+# sha256 of the latents of the seeded renders below: any change to a
+# rounding in the render or the pooling moves it
+EMBED_PIN = "d8d1b8f280abeb7b9597ab3ae1cff54adbfdde91d637354d79c1c89421c62bf5"
+
+
+def test_seeded_embeddings_are_pinned():
+    digest = hashlib.sha256()
+    for resolution, count in ((32, 8), (64, 3)):
+        rng = np.random.default_rng([resolution, 101])
+        spec = GridSpec(resolution=resolution)
+        for _ in range(count):
+            lat = embed_shape(render(random_renderable(rng, spec), spec))
+            digest.update(lat.tobytes())
+    assert digest.hexdigest() == EMBED_PIN
 
 
 def test_embed_rotates_with_the_grid():

@@ -72,3 +72,118 @@ def test_module_references_every_private_name_it_defines(path):
     defined = _private_definitions(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in defined.items() if name not in used]
     assert unused == []
+
+
+# method names that change a list, dict or set in place
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear", "update", "setdefault", "add", "discard", "sort", "reverse"}
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope):
+    """The nodes of a scope's own body: nested functions are yielded but not
+    entered."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bound(nodes) -> set[str]:
+    """Names a scope binds: assignment targets, imports and definitions."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+    return names
+
+
+def _root(node):
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_writes(tree: ast.Module) -> list[str]:
+    """Line and name of each write to module state: ``global``, a functools
+    cache, or a function storing into, or calling a mutating method on, a
+    name the module binds at top level and no enclosing function rebinds."""
+    module_nodes = list(_own_nodes(tree))
+    module = _bound(module_nodes)
+    modules = _bound(n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            found.append(f"{node.lineno} global {', '.join(node.names)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{node.lineno} functools.{a.name}" for a in node.names if a.name in ("cache", "lru_cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache") and _root(node) == "functools":
+            found.append(f"{node.lineno} functools.{node.attr}")
+
+    def visit(fn, enclosing: set[str]):
+        args = fn.args
+        own = list(_own_nodes(fn))
+        local = enclosing | _bound(own)
+        local |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+        for node in own:
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                name = _root(node)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                name = _root(node.func.value)
+                if name in modules:  # np.sort(...) is a function, not a method of np
+                    continue
+            else:
+                if isinstance(node, _SCOPES):
+                    visit(node, local)
+                continue
+            if name in module and name not in local:
+                found.append(f"{node.lineno} {name}")
+
+    for node in module_nodes:
+        if isinstance(node, _SCOPES):
+            visit(node, set())
+    return found
+
+
+def test_state_check_flags_every_kind_of_module_state_write():
+    source = """
+import functools
+from functools import lru_cache
+_CACHE = {}
+_SEEN = []
+COUNT = 0
+import numpy as np
+
+@functools.cache
+def a(x):
+    global COUNT
+    _CACHE[x] = 1
+    _SEEN.append(x)
+    a.calls = 1
+
+def b(_CACHE, y):
+    _CACHE[y] = 2  # a parameter, not the module's dict
+    seen = _SEEN
+    def c():
+        seen.append(1)  # an alias is not caught; names are
+        _SEEN.clear()
+        np.sort(seen)
+        np.pi = 3
+    return c
+"""
+    found = [entry.split(" ", 1)[1] for entry in _module_state_writes(ast.parse(source))]
+    assert sorted(found) == sorted(
+        ["functools.lru_cache", "functools.cache", "global COUNT", "_CACHE", "_SEEN", "a", "_SEEN", "np"]
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_keeps_no_state_across_calls(path):
+    """Caches are owned by a run, not by module globals."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{entry}" for entry in _module_state_writes(tree)] == []

@@ -559,6 +559,45 @@ def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
     assert (attribute(seq).values < 0).any()
 
 
+# -- band-limited slab term ------------------------------------------------------
+
+
+def _corner_square(extent):
+    """A unit square swept one unit, placed at the domain's low corner with
+    no turn: its sketch-plane coordinates and heights on the lattice are the
+    cell centres plus 0.5, exactly."""
+    return (Sketch((square_loop(0, 255),)), extrusion(origin=(0, 0, 0), extent=extent, dist_pos=255))
+
+
+# resolution, tau, extent, and the profile and slab values some cell centre takes
+_SLAB_CASES = {
+    # the middle centre of an odd resolution is 0.0, so x = 0.5 lies on the square's edge
+    "centre-on-profile-edge": (17, 0.2, Extent.ONE_SIDED, 0.0, None),
+    # a symmetric sweep of one unit caps at height 0.5, through the middle layer
+    "cap-plane-through-centres": (17, 0.2, Extent.SYMMETRIC, 0.0, 0.0),
+    # at resolution 16 every term is a multiple of 1/32, and 5/32 is a float32
+    "term-equals-tau": (16, 0.15625, Extent.SYMMETRIC, 0.15625, 0.15625),
+}
+
+
+@pytest.mark.parametrize("op", [None, BoolOp.JOIN, BoolOp.CUT, BoolOp.INTERSECT])
+@pytest.mark.parametrize("case", list(_SLAB_CASES))
+def test_slab_term_edge_cases_match_the_dense_fold_bitwise(case, op):
+    resolution, tau, extent, d_hit, slab_hit = _SLAB_CASES[case]
+    spec = GridSpec(resolution=resolution, tau=tau)
+    sketch, ext = _corner_square(extent)
+    t = spec.centers() + 0.5
+    d = profile_sdf(sketch, np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1))
+    lo, hi = extent_interval(ext)
+    slab = np.abs(t - (lo + hi) / 2.0) - (hi - lo) / 2.0
+    assert (d == d_hit).any()
+    assert slab_hit is None or (slab == slab_hit).any()
+    pairs = ((sketch, ext),)
+    if op is not None:
+        pairs = (circle_pair(r=100, dist_pos=200, origin=(128, 128, 40)), (sketch, dataclasses.replace(ext, bool_op=op)))
+    assert _assert_equals_dense_fold(ConstructionSequence(pairs), spec)
+
+
 # -- banded render --------------------------------------------------------------
 
 

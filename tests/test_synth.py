@@ -218,6 +218,15 @@ def test_recipe_reads_its_seven_keys_and_defaults_the_rest(tmp_path):
     assert read_recipe(path, 5, 64) == SynthSpec(50, EDIT_CLASSES, 1, 4, 5, GridSpec(resolution=64, tau=0.2))
 
 
+@pytest.mark.parametrize("key, lines", [("corpus_size", "corpus_size 1\ncorpus_size 2\n"), ("tau", "tau 0.1\n# again\ntau 0.1\n")])
+def test_recipe_rejects_a_key_given_twice(tmp_path, key, lines):
+    path = tmp_path / "recipe"
+    path.write_text(lines, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_recipe(path, 5, 64)
+    assert str(err.value) == f"{path}: {key}: given twice"
+
+
 def test_synth_spec_sets_six_fields_and_reads_its_fixed_settings_off_an_instance():
     names = [f.name for f in dataclasses.fields(SynthSpec)]
     assert names == ["corpus_size", "classes", "min_pairs", "max_pairs", "seed", "grid"]
