@@ -18,15 +18,7 @@ import numpy as np
 from .engine import ABLATION_MODES, EngineConfig, run
 from .errors import CadfitError, RenderInvalidError
 from .generator import ExternalGenerator
-from .gridio import (
-    read_grid_text,
-    read_sequence_file,
-    read_tsdf,
-    write_grid_text,
-    write_sequence_file,
-    write_text_atomic,
-    write_tsdf,
-)
+from .gridio import read_grid, read_sequence_file, write_grid, write_sequence_file, write_text_atomic
 from .kernel import GridSpec, attribute, render
 from .metrics import jsd, occupancy_histogram, report_for
 from .planner import relative_scores, select_segments
@@ -84,11 +76,7 @@ def main() -> None:
 @_guarded
 def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
     """Render a sequence file to a grid file (.grid suffix for text form)."""
-    grid = render(read_sequence_file(seq_file), GridSpec(resolution=res, tau=tau))
-    if out.endswith(".grid"):
-        write_grid_text(out, grid)
-    else:
-        write_tsdf(out, grid)
+    write_grid(out, render(read_sequence_file(seq_file), GridSpec(resolution=res, tau=tau)))
     click.echo(f"wrote {out}")
 
 
@@ -117,7 +105,7 @@ def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, 
     """Update a sequence toward a target grid and write the run report."""
     cfg = _engine_config(rounds, n, queue, seed, granularity)
     original = read_sequence_file(seq_file)
-    target = read_tsdf(target_file)
+    target = read_grid(target_file)
     if generator_cmd is None:
         result = run(original, target, cfg)
     else:
@@ -139,7 +127,7 @@ def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, 
 def inspect_cmd(seq_file, target_file, granularity):
     """Print the per-segment influence table against a target grid."""
     seq = read_sequence_file(seq_file)
-    target = read_tsdf(target_file)
+    target = read_grid(target_file)
     iv = relative_scores(attribute(seq, target.spec), target, Granularity(granularity))
     for line in influence_lines(iv.entries):
         click.echo(line)
@@ -161,9 +149,8 @@ def metrics_cmd(seq_file, other_file, res, lam):
     against a bare grid only shape metrics are defined.
     """
     seq = read_sequence_file(seq_file)
-    if other_file.endswith(".tsdf") or other_file.endswith(".grid"):
-        reader = read_tsdf if other_file.endswith(".tsdf") else read_grid_text
-        rep = report_for(seq, reader(other_file), lam=lam)
+    if other_file.endswith((".tsdf", ".grid")):
+        rep = report_for(seq, read_grid(other_file), lam=lam)
     else:
         other = read_sequence_file(other_file)
         target = render(other, GridSpec(resolution=res))

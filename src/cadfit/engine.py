@@ -22,7 +22,7 @@ from .errors import (
     TargetSpecMismatchError,
 )
 from .generator import ExternalGenerator, external_infill, infill
-from .kernel import GridSpec, TSDFGrid, attribute, render
+from .kernel import AttributionGrid, GridSpec, TSDFGrid, attribute, render
 from .metrics import MetricsReport, report_for
 from .planner import InfluenceEntry, relative_scores, select_segments
 from .sequence import (
@@ -74,15 +74,15 @@ def embed_shape(grid: TSDFGrid) -> np.ndarray:
     return blocks.mean(axis=(1, 3, 5)).ravel()
 
 
-def embed_sequence(seq: ConstructionSequence, spec: GridSpec, *, bodies: dict | None = None) -> np.ndarray:
-    """Render then embed; an unrenderable sequence gets the all-inf sentinel.
-
-    The sentinel sits at infinite distance from every finite latent, so such
-    a candidate can never win a comparison.  ``bodies`` is the run's body
-    store, which the render reads.
+def embed_sequence(
+    seq: ConstructionSequence, spec: GridSpec, *, base: AttributionGrid | None = None
+) -> np.ndarray:
+    """Render, reusing ``base``'s bodies, then embed; an unrenderable
+    sequence gets the all-inf sentinel, which sits at infinite distance from
+    every finite latent, so such a candidate can never win a comparison.
     """
     try:
-        grid = render(seq, spec, bodies=bodies)
+        grid = render(seq, spec, base=base)
     except RenderInvalidError:
         return np.full(POOL_RES**3, math.inf)
     return embed_shape(grid)
@@ -181,10 +181,13 @@ class RoundRecord:
 @dataclass(frozen=True)
 class EditResult:
     final: ConstructionSequence
-    rounds_used: int
     trace: tuple[RoundRecord, ...]
     report: MetricsReport
     stop_reason: str
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.trace)
 
 
 def _round_seed(seed: int, round_index: int) -> int:
@@ -218,10 +221,9 @@ def run(
     RenderInvalidError before the first round.
 
     Each round plans from one attribution of the current sequence; round 1
-    reuses the original's, which also gives the starting latent.  The run
-    owns one body store (see ``cadfit.kernel``): these attributions fill
-    it, and the candidates' and the final report's renders reuse the
-    bodies they share with it.
+    reuses the original's, which also gives the starting latent.  Each
+    attribution, the candidates' renders and the final report's reuse the
+    bodies they share with the latest one (see ``cadfit.kernel``).
     """
     cfg = cfg or EngineConfig()
     if ablate is not None and ablate not in ABLATION_MODES:
@@ -237,15 +239,14 @@ def run(
 
     if cfg.n == 0:
         report = report_for(original, target, original)
-        return EditResult(original, 0, (), report, "generation-disabled")
+        return EditResult(original, (), report, "generation-disabled")
 
     spec = target.spec
-    bodies: dict = {}
     target_latent = embed_shape(target)
     queue = PriorityQueue(cfg.queue_capacity)
     # the starting sequence counts as seen, so the loop can never end
     # on something farther from the target than where it began
-    ag = attribute(original, spec, bodies=bodies)
+    ag = attribute(original, spec)
     queue.push(original, latent_distance(embed_shape(ag.grid()), target_latent))
 
     current = original
@@ -256,7 +257,7 @@ def run(
 
     for r in range(1, cfg.max_rounds + 1):
         if r > 1:
-            ag = attribute(current, spec, bodies=bodies)
+            ag = attribute(current, spec, base=ag)
         iv = relative_scores(ag, target, cfg.granularity)
         if ablate == "plan":
             iv = _uniform_influence(iv, np.random.default_rng([cfg.seed, r, 1]))
@@ -274,7 +275,7 @@ def run(
             cands = external_infill(masked, cfg.n, seed, endpoint)
 
         scored = [
-            (cand.seq, latent_distance(embed_sequence(cand.seq, spec, bodies=bodies), target_latent))
+            (cand.seq, latent_distance(embed_sequence(cand.seq, spec, base=ag), target_latent))
             for cand in cands
         ]
         distances = tuple(dist for _, dist in scored)
@@ -305,5 +306,5 @@ def run(
             stop_reason = "patience"
             break
 
-    report = report_for(current, target, original, bodies=bodies)
-    return EditResult(current, len(records), tuple(records), report, stop_reason)
+    report = report_for(current, target, original, base=ag)
+    return EditResult(current, tuple(records), report, stop_reason)

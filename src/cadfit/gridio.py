@@ -3,8 +3,9 @@
 Binary ``.tsdf`` layout: magic ``TSDF``, version byte 1, resolution as a
 little-endian u16, tau as a little-endian float32, then resolution^3
 float32 samples with x varying fastest.  ``.grid`` is a whitespace text
-dump of the same data for debugging.  Sequence files are the canonical
-token text plus a trailing newline.
+dump of the same data for debugging; ``read_grid`` and ``write_grid`` pick
+the form by that suffix.  Sequence files are the canonical token text plus
+a trailing newline.  Every read error names the file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import tempfile
 
 import numpy as np
 
+from .errors import CadfitError
 from .kernel import GridSpec, TSDFGrid
 from .sequence import ConstructionSequence, parse_sequence, serialize_sequence
 
@@ -25,11 +27,13 @@ VERSION = 1
 
 @contextlib.contextmanager
 def _naming(path):
-    """Re-raise a ValueError from reading ``path`` as ``path: message``."""
+    """Re-raise an error from reading ``path`` as ``path: message``, of the
+    same class, or a ValueError for a decode error."""
     try:
         yield
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from err
+    except (CadfitError, ValueError) as err:
+        kind = ValueError if isinstance(err, UnicodeError) else type(err)
+        raise kind(f"{path}: {err}") from err
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -103,10 +107,20 @@ def read_grid_text(path: str) -> TSDFGrid:
         return TSDFGrid(GridSpec(resolution=resolution, tau=tau), cube)
 
 
+def read_grid(path: str) -> TSDFGrid:
+    """A ``.grid`` text file, or else a binary ``.tsdf`` file."""
+    return read_grid_text(path) if os.fspath(path).endswith(".grid") else read_tsdf(path)
+
+
+def write_grid(path: str, grid: TSDFGrid) -> None:
+    """Write ``grid`` as text to a ``.grid`` path, or else as binary ``.tsdf``."""
+    (write_grid_text if os.fspath(path).endswith(".grid") else write_tsdf)(path, grid)
+
+
 def write_sequence_file(path: str, seq: ConstructionSequence) -> None:
     write_text_atomic(path, serialize_sequence(seq) + "\n")
 
 
 def read_sequence_file(path: str) -> ConstructionSequence:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _naming(path):
         return parse_sequence(fh.read())

@@ -36,8 +36,8 @@ height only as +-0 terms, and the slab term takes its absolute value.
 Values and owners are bit-identical to evaluating every body at every cell
 center, which ``attribute`` still does for every other body.
 
-``render`` evaluates a body that is off the z axis, and not read from the
-store, only in the blocks of cells its surface band can reach.  It first
+``render`` evaluates a body that is off the z axis, and not taken from a
+base, only in the blocks of cells its surface band can reach.  It first
 evaluates the body at the centers of 4^3-cell blocks, laid over the grid
 padded up to whole blocks when 4 does not divide n (at resolution 32 these
 are ``embed_shape``'s pooling blocks).  A block whose center value f_c has
@@ -57,7 +57,7 @@ in-band value (|v| < tau) lies strictly between the filled values of either
 sign, so every min and max of the fold picks the same in-band operand, bit
 for bit, and every out-of-band result keeps its sign and clamps to the same
 +-tau.  ``attribute`` stays dense, because its owners outside the band are
-part of its contract, and bodies read from the store are full fields.
+part of its contract, and bodies taken from a base are full fields.
 
 On the lattice, ``render`` also skips most of the extrusion formula
 min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0)), with d the profile
@@ -70,29 +70,26 @@ hypot(0, x) == |x| exactly, and the + 0.0 turns a -0.0 into +0.0 as the
 formula's + hypot(0, 0) does.  Where both are positive and d >= tau or
 slab >= tau, both values are at least tau, so they clamp to the same tau
 and, by the clamp commutation above, the stored grid is bit-identical.
-``attribute``, ``body_sdf``, the store's fields and ``_banded`` keep the
-formula: ownership reads values outside the band, and the culling bound
+``attribute``, ``body_sdf``, an attribution's bodies and ``_banded`` keep
+the formula: ownership reads values outside the band, and the culling bound
 needs the 1-Lipschitz field.
 
-``render`` and ``attribute`` accept a body store: a dict, owned by the
-caller, from the frozen ``(Sketch, Extrusion, GridSpec)`` to the body's
-field, cap mask and nearest primitive, all read-only.  Both read it.  Once
-its fold is done, ``attribute`` replaces the store's contents with the
-bodies of the sequence it attributed; ``render`` never writes it.  So the
-store holds at most one sequence's bodies and needs no size limit.  A
-caller that keeps one store across the attribution of a sequence and the
-renders of its variants evaluates only the bodies a variant changed.  A
-hit is exact: a body's arrays depend only on the key, and ``_extrude``
-computes the field the same way whether or not it also returns the cap
-mask and nearest primitive, so the fold sees the same float64 values it
-would have computed.
+An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
+Extrusion)`` to its field, cap mask and nearest primitive, all read-only.
+Given a ``base`` attribution at the same spec, ``render`` and ``attribute``
+take the bodies it holds and evaluate only the others.  A reused body is
+exact: its arrays depend only on the key and the spec, so an attribution
+folds the very arrays it would compute, and a render the full field its
+shortcuts above are proven equal to.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -191,13 +188,15 @@ class AttributionGrid:
     """Composed field plus, per voxel, the segment that owns it.
 
     ``owner`` holds indices into ``segment_ids`` (primitive-granularity ids:
-    primitives and extrusion blocks).
+    primitives and extrusion blocks).  ``bodies`` holds the sequence's bodies
+    (see the module notes).
     """
 
     spec: GridSpec
     values: np.ndarray
     owner: np.ndarray
     segment_ids: tuple[SegmentId, ...]
+    bodies: Mapping[tuple[Sketch, Extrusion], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def grid(self) -> TSDFGrid:
         return TSDFGrid(self.spec, self.values)
@@ -357,40 +356,33 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
     return -dneg, dpos
 
 
-def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray, owners: bool, band=None):
-    """Body field from sketch-plane coordinates and heights along the normal.
-
-    ``plane`` (..., 2) and ``height`` broadcast against each other.  When
-    ``owners``, also return the cap mask, which marks points where the slab
-    term exceeds the profile term, and the nearest primitive, which indexes
-    the sketch's primitives in loop order and keeps ``plane``'s shape.
-    ``band`` = tau marks a render on the lattice (see the module notes).
-    """
+def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray):
+    """Profile term, in ``plane``'s shape, slab term, in ``height``'s, and the
+    primitives' boundary distances in loop order, from sketch-plane
+    coordinates (..., 2) and heights along the normal."""
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
         raise ValueError("extrusion scale dequantizes to zero")
     d, rows = _profile_eval(sketch, plane / scale)
-    d = d * scale
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    slab = np.abs(height - mid) - half
-    if band is not None:
-        f = np.maximum(d + 0.0, slab + 0.0)
-        xy = np.flatnonzero((d > 0) & (d < band))
-        z = np.flatnonzero((slab > 0) & (slab < band))
-        f.reshape(-1, len(slab))[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
-        return f, None, None
-    f = np.minimum(np.maximum(d, slab), 0.0) + np.hypot(np.maximum(d, 0.0), np.maximum(slab, 0.0))
-    if not owners:
-        return f, None, None
-    return f, slab > d, np.argmin(np.stack(rows), axis=0)
+    return d * scale, np.abs(height - mid) - half, rows
+
+
+def _field(d: np.ndarray, slab: np.ndarray) -> np.ndarray:
+    """The extrusion formula: signed distance to the quadrant d <= 0, slab <= 0."""
+    return np.minimum(np.maximum(d, slab), 0.0) + np.hypot(np.maximum(d, 0.0), np.maximum(slab, 0.0))
+
+
+def _local(pts: np.ndarray, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sketch-plane coordinates and heights of (..., 3) points."""
+    local = (pts - origin) @ rot  # rows of pts times R == R^T (q - o)
+    return local[..., :2], local[..., 2]
 
 
 def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     """Untruncated SDF of one extruded (scaled, placed) sketch profile."""
-    rot, origin = placement_frame(ext)
-    local = (np.asarray(pts, dtype=float) - origin) @ rot  # rows of pts times R == R^T (q - o)
-    return _extrude(sketch, ext, local[..., :2], local[..., 2], owners=False)[0]
+    return _field(*_extrude(sketch, ext, *_local(np.asarray(pts, dtype=float), *placement_frame(ext)))[:2])
 
 
 def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray) -> np.ndarray:
@@ -399,21 +391,18 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
     notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb = -(-n // _BLOCK)
-    # cell centers of the grid padded to whole blocks; the first n are spec.centers()
-    c = DOMAIN_MIN + (np.arange(nb * _BLOCK) + 0.5) * pitch
-    mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
-    local = (np.stack(np.meshgrid(mid, mid, mid, indexing="ij"), axis=-1).reshape(-1, 3) - origin) @ rot
-    fc = _extrude(sketch, ext, local[:, :2], local[:, 2], False)[0]
+    mid = DOMAIN_MIN + (np.column_stack(np.indices((nb,) * 3).reshape(3, -1)) + 0.5) * (_BLOCK * pitch)
+    fc = _field(*_extrude(sketch, ext, *_local(mid, rot, origin))[:2]).reshape((nb,) * 3)
     reach = tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN
-    near = np.flatnonzero(np.abs(fc) < reach)
-    blocks = np.repeat(np.where(fc < 0, -tau, tau)[:, None], _BLOCK**3, axis=1)
-    # each near block's cell indices, in [ix, iy, iz] order within the block
-    offsets = np.stack(np.meshgrid(*(np.arange(_BLOCK),) * 3, indexing="ij"), axis=-1).reshape(-1, 3)
-    cell = np.stack(np.unravel_index(near, (nb,) * 3), axis=-1)[:, None, :] * _BLOCK + offsets
-    local = (c[cell].reshape(-1, 3) - origin) @ rot
-    blocks[near] = _extrude(sketch, ext, local[:, :2], local[:, 2], False)[0].reshape(len(near), -1)
-    m = nb * _BLOCK
-    return blocks.reshape((nb,) * 3 + (_BLOCK,) * 3).transpose(0, 3, 1, 4, 2, 5).reshape(m, m, m)[:n, :n, :n]
+
+    def cells(blocks):
+        return blocks.repeat(_BLOCK, 0).repeat(_BLOCK, 1).repeat(_BLOCK, 2)[:n, :n, :n]
+
+    out = cells(np.where(fc < 0, -tau, tau))
+    near = cells(np.abs(fc) < reach)
+    pts = spec.centers()[np.column_stack(np.nonzero(near))]
+    out[near] = _field(*_extrude(sketch, ext, *_local(pts, rot, origin))[:2])
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -444,12 +433,11 @@ _BOOLEAN = {
 # rendering and attribution
 
 
-def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: dict | None):
-    """Truncated (n, n, n) field and, when ``owners``, the owner grid and the
-    primitive-granularity ids its values index: each pair's primitives in
-    loop order, then its extrusion block.  ``bodies`` is the body store (see
-    the module notes): every call reads it, and an attribution replaces its
-    contents with the sequence's bodies once the fold is done.
+def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: AttributionGrid | None):
+    """Truncated (n, n, n) field and, when ``owners``, the owner grid, the
+    primitive-granularity ids its values index (each pair's primitives in
+    loop order, then its extrusion block) and the sequence's bodies.  Bodies
+    ``base`` holds at this spec are reused (see the module notes).
     """
     n = spec.resolution
     lattice = pts = None  # coordinates, built only for a body that needs them
@@ -465,34 +453,36 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
             if lattice is None:
                 c = spec.centers()
                 lattice = np.column_stack([np.repeat(c, n), np.tile(c, n), np.tile(c, n)])
-            local = (lattice - origin) @ rot
-            plane = local[:, :2].reshape(n, n, 1, 2)
-            return _extrude(sketch, ext, plane, local[:n, 2], owners, None if owners else spec.tau)
-        if not owners:
+            plane, height = _local(lattice, rot, origin)
+            d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
+            if not owners:
+                f = np.maximum(d + 0.0, slab + 0.0)
+                xy = np.flatnonzero((d > 0) & (d < spec.tau))
+                z = np.flatnonzero((slab > 0) & (slab < spec.tau))
+                f.reshape(-1, n)[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
+                return f, None, None
+        elif not owners:
             return _banded(sketch, ext, spec, rot, origin), None, None
-        if pts is None:
-            pts = spec.points()
-        local = ((pts - origin) @ rot).reshape(n, n, n, 3)
-        return _extrude(sketch, ext, local[..., :2], local[..., 2], owners)
+        else:
+            if pts is None:
+                pts = spec.points()
+            plane, height = _local(pts, rot, origin)
+            d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, n, 2), height.reshape(n, n, n))
+        return _field(d, slab), slab > d, np.argmin(np.stack(rows), axis=0)
 
-    keep = owners and bodies is not None
-    kept = {}  # this sequence's bodies: the store's contents after an attribution
+    reused = base.bodies if base is not None and base.spec == spec else {}
+    bodies = {}
     scene = None
     owner = np.empty((n, n, n), dtype=np.int32) if owners else None
     ids: list[SegmentId] = []
     for pi, (sketch, ext) in enumerate(seq.pairs):
-        key = (sketch, ext, spec)
-        body = None if bodies is None else bodies.get(key)
-        if body is None:
-            body = evaluate(sketch, ext)
-            if keep:
-                for a in body:
-                    a.flags.writeable = False
-        if keep:
-            kept[key] = body
+        body = reused.get((sketch, ext)) or evaluate(sketch, ext)
         f, cap, nearest = body
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
+            for a in body:
+                a.flags.writeable = False
+            bodies[sketch, ext] = body
             first = len(ids)  # owner value of the pair's first primitive
             for li, loop in enumerate(sketch.loops):
                 ids += (SegmentId(pi, SegmentKind.PRIMITIVE, li, k) for k in range(len(loop.primitives)))
@@ -500,35 +490,29 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, bodies: di
             took = True if scene is None else composed != scene
             np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
         scene = composed
-    if keep:
-        bodies.clear()
-        bodies.update(kept)
     tau = np.float32(spec.tau)
     values = np.clip(scene.astype(np.float32), -tau, tau)
     if not (values < 0).any():
         raise RenderInvalidError("composed field has no interior voxels")
-    return values, owner, tuple(ids)
+    return values, owner, tuple(ids), MappingProxyType(bodies)
 
 
-def render(seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, bodies: dict | None = None) -> TSDFGrid:
-    """Fold the sequence's bodies into one truncated grid.
-
-    ``bodies`` is a body store an attribution filled; render reads it and
-    never writes it.  Raises RenderInvalidError when the composed occupancy
+def render(
+    seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, base: AttributionGrid | None = None
+) -> TSDFGrid:
+    """Fold the sequence's bodies into one truncated grid, reusing those
+    ``base`` holds.  Raises RenderInvalidError when the composed occupancy
     is empty.
     """
-    return TSDFGrid(spec, _compose(seq, spec, False, bodies)[0])
+    return TSDFGrid(spec, _compose(seq, spec, False, base)[0])
 
 
 def attribute(
-    seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, bodies: dict | None = None
+    seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, base: AttributionGrid | None = None
 ) -> AttributionGrid:
-    """Composed field plus per-voxel owning segment (see the module notes).
-
-    With a body store, reuses the bodies it holds, then leaves it holding
-    exactly this sequence's bodies.
-    """
-    return AttributionGrid(spec, *_compose(seq, spec, True, bodies))
+    """Composed field plus per-voxel owning segment, reusing the bodies
+    ``base`` holds (see the module notes)."""
+    return AttributionGrid(spec, *_compose(seq, spec, True, base))
 
 
 # --------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .errors import (
     RenderInvalidError,
     SpecMismatchError,
 )
-from .kernel import TSDFGrid, render, surface_points
+from .kernel import AttributionGrid, TSDFGrid, render, surface_points
 from .sequence import ConstructionSequence, edit_distance, sequence_tokens
 
 DEFAULT_LAMBDA = 0.1
@@ -128,19 +128,19 @@ def report_for(
     original: ConstructionSequence | None = None,
     lam: float = DEFAULT_LAMBDA,
     *,
-    bodies: dict | None = None,
+    base: AttributionGrid | None = None,
 ) -> MetricsReport:
     """Assemble the full report for a candidate against a target grid.
 
     The objective is the chamfer distance between surface samples of the
     candidate's rendering and of the target, plus lam times the edit
     distance normalized by the original's token count; a candidate that
-    fails to render scores infinite rather than raising.  ``bodies`` is a
-    body store the render reads.
+    fails to render scores infinite rather than raising.  The render
+    reuses the bodies ``base`` holds.
     """
     dist = edit_distance(candidate, original) if original is not None else None
     try:
-        rendered = render(candidate, target.spec, bodies=bodies)
+        rendered = render(candidate, target.spec, base=base)
     except RenderInvalidError:
         objective = math.inf if original is not None else None
         return MetricsReport(invalid=True, edit_distance=dist, objective=objective)

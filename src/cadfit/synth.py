@@ -385,16 +385,28 @@ def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
 
 
 def load_corpus(path) -> list[Triplet]:
+    """The triplets a corpus manifest lists, as ``triplet <stem> <class>``
+    lines, each stem a plain file name and each class one of EDIT_CLASSES."""
     path = Path(path)
+    manifest = path / "manifest"
     out = []
-    for line in (path / "manifest").read_text(encoding="utf-8").splitlines():
+    for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
         if not line.startswith("triplet "):
             continue
-        _, stem, edit_class = line.split()
+        fields = line.split()
+        if len(fields) != 3:
+            raise ValueError(f"{manifest}:{number}: expected 'triplet <stem> <class>', got {line!r}")
+        _, stem, edit_class = fields
+        if Path(stem).name != stem:
+            raise ValueError(f"{manifest}:{number}: stem {stem!r} is not a plain file name")
+        if edit_class not in EDIT_CLASSES:
+            raise ValueError(f"{manifest}:{number}: unknown edit class {edit_class!r}")
         original = read_sequence_file(path / f"{stem}.orig.seq")
         truth = read_sequence_file(path / f"{stem}.truth.seq")
         target = read_tsdf(path / f"{stem}.target.tsdf")
         out.append(Triplet(original, target, truth, edit_class, edit_distance(original, truth)))
+    if not out:
+        raise ValueError(f"{manifest}: no triplets")
     return out
 
 

@@ -273,6 +273,51 @@ def test_metrics_names_a_grid_file_that_fails_validation(runner):
         assert res.stderr == "ValueError: nan.grid: values must be finite\n"
 
 
+def test_edit_inspect_and_metrics_read_a_text_grid_as_its_binary_twin(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        outputs = {}
+        for suffix in ("tsdf", "grid"):
+            target = f"t.{suffix}"
+            assert runner.invoke(main, ["render", "big.seq", "-o", target, "--res", "16"]).exit_code == 0
+            edit = runner.invoke(
+                main, ["edit", "cyl.seq", target, "-o", f"{suffix}.seq", "--report", f"{suffix}.txt", "--rounds", "2"]
+            )
+            inspect = runner.invoke(main, ["inspect", "cyl.seq", target])
+            metrics = runner.invoke(main, ["metrics", "cyl.seq", target])
+            assert edit.exit_code == inspect.exit_code == metrics.exit_code == 0, edit.stderr + inspect.stderr
+            files = Path(f"{suffix}.seq").read_bytes(), Path(f"{suffix}.txt").read_bytes()
+            outputs[suffix] = (edit.stdout, inspect.stdout, metrics.stdout) + files
+        assert Path("t.grid").read_bytes()[:4] != b"TSDF"
+        assert outputs["grid"] == outputs["tsdf"]
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        ("SOL X\n", "SequenceSyntaxError: bad.seq: expected a primitive token, got 'X'"),
+        ("", "StructureError: bad.seq: empty stream"),
+    ],
+)
+def test_metrics_names_the_sequence_file_it_rejects(runner, content, line):
+    with runner.isolated_filesystem():
+        _write_models()
+        Path("bad.seq").write_text(content, encoding="utf-8")
+        res = runner.invoke(main, ["metrics", "cyl.seq", "bad.seq"])
+        assert res.exit_code == 1
+        assert res.stderr == line + "\n"
+
+
+def test_metrics_names_a_sequence_file_that_is_not_utf8(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        Path("bad.seq").write_bytes(b"SOL \xff")
+        res = runner.invoke(main, ["metrics", "bad.seq", "cyl.seq"])
+        assert res.exit_code == 1
+        assert res.stderr.startswith("ValueError: bad.seq: 'utf-8' codec can't decode byte 0xff")
+        assert len(res.stderr.splitlines()) == 1
+
+
 # -- synth and eval ----------------------------------------------------------
 
 
@@ -377,6 +422,44 @@ def test_eval_aggregate_recomputes_from_triplet_rows(runner):
         assert math.isclose(
             float(agg["edit_distance_mean"][0]), statistics.fmean(dists), rel_tol=1e-8
         )
+
+
+def test_eval_names_a_truth_sequence_it_cannot_parse(runner):
+    with runner.isolated_filesystem():
+        _tiny_corpus(runner)
+        Path("corpus/0001.truth.seq").write_text("SOL X\n", encoding="utf-8")
+        res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", "--rounds", "1"])
+        assert res.exit_code == 1
+        assert res.stderr == (
+            f"SequenceSyntaxError: {Path('corpus/0001.truth.seq')}: expected a primitive token, got 'X'\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "triplet, message",
+    [
+        ("triplet 0001", "8: expected 'triplet <stem> <class>', got 'triplet 0001'"),
+        ("triplet 0001 param-jitter x", "8: expected 'triplet <stem> <class>', got 'triplet 0001 param-jitter x'"),
+        ("triplet 0001 bogus-class", "8: unknown edit class 'bogus-class'"),
+        ("triplet ../corpus/0001 param-jitter", "8: stem '../corpus/0001' is not a plain file name"),
+        ("", " no triplets"),
+    ],
+)
+def test_eval_names_the_manifest_line_it_rejects(runner, triplet, message):
+    with runner.isolated_filesystem():
+        _tiny_corpus(runner)
+        manifest = Path("corpus/manifest")
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        assert lines[7] == "triplet 0001 param-jitter"
+        if triplet:
+            lines[7] = triplet
+        else:
+            lines = [line for line in lines if not line.startswith("triplet ")]
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", "--rounds", "1"])
+        assert res.exit_code == 1
+        assert res.stderr == f"ValueError: {manifest}:{message}\n"
+        assert not Path("r.txt").exists()
 
 
 def test_eval_ablation_toggle_runs(runner):

@@ -302,6 +302,7 @@ def test_generation_disabled_returns_original():
     assert result.final == seq
     assert result.rounds_used == 0
     assert result.trace == ()
+    assert "rounds_used" not in {f.name for f in dataclasses.fields(result)}  # it is len(trace)
     assert result.stop_reason == "generation-disabled"
 
 
@@ -393,7 +394,7 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
     results = {mode: run(original, target, cfg, ablate=mode) for mode in (None,) + ABLATION_MODES}
     real_compose = kernel._compose
     monkeypatch.setattr(
-        kernel, "_compose", lambda seq, spec, owners, bodies: real_compose(seq, spec, owners, None)
+        kernel, "_compose", lambda seq, spec, owners, base: real_compose(seq, spec, owners, None)
     )
     for mode, result in results.items():
         assert run(original, target, cfg, ablate=mode) == result

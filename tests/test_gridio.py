@@ -7,12 +7,15 @@ import pytest
 
 from helpers import cylinder_sequence
 
+from cadfit.errors import SequenceSyntaxError, StructureError
 from cadfit.gridio import (
     MAGIC,
+    read_grid,
     read_grid_text,
     read_sequence_file,
     read_tsdf,
     tsdf_bytes,
+    write_grid,
     write_grid_text,
     write_sequence_file,
     write_tsdf,
@@ -69,12 +72,47 @@ def test_grid_text_round_trip(grid, tmp_path):
     assert np.array_equal(back.values, grid.values)
 
 
+@pytest.mark.parametrize("suffix, writer", [(".grid", write_grid_text), (".tsdf", write_tsdf), (".bin", write_tsdf)])
+def test_grid_files_take_their_form_from_the_suffix(grid, tmp_path, suffix, writer):
+    path, twin = tmp_path / f"shape{suffix}", tmp_path / "twin"
+    write_grid(path, grid)
+    writer(twin, grid)
+    assert path.read_bytes() == twin.read_bytes()
+    back = read_grid(path)
+    assert back.spec == grid.spec
+    assert np.array_equal(back.values.view(np.uint32), grid.values.view(np.uint32))
+
+
 def test_sequence_file_round_trip(tmp_path):
     seq = cylinder_sequence()
     path = tmp_path / "model.txt"
     write_sequence_file(path, seq)
     assert read_sequence_file(path) == seq
     assert path.read_text(encoding="utf-8") == serialize_sequence(seq) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("SOL X", SequenceSyntaxError, "expected a primitive token, got 'X'"),
+        ("", StructureError, "empty stream"),
+    ],
+)
+def test_a_sequence_file_error_names_the_file_and_keeps_its_class(tmp_path, text, kind, message):
+    path = tmp_path / "model.seq"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(kind) as err:
+        read_sequence_file(path)
+    assert type(err.value) is kind
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_a_sequence_file_that_is_not_utf8_is_named(tmp_path):
+    path = tmp_path / "model.seq"
+    path.write_bytes(b"SOL \xff")
+    with pytest.raises(ValueError) as err:
+        read_sequence_file(path)
+    assert str(err.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_sequence_file_accepts_multiline(tmp_path):

@@ -439,7 +439,8 @@ def _dense_fold(seq, spec):
         f = body_sdf(sketch, ext, pts)
         rot, origin = placement_frame(ext)
         local = (pts - origin) @ rot
-        _, cap, nearest = _extrude(sketch, ext, local[:, :2], local[:, 2], owners=True)
+        d, slab, rows = _extrude(sketch, ext, local[:, :2], local[:, 2])
+        cap, nearest = slab > d, np.argmin(np.stack(rows), axis=0)
         if scene is None:
             takes, scene = np.ones(len(pts), dtype=bool), f
         elif ext.bool_op is BoolOp.CUT:
@@ -657,9 +658,9 @@ def test_tilted_body_matches_the_dense_fold_bitwise(case):
 def test_banded_render_skips_the_cells_a_small_tilted_body_cannot_reach(monkeypatch):
     seen, real = [], kernel._extrude
 
-    def counted(sketch, ext, plane, height, owners):
+    def counted(sketch, ext, plane, height):
         seen.append(math.prod(np.broadcast_shapes(plane.shape[:-1], np.shape(height))))
-        return real(sketch, ext, plane, height, owners)
+        return real(sketch, ext, plane, height)
 
     monkeypatch.setattr(kernel, "_extrude", counted)
     spec = GridSpec()
@@ -675,10 +676,10 @@ def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch)
     edge = -(spec.tau + 1.5 * math.sqrt(3.0) * spec.pitch)
     seen = []
 
-    def flat(sketch, ext, plane, height, owners):
+    def flat(sketch, ext, plane, height):
         shape = np.broadcast_shapes(plane.shape[:-1], np.shape(height))
         seen.append(math.prod(shape))
-        return np.full(shape, edge), None, None
+        return np.full(shape, edge), np.full(shape, edge), []  # both terms at edge: a field of edge
 
     monkeypatch.setattr(kernel, "_extrude", flat)
     grid = render(ConstructionSequence((circle_pair(orientation=(0, 64, 0)),)), spec)
@@ -697,21 +698,20 @@ def test_bodies_are_placed_once_and_store_hits_build_no_coordinates(monkeypatch)
         return real(ext)
 
     monkeypatch.setattr(kernel, "placement_frame", counted)
-    store = {}
-    attribute(seq, spec, bodies=store)
+    ag = attribute(seq, spec)
     grid = render(seq, spec)
     assert placed == [ext for _, ext in seq.pairs] * 2
 
     def refuse(*_):
-        raise AssertionError("a body read from the store was placed again")
+        raise AssertionError("a body taken from the base was placed again")
 
     monkeypatch.setattr(kernel, "placement_frame", refuse)
     monkeypatch.setattr(GridSpec, "points", None)  # a call would now raise
     monkeypatch.setattr(GridSpec, "centers", None)
-    assert np.array_equal(render(seq, spec, bodies=store).values.view(np.uint32), grid.values.view(np.uint32))
+    assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), grid.values.view(np.uint32))
 
 
-# -- body store ---------------------------------------------------------------
+# -- bodies kept by an attribution --------------------------------------------
 
 
 def _placed(seq, rng, variant):
@@ -743,31 +743,97 @@ def test_body_store_reuse_is_bitwise_equal_to_a_fresh_fold(resolution, variant):
     while checked < 6 or ops != set(BoolOp):
         a = _placed(random_sequence(rng, min_pairs=2), rng, variant)
         b = _swap_one(a, _placed(random_sequence(rng), rng, variant), rng)
-        store = {}
         try:
-            attribute(a, spec, bodies=store)
+            warm = attribute(a, spec)
             fresh = attribute(b, spec)
         except RenderInvalidError:
             continue
-        warm = dict(store)
-        shared = warm.keys() & {(s, e, spec) for s, e in b.pairs}
+        shared = warm.bodies.keys() & set(b.pairs)
         assert shared
 
-        grid = render(b, spec, bodies=store)
-        assert store.keys() == warm.keys()
-        assert all(store[key] is warm[key] for key in warm)
+        grid = render(b, spec, base=warm)
         assert np.array_equal(grid.values.view(np.uint32), fresh.values.view(np.uint32))
 
-        ag = attribute(b, spec, bodies=store)
+        ag = attribute(b, spec, base=warm)
         assert np.array_equal(ag.values.view(np.uint32), fresh.values.view(np.uint32))
         assert np.array_equal(ag.owner, fresh.owner)
         assert ag.segment_ids == fresh.segment_ids
-        assert store.keys() == {(s, e, spec) for s, e in b.pairs}
-        assert all(store[key] is warm[key] for key in shared)
-        assert not any(arr.flags.writeable for body in store.values() for arr in body)
+        assert ag.bodies.keys() == set(b.pairs)
+        assert all(ag.bodies[key] is warm.bodies[key] for key in shared)
+        assert not any(arr.flags.writeable for body in ag.bodies.values() for arr in body)
 
         ops.update(ext.bool_op for _, ext in b.pairs)
         checked += 1
+
+
+def _renderable(rng, spec, variant):
+    """A ``_placed`` sequence of at least two pairs that renders at ``spec``,
+    with its attribution."""
+    while True:
+        seq = _placed(random_sequence(rng, min_pairs=2), rng, variant)
+        try:
+            return seq, attribute(seq, spec)
+        except RenderInvalidError:
+            continue
+
+
+@pytest.mark.parametrize("variant", ["z-aligned", "tilted", "mixed"])
+def test_an_attribution_keeps_exactly_its_sequences_bodies_read_only(variant):
+    rng = np.random.default_rng([len(variant), 89])
+    spec = GridSpec(resolution=16)
+    seq, _ = _renderable(rng, spec, variant)
+    seq = ConstructionSequence(seq.pairs + seq.pairs[:1])  # a repeated body is kept once
+    ag = attribute(seq, spec)
+    assert ag.bodies.keys() == set(seq.pairs) and len(ag.bodies) == len(seq.pairs) - 1
+    with pytest.raises(TypeError):
+        ag.bodies[seq.pairs[0]] = ag.bodies[seq.pairs[1]]
+    n, tau = spec.resolution, np.float32(spec.tau)
+
+    def clamped(f):
+        return np.clip(np.broadcast_to(f, (n, n, n)).astype(np.float32), -tau, tau).view(np.uint32)
+
+    for (sketch, ext), (f, cap, nearest) in ag.bodies.items():
+        for arr in (f, cap, nearest):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0
+        assert np.array_equal(clamped(f), clamped(body_sdf(sketch, ext, spec.points()).reshape(n, n, n)))
+    # they are the very fields the attribution folded
+    scene = ag.bodies[seq.pairs[0]][0]
+    for sketch, ext in seq.pairs[1:]:
+        scene = kernel._BOOLEAN[ext.bool_op](scene, ag.bodies[sketch, ext][0])
+    assert np.array_equal(clamped(scene), ag.values.view(np.uint32))
+
+
+def test_a_base_at_another_spec_is_not_reused():
+    spec = GridSpec(resolution=32)
+    seq, fresh = _renderable(np.random.default_rng(91), spec, "mixed")
+    fresh_grid = render(seq, spec)
+    for other in (GridSpec(resolution=16), GridSpec(resolution=32, tau=0.1)):
+        base = attribute(seq, other)
+        grid = render(seq, spec, base=base)
+        assert np.array_equal(grid.values.view(np.uint32), fresh_grid.values.view(np.uint32))
+        ag = attribute(seq, spec, base=base)
+        assert np.array_equal(ag.values.view(np.uint32), fresh.values.view(np.uint32))
+        assert np.array_equal(ag.owner, fresh.owner)
+        assert not any(ag.bodies[key][0] is base.bodies[key][0] for key in ag.bodies)
+
+
+@pytest.mark.parametrize("variant", ["tilted", "mixed"])
+def test_a_render_off_the_z_axis_builds_no_meshgrid(monkeypatch, variant):
+    rng = np.random.default_rng([len(variant), 93])
+    cases = []
+    for resolution in (16, 17, 32):
+        spec = GridSpec(resolution=resolution)
+        seq, _ = _renderable(rng, spec, variant)
+        cases.append((seq, spec, render(seq, spec)))
+    assert any(ext.orientation[1] for seq, _, _ in cases for _, ext in seq.pairs)
+
+    def refuse(*_, **__):
+        raise AssertionError("render built a meshgrid")
+
+    monkeypatch.setattr(kernel.np, "meshgrid", refuse)
+    for seq, spec, grid in cases:
+        assert np.array_equal(render(seq, spec).values.view(np.uint32), grid.values.view(np.uint32))
 
 
 # -- 2D layer on x/y planes -----------------------------------------------------
