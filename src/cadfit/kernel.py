@@ -12,8 +12,11 @@ The 2D layer works on x and y planes.  ``_loop_eval`` copies the two
 coordinates of its points once per loop, and every distance is
 sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
 length-2 axis, so the values are bit-identical without that reduction.  A
-segment's projection parameter stays a matmul on the (..., 2) points: BLAS
-fuses its multiply-add, which the elementwise form would round differently.
+segment's projection parameter stays a matmul: BLAS fuses its multiply-add,
+which the elementwise form would round differently.  It is one product of
+the points as an (N, 2) matrix, whatever their shape: a stacked product
+rounds by the size of its cores, (1, 2) on the lattice's (n, n, 1, 2) points
+below against (n, 2) on a dense (n, n, n, 2) array.
 
 Attribution runs inside the same fold, which is what the planner consumes.
 A voxel belongs to the last pair that changed its composed value; a pair
@@ -33,8 +36,9 @@ its height, whatever z is, which leaves every nonzero sum unchanged and can
 flip only the sign of a zero one, and the profile never sees that sign
 because no quantized 2D coordinate is zero; likewise x and y enter the
 height only as +-0 terms, and the slab term takes its absolute value.
-Values and owners are bit-identical to evaluating every body at every cell
-center, which ``attribute`` still does for every other body.
+Float64 fields, values and owners are bit-identical to evaluating every
+body at every cell center, which ``attribute`` still does for every other
+body.
 
 ``render`` evaluates a body that is off the z axis, and not taken from a
 base, only in the blocks of cells its surface band can reach.  It first
@@ -59,20 +63,22 @@ for bit, and every out-of-band result keeps its sign and clamps to the same
 +-tau.  ``attribute`` stays dense, because its owners outside the band are
 part of its contract, and bodies taken from a base are full fields.
 
-On the lattice, ``render`` also skips most of the extrusion formula
-min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0)), with d the profile
-term on the n^2 xy cells and slab the slab term on the n z layers.  It takes
-max(d + 0.0, slab + 0.0) over the grid, which is max(d, slab) + 0.0, and
-writes the formula only into the outer product of the xy cells with
-0 < d < tau and the z layers with 0 < slab < tau, the very cells where both
-hold.  Where d <= 0 or slab <= 0, the formula is max(d, slab) + 0.0:
+On the lattice, ``render`` and ``attribute`` skip most of the extrusion
+formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0)), with d the
+profile term on the n^2 xy cells and slab the slab term on the n z layers.
+They take max(d + 0.0, slab + 0.0) over the grid, which is
+max(d, slab) + 0.0, and write hypot(d, slab) only into the outer product of
+the xy cells with d > 0 and the z layers with slab > 0, the very cells where
+both hold.  Where d <= 0 or slab <= 0, the formula is max(d, slab) + 0.0:
 hypot(0, x) == |x| exactly, and the + 0.0 turns a -0.0 into +0.0 as the
-formula's + hypot(0, 0) does.  Where both are positive and d >= tau or
-slab >= tau, both values are at least tau, so they clamp to the same tau
-and, by the clamp commutation above, the stored grid is bit-identical.
-``attribute``, ``body_sdf``, an attribution's bodies and ``_banded`` keep
-the formula: ownership reads values outside the band, and the culling bound
-needs the 1-Lipschitz field.
+formula's + hypot(0, 0) does; where both are positive it is
+0.0 + hypot(d, slab).  So an attribution's lattice field is the formula's,
+bit for bit: its owners read values outside the band, and its bodies are
+reused as full fields.  ``render`` bounds the patch further, to d < tau and
+slab < tau: where both are positive and one is at least tau, both values
+are at least tau, so they clamp to the same tau and, by the clamp
+commutation above, the stored grid is bit-identical.  ``body_sdf`` and
+``_banded`` keep the formula; the culling bound needs the 1-Lipschitz field.
 
 An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
 Extrusion)`` to its field, cap mask and nearest primitive, all read-only.
@@ -213,7 +219,7 @@ def _distance(x: np.ndarray, y: np.ndarray, p) -> np.ndarray:
 def _segment_distance(a: np.ndarray, b: np.ndarray, pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ab = b - a
     denom = float(ab @ ab)
-    t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+    t = np.clip(((pts - a).reshape(-1, 2) @ ab).reshape(x.shape) / denom, 0.0, 1.0)
     return _distance(x, y, (a[0] + t * ab[0], a[1] + t * ab[1]))
 
 
@@ -399,8 +405,8 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
         return blocks.repeat(_BLOCK, 0).repeat(_BLOCK, 1).repeat(_BLOCK, 2)[:n, :n, :n]
 
     out = cells(np.where(fc < 0, -tau, tau))
-    near = cells(np.abs(fc) < reach)
-    pts = spec.centers()[np.column_stack(np.nonzero(near))]
+    near = np.unravel_index(np.flatnonzero(cells(np.abs(fc) < reach)), (n,) * 3)
+    pts = spec.centers()[np.column_stack(near)]
     out[near] = _field(*_extrude(sketch, ext, *_local(pts, rot, origin))[:2])
     return out
 
@@ -455,11 +461,12 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
                 lattice = np.column_stack([np.repeat(c, n), np.tile(c, n), np.tile(c, n)])
             plane, height = _local(lattice, rot, origin)
             d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
+            top = math.inf if owners else spec.tau  # a render needs hypot only inside the band
+            f = np.maximum(d + 0.0, slab + 0.0)
+            xy = np.flatnonzero((d > 0) & (d < top))
+            z = np.flatnonzero((slab > 0) & (slab < top))
+            f.reshape(-1, n)[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
             if not owners:
-                f = np.maximum(d + 0.0, slab + 0.0)
-                xy = np.flatnonzero((d > 0) & (d < spec.tau))
-                z = np.flatnonzero((slab > 0) & (slab < spec.tau))
-                f.reshape(-1, n)[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
                 return f, None, None
         elif not owners:
             return _banded(sketch, ext, spec, rot, origin), None, None
@@ -468,7 +475,8 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
                 pts = spec.points()
             plane, height = _local(pts, rot, origin)
             d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, n, 2), height.reshape(n, n, n))
-        return _field(d, slab), slab > d, np.argmin(np.stack(rows), axis=0)
+            f = _field(d, slab)
+        return f, slab > d, np.argmin(np.stack(rows), axis=0)
 
     reused = base.bodies if base is not None and base.spec == spec else {}
     bodies = {}
@@ -522,26 +530,24 @@ def attribute(
 def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> np.ndarray:
     """Zero-crossing points between adjacent cell centers, subsampled.
 
-    Crossing locations come from linear interpolation along grid edges.
+    Crossing locations come from linear interpolation along grid edges, in
+    float64.  Each axis's crossings are found as flat indices into the grid,
+    in C order, so only a crossing's two samples are read and widened.
     Raises EmptySurfaceError when no adjacent pair changes sign.
     """
-    vals = grid.values.astype(np.float64)
-    centers = grid.spec.centers()
+    n, pitch = grid.spec.resolution, grid.spec.pitch
+    occ = grid.values < 0
+    flat = grid.values.reshape(-1)
     pts = []
     for axis in range(3):
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(None, -1)
-        hi[axis] = slice(1, None)
-        va, vb = vals[tuple(lo)], vals[tuple(hi)]
-        crossing = (va < 0) != (vb < 0)
-        if not crossing.any():
+        # occ[i] != occ[i + 1] along the axis; the last layer meets its own copy
+        at = np.flatnonzero(np.diff(occ, axis=axis, append=occ.take([-1], axis=axis)))
+        if not at.size:
             continue
-        ia, ib, ic = np.nonzero(crossing)
-        t = va[crossing] / (va[crossing] - vb[crossing])
-        idx = np.stack([ia, ib, ic], axis=-1).astype(np.float64)
-        coords = DOMAIN_MIN + (idx + 0.5) * grid.spec.pitch
-        coords[:, axis] += t * grid.spec.pitch
+        va = flat[at].astype(np.float64)
+        t = va / (va - flat[at + n ** (2 - axis)])
+        coords = DOMAIN_MIN + (np.stack(np.unravel_index(at, occ.shape), axis=-1) + 0.5) * pitch
+        coords[:, axis] += t * pitch
         pts.append(coords)
     if not pts:
         raise EmptySurfaceError("grid has no sign change between adjacent cells")

@@ -79,7 +79,7 @@ def occupancy_histogram(grids) -> np.ndarray:
         c = grid.spec.centers()
         k = np.searchsorted(edges, c, side="right") - (c == edges[-1]) - 1
         inside = (k >= 0) & (k < bins)
-        ix, iy, iz = np.nonzero(grid.occupancy())
+        ix, iy, iz = np.unravel_index(np.flatnonzero(grid.occupancy()), grid.values.shape)
         keep = inside[ix] & inside[iy] & inside[iz]
         total += np.bincount(((k[ix] * bins + k[iy]) * bins + k[iz])[keep], minlength=bins**3)
     mass = total.sum()

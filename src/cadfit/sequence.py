@@ -553,7 +553,15 @@ def apply_mask(seq: ConstructionSequence, ids) -> MaskedSequence:
 
 
 def token_edit_distance(a: list[str], b: list[str]) -> int:
-    """Levenshtein distance between two token lists."""
+    """Levenshtein distance between two token lists.
+
+    A shared prefix costs nothing, and neither does reversing both lists, so
+    two passes strip the shared prefix, then the shared suffix, before the
+    two-row DP, and leave the lists in their order.
+    """
+    for _ in range(2):
+        k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        a, b = a[k:][::-1], b[k:][::-1]
     if len(a) < len(b):
         a, b = b, a
     prev = list(range(len(b) + 1))

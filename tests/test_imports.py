@@ -187,3 +187,47 @@ def test_module_keeps_no_state_across_calls(path):
     """Caches are owned by a run, not by module globals."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{entry}" for entry in _module_state_writes(tree)] == []
+
+
+# multi-dimensional index finders; np.unravel_index(np.flatnonzero(mask),
+# mask.shape) gives the same indices in the same C order for less
+_INDEX_FINDERS = {"nonzero", "argwhere"}
+
+
+def _index_finder_calls(tree: ast.Module) -> list[str]:
+    """Line and name of each call to ``nonzero`` or ``argwhere``, as a
+    function, a numpy attribute or an array method."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _INDEX_FINDERS:
+                found.append(f"{node.lineno} {name}")
+    return found
+
+
+def test_index_finder_check_flags_every_spelling():
+    source = """
+import numpy as np
+from numpy import argwhere, nonzero
+
+def f(mask, grid):
+    np.nonzero(mask)
+    np.argwhere(mask)
+    mask.nonzero()
+    (grid.values < 0).nonzero()
+    nonzero(mask)
+    argwhere(mask)
+    np.flatnonzero(mask)
+    np.count_nonzero(mask)
+    return np.unravel_index(np.flatnonzero(mask), mask.shape)
+"""
+    found = [entry.split(" ", 1)[1] for entry in _index_finder_calls(ast.parse(source))]
+    assert found == ["nonzero", "argwhere", "nonzero", "nonzero", "nonzero", "argwhere"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_finds_indices_with_flatnonzero(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [f"{path.name}:{entry}" for entry in _index_finder_calls(tree)] == []

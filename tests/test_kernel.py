@@ -525,6 +525,25 @@ def test_z_aligned_sequences_match_the_dense_fold_bitwise(resolution):
         checked += _assert_equals_dense_fold(_z_aligned(random_sequence(rng), rng), spec)
 
 
+@pytest.mark.parametrize("resolution", [16, 32])
+def test_z_aligned_body_fields_equal_body_sdf_in_float64(resolution):
+    """The lattice path's body fields are the dense path's bit for bit, not
+    only after the float32 clamp: every projection is one (N, 2) product."""
+    rng = np.random.default_rng([resolution, 131])
+    spec = GridSpec(resolution=resolution)
+    pts, bodies = spec.points(), 0
+    for _ in range(30):
+        try:
+            ag = attribute(_z_aligned(random_sequence(rng), rng), spec)
+        except RenderInvalidError:
+            continue
+        for (sketch, ext), (f, _, _) in ag.bodies.items():
+            dense = body_sdf(sketch, ext, pts).reshape(f.shape)
+            assert np.array_equal(f.view(np.uint64), dense.view(np.uint64))
+            bodies += 1
+    assert bodies >= 40
+
+
 @st.composite
 def z_aligned_bodies(draw):
     """One phi-bin-0 body: a circle, an annulus or a chain of lines and arcs,

@@ -1,5 +1,6 @@
 """Metric checks: brute-force chamfer, hand-computed divergence, analytic overlap."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from cadfit.errors import (
     NormalizationError,
     SpecMismatchError,
 )
-from cadfit.kernel import GridSpec, TSDFGrid, render
+from cadfit.kernel import GridSpec, TSDFGrid, render, surface_points
 from cadfit.metrics import (
     MetricsReport,
     chamfer,
@@ -24,6 +25,7 @@ from cadfit.metrics import (
     report_for,
 )
 from cadfit.sequence import ConstructionSequence
+from cadfit.synth import random_renderable
 
 
 def _box_grid(x_lo, x_hi, spec=None):
@@ -178,6 +180,40 @@ def test_occupancy_histogram_matches_histogramdd_bitwise(resolution):
         got = occupancy_histogram(batch)
         assert got.shape == expected.shape
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+# sha256 of surface_points, with the default and with a subsampling
+# max_points, and of occupancy_histogram over the grids below
+SURFACE_PIN = "a3b6fe68c05e74e38b90321410a4bd4c583dc3af6e6ee2ace87158125e31b72d"
+
+
+def _pin_grids():
+    """Seeded grids at 16, 17, 32 and 64: a render, a union of balls and,
+    at 17, a z-invariant column with no crossing along z."""
+    for resolution in (16, 17, 32, 64):
+        spec = GridSpec(resolution=resolution)
+        rng = np.random.default_rng([resolution, 113])
+        yield render(random_renderable(rng, spec), spec)
+        pts = spec.points()
+        balls = [np.linalg.norm(pts - rng.uniform(-0.3, 0.3, 3), axis=1) - rng.uniform(0.08, 0.2) for _ in range(3)]
+        vals = np.clip(np.minimum.reduce(balls), -spec.tau, spec.tau)
+        yield TSDFGrid(spec, vals.reshape((resolution,) * 3))
+    spec = GridSpec(resolution=17)
+    pts = spec.points()
+    vals = np.clip(np.hypot(pts[:, 0] - 0.05, pts[:, 1] + 0.1) - 0.21, -spec.tau, spec.tau)
+    yield TSDFGrid(spec, vals.reshape((17,) * 3))
+
+
+def test_surface_points_and_histograms_are_pinned():
+    digest = hashlib.sha256()
+    grids = list(_pin_grids())
+    for seed, grid in enumerate(grids):
+        for arr in (surface_points(grid), surface_points(grid, max_points=97, seed=seed), occupancy_histogram([grid])):
+            digest.update(arr.tobytes())
+    digest.update(occupancy_histogram(grids).tobytes())
+    column = grids[-1]
+    assert np.isin(surface_points(column, max_points=10**6)[:, 2], column.spec.centers()).all()
+    assert digest.hexdigest() == SURFACE_PIN
 
 
 def test_occupancy_histogram_empty_raises():

@@ -10,6 +10,7 @@ from cadfit.errors import (
     StructureError,
     UnknownSegmentError,
 )
+from cadfit.kernel import GridSpec
 from cadfit.sequence import (
     Arc,
     BoolOp,
@@ -33,6 +34,7 @@ from cadfit.sequence import (
     token_edit_distance,
     validate_sequence,
 )
+from cadfit.synth import EDIT_CLASSES, mutate, random_renderable
 
 
 def _extrusion(op=BoolOp.NEW, extent=Extent.ONE_SIDED, **kw):
@@ -342,6 +344,22 @@ def test_edit_distance_matches_reference_on_random_streams():
         a = parse_sequence(random_stream(rng))
         b = parse_sequence(random_stream(rng))
         assert edit_distance(a, b) == _dp_reference(sequence_tokens(a), sequence_tokens(b))
+
+
+def test_edit_distance_matches_reference_on_near_identical_streams():
+    # an edit leaves most tokens in place: the shared prefix and suffix cover
+    # all but a few, and at times a whole side
+    rng, spec = np.random.default_rng(23), GridSpec(resolution=16)
+    checked = 0
+    while checked < 40:
+        source = random_renderable(rng, spec)
+        edited = mutate(source, EDIT_CLASSES[checked % len(EDIT_CLASSES)], rng, spec)
+        if edited is None:
+            continue
+        a, b = sequence_tokens(source), sequence_tokens(edited)
+        for x, y in ((a, b), (b, a), (a, a), (a, a[:-3]), (a[2:], a)):
+            assert token_edit_distance(x, y) == _dp_reference(x, y)
+        checked += 1
 
 
 def test_edit_distance_metric_axioms():
