@@ -890,6 +890,28 @@ def test_seeded_renders_and_attributions_are_pinned():
     assert digest.hexdigest() == KERNEL_PIN
 
 
+# sha256 of the owners of the attributions above, with every cell outside the
+# band (|v| >= tau) set to -1: the owners an attribution guarantees
+IN_BAND_OWNER_PIN = "5c81f2f4cc09cd260dffd88d6d918db078ffdc0369932cedbd3792c9c9a22e3e"
+
+
+def test_seeded_in_band_owners_are_pinned():
+    digest = hashlib.sha256()
+    for resolution in (16, 17, 32):
+        rng = np.random.default_rng([resolution, 97])
+        spec = GridSpec(resolution=resolution)
+        for variant in ("z-aligned", "tilted", "mixed"):
+            for _ in range(4):
+                seq = _placed(random_sequence(rng, min_pairs=2), rng, variant)
+                try:
+                    ag = attribute(seq, spec)
+                except RenderInvalidError as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}".encode())
+                    continue
+                digest.update(np.where(np.abs(ag.values) < np.float32(spec.tau), ag.owner, -1).tobytes())
+    assert digest.hexdigest() == IN_BAND_OWNER_PIN
+
+
 def test_profiles_take_no_norm_over_a_coordinate_axis(monkeypatch):
     """The 2D layer works on x and y planes: no distance in it is a norm
     over a trailing length-2 axis (the arc chord's norm on one 2-vector
