@@ -8,8 +8,7 @@ JOIN apply ``sdf_union`` (min), CUT ``sdf_difference`` (max with the
 negated body) and INTERSECT ``sdf_intersection`` (max).  Truncation to
 [-tau, tau] happens once, when the composed field is stored on a grid.
 
-The 2D layer works on x and y planes.  ``_loop_eval`` copies the two
-coordinates of its points once per loop, and every distance is
+The 2D layer works on x and y planes, and every distance is
 sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
 length-2 axis, so the values are bit-identical without that reduction.  A
 segment's projection parameter stays a matmul: BLAS fuses its multiply-add,
@@ -17,6 +16,16 @@ which the elementwise form would round differently.  It is one product of
 the points as an (N, 2) matrix, whatever their shape: a stacked product
 rounds by the size of its cores, (1, 2) on the lattice's (n, n, 1, 2) points
 below against (n, 2) on a dense (n, n, n, 2) array.
+
+Coordinate planes and block-major order are exact.  A product's operand,
+p - o for the placement or q - a for a segment, is written one coordinate
+at a time into an empty (N, 3) or (N, 2) array, and ``_extrude`` divides x
+and y by the scale one at a time: each element is the very operation a
+broadcast over the (N, k) array makes, so BLAS gets the same operand.  An
+elementwise result depends only on its own point, and each row of an
+(N, 3) @ (3, 3) or (N, 2) @ (2,) product rounds the same at any position
+(the dense-fold tests check both), so evaluating the cells block by block
+gives each the same bits, and a transpose into the grid only moves them.
 
 Attribution runs inside the same fold, which is what the planner consumes.
 A voxel belongs to the last pair that changed its composed value; a pair
@@ -37,15 +46,14 @@ flip only the sign of a zero one, and the profile never sees that sign
 because no quantized 2D coordinate is zero; likewise x and y enter the
 height only as +-0 terms, and the slab term takes its absolute value.
 Float64 fields, values and owners are bit-identical to evaluating every
-body at every cell center, which ``attribute`` still does for every other
-body.
+body at every cell center, as ``body_sdf`` does.
 
-``render`` evaluates a body that is off the z axis, and not taken from a
-base, only in the blocks of cells its surface band can reach.  It first
-evaluates the body at the centers of 4^3-cell blocks, laid over the grid
-padded up to whole blocks when 4 does not divide n (at resolution 32 these
-are ``embed_shape``'s pooling blocks).  A block whose center value f_c has
-|f_c| >= tau + 1.5 sqrt(3) pitch + a 1e-9 margin is filled with
+``render`` and ``attribute`` evaluate a body that is off the z axis, and not
+taken from a base, only in the blocks of cells its surface band can reach.
+They first evaluate the body at the centers of 4^3-cell blocks, laid over
+the grid padded up to whole blocks when 4 does not divide n (at resolution
+32 these are ``embed_shape``'s pooling blocks).  A block whose center value
+f_c has |f_c| >= tau + 1.5 sqrt(3) pitch + a 1e-9 margin is filled with
 sign(f_c) * tau, and only the other blocks' cells are evaluated.  The result
 is again exact.  Every body field is 1-Lipschitz: a loop's boundary distance
 is, and its winding sign flips only on the boundary, where that distance is
@@ -60,33 +68,44 @@ monotone with tau exact in float32, so the stored grid is bit-identical: an
 in-band value (|v| < tau) lies strictly between the filled values of either
 sign, so every min and max of the fold picks the same in-band operand, bit
 for bit, and every out-of-band result keeps its sign and clamps to the same
-+-tau.  ``attribute`` stays dense, because its owners outside the band are
-part of its contract, and bodies taken from a base are full fields.
++-tau.
 
-On the lattice, ``render`` and ``attribute`` skip most of the extrusion
-formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0)), with d the
-profile term on the n^2 xy cells and slab the slab term on the n z layers.
-They take max(d + 0.0, slab + 0.0) over the grid, which is
-max(d, slab) + 0.0, and write hypot(d, slab) only into the outer product of
-the xy cells with d > 0 and the z layers with slab > 0, the very cells where
-both hold.  Where d <= 0 or slab <= 0, the formula is max(d, slab) + 0.0:
-hypot(0, x) == |x| exactly, and the + 0.0 turns a -0.0 into +0.0 as the
-formula's + hypot(0, 0) does; where both are positive it is
-0.0 + hypot(d, slab).  So an attribution's lattice field is the formula's,
-bit for bit: its owners read values outside the band, and its bodies are
-reused as full fields.  ``render`` bounds the patch further, to d < tau and
-slab < tau: where both are positive and one is at least tau, both values
-are at least tau, so they clamp to the same tau and, by the clamp
-commutation above, the stored grid is bit-identical.  ``body_sdf`` and
-``_banded`` keep the formula; the culling bound needs the 1-Lipschitz field.
+An attribution fills a culled block's cap mask with False and its nearest
+primitive with 0, so it guarantees owners only in the band, where
+|v| < tau; there they are the dense fold's.  Proof: min and max return one
+of their operands, so the last pair that changed an in-band value v left
+its own value f (or -f for CUT) equal to v, in the band; that cell's block
+is never culled, and its cap mask and nearest primitive there are exact.
+The culled fold names the same pair: by the clamp commutation its scene
+clamps like the dense one after every pair, and a value that clamps to an
+in-band v is v, so from that pair on its scene is v, and before it the
+scene is not, as the dense one is not.  So a culled block, also in a body
+taken from a base, never owns an in-band voxel.  The planner reads owners
+out to ``BAND_WIDTH`` * pitch, so where that band exceeds tau (resolution 8
+at the default tau) an attribution culls nothing.
+
+The extrusion formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0))
+is max(d, slab) + 0.0 where d <= 0 or slab <= 0: hypot(0, x) == |x| exactly,
+and the + 0.0 turns a -0.0 into +0.0 as the formula's + hypot(0, 0) does;
+where both are positive it is 0.0 + hypot(d, slab).  So ``_field`` takes
+max(d, slab) + 0.0 and writes hypot(d, slab) only where both are positive,
+bit for bit the formula.  On the lattice, with d the profile term on the
+n^2 xy cells and slab the slab term on the n z layers, ``render`` and
+``attribute`` take max(d + 0.0, slab + 0.0) over the grid and write hypot
+only into the outer product of the xy cells with d > 0 and the z layers with
+slab > 0, so an attribution's lattice bodies are full fields.  ``render``
+bounds that patch further, to d < tau and slab < tau: where both are
+positive and one is at least tau, both values are at least tau, so they
+clamp to the same tau and, by the clamp commutation above, the stored grid
+is bit-identical.
 
 An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
 Extrusion)`` to its field, cap mask and nearest primitive, all read-only.
 Given a ``base`` attribution at the same spec, ``render`` and ``attribute``
 take the bodies it holds and evaluate only the others.  A reused body is
 exact: its arrays depend only on the key and the spec, so an attribution
-folds the very arrays it would compute, and a render the full field its
-shortcuts above are proven equal to.
+folds the very arrays it would compute, and a render a field that clamps
+like the full one, which is all the shortcuts above are proven to need.
 """
 
 from __future__ import annotations
@@ -125,6 +144,8 @@ DOMAIN_MAX = 0.5
 
 _TWO_PI = 2.0 * math.pi
 
+BAND_WIDTH = 2.0  # half-width of the planner's near-surface band, in voxels
+
 _BLOCK = 4  # cell edge of the blocks a banded render culls (see the module notes)
 _CULL_MARGIN = 1e-9  # slack over the Lipschitz bound for float64 rounding
 
@@ -154,12 +175,6 @@ class GridSpec:
     def centers(self) -> np.ndarray:
         i = np.arange(self.resolution)
         return DOMAIN_MIN + (i + 0.5) * self.pitch
-
-    def points(self) -> np.ndarray:
-        """All cell centers as an (n^3, 3) array, index order [ix, iy, iz]."""
-        c = self.centers()
-        gx, gy, gz = np.meshgrid(c, c, c, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,10 +231,13 @@ def _distance(x: np.ndarray, y: np.ndarray, p) -> np.ndarray:
     return np.sqrt((x - p[0]) ** 2 + (y - p[1]) ** 2)
 
 
-def _segment_distance(a: np.ndarray, b: np.ndarray, pts: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _segment_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ab = b - a
     denom = float(ab @ ab)
-    t = np.clip(((pts - a).reshape(-1, 2) @ ab).reshape(x.shape) / denom, 0.0, 1.0)
+    rel = np.empty(x.shape + (2,))
+    np.subtract(x, a[0], out=rel[..., 0])
+    np.subtract(y, a[1], out=rel[..., 1])
+    t = np.clip((rel.reshape(-1, 2) @ ab).reshape(x.shape) / denom, 0.0, 1.0)
     return _distance(x, y, (a[0] + t * ab[0], a[1] + t * ab[1]))
 
 
@@ -243,10 +261,16 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     return center, radius
 
 
+def _on_arc(ang: np.ndarray, start: float, sweep: float, ccw: bool) -> np.ndarray:
+    """Whether the turn from ``start`` to ``ang`` is within the sweep: diff % 2pi <= sweep
+    without the remainder, which, as |diff| <= 2pi, adds 2pi to a negative diff and maps +-0, +-2pi to +0."""
+    diff = (ang - start) if ccw else (start - ang)
+    return (np.where(diff < 0, diff + _TWO_PI, diff) <= sweep) | (diff == _TWO_PI)
+
+
 def _arc_distance(a, b, center, radius, sweep, ccw, x, y) -> np.ndarray:
     ang = np.arctan2(y - center[1], x - center[0])
-    start = math.atan2(a[1] - center[1], a[0] - center[0])
-    on_arc = ((ang - start) if ccw else (start - ang)) % _TWO_PI <= sweep
+    on_arc = _on_arc(ang, math.atan2(a[1] - center[1], a[0] - center[0]), sweep, ccw)
     ring = np.abs(_distance(x, y, center) - radius)
     caps = np.minimum(_distance(x, y, a), _distance(x, y, b))
     return np.where(on_arc, ring, caps)
@@ -285,9 +309,8 @@ def _loop_vertices(loop: Loop) -> list[np.ndarray]:
     return verts
 
 
-def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Signed field (negative inside) and per-primitive boundary distances."""
-    x, y = pts[..., 0].copy(), pts[..., 1].copy()
+def _loop_eval(loop: Loop, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Signed field (negative inside) and per-primitive boundary distances at (x, y)."""
     prim = loop.primitives[0]
     if isinstance(prim, Circle):
         center = (dequantize(prim.center[0], Channel.COORD_2D), dequantize(prim.center[1], Channel.COORD_2D))
@@ -299,7 +322,7 @@ def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     for k, p in enumerate(loop.primitives):
         a, b = verts[k], verts[(k + 1) % len(verts)]
         if isinstance(p, Line):
-            rows.append(_segment_distance(a, b, pts, x, y))
+            rows.append(_segment_distance(a, b, x, y))
             total += _winding_contribution(a, b, x, y)
         else:
             sweep = dequantize(p.sweep, Channel.ANGLE)
@@ -311,11 +334,11 @@ def _loop_eval(loop: Loop, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray
     return np.where(winding != 0, -dist, dist), rows
 
 
-def _profile_eval(sketch: Sketch, pts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def _profile_eval(sketch: Sketch, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """Profile field plus every primitive's boundary distances, in loop order."""
-    f, all_rows = _loop_eval(sketch.loops[0], pts)
+    f, all_rows = _loop_eval(sketch.loops[0], x, y)
     for hole in sketch.loops[1:]:
-        g, rows = _loop_eval(hole, pts)
+        g, rows = _loop_eval(hole, x, y)
         f = np.maximum(f, -g)
         all_rows += rows
     return f, all_rows
@@ -323,12 +346,12 @@ def _profile_eval(sketch: Sketch, pts: np.ndarray) -> tuple[np.ndarray, list[np.
 
 def loop_sdf(loop: Loop, pts) -> np.ndarray:
     """Signed distance to the loop's region, negative inside."""
-    return _loop_eval(loop, np.asarray(pts, dtype=float))[0]
+    return _loop_eval(loop, *np.moveaxis(np.asarray(pts, dtype=float), -1, 0))[0]
 
 
 def profile_sdf(sketch: Sketch, pts) -> np.ndarray:
     """Sketch SDF: the outer loop minus every hole loop."""
-    return _profile_eval(sketch, np.asarray(pts, dtype=float))[0]
+    return _profile_eval(sketch, *np.moveaxis(np.asarray(pts, dtype=float), -1, 0))[0]
 
 
 # --------------------------------------------------------------------------
@@ -369,46 +392,66 @@ def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarr
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
         raise ValueError("extrusion scale dequantizes to zero")
-    d, rows = _profile_eval(sketch, plane / scale)
+    d, rows = _profile_eval(sketch, plane[..., 0] / scale, plane[..., 1] / scale)
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     return d * scale, np.abs(height - mid) - half, rows
 
 
 def _field(d: np.ndarray, slab: np.ndarray) -> np.ndarray:
-    """The extrusion formula: signed distance to the quadrant d <= 0, slab <= 0."""
-    return np.minimum(np.maximum(d, slab), 0.0) + np.hypot(np.maximum(d, 0.0), np.maximum(slab, 0.0))
+    """The extrusion formula, from terms of one shape (see the module notes)."""
+    f = np.add(np.maximum(d, slab), 0.0, out=np.empty(np.shape(d)))
+    at = np.flatnonzero((d > 0) & (slab > 0))
+    f.reshape(-1)[at] = np.hypot(np.reshape(d, -1)[at], np.reshape(slab, -1)[at])
+    return f
 
 
-def _local(pts: np.ndarray, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sketch-plane coordinates and heights of (..., 3) points."""
-    local = (pts - origin) @ rot  # rows of pts times R == R^T (q - o)
+def _local(x, y, z, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sketch-plane coordinates (..., 2) and heights of the points (x, y, z), all of one shape."""
+    rel = np.empty(np.shape(x) + (3,))
+    for k, coord in enumerate((x, y, z)):
+        np.subtract(coord, origin[k], out=rel[..., k])
+    local = rel @ rot  # rows of p - o times R == R^T (p - o)
     return local[..., :2], local[..., 2]
 
 
 def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     """Untruncated SDF of one extruded (scaled, placed) sketch profile."""
-    return _field(*_extrude(sketch, ext, *_local(np.asarray(pts, dtype=float), *placement_frame(ext)))[:2])
+    coords = np.moveaxis(np.asarray(pts, dtype=float), -1, 0)
+    return _field(*_extrude(sketch, ext, *_local(*coords, *placement_frame(ext)))[:2])
 
 
-def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Body field on the (n, n, n) grid, exact wherever it can reach the
-    truncation band and sign * tau in every block it cannot (see the module
-    notes)."""
+def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, owners: bool):
+    """Body field on the (n, n, n) grid, and when ``owners`` its cap mask and
+    nearest primitive: exact in every block the field can bring into the band,
+    sign * tau, False and 0 in every other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
-    nb = -(-n // _BLOCK)
-    mid = DOMAIN_MIN + (np.column_stack(np.indices((nb,) * 3).reshape(3, -1)) + 0.5) * (_BLOCK * pitch)
-    fc = _field(*_extrude(sketch, ext, *_local(mid, rot, origin))[:2]).reshape((nb,) * 3)
+    nb, cube = -(-n // _BLOCK), _BLOCK**3
+    mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
+    mids = mid.repeat(nb * nb), np.tile(mid.repeat(nb), nb), np.tile(mid, nb * nb)
+    fc = _field(*_extrude(sketch, ext, *_local(*mids, rot, origin))[:2])
     reach = tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN
+    if owners and BAND_WIDTH * pitch > tau:
+        reach = math.inf  # the planner reads owners beyond the band here
+    near = np.flatnonzero(np.abs(fc) < reach)
+    # per axis, each near block's cell centers, the last standing in for pad
+    # cells; cells run block by block, each block's in C order
+    c, step = spec.centers(), np.arange(_BLOCK)
+    cx, cy, cz = (c[np.minimum(b[:, None] * _BLOCK + step, n - 1)] for b in (near // nb**2, near // nb % nb, near % nb))
+    xs, ys, zs = cx.repeat(_BLOCK**2, 1), np.tile(cy.repeat(_BLOCK, 1), _BLOCK), np.tile(cz, _BLOCK**2)
+    d, slab, rows = _extrude(sketch, ext, *_local(xs.reshape(-1), ys.reshape(-1), zs.reshape(-1), rot, origin))
 
-    def cells(blocks):
-        return blocks.repeat(_BLOCK, 0).repeat(_BLOCK, 1).repeat(_BLOCK, 2)[:n, :n, :n]
+    def grid(values, fill):  # near blocks' values, one block row each, over fill
+        out = np.empty((nb**3, cube), values.dtype)
+        out[:] = fill
+        out[near] = values.reshape(-1, cube)
+        out = out.reshape((nb,) * 3 + (_BLOCK,) * 3).transpose(0, 3, 1, 4, 2, 5)
+        return out.reshape((nb * _BLOCK,) * 3)[:n, :n, :n]
 
-    out = cells(np.where(fc < 0, -tau, tau))
-    near = np.unravel_index(np.flatnonzero(cells(np.abs(fc) < reach)), (n,) * 3)
-    pts = spec.centers()[np.column_stack(near)]
-    out[near] = _field(*_extrude(sketch, ext, *_local(pts, rot, origin))[:2])
-    return out
+    f = grid(_field(d, slab), np.where(fc < 0, -tau, tau)[:, None])
+    if not owners:
+        return f, None, None
+    return f, grid(slab > d, False), grid(np.argmin(np.stack(rows), axis=0), 0)
 
 
 # --------------------------------------------------------------------------
@@ -446,36 +489,25 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
     ``base`` holds at this spec are reused (see the module notes).
     """
     n = spec.resolution
-    lattice = pts = None  # coordinates, built only for a body that needs them
 
     def evaluate(sketch, ext):
         """A body's field, cap mask and nearest primitive, broadcastable to
         (n, n, n); its coordinates die with the call, before the fold allocates."""
-        nonlocal lattice, pts
         rot, origin = placement_frame(ext)
-        if rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
-            # z-aligned: the profile at the points (x_i, y_j, z_j), the slab
-            # at the first n of them (see the module notes)
-            if lattice is None:
-                c = spec.centers()
-                lattice = np.column_stack([np.repeat(c, n), np.tile(c, n), np.tile(c, n)])
-            plane, height = _local(lattice, rot, origin)
-            d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
-            top = math.inf if owners else spec.tau  # a render needs hypot only inside the band
-            f = np.maximum(d + 0.0, slab + 0.0)
-            xy = np.flatnonzero((d > 0) & (d < top))
-            z = np.flatnonzero((slab > 0) & (slab < top))
-            f.reshape(-1, n)[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
-            if not owners:
-                return f, None, None
-        elif not owners:
-            return _banded(sketch, ext, spec, rot, origin), None, None
-        else:
-            if pts is None:
-                pts = spec.points()
-            plane, height = _local(pts, rot, origin)
-            d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, n, 2), height.reshape(n, n, n))
-            f = _field(d, slab)
+        if not rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
+            return _banded(sketch, ext, spec, rot, origin, owners)
+        # z-aligned: the profile at the points (x_i, y_j, z_j), the slab at
+        # the first n of them (see the module notes)
+        c = spec.centers()
+        plane, height = _local(np.repeat(c, n), np.tile(c, n), np.tile(c, n), rot, origin)
+        d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
+        top = math.inf if owners else spec.tau  # a render needs hypot only inside the band
+        f = np.maximum(d + 0.0, slab + 0.0)
+        xy = np.flatnonzero((d > 0) & (d < top))
+        z = np.flatnonzero((slab > 0) & (slab < top))
+        f.reshape(-1, n)[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
+        if not owners:
+            return f, None, None
         return f, slab > d, np.argmin(np.stack(rows), axis=0)
 
     reused = base.bodies if base is not None and base.spec == spec else {}

@@ -16,12 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyListError
-from .kernel import AttributionGrid, TSDFGrid
+from .kernel import BAND_WIDTH, AttributionGrid, TSDFGrid
 from .sequence import Granularity, SegmentId, SegmentKind
-
-
-# half-width of the near-surface band, in voxels
-BAND_WIDTH = 2.0
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,7 @@ from .gridio import (
     write_text_atomic,
     write_tsdf,
 )
-from .kernel import GridSpec, TSDFGrid, render
-from .planner import BAND_WIDTH
+from .kernel import BAND_WIDTH, GridSpec, TSDFGrid, render
 from .quant import BIN_MAX, Channel, quantize
 from .sequence import (
     Arc,
@@ -168,18 +167,20 @@ def random_sequence(rng, min_pairs: int = 1, max_pairs: int = 4) -> Construction
     return ConstructionSequence(tuple(_random_pair(rng, i == 0) for i in range(count)))
 
 
-def random_renderable(
-    rng, spec: GridSpec | None = None, min_pairs: int = 1, max_pairs: int = 4
-) -> ConstructionSequence:
-    spec = spec or GridSpec()
+def _random_rendered(rng, spec: GridSpec, min_pairs: int, max_pairs: int) -> tuple[ConstructionSequence, TSDFGrid]:
     for _ in range(_RENDER_ATTEMPTS):
         seq = random_sequence(rng, min_pairs, max_pairs)
         try:
-            render(seq, spec)
+            return seq, render(seq, spec)
         except RenderInvalidError:
             continue
-        return seq
     raise ExhaustedAttemptsError(f"no renderable sequence in {_RENDER_ATTEMPTS} attempts")
+
+
+def random_renderable(
+    rng, spec: GridSpec | None = None, min_pairs: int = 1, max_pairs: int = 4
+) -> ConstructionSequence:
+    return _random_rendered(rng, spec or GridSpec(), min_pairs, max_pairs)[0]
 
 
 # -- mutations --------------------------------------------------------------
@@ -307,23 +308,27 @@ _MUTATORS = {
 }
 
 
+def _mutated(seq: ConstructionSequence, edit_class: str, rng, spec: GridSpec):
+    """``mutate``'s edit with its grid, or None."""
+    for _ in range(24):
+        cand = _MUTATORS[edit_class](seq, rng)
+        if cand is None or validate_sequence(cand):
+            continue
+        try:
+            return cand, render(cand, spec)
+        except RenderInvalidError:
+            continue
+    return None
+
+
 def mutate(seq: ConstructionSequence, edit_class: str, rng, spec: GridSpec | None = None):
     """One edit of the given class, or None when the class cannot apply here.
 
     The result always validates and renders; candidates that fail either
     check are resampled internally.
     """
-    spec = spec or GridSpec()
-    for _ in range(24):
-        cand = _MUTATORS[edit_class](seq, rng)
-        if cand is None or validate_sequence(cand):
-            continue
-        try:
-            render(cand, spec)
-        except RenderInvalidError:
-            continue
-        return cand
-    return None
+    edit = _mutated(seq, edit_class, rng, spec or GridSpec())
+    return None if edit is None else edit[0]
 
 
 # -- corpus assembly --------------------------------------------------------
@@ -336,15 +341,14 @@ def synth(spec: SynthSpec) -> list[Triplet]:
         rng = np.random.default_rng([spec.seed, index])
         for _ in range(spec.max_attempts):
             try:
-                base = random_renderable(rng, spec.grid, spec.min_pairs, spec.max_pairs)
+                base, base_grid = _random_rendered(rng, spec.grid, spec.min_pairs, spec.max_pairs)
             except ExhaustedAttemptsError:
                 continue
             edit_class = spec.classes[int(rng.integers(len(spec.classes)))]
-            truth = mutate(base, edit_class, rng, spec.grid)
-            if truth is None:
+            edit = _mutated(base, edit_class, rng, spec.grid)
+            if edit is None:
                 continue
-            base_grid = render(base, spec.grid)
-            target = render(truth, spec.grid)
+            truth, target = edit
             delta = int((base_grid.occupancy() ^ target.occupancy()).sum())
             if delta < spec.min_voxel_delta:
                 continue

@@ -16,6 +16,13 @@ from cadfit.sequence import (
 )
 
 
+def cell_points(spec):
+    """All of the spec's cell centers as an (n^3, 3) array, index order [ix, iy, iz]."""
+    c = spec.centers()
+    gx, gy, gz = np.meshgrid(c, c, c, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
+
+
 def extrusion(op=BoolOp.NEW, extent=Extent.ONE_SIDED, **kw):
     fields = dict(
         orientation=(0, 0, 0),

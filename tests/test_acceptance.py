@@ -43,7 +43,7 @@ from cadfit.sequence import (
 )
 from cadfit.synth import SynthSpec, synth
 
-from helpers import circle_pair, cube_sequence, cylinder_sequence
+from helpers import cell_points, circle_pair, cube_sequence, cylinder_sequence
 from test_sequence import _dp_reference, random_stream
 from test_synth import changed_segments
 
@@ -173,7 +173,7 @@ def test_criterion_04_render_oracles(capfd):
         _grid_volume(render(carved)) / (0.6**3 - math.pi * hole**2 * 0.6) - 1.0
     )
     spec = GridSpec()
-    pts = spec.points()
+    pts = cell_points(spec)
     vals = np.clip(np.linalg.norm(pts, axis=1) - 0.35, -spec.tau, spec.tau)
     sphere = TSDFGrid(spec, vals.reshape((spec.resolution,) * 3).astype(np.float32))
     radii = np.linalg.norm(surface_points(sphere, max_points=100_000), axis=1)

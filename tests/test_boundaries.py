@@ -13,6 +13,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import cell_points
+
 from cadfit.errors import CadfitError
 from cadfit.gridio import read_grid_text, read_tsdf, tsdf_bytes, write_grid_text
 from cadfit.kernel import GridSpec, TSDFGrid
@@ -63,7 +65,7 @@ def test_parse_sequence_raises_only_cadfit_errors(text):
 
 
 _SPEC = GridSpec(resolution=8, tau=0.2)
-_VALUES = np.clip(np.linalg.norm(_SPEC.points(), axis=1) - 0.3, -0.2, 0.2).reshape(8, 8, 8)
+_VALUES = np.clip(np.linalg.norm(cell_points(_SPEC), axis=1) - 0.3, -0.2, 0.2).reshape(8, 8, 8)
 _GRID = TSDFGrid(_SPEC, _VALUES)
 _HEADER = struct.calcsize("<4sBHf")
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import circle_pair, cylinder_sequence, extrusion, square_loop
+from helpers import cell_points, circle_pair, cylinder_sequence, extrusion, square_loop
 
 from cadfit import engine, kernel
 from cadfit.engine import (
@@ -32,7 +32,7 @@ from cadfit.synth import SynthSpec, random_renderable, synth
 
 
 def _sphere_grid(spec: GridSpec, radius: float = 0.35) -> TSDFGrid:
-    pts = spec.points()
+    pts = cell_points(spec)
     vals = np.linalg.norm(pts, axis=1) - radius
     vals = np.clip(vals, -spec.tau, spec.tau).astype(np.float32)
     return TSDFGrid(spec, vals.reshape((spec.resolution,) * 3))

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import circle_pair, cube_sequence, cylinder_sequence, extrusion, square_loop, star_polygon_loop
+from helpers import (
+    cell_points,
+    circle_pair,
+    cube_sequence,
+    cylinder_sequence,
+    extrusion,
+    square_loop,
+    star_polygon_loop,
+)
 
 from cadfit import kernel
 from cadfit.errors import (
@@ -19,6 +27,7 @@ from cadfit.errors import (
     ZeroExtentError,
 )
 from cadfit.kernel import (
+    BAND_WIDTH,
     DOMAIN_MIN,
     GridSpec,
     TSDFGrid,
@@ -140,6 +149,22 @@ def test_lens_loop_of_two_arcs():
     rng = np.random.default_rng(31)
     _check_loop_against_oracle(lens, rng)
     assert loop_sdf(lens, np.array([0.0, dequantize(128, Channel.COORD_2D)])) < 0
+
+
+@pytest.mark.parametrize("ccw", [True, False])
+def test_arc_sweep_test_equals_the_float_remainder(ccw):
+    rng = np.random.default_rng(19)
+    y, x = rng.standard_normal((2, 20_000))
+    signs = np.array([0.0, -0.0, 1.0, -1.0])
+    y = np.concatenate([y, np.repeat(signs, 4), [1e-300, -1e-300]])
+    x = np.concatenate([x, np.tile(signs, 4), [-1.0, -1.0]])
+    ang = np.arctan2(y, x)  # every output in [-pi, pi], +-pi and +-0 among them
+    assert {math.pi, -math.pi}.issubset(ang.tolist()) and (np.signbit(ang) & (ang == 0)).any()
+    starts = np.concatenate([np.linspace(-math.pi, math.pi, 200), [math.pi, -math.pi, 0.0, -0.0]])
+    for sweep in (dequantize(b, Channel.ANGLE) for b in (1, 64, 128, 255)):
+        for start in starts:
+            diff = (ang - start) if ccw else (start - ang)
+            assert np.array_equal(kernel._on_arc(ang, float(start), sweep, ccw), diff % (2 * math.pi) <= sweep)
 
 
 def test_degenerate_chain_raises():
@@ -421,7 +446,7 @@ def test_attribution_disjoint_union_against_field_oracle():
     seq = ConstructionSequence((a, b))
     spec = GridSpec()
     ag = attribute(seq, spec)
-    pts = spec.points()
+    pts = cell_points(spec)
     fa = body_sdf(*a, pts).reshape(ag.owner.shape)
     fb = body_sdf(*b, pts).reshape(ag.owner.shape)
     band = np.abs(ag.values) < 2 * spec.pitch
@@ -433,7 +458,7 @@ def _dense_fold(seq, spec):
     """Clamped field and owner grid of a strict-comparison chain over every
     cell center: each body from ``body_sdf``, its cap mask and nearest
     primitive from the same dense per-point evaluation."""
-    pts = spec.points()
+    pts = cell_points(spec)
     scene, owner, first = None, np.zeros(len(pts), dtype=np.int32), 0
     for sketch, ext in seq.pairs:
         f = body_sdf(sketch, ext, pts)
@@ -456,9 +481,15 @@ def _dense_fold(seq, spec):
     return np.clip(scene.astype(np.float32), -tau, tau).reshape(n, n, n), owner.reshape(n, n, n)
 
 
+def _in_band(values, spec):
+    """The cells whose owners an attribution guarantees: |v| < tau."""
+    return np.abs(values) < np.float32(spec.tau)
+
+
 def _assert_equals_dense_fold(seq, spec):
-    """render and attribute against ``_dense_fold``, bit for bit (so -0.0
-    and 0.0 differ); False when the sequence has no interior voxels."""
+    """render and attribute against ``_dense_fold``, values bit for bit (so
+    -0.0 and 0.0 differ) and owners in the band; False when the sequence has
+    no interior voxels."""
     values, owner = _dense_fold(seq, spec)
     if not (values < 0).any():
         with pytest.raises(RenderInvalidError):
@@ -467,7 +498,8 @@ def _assert_equals_dense_fold(seq, spec):
     assert np.array_equal(render(seq, spec).values.view(np.uint32), values.view(np.uint32))
     ag = attribute(seq, spec)
     assert np.array_equal(ag.values.view(np.uint32), values.view(np.uint32))
-    assert np.array_equal(ag.owner, owner)
+    band = _in_band(values, spec)
+    assert np.array_equal(ag.owner[band], owner[band])
     return True
 
 
@@ -482,14 +514,15 @@ def test_attribution_owner_pair_matches_strict_chain_oracle():
             (sketch, dataclasses.replace(ext, bool_op=ops[int(rng.integers(3))]))
             for sketch, ext in drawn.pairs[1:]
         ]
-        # tilted pairs take the dense path, z-aligned ones the lattice path
+        # tilted pairs take the banded path, z-aligned ones the lattice path
         seq = _turned(ConstructionSequence(tuple(pairs)), rng, tilt_share=0.5)
         try:
             ag = attribute(seq, spec)
         except RenderInvalidError:
             continue
         pair_of = np.array([sid.pair for sid in ag.segment_ids])
-        assert np.array_equal(pair_of[ag.owner], pair_of[_dense_fold(seq, spec)[1]])
+        band = _in_band(ag.values, spec)
+        assert np.array_equal(pair_of[ag.owner[band]], pair_of[_dense_fold(seq, spec)[1][band]])
         checked += 1
 
 
@@ -531,7 +564,7 @@ def test_z_aligned_body_fields_equal_body_sdf_in_float64(resolution):
     only after the float32 clamp: every projection is one (N, 2) product."""
     rng = np.random.default_rng([resolution, 131])
     spec = GridSpec(resolution=resolution)
-    pts, bodies = spec.points(), 0
+    pts, bodies = cell_points(spec), 0
     for _ in range(30):
         try:
             ag = attribute(_z_aligned(random_sequence(rng), rng), spec)
@@ -575,8 +608,16 @@ def test_z_aligned_body_matches_the_dense_fold_bitwise(case):
 
 def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
     seq = _z_aligned(random_renderable(np.random.default_rng(71), GridSpec()), np.random.default_rng(73))
-    monkeypatch.setattr(GridSpec, "points", None)  # a call would now raise
+    seen, real = [], kernel._extrude
+
+    def counted(sketch, ext, plane, height):
+        seen.append((plane.shape[:-1], np.shape(height)))
+        return real(sketch, ext, plane, height)
+
+    monkeypatch.setattr(kernel, "_extrude", counted)
+    n = GridSpec().resolution
     assert (attribute(seq).values < 0).any()
+    assert seen == [((n, n, 1), (n,))] * len(seq.pairs)  # n^2 profile points, n heights
 
 
 # -- band-limited slab term ------------------------------------------------------
@@ -688,6 +729,67 @@ def test_banded_render_skips_the_cells_a_small_tilted_body_cannot_reach(monkeypa
     assert sum(seen) < spec.resolution**3 // 2
 
 
+def test_an_off_axis_attribution_evaluates_the_cells_a_render_does(monkeypatch):
+    seen, real = [], kernel._extrude
+
+    def counted(sketch, ext, plane, height):
+        seen.append(math.prod(np.broadcast_shapes(plane.shape[:-1], np.shape(height))))
+        return real(sketch, ext, plane, height)
+
+    monkeypatch.setattr(kernel, "_extrude", counted)
+    spec = GridSpec()
+    seq = ConstructionSequence((circle_pair(r=30, dist_pos=40, orientation=(0, 64, 0)),))
+    render(seq, spec)
+    rendered = seen[:]
+    seen.clear()
+    attribute(seq, spec)
+    assert seen == rendered and sum(seen) < spec.resolution**3 // 2
+
+
+@pytest.mark.parametrize("resolution", [16, 17, 32])
+def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolution):
+    """Each 4^3 block of an off-axis attribution body is either evaluated,
+    bitwise body_sdf's in float64, or filled with sign * tau where
+    body_sdf's value is out of the band."""
+    rng = np.random.default_rng([resolution, 137])
+    spec = GridSpec(resolution=resolution)
+    n, tau, nb = resolution, spec.tau, -(-resolution // 4)
+    pts, filled, evaluated = cell_points(spec), 0, 0
+
+    def blocks(a):
+        pad = np.pad(a, [(0, 4 * nb - n)] * 3, mode="edge")
+        return pad.reshape(nb, 4, nb, 4, nb, 4).transpose(0, 2, 4, 1, 3, 5).reshape(nb**3, 64)
+
+    while filled < 20 or evaluated < 20:
+        seq = _placed(random_sequence(rng), rng, "tilted")
+        try:
+            ag = attribute(seq, spec)
+        except RenderInvalidError:
+            continue
+        for (sketch, ext), (f, _, _) in ag.bodies.items():
+            dense = body_sdf(sketch, ext, pts).reshape(f.shape)
+            same = blocks(f.view(np.uint64) == dense.view(np.uint64)).all(axis=1)
+            fill = blocks((f == np.copysign(tau, dense)) & (np.abs(dense) >= tau)).all(axis=1)
+            assert (same | fill).all()
+            evaluated += same.any()
+            filled += (fill & ~same).any()
+
+
+@pytest.mark.parametrize("resolution, tau", [(8, 0.2), (16, 0.1)])
+def test_where_the_planner_band_reaches_tau_every_owner_is_the_dense_folds(resolution, tau):
+    rng = np.random.default_rng([resolution, 139])
+    spec = GridSpec(resolution=resolution, tau=tau)
+    assert BAND_WIDTH * spec.pitch > spec.tau
+    checked = 0
+    while checked < 6:
+        seq = _placed(random_sequence(rng, min_pairs=2), rng, "mixed")
+        values, owner = _dense_fold(seq, spec)
+        if not (values < 0).any():
+            continue
+        assert np.array_equal(attribute(seq, spec).owner, owner)
+        checked += 1
+
+
 def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch):
     """A block whose center value is exactly tau plus the 4^3 half-diagonal
     inside the body still has every cell evaluated."""
@@ -725,8 +827,7 @@ def test_bodies_are_placed_once_and_store_hits_build_no_coordinates(monkeypatch)
         raise AssertionError("a body taken from the base was placed again")
 
     monkeypatch.setattr(kernel, "placement_frame", refuse)
-    monkeypatch.setattr(GridSpec, "points", None)  # a call would now raise
-    monkeypatch.setattr(GridSpec, "centers", None)
+    monkeypatch.setattr(GridSpec, "centers", None)  # a call would now raise
     assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), grid.values.view(np.uint32))
 
 
@@ -815,7 +916,7 @@ def test_an_attribution_keeps_exactly_its_sequences_bodies_read_only(variant):
         for arr in (f, cap, nearest):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0
-        assert np.array_equal(clamped(f), clamped(body_sdf(sketch, ext, spec.points()).reshape(n, n, n)))
+        assert np.array_equal(clamped(f), clamped(body_sdf(sketch, ext, cell_points(spec)).reshape(n, n, n)))
     # they are the very fields the attribution folded
     scene = ag.bodies[seq.pairs[0]][0]
     for sketch, ext in seq.pairs[1:]:
@@ -860,8 +961,10 @@ def test_a_render_off_the_z_axis_builds_no_meshgrid(monkeypatch, variant):
 
 # sha256 of the render values, attribute values and owners below, and of
 # every body's float64 field, which the float32 grid would hide a last-bit
-# change in: any change to a rounding anywhere in the kernel moves it
-KERNEL_PIN = "11e109855ad5f9d297cf05923ab62c325565c6f543fd53112a289bd67c9b2629"
+# change in: any change to a rounding anywhere in the kernel moves it.  The
+# owners outside the band follow which blocks an attribution culls, so a
+# change to culling moves it too; IN_BAND_OWNER_PIN holds the guaranteed ones
+KERNEL_PIN = "c7fbc0819337e59ab2460e6952cff056379f407c7bb42a52c7081dd5a9dcf318"
 
 
 def test_seeded_renders_and_attributions_are_pinned():
@@ -879,7 +982,7 @@ def test_seeded_renders_and_attributions_are_pinned():
                     digest.update(f"{type(exc).__name__}: {exc}".encode())
                     continue
                 ag = attribute(seq, spec)
-                fields = [body_sdf(sketch, ext, spec.points()) for sketch, ext in seq.pairs]
+                fields = [body_sdf(sketch, ext, cell_points(spec)) for sketch, ext in seq.pairs]
                 for arr in [grid.values, ag.values, ag.owner] + fields:
                     digest.update(arr.tobytes())
                 ops.update(ext.bool_op for _, ext in seq.pairs)
@@ -948,7 +1051,7 @@ def test_attribution_annulus_inner_wall_belongs_to_the_hole():
     seq = ConstructionSequence(((sketch, extrusion(origin=(128, 128, 64))),))
     spec = GridSpec()
     ag = attribute(seq, spec)
-    pts = spec.points().reshape(ag.owner.shape + (3,))
+    pts = cell_points(spec).reshape(ag.owner.shape + (3,))
     ax = _circle_axis_xy()
     r = np.hypot(pts[..., 0] - ax, pts[..., 1] - ax)
     z_lo = dequantize(64, Channel.COORD_3D)
@@ -996,7 +1099,7 @@ def test_attribution_caps_go_to_extrusion_block():
 
 
 def _sphere_grid(radius=0.35, spec=GridSpec()):
-    pts = spec.points()
+    pts = cell_points(spec)
     vals = np.linalg.norm(pts, axis=1) - radius
     tau = spec.tau
     return TSDFGrid(spec, np.clip(vals, -tau, tau).reshape(spec.resolution, spec.resolution, spec.resolution))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import circle_pair, cylinder_sequence
+from helpers import cell_points, circle_pair, cylinder_sequence
 
 from cadfit.errors import (
     EmptyListError,
@@ -31,7 +31,7 @@ from cadfit.synth import random_renderable
 def _box_grid(x_lo, x_hi, spec=None):
     """Indicator-style grid for a box spanning [x_lo, x_hi] x [-0.3, 0.3]^2."""
     spec = spec or GridSpec()
-    pts = spec.points()
+    pts = cell_points(spec)
     inside = (
         (pts[:, 0] > x_lo)
         & (pts[:, 0] < x_hi)
@@ -175,7 +175,7 @@ def test_occupancy_histogram_matches_histogramdd_bitwise(resolution):
     for batch in [grids[:1], grids[1:2], grids[2:]]:
         total = np.zeros((28, 28, 28))
         for g in batch:
-            total += np.histogramdd(spec.points()[g.occupancy().ravel()], bins=(edges, edges, edges))[0]
+            total += np.histogramdd(cell_points(spec)[g.occupancy().ravel()], bins=(edges, edges, edges))[0]
         expected = total / total.sum()
         got = occupancy_histogram(batch)
         assert got.shape == expected.shape
@@ -194,12 +194,12 @@ def _pin_grids():
         spec = GridSpec(resolution=resolution)
         rng = np.random.default_rng([resolution, 113])
         yield render(random_renderable(rng, spec), spec)
-        pts = spec.points()
+        pts = cell_points(spec)
         balls = [np.linalg.norm(pts - rng.uniform(-0.3, 0.3, 3), axis=1) - rng.uniform(0.08, 0.2) for _ in range(3)]
         vals = np.clip(np.minimum.reduce(balls), -spec.tau, spec.tau)
         yield TSDFGrid(spec, vals.reshape((resolution,) * 3))
     spec = GridSpec(resolution=17)
-    pts = spec.points()
+    pts = cell_points(spec)
     vals = np.clip(np.hypot(pts[:, 0] - 0.05, pts[:, 1] + 0.1) - 0.21, -spec.tau, spec.tau)
     yield TSDFGrid(spec, vals.reshape((17,) * 3))
 

@@ -1,10 +1,12 @@
 """Benchmark synthesis: per-class edit contracts, determinism, corpus round trips."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from cadfit import synth as synth_module
 from cadfit.errors import ExhaustedAttemptsError
 from cadfit.kernel import GridSpec, render
 from cadfit.metrics import iou
@@ -194,6 +196,37 @@ def test_corpus_save_is_reproducible(tmp_path, small_corpus):
     save_corpus(b_dir, triplets, spec)
     for p in sorted(a_dir.iterdir()):
         assert p.read_bytes() == (b_dir / p.name).read_bytes()
+
+
+# sha256 of two saved 10-triplet corpora, recorded while synth rendered each
+# base and truth again after its checks had rendered them
+CORPUS_PIN = "7ac0d19c4342d853a8389f3ffddb52646363f43e74b8dc429c911dd83279932d"
+
+
+def test_synth_renders_each_sequence_once_per_attempt_and_its_corpus_is_pinned(tmp_path, monkeypatch):
+    renders, real_render, real_draw = [], synth_module.render, synth_module._random_rendered
+
+    def counted(seq, spec):
+        renders[-1].append((seq, spec))
+        return real_render(seq, spec)
+
+    def attempt(*args):
+        renders.append([])
+        return real_draw(*args)
+
+    monkeypatch.setattr(synth_module, "render", counted)
+    monkeypatch.setattr(synth_module, "_random_rendered", attempt)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        spec = SynthSpec(corpus_size=10, seed=seed)
+        out = tmp_path / str(seed)
+        out.mkdir()
+        save_corpus(out, synth(spec), spec)
+        for p in sorted(out.iterdir()):
+            digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == CORPUS_PIN
+    assert len(renders) >= 20
+    assert all(len(keys) == len(set(keys)) for keys in renders)
 
 
 def test_single_class_spec_restricts_classes():
