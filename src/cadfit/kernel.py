@@ -11,11 +11,10 @@ negated body) and INTERSECT ``sdf_intersection`` (max).  Truncation to
 The 2D layer works on x and y planes, and every distance is
 sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
 length-2 axis, so the values are bit-identical without that reduction.  A
-segment's projection parameter stays a matmul: BLAS fuses its multiply-add,
-which the elementwise form would round differently.  It is one product of
-the points as an (N, 2) matrix, whatever their shape: a stacked product
-rounds by the size of its cores, (1, 2) on the lattice's (n, n, 1, 2) points
-below against (n, 2) on a dense (n, n, n, 2) array.
+segment's projection parameter stays a matmul, whose fused multiply-add the
+elementwise form would round differently, and one product of the points as
+an (N, 2) matrix, whatever their shape: a stacked product rounds by the
+size of its cores.
 
 Coordinate planes and block-major order are exact.  A product's operand,
 p - o for the placement or q - a for a segment, is written one coordinate
@@ -146,7 +145,7 @@ _TWO_PI = 2.0 * math.pi
 
 BAND_WIDTH = 2.0  # half-width of the planner's near-surface band, in voxels
 
-_BLOCK = 4  # cell edge of the blocks a banded render culls (see the module notes)
+_BLOCK = 4  # cell edge of the blocks a banded evaluation culls (see the module notes)
 _CULL_MARGIN = 1e-9  # slack over the Lipschitz bound for float64 rounding
 
 
@@ -399,7 +398,7 @@ def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarr
 
 
 def _field(d: np.ndarray, slab: np.ndarray) -> np.ndarray:
-    """The extrusion formula, from terms of one shape (see the module notes)."""
+    """Signed distance to the quadrant d <= 0, slab <= 0, from terms of one shape (see the module notes)."""
     f = np.add(np.maximum(d, slab), 0.0, out=np.empty(np.shape(d)))
     at = np.flatnonzero((d > 0) & (slab > 0))
     f.reshape(-1)[at] = np.hypot(np.reshape(d, -1)[at], np.reshape(slab, -1)[at])
