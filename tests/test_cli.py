@@ -1,5 +1,6 @@
 """Command-line behavior: file round-trips, exit codes, report structure."""
 
+import hashlib
 import math
 import statistics
 from pathlib import Path
@@ -408,6 +409,25 @@ def test_eval_report_structure_and_determinism(runner):
                                     "--rounds", "3", "--seed", "5"])
         assert res2.exit_code == 0
         assert Path("r1.txt").read_bytes() == Path("r2.txt").read_bytes()
+
+
+# sha256 of `cadfit eval` reports over _tiny_corpus: any change to how a
+# triplet is seeded or run, or to the report's header, rows or aggregate,
+# moves them
+EVAL_REPORT_PINS = {
+    ("--rounds", "3", "--seed", "5"): "b31012b82bf025a2cdb26abdff95888c4e9e752090046f556d48f46b5bf218c0",
+    ("--rounds", "2", "--ablate", "plan"): "6a896ead9be1d1cc806b1aa9b84a8451e1df8e8e609d0256af2c79a6715d94d1",
+    ("--rounds", "2", "--granularity", "loop"): "bd46941ae336c93e3217d9e10d2b0374087b8bcf7f2fdeb6240dd67c18f8edac",
+}
+
+
+@pytest.mark.parametrize("args, pin", EVAL_REPORT_PINS.items())
+def test_eval_reports_are_pinned(runner, args, pin):
+    with runner.isolated_filesystem():
+        _tiny_corpus(runner)
+        res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", *args])
+        assert res.exit_code == 0, res.stderr
+        assert hashlib.sha256(Path("r.txt").read_bytes()).hexdigest() == pin
 
 
 def test_eval_aggregate_recomputes_from_triplet_rows(runner):
