@@ -7,20 +7,18 @@ when rendering found no solid and 1 for everything else.  ``--res`` and
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import shlex
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .engine import ABLATION_MODES, EngineConfig, run
+from .engine import ABLATION_MODES, EngineConfig, run, run_corpus
 from .errors import CadfitError, RenderInvalidError
 from .generator import ExternalGenerator
 from .gridio import read_grid, read_sequence_file, write_grid, write_sequence_file, write_text_atomic
 from .kernel import GridSpec, attribute, render
-from .metrics import jsd, occupancy_histogram, report_for
+from .metrics import report_for
 from .planner import relative_scores, select_segments
 from .report import eval_report, influence_lines, metrics_lines, run_report
 from .sequence import Granularity
@@ -56,8 +54,10 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (CadfitError, OSError, ValueError) as err:
-            click.echo(f"{type(err).__name__}: {err}", err=True)
+        except (CadfitError, OSError, ValueError, MemoryError) as err:
+            # numpy raises a private subclass of MemoryError
+            name = "MemoryError" if isinstance(err, MemoryError) else type(err).__name__
+            click.echo(f"{name}: {err}", err=True)
             raise SystemExit(2 if isinstance(err, RenderInvalidError) else 1)
 
     return wrapper
@@ -193,29 +193,10 @@ def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularit
     """Run the engine over every triplet in a corpus and aggregate metrics."""
     cfg = _engine_config(rounds, n, queue, seed, granularity)
     triplets = load_corpus(corpus_dir)
-    rows = []
-    final_grids = []
-    target_grids = []
-    for k, t in enumerate(triplets):
-        triplet_seed = int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
-        result = run(t.original, t.target, dataclasses.replace(cfg, seed=triplet_seed), ablate=ablate)
-        rows.append((f"{k:04d}", t.edit_class, result, t.truth_edit_distance))
-        if not result.report.invalid:
-            final_grids.append(result.report.grid)
-            target_grids.append(t.target)
-    corpus_jsd = jsd(occupancy_histogram(final_grids), occupancy_histogram(target_grids)) if final_grids else None
-    header = [
-        ("seed", seed),
-        ("rounds", rounds),
-        ("candidates_per_round", n),
-        ("queue_capacity", queue),
-        ("granularity", granularity),
-        ("ablate", ablate or "none"),
-    ]
-    text = eval_report(header, rows, corpus_jsd)
+    results = [result for _, result in run_corpus(triplets, cfg, ablate)]
+    text = eval_report(cfg, ablate, triplets, results)
     write_text_atomic(report_file, text)
-    tail = text[text.index("[aggregate]") :]
-    click.echo(tail.rstrip("\n"))
+    click.echo(text[text.index("[aggregate]") :].rstrip("\n"))
 
 
 if __name__ == "__main__":

@@ -190,8 +190,8 @@ class EditResult:
         return len(self.trace)
 
 
-def _round_seed(seed: int, round_index: int) -> int:
-    return int(np.random.SeedSequence([seed, round_index, 0]).generate_state(1)[0])
+def _derived_seed(*entropy: int) -> int:
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def _uniform_influence(iv, rng):
@@ -268,7 +268,7 @@ def run(
             break
 
         masked = apply_mask(current, selected)
-        seed = _round_seed(cfg.seed, r)
+        seed = _derived_seed(cfg.seed, r, 0)
         if endpoint is None:
             cands = infill(masked, cfg.n, seed)
         else:
@@ -308,3 +308,14 @@ def run(
 
     report = report_for(current, target, original, base=ag)
     return EditResult(current, tuple(records), report, stop_reason)
+
+
+def run_corpus(
+    triplets, cfg: EngineConfig, ablate: str | None = None
+) -> list[tuple[EngineConfig, EditResult]]:
+    """Run every ``cadfit.synth.Triplet`` and return (config, result) pairs
+    in index order.  Triplet k runs under its own seed, derived from
+    ``cfg.seed`` and k, so its result does not depend on the others.
+    """
+    cfgs = [dataclasses.replace(cfg, seed=_derived_seed(cfg.seed, k)) for k in range(len(triplets))]
+    return [(c, run(t.original, t.target, c, ablate=ablate)) for c, t in zip(cfgs, triplets)]

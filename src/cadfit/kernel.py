@@ -267,34 +267,33 @@ def _on_arc(ang: np.ndarray, start: float, sweep: float, ccw: bool) -> np.ndarra
     return (np.where(diff < 0, diff + _TWO_PI, diff) <= sweep) | (diff == _TWO_PI)
 
 
-def _arc_distance(a, b, center, radius, sweep, ccw, x, y) -> np.ndarray:
-    ang = np.arctan2(y - center[1], x - center[0])
-    on_arc = _on_arc(ang, math.atan2(a[1] - center[1], a[0] - center[0]), sweep, ccw)
-    ring = np.abs(_distance(x, y, center) - radius)
-    caps = np.minimum(_distance(x, y, a), _distance(x, y, b))
-    return np.where(on_arc, ring, caps)
-
-
-def _winding_contribution(a, b, x, y, arc=None) -> np.ndarray:
-    """Angle swept at each point by travel from ``a`` to ``b``.
-
-    ``arc`` is the arc's ``(center, radius, ccw)``, or None for a line.  The
-    same cross product feeds the chord angle and the bulge-side test so
-    the two cannot disagree on which side a borderline point falls.  Points
-    exactly on an arc's open chord get the value both one-sided limits share.
-    """
+def _winding_contribution(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Cross product and angle swept at each point by travel along the chord from ``a`` to ``b``."""
     cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
     dot = (a[0] - x) * (b[0] - x) + (a[1] - y) * (b[1] - y)
-    angle = np.arctan2(cross, dot)
-    if arc is None:
-        return angle
-    center, radius, ccw = arc
-    inside = _distance(x, y, center) < radius
+    return cross, np.arctan2(cross, dot)
+
+
+def _arc(a, b, sweep, ccw, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary distance and winding angle of the arc from ``a`` to ``b``.
+
+    The chord's cross product feeds both the chord angle and the bulge-side
+    test, so the two cannot disagree on which side a borderline point falls.
+    Points exactly on the open chord get the value both one-sided limits share.
+    """
+    center, radius = arc_center_radius(a, b, sweep, ccw)
+    dx, dy = x - center[0], y - center[1]
+    from_center = np.sqrt(dx**2 + dy**2)
+    on_arc = _on_arc(np.arctan2(dy, dx), math.atan2(a[1] - center[1], a[0] - center[0]), sweep, ccw)
+    caps = np.minimum(_distance(x, y, a), _distance(x, y, b))
+    dist = np.where(on_arc, np.abs(from_center - radius), caps)
+    cross, angle = _winding_contribution(a, b, x, y)
+    inside = from_center < radius
     if ccw:
         angle = np.where(inside & (cross < 0), angle + _TWO_PI, angle)
-        return np.where(inside & (cross == 0), math.pi, angle)
+        return dist, np.where(inside & (cross == 0), math.pi, angle)
     angle = np.where(inside & (cross > 0), angle - _TWO_PI, angle)
-    return np.where(inside & (cross == 0), -math.pi, angle)
+    return dist, np.where(inside & (cross == 0), -math.pi, angle)
 
 
 def _loop_vertices(loop: Loop) -> list[np.ndarray]:
@@ -322,12 +321,11 @@ def _loop_eval(loop: Loop, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, li
         a, b = verts[k], verts[(k + 1) % len(verts)]
         if isinstance(p, Line):
             rows.append(_segment_distance(a, b, x, y))
-            total += _winding_contribution(a, b, x, y)
+            total += _winding_contribution(a, b, x, y)[1]
         else:
-            sweep = dequantize(p.sweep, Channel.ANGLE)
-            center, radius = arc_center_radius(a, b, sweep, p.ccw)
-            rows.append(_arc_distance(a, b, center, radius, sweep, p.ccw, x, y))
-            total += _winding_contribution(a, b, x, y, (center, radius, p.ccw))
+            dist, angle = _arc(a, b, dequantize(p.sweep, Channel.ANGLE), p.ccw, x, y)
+            rows.append(dist)
+            total += angle
     dist = functools.reduce(np.minimum, rows)  # no distance is NaN or -0.0: any order picks the same
     winding = np.rint(total / _TWO_PI)
     return np.where(winding != 0, -dist, dist), rows

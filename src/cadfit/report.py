@@ -10,8 +10,9 @@ from __future__ import annotations
 import statistics
 
 from .engine import EPSILON, PATIENCE, POOL_RES, EditResult, EngineConfig
-from .metrics import DEFAULT_LAMBDA, MetricsReport, invalid_rate
+from .metrics import DEFAULT_LAMBDA, MetricsReport, invalid_rate, jsd, occupancy_histogram
 from .planner import InfluenceEntry
+from .synth import Triplet
 
 
 def fmt(value) -> str:
@@ -67,39 +68,43 @@ def run_report(result: EditResult, cfg: EngineConfig) -> str:
 
 
 def eval_report(
-    header_pairs,
-    rows: list[tuple[str, str, EditResult, int]],
-    corpus_jsd: float | None,
+    cfg: EngineConfig, ablate: str | None, triplets: list[Triplet], results: list[EditResult]
 ) -> str:
-    """Batch record: one section per triplet plus the aggregate table.
+    """Batch record of ``run_corpus``'s results: one section per triplet,
+    headed by its index, plus the aggregate table.
 
-    Rows are (stem, edit_class, result, truth_edit_distance).  The
-    aggregate averages shape metrics over valid finals only; the invalid
-    rate accounts for the rest.  corpus_jsd compares the pooled occupancy
-    histograms of all valid finals against all targets, which is the
-    distribution-level divergence, so it is computed by the caller that
-    still holds the grids.
+    The aggregate averages shape metrics over valid finals only; the
+    invalid rate accounts for the rest.  jsd compares the pooled occupancy
+    histograms of all valid finals against their targets, which is the
+    distribution-level divergence.
     """
-    lines = _section("eval", list(header_pairs) + [("triplets", len(rows))])
-    for stem, edit_class, result, truth_dist in rows:
+    header = [
+        ("seed", cfg.seed),
+        ("rounds", cfg.max_rounds),
+        ("candidates_per_round", cfg.n),
+        ("queue_capacity", cfg.queue_capacity),
+        ("granularity", cfg.granularity.value),
+        ("ablate", ablate or "none"),
+        ("triplets", len(results)),
+    ]
+    lines = _section("eval", header)
+    for k, (t, result) in enumerate(zip(triplets, results)):
         pairs = [
-            ("class", edit_class),
+            ("class", t.edit_class),
             ("stop_reason", result.stop_reason),
             ("rounds_used", result.rounds_used),
-            ("truth_edit_distance", truth_dist),
+            ("truth_edit_distance", t.truth_edit_distance),
         ]
-        lines.extend(_section(f"triplet {stem}", pairs)[:-1])
-        lines.extend(metrics_lines(result.report))
-        lines.append("")
-    reports = [r.report for _, _, r, _ in rows]
-    valid = [r for r in reports if not r.invalid]
+        lines.extend(_section(f"triplet {k:04d}", pairs + result.report.to_fields()))
+    reports = [r.report for r in results]
+    valid = [(rep, t.target) for rep, t in zip(reports, triplets) if not rep.invalid]
     agg: list[tuple[str, object]] = []
     if valid:
-        agg.append(("iou_mean", statistics.fmean(r.iou for r in valid)))
-        agg.append(("chamfer_mean", statistics.fmean(r.chamfer_mean for r in valid)))
-        agg.append(("chamfer_median", statistics.median(r.chamfer_mean for r in valid)))
-    if corpus_jsd is not None:
-        agg.append(("jsd", corpus_jsd))
+        agg.append(("iou_mean", statistics.fmean(rep.iou for rep, _ in valid)))
+        agg.append(("chamfer_mean", statistics.fmean(rep.chamfer_mean for rep, _ in valid)))
+        agg.append(("chamfer_median", statistics.median(rep.chamfer_mean for rep, _ in valid)))
+        finals = occupancy_histogram([rep.grid for rep, _ in valid])
+        agg.append(("jsd", jsd(finals, occupancy_histogram([target for _, target in valid]))))
     agg.append(("invalid_rate", invalid_rate([r.invalid for r in reports])))
     agg.append(("edit_distance_mean", statistics.fmean(r.edit_distance for r in reports)))
     lines.extend(_section("aggregate", agg))

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from cadfit.engine import EngineConfig, run
+from cadfit.engine import EngineConfig, run, run_corpus
 from cadfit.errors import RenderInvalidError
 from cadfit.generator import infill
 from cadfit.kernel import (
@@ -60,17 +60,6 @@ def _line(capfd, num, name, ok, detail):
 BENCH_CLASSES = ("param-jitter", "primitive-substitute")
 
 
-def _bench_cfg(k):
-    return EngineConfig(seed=int(np.random.SeedSequence([0, k]).generate_state(1)[0]))
-
-
-def _run_bench(trips, ablate=None):
-    return [
-        run(t.original, t.target, _bench_cfg(k), ablate=ablate)
-        for k, t in enumerate(trips)
-    ]
-
-
 @pytest.fixture(scope="module")
 def bench_corpus():
     return synth(SynthSpec(corpus_size=50, classes=BENCH_CLASSES, seed=0))
@@ -79,14 +68,17 @@ def bench_corpus():
 @pytest.fixture(scope="module")
 def bench_runs(bench_corpus):
     t0 = time.perf_counter()
-    runs = _run_bench(bench_corpus)
+    runs = run_corpus(bench_corpus, EngineConfig())
     return runs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def ablation_runs(bench_corpus):
     t0 = time.perf_counter()
-    arms = {arm: _run_bench(bench_corpus, ablate=arm) for arm in ("queue", "verify", "plan")}
+    arms = {
+        arm: [r for _, r in run_corpus(bench_corpus, EngineConfig(), ablate=arm)]
+        for arm in ("queue", "verify", "plan")
+    }
     return arms, time.perf_counter() - t0
 
 
@@ -220,10 +212,10 @@ def test_criterion_05_planner(capfd):
 
 def test_criterion_06_end_to_end_recovery(capfd, bench_corpus, bench_runs):
     runs, el = bench_runs
-    hits = sum(_final_iou(r) >= 0.85 for r in runs)
+    hits = sum(_final_iou(r) >= 0.85 for _, r in runs)
     med_ratio = statistics.median(
         r.report.edit_distance / t.truth_edit_distance
-        for r, t in zip(runs, bench_corpus)
+        for (_, r), t in zip(runs, bench_corpus)
     )
     ok = hits >= 40 and med_ratio <= 2.0 and el <= 600.0
     _line(capfd, 6, "end-to-end recovery", ok,
@@ -233,7 +225,7 @@ def test_criterion_06_end_to_end_recovery(capfd, bench_corpus, bench_runs):
 def test_criterion_07_ablation_directionality(capfd, bench_runs, ablation_runs):
     runs, el_full = bench_runs
     arms, el_arms = ablation_runs
-    mean = {"full": statistics.fmean(_final_iou(r) for r in runs)}
+    mean = {"full": statistics.fmean(_final_iou(r) for _, r in runs)}
     for arm, results in arms.items():
         mean[arm] = statistics.fmean(_final_iou(r) for r in results)
     gaps = (
@@ -251,7 +243,7 @@ def test_criterion_07_ablation_directionality(capfd, bench_runs, ablation_runs):
 def test_criterion_08_queue_invariants(capfd, bench_runs, ablation_runs):
     runs, _ = bench_runs
     arms, _ = ablation_runs
-    everything = list(runs)
+    everything = [r for _, r in runs]
     for results in arms.values():
         everything.extend(results)
     monotone = all(
@@ -292,9 +284,9 @@ def test_criterion_09_generator_contract(capfd):
 
 def test_criterion_10_determinism(capfd, bench_corpus, bench_runs):
     runs, _ = bench_runs
-    rerun = _run_bench(bench_corpus)
-    first = [run_report(r, _bench_cfg(k)) for k, r in enumerate(runs)]
-    second = [run_report(r, _bench_cfg(k)) for k, r in enumerate(rerun)]
+    rerun = run_corpus(bench_corpus, EngineConfig())
+    first = [run_report(r, cfg) for cfg, r in runs]
+    second = [run_report(r, cfg) for cfg, r in rerun]
     same = sum(a == b for a, b in zip(first, second))
     _line(capfd, 10, "determinism", same == 50,
           f"{same}/50 reports byte-identical on rerun")

@@ -74,6 +74,42 @@ def test_render_rejects_a_tau_that_is_infinite_in_float32(runner, tau):
         assert not Path("t.tsdf").exists()
 
 
+class _ArrayMemoryError(MemoryError):
+    """Stands in for numpy's private subclass, which a test must not provoke:
+    under overcommit a huge allocation can be killed instead of raising."""
+
+
+@pytest.mark.parametrize("error", [MemoryError, _ArrayMemoryError])
+def test_render_out_of_memory_prints_one_line(runner, monkeypatch, error):
+    message = "Unable to allocate 1.25 PiB for an array with shape (70000, 70000, 70000) and data type float32"
+
+    def render(*_):
+        raise error(message)
+
+    monkeypatch.setattr("cadfit.cli.render", render)
+    with runner.isolated_filesystem():
+        _write_models()
+        res = runner.invoke(main, ["render", "cyl.seq", "-o", "out.tsdf", "--res", "70000"])
+        assert res.exit_code == 1
+        assert res.stderr == f"MemoryError: {message}\n"
+        assert not Path("out.tsdf").exists()
+
+
+@pytest.mark.parametrize("command", ["render", "edit"])
+def test_write_error_names_the_path_given_not_the_temporary_file(runner, command):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        args = {
+            "render": ["render", "cyl.seq", "-o", "missing/x.tsdf"],
+            "edit": ["edit", "cyl.seq", "t.tsdf", "-o", "out.seq", "--report", "missing/x.tsdf", "--n", "0"],
+        }[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr == "FileNotFoundError: [Errno 2] No such file or directory: 'missing/x.tsdf'\n"
+        assert not list(Path(".").glob(".tmp-*"))
+
+
 def test_render_resolution_env_override(runner):
     with runner.isolated_filesystem():
         _write_models()

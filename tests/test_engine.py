@@ -18,6 +18,7 @@ from cadfit.engine import (
     embed_sequence,
     latent_distance,
     run,
+    run_corpus,
 )
 from cadfit.errors import (
     InvalidOriginalError,
@@ -27,6 +28,7 @@ from cadfit.errors import (
 )
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
+from cadfit.report import run_report
 from cadfit.sequence import BoolOp, ConstructionSequence, Sketch, serialize_sequence
 from cadfit.synth import SynthSpec, random_renderable, synth
 
@@ -293,6 +295,19 @@ def test_run_is_deterministic():
     assert serialize_sequence(a.final) == serialize_sequence(b.final)
     assert a.trace == b.trace
     assert a.stop_reason == b.stop_reason
+
+
+def test_run_corpus_runs_each_triplet_under_its_own_config_in_index_order():
+    trips = synth(SynthSpec(corpus_size=3, classes=("param-jitter",), seed=33))
+    cfg = EngineConfig(max_rounds=2, seed=5)
+    runs = run_corpus(trips, cfg, ablate="plan")
+    assert [dataclasses.replace(c, seed=cfg.seed) for c, _ in runs] == [cfg] * 3
+    assert len({c.seed for c, _ in runs}) == 3
+    reports = [run_report(r, c) for c, r in runs]
+    for report, (c, _), t in zip(reports, runs, trips):
+        assert report == run_report(run(t.original, t.target, c, ablate="plan"), c)
+    # a triplet's seed depends on its index alone, not on the triplets after it
+    assert [run_report(r, c) for c, r in run_corpus(trips[:2], cfg, ablate="plan")] == reports[:2]
 
 
 def test_generation_disabled_returns_original():

@@ -16,8 +16,6 @@ from cadfit.sequence import (
     BoolOp,
     Circle,
     ConstructionSequence,
-    Extent,
-    Extrusion,
     Granularity,
     Line,
     Loop,
@@ -36,38 +34,18 @@ from cadfit.sequence import (
 )
 from cadfit.synth import EDIT_CLASSES, mutate, random_renderable
 
-
-def _extrusion(op=BoolOp.NEW, extent=Extent.ONE_SIDED, **kw):
-    fields = dict(
-        orientation=(0, 0, 0),
-        origin=(128, 128, 128),
-        scale=64,
-        dist_pos=128,
-        dist_neg=0,
-        bool_op=op,
-        extent=extent,
-    )
-    fields.update(kw)
-    return Extrusion(**fields)
-
-
-def _circle_pair(op=BoolOp.NEW, cx=128, cy=128, r=64, **kw):
-    return (Sketch((Loop((Circle((cx, cy), r),)),)), _extrusion(op=op, **kw))
-
-
-def _square_loop(lo=51, hi=204):
-    return Loop((Line((hi, lo)), Line((hi, hi)), Line((lo, hi)), Line((lo, lo))))
+from helpers import circle_pair, extrusion, square_loop
 
 
 def one_circle_sequence():
-    return ConstructionSequence((_circle_pair(),))
+    return ConstructionSequence((circle_pair(),))
 
 
 def two_pair_sequence():
     return ConstructionSequence(
         (
-            (Sketch((_square_loop(), Loop((Circle((128, 128), 20),)))), _extrusion()),
-            _circle_pair(op=BoolOp.CUT, cx=100, cy=100, r=30),
+            (Sketch((square_loop(), Loop((Circle((128, 128), 20),)))), extrusion()),
+            circle_pair(op=BoolOp.CUT, cx=100, cy=100, r=30),
         )
     )
 
@@ -170,7 +148,7 @@ def test_parse_rejects_mask_token():
 
 
 def test_parse_rejects_first_op_not_new():
-    text = serialize_sequence(ConstructionSequence((_circle_pair(),))).split()
+    text = serialize_sequence(ConstructionSequence((circle_pair(),))).split()
     text[-4] = "1"  # bool_op field of the only extrusion
     with pytest.raises(StructureError):
         parse_sequence(" ".join(text))
@@ -184,7 +162,7 @@ def test_validate_clean_sequence():
 
 
 def test_validate_flags_zero_radius():
-    seq = ConstructionSequence((_circle_pair(r=0),))
+    seq = ConstructionSequence((circle_pair(r=0),))
     problems = validate_sequence(seq)
     assert len(problems) == 1
     assert problems[0].kind is ViolationKind.RANGE
@@ -194,7 +172,7 @@ def test_validate_flags_zero_radius():
 def test_validate_flags_degenerate_three_line_loop():
     # third line repeats the second vertex, so the chain cannot bound area
     loop = Loop((Line((60, 60)), Line((200, 60)), Line((200, 60))))
-    seq = ConstructionSequence(((Sketch((loop,)), _extrusion()),))
+    seq = ConstructionSequence(((Sketch((loop,)), extrusion()),))
     problems = validate_sequence(seq)
     assert any(p.kind is ViolationKind.CLOSURE for p in problems)
     assert any(p.where.startswith("p0.l0") for p in problems)
@@ -202,24 +180,24 @@ def test_validate_flags_degenerate_three_line_loop():
 
 def test_validate_flags_short_line_loop():
     loop = Loop((Line((60, 60)), Line((200, 60))))
-    seq = ConstructionSequence(((Sketch((loop,)), _extrusion()),))
+    seq = ConstructionSequence(((Sketch((loop,)), extrusion()),))
     assert any(p.kind is ViolationKind.CLOSURE for p in validate_sequence(seq))
 
 
 def test_validate_flags_full_turn_arc():
     loop = Loop((Line((60, 60)), Arc((200, 60), 255, True), Line((128, 200))))
-    seq = ConstructionSequence(((Sketch((loop,)), _extrusion()),))
+    seq = ConstructionSequence(((Sketch((loop,)), extrusion()),))
     assert any(p.kind is ViolationKind.RANGE for p in validate_sequence(seq))
 
 
 def test_validate_flags_wrong_first_op():
-    seq = ConstructionSequence((_circle_pair(op=BoolOp.JOIN),))
+    seq = ConstructionSequence((circle_pair(op=BoolOp.JOIN),))
     problems = validate_sequence(seq)
     assert any(p.kind is ViolationKind.STRUCTURE and p.where == "p0.ext" for p in problems)
 
 
 def test_validate_flags_zero_scale_and_distances():
-    seq = ConstructionSequence((_circle_pair(scale=0, dist_pos=0),))
+    seq = ConstructionSequence((circle_pair(scale=0, dist_pos=0),))
     kinds = [p.message for p in validate_sequence(seq)]
     assert any("scale" in m for m in kinds)
     assert any("distance" in m for m in kinds)
@@ -334,7 +312,7 @@ def _dp_reference(a, b):
 def test_edit_distance_identity_and_single_substitution():
     seq = one_circle_sequence()
     assert edit_distance(seq, seq) == 0
-    other = ConstructionSequence((_circle_pair(r=65),))
+    other = ConstructionSequence((circle_pair(r=65),))
     assert edit_distance(seq, other) == 1
 
 
