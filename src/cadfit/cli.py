@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2
-when rendering found no solid and 1 for everything else.  ``--res`` and
-``--seed`` defaults can come from CADFIT_RESOLUTION and CADFIT_SEED.
+when rendering found no solid and 1 for everything else, a missing input
+file included.  A malformed command line, such as ``--res abc``, is a click
+usage error, which also exits 2.  ``--res`` and ``--seed`` defaults can come
+from CADFIT_RESOLUTION and CADFIT_SEED.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def main() -> None:
 
 
 @main.command("render")
-@click.argument("seq_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("seq_file")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 @_res_option
 @click.option("--tau", type=float, default=0.2, show_default=True, help="Truncation distance.")
@@ -80,18 +82,18 @@ def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
     click.echo(f"wrote {out}")
 
 
-def _engine_config(rounds, n, queue, seed, granularity) -> EngineConfig:
+def _engine_config(rounds, n, queue, seed, granularity, ablate) -> EngineConfig:
     for flag, value, least in (("--rounds", rounds, 1), ("--n", n, 0), ("--queue", queue, 1)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
     return EngineConfig(
-        max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=Granularity(granularity)
+        max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=granularity, ablate=ablate
     )
 
 
 @main.command("edit")
-@click.argument("seq_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("target_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("seq_file")
+@click.argument("target_file")
 @click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--n", type=int, default=8, show_default=True, help="Candidates per round.")
@@ -103,7 +105,7 @@ def _engine_config(rounds, n, queue, seed, granularity) -> EngineConfig:
 @_guarded
 def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, report_file, granularity):
     """Update a sequence toward a target grid and write the run report."""
-    cfg = _engine_config(rounds, n, queue, seed, granularity)
+    cfg = _engine_config(rounds, n, queue, seed, granularity, None)
     original = read_sequence_file(seq_file)
     target = read_grid(target_file)
     if generator_cmd is None:
@@ -120,8 +122,8 @@ def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, 
 
 
 @main.command("inspect")
-@click.argument("seq_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("target_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("seq_file")
+@click.argument("target_file")
 @_granularity_option
 @_guarded
 def inspect_cmd(seq_file, target_file, granularity):
@@ -136,8 +138,8 @@ def inspect_cmd(seq_file, target_file, granularity):
 
 
 @main.command("metrics")
-@click.argument("seq_file", type=click.Path(exists=True, dir_okay=False))
-@click.argument("other_file", type=click.Path(exists=True, dir_okay=False))
+@click.argument("seq_file")
+@click.argument("other_file")
 @_res_option
 @click.option("--lam", type=float, default=0.1, show_default=True)
 @_guarded
@@ -160,7 +162,7 @@ def metrics_cmd(seq_file, other_file, res, lam):
 
 
 @main.command("synth")
-@click.option("--spec", "spec_file", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--spec", "spec_file", required=True)
 @click.option("-o", "--out", required=True, type=click.Path(file_okay=False))
 @_seed_option
 @_res_option
@@ -180,7 +182,7 @@ def synth_cmd(spec_file, out, seed, res):
 
 
 @main.command("eval")
-@click.argument("corpus_dir", type=click.Path(exists=True, file_okay=False))
+@click.argument("corpus_dir")
 @click.option("--report", "report_file", required=True, type=click.Path(dir_okay=False))
 @click.option("--ablate", type=click.Choice(ABLATION_MODES), default=None)
 @click.option("--rounds", type=int, default=10, show_default=True)
@@ -191,10 +193,10 @@ def synth_cmd(spec_file, out, seed, res):
 @_guarded
 def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularity):
     """Run the engine over every triplet in a corpus and aggregate metrics."""
-    cfg = _engine_config(rounds, n, queue, seed, granularity)
+    cfg = _engine_config(rounds, n, queue, seed, granularity, ablate)
     triplets = load_corpus(corpus_dir)
-    results = [result for _, result in run_corpus(triplets, cfg, ablate)]
-    text = eval_report(cfg, ablate, triplets, results)
+    results = [result for _, result in run_corpus(triplets, cfg)]
+    text = eval_report(cfg, triplets, results)
     write_text_atomic(report_file, text)
     click.echo(text[text.index("[aggregate]") :].rstrip("\n"))
 

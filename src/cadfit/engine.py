@@ -102,14 +102,14 @@ class QueueEntry:
 
 
 class PriorityQueue:
-    """Keeps the lowest-distance sequences seen, deduplicated by stream."""
+    """Keeps the lowest-distance sequences seen, each at most once (equal
+    sequences are those with equal token streams: serialization round-trips)."""
 
     def __init__(self, capacity: int = 5):
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
         self.capacity = capacity
         self._entries: list[QueueEntry] = []
-        self._streams: set[str] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -120,17 +120,13 @@ class PriorityQueue:
     def push(self, seq: ConstructionSequence, distance: float) -> None:
         if distance < 0 or math.isnan(distance):
             raise ValueError("queue distances must be non-negative")
-        stream = serialize_sequence(seq)
-        if stream in self._streams:
+        if any(e.seq == seq for e in self._entries):
             return
         self._entries.append(QueueEntry(seq, distance))
         # a stable sort keeps ties in insertion order; trimming the tail can
         # never touch the head, so the best entry survives every push
         self._entries.sort(key=lambda e: e.distance)
-        self._streams.add(stream)
-        if len(self._entries) > self.capacity:
-            dropped = self._entries.pop()
-            self._streams.discard(serialize_sequence(dropped.seq))
+        del self._entries[self.capacity :]
 
     def best(self) -> QueueEntry | None:
         return self._entries[0] if self._entries else None
@@ -156,8 +152,10 @@ class EngineConfig:
     queue_capacity: int = 5
     seed: int = 0
     granularity: Granularity = Granularity.PRIMITIVE
+    ablate: str | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "granularity", Granularity(self.granularity))
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
         if self.queue_capacity < 1:
@@ -166,6 +164,8 @@ class EngineConfig:
             raise ValueError("candidate count cannot be negative")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.ablate is not None and self.ablate not in ABLATION_MODES:
+            raise ValueError(f"unknown ablation {self.ablate!r}, expected one of {ABLATION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,12 @@ def run(
     target: TSDFGrid,
     cfg: EngineConfig | None = None,
     endpoint: ExternalGenerator | None = None,
-    ablate: str | None = None,
 ) -> EditResult:
     """Iterate plan, generate, verify until the shapes agree or budget ends.
 
     Each round masks segments at ``cfg.granularity`` and draws ``cfg.n``
     candidates under a seed derived from ``cfg.seed`` and the round index,
-    so rounds explore independently.  ``ablate`` disables one stage:
+    so rounds explore independently.  ``cfg.ablate`` disables one stage:
     "plan" scores segments uniformly at random, "verify" picks a random
     candidate instead of the embedding argmin, "queue" forgets everything
     but the current round's argmin.
@@ -226,8 +225,6 @@ def run(
     bodies they share with the latest one (see ``cadfit.kernel``).
     """
     cfg = cfg or EngineConfig()
-    if ablate is not None and ablate not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation {ablate!r}, expected one of {ABLATION_MODES}")
     problems = validate_sequence(original)
     if problems:
         first = problems[0]
@@ -259,7 +256,7 @@ def run(
         if r > 1:
             ag = attribute(current, spec, base=ag)
         iv = relative_scores(ag, target, cfg.granularity)
-        if ablate == "plan":
+        if cfg.ablate == "plan":
             iv = _uniform_influence(iv, np.random.default_rng([cfg.seed, r, 1]))
         selected = select_segments(iv)
         if not selected:
@@ -279,12 +276,12 @@ def run(
             for cand in cands
         ]
         distances = tuple(dist for _, dist in scored)
-        if ablate == "queue":
+        if cfg.ablate == "queue":
             queue = PriorityQueue(capacity=1)
         for seq, dist in scored:
             queue.push(seq, dist)
         head = queue.best()
-        if ablate == "verify":
+        if cfg.ablate == "verify":
             # a random renderable candidate; an unrenderable one would wedge
             # the next round's planning
             rng = np.random.default_rng([cfg.seed, r, 2])
@@ -310,12 +307,10 @@ def run(
     return EditResult(current, tuple(records), report, stop_reason)
 
 
-def run_corpus(
-    triplets, cfg: EngineConfig, ablate: str | None = None
-) -> list[tuple[EngineConfig, EditResult]]:
+def run_corpus(triplets, cfg: EngineConfig) -> list[tuple[EngineConfig, EditResult]]:
     """Run every ``cadfit.synth.Triplet`` and return (config, result) pairs
-    in index order.  Triplet k runs under its own seed, derived from
-    ``cfg.seed`` and k, so its result does not depend on the others.
+    in index order.  Triplet k runs under ``cfg`` with its own seed, derived
+    from ``cfg.seed`` and k, so its result does not depend on the others.
     """
     cfgs = [dataclasses.replace(cfg, seed=_derived_seed(cfg.seed, k)) for k in range(len(triplets))]
-    return [(c, run(t.original, t.target, c, ablate=ablate)) for c, t in zip(cfgs, triplets)]
+    return [(c, run(t.original, t.target, c)) for c, t in zip(cfgs, triplets)]

@@ -48,7 +48,7 @@ def run_report(result: EditResult, cfg: EngineConfig) -> str:
             ("epsilon", EPSILON),
             ("patience", PATIENCE),
             ("lam", DEFAULT_LAMBDA),
-            ("ablate", "none"),
+            ("ablate", cfg.ablate or "none"),
             ("rounds_used", result.rounds_used),
             ("stop_reason", result.stop_reason),
         ],
@@ -67,9 +67,7 @@ def run_report(result: EditResult, cfg: EngineConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def eval_report(
-    cfg: EngineConfig, ablate: str | None, triplets: list[Triplet], results: list[EditResult]
-) -> str:
+def eval_report(cfg: EngineConfig, triplets: list[Triplet], results: list[EditResult]) -> str:
     """Batch record of ``run_corpus``'s results: one section per triplet,
     headed by its index, plus the aggregate table.
 
@@ -84,7 +82,7 @@ def eval_report(
         ("candidates_per_round", cfg.n),
         ("queue_capacity", cfg.queue_capacity),
         ("granularity", cfg.granularity.value),
-        ("ablate", ablate or "none"),
+        ("ablate", cfg.ablate or "none"),
         ("triplets", len(results)),
     ]
     lines = _section("eval", header)

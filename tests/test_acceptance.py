@@ -76,7 +76,7 @@ def bench_runs(bench_corpus):
 def ablation_runs(bench_corpus):
     t0 = time.perf_counter()
     arms = {
-        arm: [r for _, r in run_corpus(bench_corpus, EngineConfig(), ablate=arm)]
+        arm: [r for _, r in run_corpus(bench_corpus, EngineConfig(ablate=arm))]
         for arm in ("queue", "verify", "plan")
     }
     return arms, time.perf_counter() - t0

@@ -110,6 +110,36 @@ def test_write_error_names_the_path_given_not_the_temporary_file(runner, command
         assert not list(Path(".").glob(".tmp-*"))
 
 
+@pytest.mark.parametrize(
+    "args, missing",
+    [
+        (["render", "nope.seq", "-o", "x.tsdf"], "nope.seq"),
+        (["edit", "nope.seq", "t.tsdf", "-o", "x.seq", "--report", "r.txt"], "nope.seq"),
+        (["inspect", "cyl.seq", "nope.tsdf"], "nope.tsdf"),
+        (["metrics", "cyl.seq", "nope.tsdf"], "nope.tsdf"),
+        (["synth", "--spec", "nope", "-o", "c"], "nope"),
+        (["eval", "nope", "--report", "r.txt"], "nope/manifest"),
+    ],
+)
+def test_missing_input_file_exits_one_naming_it(runner, args, missing):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr == f"FileNotFoundError: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not any(Path(p).exists() for p in ("x.tsdf", "x.seq", "r.txt", "c"))
+
+
+def test_malformed_option_value_is_a_usage_error(runner):
+    with runner.isolated_filesystem():
+        _write_models()
+        res = runner.invoke(main, ["render", "cyl.seq", "-o", "x.tsdf", "--res", "abc"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("Usage:")
+        assert not Path("x.tsdf").exists()
+
+
 def test_render_resolution_env_override(runner):
     with runner.isolated_filesystem():
         _write_models()

@@ -29,7 +29,7 @@ from cadfit.errors import (
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
 from cadfit.report import run_report
-from cadfit.sequence import BoolOp, ConstructionSequence, Sketch, serialize_sequence
+from cadfit.sequence import BoolOp, ConstructionSequence, Granularity, Sketch, serialize_sequence
 from cadfit.synth import SynthSpec, random_renderable, synth
 
 
@@ -299,15 +299,16 @@ def test_run_is_deterministic():
 
 def test_run_corpus_runs_each_triplet_under_its_own_config_in_index_order():
     trips = synth(SynthSpec(corpus_size=3, classes=("param-jitter",), seed=33))
-    cfg = EngineConfig(max_rounds=2, seed=5)
-    runs = run_corpus(trips, cfg, ablate="plan")
+    cfg = EngineConfig(max_rounds=2, seed=5, ablate="plan")
+    runs = run_corpus(trips, cfg)
     assert [dataclasses.replace(c, seed=cfg.seed) for c, _ in runs] == [cfg] * 3
     assert len({c.seed for c, _ in runs}) == 3
     reports = [run_report(r, c) for c, r in runs]
     for report, (c, _), t in zip(reports, runs, trips):
-        assert report == run_report(run(t.original, t.target, c, ablate="plan"), c)
+        assert "\nablate plan\n" in report
+        assert report == run_report(run(t.original, t.target, c), c)
     # a triplet's seed depends on its index alone, not on the triplets after it
-    assert [run_report(r, c) for c, r in run_corpus(trips[:2], cfg, ablate="plan")] == reports[:2]
+    assert [run_report(r, c) for c, r in run_corpus(trips[:2], cfg)] == reports[:2]
 
 
 def test_generation_disabled_returns_original():
@@ -344,20 +345,13 @@ def test_target_must_match_pool_resolution():
         run(seq, target)
 
 
-def test_unknown_ablation_rejected():
-    seq = cylinder_sequence()
-    target = render(seq, GridSpec())
-    with pytest.raises(ValueError):
-        run(seq, target, ablate="everything")
-
-
 @pytest.mark.parametrize("mode", ["plan", "verify", "queue"])
 def test_ablations_complete_and_are_deterministic(mode):
     trips = synth(SynthSpec(corpus_size=1, classes=("param-jitter",), seed=47))
     t = trips[0]
-    cfg = EngineConfig(max_rounds=3, seed=2)
-    a = run(t.original, t.target, cfg, ablate=mode)
-    b = run(t.original, t.target, cfg, ablate=mode)
+    cfg = EngineConfig(max_rounds=3, seed=2, ablate=mode)
+    a = run(t.original, t.target, cfg)
+    b = run(t.original, t.target, cfg)
     assert serialize_sequence(a.final) == serialize_sequence(b.final)
     assert a.trace == b.trace
 
@@ -405,14 +399,14 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
     assert changed > 0
     assert before_report == [len(original.pairs) + changed]
 
-    cfg = EngineConfig(max_rounds=3, seed=1)
-    results = {mode: run(original, target, cfg, ablate=mode) for mode in (None,) + ABLATION_MODES}
+    cfgs = [EngineConfig(max_rounds=3, seed=1, ablate=mode) for mode in (None,) + ABLATION_MODES]
+    results = {cfg: run(original, target, cfg) for cfg in cfgs}
     real_compose = kernel._compose
     monkeypatch.setattr(
         kernel, "_compose", lambda seq, spec, owners, base: real_compose(seq, spec, owners, None)
     )
-    for mode, result in results.items():
-        assert run(original, target, cfg, ablate=mode) == result
+    for cfg, result in results.items():
+        assert run(original, target, cfg) == result
 
 
 @pytest.mark.parametrize(
@@ -422,8 +416,14 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
         {"queue_capacity": 0},
         {"n": -1},
         {"seed": -1},
+        {"ablate": "everything"},
+        {"granularity": "bogus"},
     ],
 )
 def test_engine_config_rejects_bad_fields(kw):
     with pytest.raises(ValueError):
         EngineConfig(**kw)
+
+
+def test_engine_config_takes_a_granularity_by_name():
+    assert EngineConfig(granularity="pair") == EngineConfig(granularity=Granularity.PAIR)
