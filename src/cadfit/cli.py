@@ -2,9 +2,10 @@
 
 Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2
 when rendering found no solid and 1 for everything else, a missing input
-file included.  A malformed command line, such as ``--res abc``, is a click
-usage error, which also exits 2.  ``--res`` and ``--seed`` defaults can come
-from CADFIT_RESOLUTION and CADFIT_SEED.
+file or an unwritable output path included.  A malformed command line,
+such as ``--res abc``, is a click usage error, which also exits 2.
+``--res`` and ``--seed`` defaults can come from CADFIT_RESOLUTION and
+CADFIT_SEED.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def main() -> None:
 
 @main.command("render")
 @click.argument("seq_file")
-@click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
+@click.option("-o", "--out", required=True)
 @_res_option
 @click.option("--tau", type=float, default=0.2, show_default=True, help="Truncation distance.")
 @_guarded
@@ -94,13 +95,13 @@ def _engine_config(rounds, n, queue, seed, granularity, ablate) -> EngineConfig:
 @main.command("edit")
 @click.argument("seq_file")
 @click.argument("target_file")
-@click.option("-o", "--out", required=True, type=click.Path(dir_okay=False))
+@click.option("-o", "--out", required=True)
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--n", type=int, default=8, show_default=True, help="Candidates per round.")
 @click.option("--queue", type=int, default=5, show_default=True, help="Queue capacity.")
 @_seed_option
 @click.option("--generator-cmd", default=None, help="External infill endpoint command line.")
-@click.option("--report", "report_file", required=True, type=click.Path(dir_okay=False))
+@click.option("--report", "report_file", required=True)
 @_granularity_option
 @_guarded
 def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, report_file, granularity):
@@ -163,7 +164,7 @@ def metrics_cmd(seq_file, other_file, res, lam):
 
 @main.command("synth")
 @click.option("--spec", "spec_file", required=True)
-@click.option("-o", "--out", required=True, type=click.Path(file_okay=False))
+@click.option("-o", "--out", required=True)
 @_seed_option
 @_res_option
 @_guarded
@@ -183,7 +184,7 @@ def synth_cmd(spec_file, out, seed, res):
 
 @main.command("eval")
 @click.argument("corpus_dir")
-@click.option("--report", "report_file", required=True, type=click.Path(dir_okay=False))
+@click.option("--report", "report_file", required=True)
 @click.option("--ablate", type=click.Choice(ABLATION_MODES), default=None)
 @click.option("--rounds", type=int, default=10, show_default=True)
 @click.option("--n", type=int, default=8, show_default=True, help="Candidates per round.")

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidOriginalError,
-    RenderInvalidError,
-    ResolutionMismatchError,
-    TargetSpecMismatchError,
-)
+from .errors import InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
 from .generator import ExternalGenerator, external_infill, infill
 from .kernel import AttributionGrid, GridSpec, TSDFGrid, attribute, render
 from .metrics import MetricsReport, report_for
@@ -216,8 +211,12 @@ def run(
     "plan" scores segments uniformly at random, "verify" picks a random
     candidate instead of the embedding argmin, "queue" forgets everything
     but the current round's argmin.
-    With generation enabled, an original that renders empty raises
-    RenderInvalidError before the first round.
+
+    Before round 1 it rejects an original that fails validation
+    (InvalidOriginalError), a target whose resolution is not a multiple of
+    POOL_RES (ResolutionMismatchError, from ``embed_shape``, also at
+    ``cfg.n == 0``) and, with generation enabled, an original that renders
+    empty (RenderInvalidError).
 
     Each round plans from one attribution of the current sequence; round 1
     reuses the original's, which also gives the starting latent.  Each
@@ -229,17 +228,13 @@ def run(
     if problems:
         first = problems[0]
         raise InvalidOriginalError(f"{first.where}: {first.message}")
-    if target.spec.resolution % POOL_RES:
-        raise TargetSpecMismatchError(
-            f"target resolution {target.spec.resolution} not divisible by pool {POOL_RES}"
-        )
+    target_latent = embed_shape(target)
 
     if cfg.n == 0:
         report = report_for(original, target, original)
         return EditResult(original, (), report, "generation-disabled")
 
     spec = target.spec
-    target_latent = embed_shape(target)
     queue = PriorityQueue(cfg.queue_capacity)
     # the starting sequence counts as seen, so the loop can never end
     # on something farther from the target than where it began
@@ -288,7 +283,7 @@ def run(
             finite = [seq for seq, dist in scored if math.isfinite(dist)]
             if finite:
                 current = finite[int(rng.integers(len(finite)))]
-        elif head is not None and math.isfinite(head.distance):
+        elif math.isfinite(head.distance):
             current = head.seq
 
         prev_best = best_seen

@@ -65,10 +65,6 @@ class InvalidOriginalError(CadfitError):
     """The starting sequence fails validation."""
 
 
-class TargetSpecMismatchError(CadfitError):
-    """Target grid is incompatible with the engine configuration."""
-
-
 class EndpointUnavailableError(CadfitError):
     """External generator endpoint cannot be reached at all."""
 

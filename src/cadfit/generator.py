@@ -50,7 +50,6 @@ class Candidate:
     """One proposed sequence plus where it came from."""
 
     seq: ConstructionSequence
-    filled: tuple[SegmentId, ...]
     origin: str
     note: str = ""
 
@@ -220,15 +219,11 @@ def infill(masked: MaskedSequence, n: int, seed: int) -> tuple[Candidate, ...]:
     """
     if n < 1:
         raise ValueError("need at least one candidate per round")
-    ids = masked.ids()
-    if not ids:
-        base = Candidate(masked.base, (), ORIGIN_SURROGATE)
-        return (base,) * n
-    out = []
-    for k in range(n):
-        rng = np.random.default_rng([seed, k])
-        out.append(Candidate(_fill_once(masked, rng), ids, ORIGIN_SURROGATE))
-    return tuple(out)
+    if not masked.entries:
+        return (Candidate(masked.base, ORIGIN_SURROGATE),) * n
+    return tuple(
+        Candidate(_fill_once(masked, np.random.default_rng([seed, k])), ORIGIN_SURROGATE) for k in range(n)
+    )
 
 
 # -- external endpoint -------------------------------------------------------
@@ -351,7 +346,6 @@ def external_infill(
     """
     if n < 1:
         raise ValueError("need at least one candidate per round")
-    ids = masked.ids()
     try:
         lines = endpoint.request(masked.text(), n, seed)
     except (EndpointUnavailableError, GeneratorProtocolError) as err:
@@ -362,7 +356,7 @@ def external_infill(
     for line in lines:
         seq = _accept_external(line, masked)
         if seq is not None:
-            kept.append(Candidate(seq, ids, ORIGIN_EXTERNAL))
+            kept.append(Candidate(seq, ORIGIN_EXTERNAL))
         if len(kept) == n:
             break
     if len(kept) < n:

@@ -31,12 +31,13 @@ from enum import Enum, IntEnum
 
 from .errors import (
     BinRangeError,
+    CadfitError,
     OverlappingSegmentsError,
     SequenceSyntaxError,
     StructureError,
     UnknownSegmentError,
 )
-from .quant import check_bin
+from .quant import BIN_MAX, check_bin
 
 SOL, SEP, EOS, MASK = "SOL", "SEP", "EOS", "MASK"
 
@@ -232,39 +233,29 @@ class _Cursor:
         self.pos += 1
         return tok
 
-    def take_bin(self, what: str) -> int:
-        tok = self.take()
-        try:
-            value = int(tok)
-        except ValueError:
-            raise SequenceSyntaxError(f"{what}: expected an integer, got {tok!r}") from None
-        if not 0 <= value <= 255:
-            raise BinRangeError(f"{what}: bin {value} outside [0, 255]")
-        return value
-
-    def take_flag(self, what: str, limit: int) -> int:
+    def take_int(self, what: str, limit: int = BIN_MAX, error: type[CadfitError] = BinRangeError) -> int:
+        """The next token as an integer in [0, limit]; a bin by default."""
         tok = self.take()
         try:
             value = int(tok)
         except ValueError:
             raise SequenceSyntaxError(f"{what}: expected an integer, got {tok!r}") from None
         if not 0 <= value <= limit:
-            raise SequenceSyntaxError(f"{what}: value {value} outside [0, {limit}]")
+            raise error(f"{what}: value {value} outside [0, {limit}]")
         return value
 
 
 def _parse_primitive(cur: _Cursor) -> Primitive:
     head = cur.take()
     if head == "L":
-        return Line((cur.take_bin("line ex"), cur.take_bin("line ey")))
+        return Line((cur.take_int("line ex"), cur.take_int("line ey")))
     if head == "A":
-        end = (cur.take_bin("arc ex"), cur.take_bin("arc ey"))
-        sweep = cur.take_bin("arc sweep")
-        ccw = cur.take_flag("arc ccw", 1)
-        return Arc(end, sweep, bool(ccw))
+        end = (cur.take_int("arc ex"), cur.take_int("arc ey"))
+        sweep = cur.take_int("arc sweep")
+        return Arc(end, sweep, cur.take_int("arc ccw", 1, SequenceSyntaxError))
     if head == "C":
-        center = (cur.take_bin("circle cx"), cur.take_bin("circle cy"))
-        return Circle(center, cur.take_bin("circle r"))
+        center = (cur.take_int("circle cx"), cur.take_int("circle cy"))
+        return Circle(center, cur.take_int("circle r"))
     raise SequenceSyntaxError(f"expected a primitive token, got {head!r}")
 
 
@@ -273,17 +264,15 @@ def _parse_extrusion(cur: _Cursor) -> Extrusion:
     if head != "E":
         raise StructureError(f"expected extrusion block, got {head!r}")
     names = ["theta", "phi", "gamma", "ox", "oy", "oz", "scale", "dist+", "dist-"]
-    bins = [cur.take_bin(f"extrusion {n}") for n in names]
-    op = cur.take_flag("extrusion op", 3)
-    extent = cur.take_flag("extrusion ext", 2)
+    bins = [cur.take_int(f"extrusion {n}") for n in names]
     return Extrusion(
         orientation=(bins[0], bins[1], bins[2]),
         origin=(bins[3], bins[4], bins[5]),
         scale=bins[6],
         dist_pos=bins[7],
         dist_neg=bins[8],
-        bool_op=BoolOp(op),
-        extent=Extent(extent),
+        bool_op=cur.take_int("extrusion op", 3, SequenceSyntaxError),
+        extent=cur.take_int("extrusion ext", 2, SequenceSyntaxError),
     )
 
 
@@ -314,14 +303,10 @@ def parse_sequence(text: str) -> ConstructionSequence:
             cur.take()
             prims: list[Primitive] = []
             while cur.peek() not in (SOL, "E", None):
-                if cur.peek() in (SEP, EOS, MASK):
+                if cur.peek() in (SEP, EOS):
                     raise StructureError("loop not followed by an extrusion block")
                 prims.append(_parse_primitive(cur))
-            if not prims:
-                raise StructureError("loop with no primitives")
             loops.append(Loop(tuple(prims)))
-        if not loops:
-            raise StructureError("pair with an empty sketch")
         ext = _parse_extrusion(cur)
         sep = cur.take()
         if sep != SEP:
@@ -329,8 +314,6 @@ def parse_sequence(text: str) -> ConstructionSequence:
         pairs.append((Sketch(tuple(loops)), ext))
     if cur.peek() is not None:
         raise StructureError("tokens after EOS")
-    if not pairs:
-        raise StructureError("sequence with no pairs")
     seq = ConstructionSequence(tuple(pairs))
     problems = validate_sequence(seq)
     if problems:

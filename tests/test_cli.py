@@ -131,6 +131,35 @@ def test_missing_input_file_exits_one_naming_it(runner, args, missing):
         assert not any(Path(p).exists() for p in ("x.tsdf", "x.seq", "r.txt", "c"))
 
 
+_IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["render", "cyl.seq", "-o", "adir"], _IS_A_DIRECTORY),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "adir", "--report", "r.txt", "--n", "0"], _IS_A_DIRECTORY),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
+        (["eval", "corpus", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
+        (["synth", "--spec", "recipe", "-o", "afile"], "FileExistsError: [Errno 17] File exists: 'afile'"),
+    ],
+    ids=["render-o", "edit-o", "edit-report", "eval-report", "synth-o"],
+)
+def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, args, message):
+    with runner.isolated_filesystem():
+        _write_models()
+        runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
+        if args[0] == "eval":
+            _tiny_corpus(runner)
+        Path("recipe").write_text("corpus_size 1\nclasses param-jitter\n")
+        Path("adir").mkdir()
+        Path("afile").write_text("")
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert res.stderr == message + "\n"
+        assert not list(Path(".").glob(".tmp-*~"))
+
+
 def test_malformed_option_value_is_a_usage_error(runner):
     with runner.isolated_filesystem():
         _write_models()

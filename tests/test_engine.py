@@ -20,12 +20,7 @@ from cadfit.engine import (
     run,
     run_corpus,
 )
-from cadfit.errors import (
-    InvalidOriginalError,
-    RenderInvalidError,
-    ResolutionMismatchError,
-    TargetSpecMismatchError,
-)
+from cadfit.errors import InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
 from cadfit.report import run_report
@@ -341,8 +336,9 @@ def test_unrenderable_original_is_rejected_before_round_one():
 def test_target_must_match_pool_resolution():
     seq = cylinder_sequence()
     target = render(seq, GridSpec(resolution=12))
-    with pytest.raises(TargetSpecMismatchError):
-        run(seq, target)
+    for cfg in (EngineConfig(), EngineConfig(n=0)):
+        with pytest.raises(ResolutionMismatchError, match="resolution 12 not divisible by pool 8"):
+            run(seq, target, cfg)
 
 
 @pytest.mark.parametrize("mode", ["plan", "verify", "queue"])

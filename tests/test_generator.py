@@ -76,7 +76,6 @@ def test_zero_masks_returns_base_copies():
     assert len(out) == 5
     for cand in out:
         assert cand.seq == seq
-        assert cand.filled == ()
         assert cand.origin == ORIGIN_SURROGATE
 
 
@@ -94,7 +93,6 @@ def test_candidates_validate_and_preserve_unmasked_spans():
                 assert validate_sequence(cand.seq) == []
                 assert parse_sequence(serialize_sequence(cand.seq)) == cand.seq
                 assert apply_mask(cand.seq, masked.ids()).tokens() == masked.tokens()
-                assert cand.filled == masked.ids()
 
 
 def test_infill_deterministic_and_seed_sensitive():
@@ -123,8 +121,8 @@ def test_seeded_infill_streams_are_pinned():
             for ids in masks:
                 masked = apply_mask(seq, ids)
                 seed = next(seeds)
+                labels = " ".join(i.label() for i in masked.ids())
                 for cand in infill(masked, 6, seed):
-                    labels = " ".join(i.label() for i in cand.filled)
                     lines.append(f"{name} {gran.value} {seed} [{labels}] {serialize_sequence(cand.seq)}")
     _, masked = _masked_circle()
     for cand in external_infill(masked, 4, 3, ExternalGenerator(["/nonexistent/binary/path"])):

@@ -231,3 +231,22 @@ def f(mask, grid):
 def test_module_finds_indices_with_flatnonzero(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{entry}" for entry in _index_finder_calls(tree)] == []
+
+
+def _raised(tree: ast.Module) -> set[str]:
+    """Names raised directly: ``raise Name(...)`` or ``raise Name``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_class_is_raised_by_name():
+    """An error class no code raises is dead API; the base class is exempt."""
+    errors = next(p for p in SOURCES if p.name == "errors.py")
+    defined = [n.name for n in ast.parse(errors.read_text()).body if isinstance(n, ast.ClassDef)]
+    raised = set().union(*(_raised(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES))
+    assert [name for name in defined if name != "CadfitError" and name not in raised] == []

@@ -147,6 +147,32 @@ def test_parse_rejects_mask_token():
         parse_sequence("SOL MASK E 0 0 0 128 128 128 64 128 0 0 0 SEP EOS")
 
 
+_EXT = "E 0 0 0 128 128 128 64 128 0 0 0"
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    [
+        ("EOS", StructureError, "sequence needs at least one pair"),
+        (f"SOL {_EXT} SEP EOS", StructureError, "loop needs at least one primitive"),
+        (f"{_EXT} SEP EOS", StructureError, "sketch needs at least one loop"),
+        (f"L 1 2 {_EXT} SEP EOS", StructureError, "expected extrusion block, got 'L'"),
+        (f"SOL C 128 300 64 {_EXT} SEP EOS", BinRangeError, "circle cy: value 300 outside [0, 255]"),
+        (
+            f"SOL L 10 10 A 200 200 64 7 L 10 200 {_EXT} SEP EOS",
+            SequenceSyntaxError,
+            "arc ccw: value 7 outside [0, 1]",
+        ),
+    ],
+    ids=["no-pairs", "empty-loop", "empty-sketch", "no-sol", "bin-300", "arc-flag-7"],
+)
+def test_parse_names_the_rule_a_stream_breaks(text, kind, message):
+    with pytest.raises(kind) as err:
+        parse_sequence(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
 def test_parse_rejects_first_op_not_new():
     text = serialize_sequence(ConstructionSequence((circle_pair(),))).split()
     text[-4] = "1"  # bool_op field of the only extrusion
