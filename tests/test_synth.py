@@ -229,6 +229,24 @@ def test_synth_renders_each_sequence_once_per_attempt_and_its_corpus_is_pinned(t
     assert all(len(keys) == len(set(keys)) for keys in renders)
 
 
+# sha256 of every edit class's mutation of 40 seeded sequences, None
+# included: any change to a mutation's draws, their order or its result
+# moves it
+MUTATE_PIN = "ce172924a80f0c3babfb21e2a7415177e7355872f419f66cd58d9dce76920ef4"
+
+
+def test_seeded_mutations_are_pinned():
+    lines = []
+    for s in range(40):
+        rng = np.random.default_rng([s, 7])
+        seq = random_sequence(rng, 1, 4)
+        for cls in EDIT_CLASSES:
+            out = mutate(seq, cls, rng, GridSpec(resolution=16))
+            lines.append(f"{s} {cls} {'-' if out is None else serialize_sequence(out)}")
+    assert any(line.endswith(" -") for line in lines)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MUTATE_PIN
+
+
 def test_single_class_spec_restricts_classes():
     spec = SynthSpec(corpus_size=4, classes=("param-jitter",), seed=3)
     for t in synth(spec):
