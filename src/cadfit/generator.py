@@ -30,12 +30,12 @@ from .sequence import (
     Line,
     Loop,
     MaskedSequence,
-    SegmentId,
     SegmentKind,
     Sketch,
     apply_mask,
     chain_vertices,
     parse_sequence,
+    replace_segment,
     validate_sequence,
 )
 
@@ -167,29 +167,21 @@ def _sample_pair(rng, pair, keep: float):
     return (Sketch(tuple(loops)), _sample_extrusion(rng, ext, keep))
 
 
+_SAMPLERS = {
+    SegmentKind.PRIMITIVE: _sample_primitive,
+    SegmentKind.LOOP: _sample_loop,
+    SegmentKind.EXTRUSION: _sample_extrusion,
+    SegmentKind.PAIR: _sample_pair,
+}
+
+
 def _resample_masked(masked: MaskedSequence, keep: float, rng) -> ConstructionSequence:
-    masked_ids = set(masked.ids())
-    pairs = []
-    for pi, (sketch, ext) in enumerate(masked.base.pairs):
-        if SegmentId(pi, SegmentKind.PAIR) in masked_ids:
-            pairs.append(_sample_pair(rng, (sketch, ext), keep))
-            continue
-        loops = []
-        for li, loop in enumerate(sketch.loops):
-            if SegmentId(pi, SegmentKind.LOOP, li) in masked_ids:
-                loops.append(_sample_loop(rng, loop, keep))
-                continue
-            prims = tuple(
-                _sample_primitive(rng, prim, keep)
-                if SegmentId(pi, SegmentKind.PRIMITIVE, li, ci) in masked_ids
-                else prim
-                for ci, prim in enumerate(loop.primitives)
-            )
-            loops.append(Loop(prims))
-        if SegmentId(pi, SegmentKind.EXTRUSION) in masked_ids:
-            ext = _sample_extrusion(rng, ext, keep)
-        pairs.append((Sketch(tuple(loops)), ext))
-    return ConstructionSequence(tuple(pairs))
+    # the entries are disjoint and sorted by span, so the draws run in
+    # document order
+    seq = masked.base
+    for seg in masked.entries:
+        seq = replace_segment(seq, seg.id, _SAMPLERS[seg.id.kind](rng, seg.part, keep))
+    return seq
 
 
 def _fill_once(masked: MaskedSequence, rng) -> ConstructionSequence:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyListError
 from .kernel import BAND_WIDTH, AttributionGrid, TSDFGrid
-from .sequence import Granularity, SegmentId, SegmentKind
+from .sequence import Granularity, SegmentId, holder
 
 
 @dataclass(frozen=True)
@@ -36,31 +36,23 @@ class InfluenceVector:
     entries: tuple[InfluenceEntry, ...]
 
 
-def _holder(sid: SegmentId, granularity: Granularity) -> SegmentId:
-    """The segment at ``granularity`` that holds primitive-granularity ``sid``."""
-    if granularity is Granularity.PAIR:
-        return SegmentId(sid.pair, SegmentKind.PAIR)
-    if granularity is Granularity.LOOP and sid.kind is SegmentKind.PRIMITIVE:
-        return SegmentId(sid.pair, SegmentKind.LOOP, sid.loop)
-    return sid
-
-
 def relative_scores(
     ag: AttributionGrid, s_target: TSDFGrid, granularity: Granularity = Granularity.PRIMITIVE
 ) -> InfluenceVector:
     """Contribution change of every segment between ag's shape and the target.
 
     Entries follow the segments of the attributed sequence at
-    ``granularity`` in document order: attribution ids are in document
-    order, so their holders, deduplicated in order, are exactly
-    ``segments(seq, granularity)``.
+    ``granularity`` in document order: attribution ids are its primitive
+    and extrusion segments in document order, so their holders,
+    deduplicated in order, are ``segments(seq, granularity)`` by the
+    definition of ``segments``.
     """
     # each holder's slot, numbered in first-seen order; lifted maps an
     # attribution id's index to its holder's slot
     slots: dict[SegmentId, int] = {}
     lifted = np.empty(len(ag.segment_ids), dtype=np.int64)
     for k, sid in enumerate(ag.segment_ids):
-        lifted[k] = slots.setdefault(_holder(sid, granularity), len(slots))
+        lifted[k] = slots.setdefault(holder(sid, granularity), len(slots))
     band = BAND_WIDTH * ag.spec.pitch
     in_band = np.abs(ag.values) < band
     held = lifted[ag.owner[in_band]]  # holder slot of each banded voxel

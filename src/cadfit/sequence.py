@@ -1,4 +1,4 @@
-"""Construction-sequence data model: grammar, parsing, validation, masking.
+"""Construction-sequence data model: grammar, parsing, validation, segments, masking.
 
 A model is an ordered list of (sketch, extrusion) pairs.  Each sketch is a
 list of loops; the first loop bounds material and the rest cut holes.  A
@@ -40,8 +40,6 @@ from .errors import (
 from .quant import BIN_MAX, check_bin
 
 SOL, SEP, EOS, MASK = "SOL", "SEP", "EOS", "MASK"
-
-EXTRUSION_ARITY = 11
 
 
 def _bin_pair(value) -> tuple[int, int]:
@@ -439,17 +437,20 @@ class SegmentId:
 
 @dataclass(frozen=True)
 class Segment:
-    """A segment id together with its half-open token span."""
+    """A segment id, its half-open token span and the part it spans: a
+    primitive, a loop, an extrusion or a (sketch, extrusion) pair."""
 
     id: SegmentId
     span: tuple[int, int]
+    part: Primitive | Loop | Extrusion | Pair
 
 
 def _layout(seq: ConstructionSequence) -> dict[SegmentId, Segment]:
-    """Token spans for every segment at every granularity."""
+    """Span and part of every segment at every granularity."""
     out: dict[SegmentId, Segment] = {}
     pos = 0
-    for pi, (sketch, ext) in enumerate(seq.pairs):
+    for pi, pair in enumerate(seq.pairs):
+        sketch, ext = pair
         pair_start = pos
         for li, loop in enumerate(sketch.loops):
             loop_start = pos
@@ -457,37 +458,62 @@ def _layout(seq: ConstructionSequence) -> dict[SegmentId, Segment]:
             for ci, prim in enumerate(loop.primitives):
                 width = len(primitive_tokens(prim))
                 sid = SegmentId(pi, SegmentKind.PRIMITIVE, li, ci)
-                out[sid] = Segment(sid, (pos, pos + width))
+                out[sid] = Segment(sid, (pos, pos + width), prim)
                 pos += width
             sid = SegmentId(pi, SegmentKind.LOOP, li)
-            out[sid] = Segment(sid, (loop_start, pos))
+            out[sid] = Segment(sid, (loop_start, pos), loop)
+        width = len(extrusion_tokens(ext))
         sid = SegmentId(pi, SegmentKind.EXTRUSION)
-        out[sid] = Segment(sid, (pos, pos + 1 + EXTRUSION_ARITY))
-        pos += 1 + EXTRUSION_ARITY
+        out[sid] = Segment(sid, (pos, pos + width), ext)
+        pos += width
         sid = SegmentId(pi, SegmentKind.PAIR)
-        out[sid] = Segment(sid, (pair_start, pos))
+        out[sid] = Segment(sid, (pair_start, pos), pair)
         pos += 1  # SEP
     return out
 
 
-_KINDS_AT = {
-    Granularity.PRIMITIVE: (SegmentKind.PRIMITIVE, SegmentKind.EXTRUSION),
-    Granularity.LOOP: (SegmentKind.LOOP, SegmentKind.EXTRUSION),
-    Granularity.PAIR: (SegmentKind.PAIR,),
-}
+def holder(sid: SegmentId, granularity: Granularity) -> SegmentId:
+    """The segment at ``granularity`` that holds primitive-granularity ``sid``."""
+    if granularity is Granularity.PAIR:
+        return SegmentId(sid.pair, SegmentKind.PAIR)
+    if granularity is Granularity.LOOP and sid.kind is SegmentKind.PRIMITIVE:
+        return SegmentId(sid.pair, SegmentKind.LOOP, sid.loop)
+    return sid
 
 
 def segments(seq: ConstructionSequence, granularity: Granularity = Granularity.PRIMITIVE) -> list[Segment]:
     """Disjoint editable segments of ``seq`` in document order.
 
-    Structural markers stay outside the spans, except that loop and pair
-    segments carry their own leading SOL tokens; SEP and EOS never belong
-    to any segment.
+    They are the holders of the primitive and extrusion segments, each
+    once, in first-seen order, which is document order.  Structural
+    markers stay outside the spans, except that loop and pair segments
+    carry their own leading SOL tokens; SEP and EOS never belong to any
+    segment.
     """
-    keep = _KINDS_AT[granularity]
-    segs = [s for s in _layout(seq).values() if s.id.kind in keep]
-    segs.sort(key=lambda s: s.span)
-    return segs
+    layout = _layout(seq)
+    leaves = (sid for sid in layout if sid.kind in (SegmentKind.PRIMITIVE, SegmentKind.EXTRUSION))
+    return [layout[sid] for sid in dict.fromkeys(holder(sid, granularity) for sid in leaves)]
+
+
+def replace_segment(
+    seq: ConstructionSequence, sid: SegmentId, part: Primitive | Loop | Extrusion | Pair
+) -> ConstructionSequence:
+    """``seq`` with the part that ``sid`` addresses replaced by ``part``."""
+    pairs = list(seq.pairs)
+    sketch, ext = pairs[sid.pair]
+    if sid.kind is SegmentKind.PAIR:
+        pairs[sid.pair] = part
+    elif sid.kind is SegmentKind.EXTRUSION:
+        pairs[sid.pair] = (sketch, part)
+    else:
+        loops = list(sketch.loops)
+        if sid.kind is SegmentKind.PRIMITIVE:
+            prims = list(loops[sid.loop].primitives)
+            prims[sid.prim] = part
+            part = Loop(tuple(prims))
+        loops[sid.loop] = part
+        pairs[sid.pair] = (Sketch(tuple(loops)), ext)
+    return ConstructionSequence(tuple(pairs))
 
 
 # --------------------------------------------------------------------------

@@ -35,9 +35,9 @@ from .sequence import (
     Granularity,
     Line,
     Loop,
-    SegmentKind,
     Sketch,
     edit_distance,
+    replace_segment,
     segments,
     validate_sequence,
 )
@@ -186,25 +186,6 @@ def random_renderable(
 # -- mutations --------------------------------------------------------------
 
 
-def _with_pair(seq, index, pair) -> ConstructionSequence:
-    pairs = list(seq.pairs)
-    pairs[index] = pair
-    return ConstructionSequence(tuple(pairs))
-
-
-def _with_loops(seq, index, loops) -> ConstructionSequence:
-    return _with_pair(seq, index, (Sketch(tuple(loops)), seq.pairs[index][1]))
-
-
-def _with_prim(seq, pair_i, loop_i, prim_i, prim) -> ConstructionSequence:
-    sketch, ext = seq.pairs[pair_i]
-    loops = list(sketch.loops)
-    prims = list(loops[loop_i].primitives)
-    prims[prim_i] = prim
-    loops[loop_i] = Loop(tuple(prims))
-    return _with_pair(seq, pair_i, (Sketch(tuple(loops)), ext))
-
-
 def _jitter(rng, value: int, lo: int, hi: int, spread=(20, 48), floor: int = 16):
     """Shifted bin, or None when clamping eats the move."""
     delta = _rand_bin(rng, spread[0], spread[1]) * (1 if rng.random() < 0.5 else -1)
@@ -216,79 +197,68 @@ def _param_jitter(seq, rng):
     # jitter only parameters wholly owned by one segment; a line's endpoint
     # is shared with the next primitive in the chain, so moving it edits two
     # curves and ground truth stops being attributable
-    eligible = []
-    for seg in segments(seq, Granularity.PRIMITIVE):
-        if seg.id.kind is SegmentKind.EXTRUSION:
-            eligible.append((seg, None))
-            continue
-        prim = seq.pairs[seg.id.pair][0].loops[seg.id.loop].primitives[seg.id.prim]
-        if isinstance(prim, (Circle, Arc)):
-            eligible.append((seg, prim))
+    eligible = [s for s in segments(seq) if isinstance(s.part, (Circle, Arc, Extrusion))]
     if not eligible:
         return None
-    seg, prim = eligible[int(rng.integers(len(eligible)))]
-    if prim is None:
-        sketch, ext = seq.pairs[seg.id.pair]
-        dist = _jitter(rng, ext.dist_pos, 20, 200)
+    seg = eligible[int(rng.integers(len(eligible)))]
+    part = seg.part
+    if isinstance(part, Extrusion):
+        dist = _jitter(rng, part.dist_pos, 20, 200)
         if dist is None:
             return None
-        return _with_pair(seq, seg.id.pair, (sketch, dataclasses.replace(ext, dist_pos=dist)))
-    if isinstance(prim, Circle):
+        new = dataclasses.replace(part, dist_pos=dist)
+    elif isinstance(part, Circle):
         if rng.random() < 0.5:
-            cx = _jitter(rng, prim.center[0], 30, 225)
-            cy = _jitter(rng, prim.center[1], 30, 225)
+            cx = _jitter(rng, part.center[0], 30, 225)
+            cy = _jitter(rng, part.center[1], 30, 225)
             if cx is None or cy is None:
                 return None
-            new = Circle((cx, cy), prim.radius)
+            new = Circle((cx, cy), part.radius)
         else:
-            radius = _jitter(rng, prim.radius, 14, 110)
+            radius = _jitter(rng, part.radius, 14, 110)
             if radius is None:
                 return None
-            new = Circle(prim.center, radius)
+            new = Circle(part.center, radius)
     else:
         # the bulge barely moves for small sweep shifts; push hard enough
         # to displace the curve by a couple of voxels
-        sweep = _jitter(rng, prim.sweep, 15, 240, spread=(64, 128), floor=40)
+        sweep = _jitter(rng, part.sweep, 15, 240, spread=(64, 128), floor=40)
         if sweep is None:
             return None
-        new = Arc(prim.end, sweep, prim.ccw)
-    return _with_prim(seq, seg.id.pair, seg.id.loop, seg.id.prim, new)
+        new = Arc(part.end, sweep, part.ccw)
+    return replace_segment(seq, seg.id, new)
 
 
 def _primitive_substitute(seq, rng):
-    spots = [
-        (pi, li, ki)
-        for pi, (sketch, _) in enumerate(seq.pairs)
-        for li, loop in enumerate(sketch.loops)
-        for ki, prim in enumerate(loop.primitives)
-        if not isinstance(prim, Circle)
-    ]
+    spots = [s for s in segments(seq) if isinstance(s.part, (Line, Arc))]
     if not spots:
         return None
-    pi, li, ki = spots[int(rng.integers(len(spots)))]
-    prim = seq.pairs[pi][0].loops[li].primitives[ki]
-    if isinstance(prim, Line):
-        new = Arc(prim.end, _rand_bin(rng, 30, 85), bool(rng.integers(2)))
+    seg = spots[int(rng.integers(len(spots)))]
+    if isinstance(seg.part, Line):
+        new = Arc(seg.part.end, _rand_bin(rng, 30, 85), bool(rng.integers(2)))
     else:
-        new = Line(prim.end)
-    return _with_prim(seq, pi, li, ki, new)
+        new = Line(seg.part.end)
+    return replace_segment(seq, seg.id, new)
 
 
 def _loop_add_remove(seq, rng):
     choices = []
-    for i, (sketch, _) in enumerate(seq.pairs):
+    for seg in segments(seq, Granularity.PAIR):
+        sketch = seg.part[0]
         if len(sketch.loops) >= 2:
-            choices.append(("remove", i))
+            choices.append(("remove", seg))
         outer = sketch.loops[0].primitives[0]
         if isinstance(outer, Circle) and outer.radius >= 55:
-            choices.append(("add", i))
+            choices.append(("add", seg))
     if not choices:
         return None
-    action, i = choices[int(rng.integers(len(choices)))]
-    sketch = seq.pairs[i][0]
+    action, seg = choices[int(rng.integers(len(choices)))]
+    sketch, ext = seg.part
     if action == "remove":
-        return _with_loops(seq, i, sketch.loops[:-1])
-    return _with_loops(seq, i, tuple(sketch.loops) + (_hole_inside(rng, sketch.loops[0].primitives[0]),))
+        loops = sketch.loops[:-1]
+    else:
+        loops = sketch.loops + (_hole_inside(rng, sketch.loops[0].primitives[0]),)
+    return replace_segment(seq, seg.id, (Sketch(loops), ext))
 
 
 def _pair_add_remove(seq, rng):

@@ -250,3 +250,54 @@ def test_every_error_class_is_raised_by_name():
     defined = [n.name for n in ast.parse(errors.read_text()).body if isinstance(n, ast.ClassDef)]
     raised = set().union(*(_raised(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES))
     assert [name for name in defined if name != "CadfitError" and name not in raised] == []
+
+
+# SegmentId's fields: sequence.py alone turns an id into a part of a sequence
+_SEGMENT_FIELDS = {"pair", "loop", "prim"}
+
+
+def _segment_addressing(tree: ast.Module) -> list[str]:
+    """Line and spelling of each subscript indexed by a SegmentId field and
+    of each ``SegmentId(...)`` call."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            fields = {n.attr for n in ast.walk(node.slice) if isinstance(n, ast.Attribute)} & _SEGMENT_FIELDS
+            found += [f"{node.lineno} [.{name}]" for name in sorted(fields)]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "SegmentId":
+                found.append(f"{node.lineno} SegmentId()")
+    return found
+
+
+def test_segment_addressing_check_flags_every_spelling():
+    source = """
+from cadfit import sequence
+from cadfit.sequence import SegmentId, SegmentKind
+
+def f(seq, seg, sid, rows):
+    seq.pairs[seg.id.pair][0].loops[seg.id.loop].primitives[seg.id.prim]
+    seq.pairs[sid.pair :]
+    rows[0, sid.loop + 1]
+    SegmentId(0, SegmentKind.PAIR)
+    sequence.SegmentId(1, SegmentKind.EXTRUSION)
+    seq.pairs[0][1]
+    rows[seg.span[0]]
+    ids: list[SegmentId] = [seg.id]
+    return replace_segment(seq, sid, seg.part)
+"""
+    found = [entry.split(" ", 1)[1] for entry in _segment_addressing(ast.parse(source))]
+    assert sorted(found) == sorted(["[.pair]", "[.loop]", "[.prim]", "[.pair]", "[.loop]", "SegmentId()", "SegmentId()"])
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "sequence.py"], ids=lambda p: p.name)
+def test_only_sequence_addresses_segments(path):
+    """Callers take parts from segments() and rebuild with replace_segment;
+    the kernel alone names SegmentIds, the owners of its attribution fold."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _segment_addressing(tree)
+    if path.name == "kernel.py":
+        found = [entry for entry in found if not entry.endswith("SegmentId()")]
+    assert [f"{path.name}:{entry}" for entry in found] == []

@@ -26,13 +26,14 @@ from cadfit.sequence import (
     apply_mask,
     edit_distance,
     parse_sequence,
+    replace_segment,
     segments,
     sequence_tokens,
     serialize_sequence,
     token_edit_distance,
     validate_sequence,
 )
-from cadfit.synth import EDIT_CLASSES, mutate, random_renderable
+from cadfit.synth import EDIT_CLASSES, mutate, random_renderable, random_sequence
 
 from helpers import circle_pair, extrusion, square_loop
 
@@ -273,6 +274,28 @@ def test_segments_in_document_order():
     starts = [s.span[0] for s in segs]
     assert starts == sorted(starts)
     assert segs[0].id == SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)
+
+
+def test_replace_segment_puts_a_donor_part_into_exactly_its_span():
+    rng = np.random.default_rng(19)
+    checked = 0
+    for _ in range(20):
+        seq, other = random_sequence(rng), random_sequence(rng)
+        other_toks = sequence_tokens(other)
+        for gran in Granularity:
+            donors = segments(other, gran)
+            for s in segments(seq, gran):
+                assert replace_segment(seq, s.id, s.part) == seq
+                same = [d for d in donors if d.id.kind is s.id.kind]
+                d = same[int(rng.integers(len(same)))]
+                new = replace_segment(seq, s.id, d.part)
+                assert apply_mask(new, [s.id]).tokens() == apply_mask(seq, [s.id]).tokens()
+                placed = {x.id: x for x in segments(new, gran)}[s.id]
+                assert placed.part == d.part
+                lo, hi = placed.span
+                assert sequence_tokens(new)[lo:hi] == other_toks[d.span[0] : d.span[1]]
+                checked += 1
+    assert checked > 300
 
 
 # -- masking ----------------------------------------------------------------
