@@ -10,6 +10,7 @@ CADFIT_SEED.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import shlex
 from pathlib import Path
@@ -109,11 +110,8 @@ def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, 
     cfg = _engine_config(rounds, n, queue, seed, granularity, None)
     original = read_sequence_file(seq_file)
     target = read_grid(target_file)
-    if generator_cmd is None:
-        result = run(original, target, cfg)
-    else:
-        with ExternalGenerator(shlex.split(generator_cmd)) as endpoint:
-            result = run(original, target, cfg, endpoint=endpoint)
+    with (contextlib.nullcontext() if generator_cmd is None else ExternalGenerator(shlex.split(generator_cmd))) as gen:
+        result = run(original, target, cfg, endpoint=gen)
     write_sequence_file(out, result.final)
     write_text_atomic(report_file, run_report(result, cfg))
     click.echo(f"rounds_used {result.rounds_used}")

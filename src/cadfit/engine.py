@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
-from .generator import ExternalGenerator, external_infill, infill
+from .generator import ExternalGenerator, infill
 from .kernel import AttributionGrid, GridSpec, TSDFGrid, attribute, render
 from .metrics import MetricsReport, report_for
 from .planner import InfluenceEntry, relative_scores, select_segments
@@ -261,10 +261,7 @@ def run(
 
         masked = apply_mask(current, selected)
         seed = _derived_seed(cfg.seed, r, 0)
-        if endpoint is None:
-            cands = infill(masked, cfg.n, seed)
-        else:
-            cands = external_infill(masked, cfg.n, seed, endpoint)
+        cands = infill(masked, cfg.n, seed, endpoint)
 
         scored = [
             (cand.seq, latent_distance(embed_sequence(cand.seq, spec, base=ag), target_latent))

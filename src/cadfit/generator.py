@@ -1,9 +1,10 @@
-"""Masked-span infilling.
+"""Masked-span infilling, the generate stage; ``infill`` is its one entry.
 
 The surrogate sampler draws grammar-valid fragments centered on the original
-parameters.  An external process speaking the line protocol documented on
-``ExternalGenerator`` can replace it; invalid or unavailable responses fall
-back to the surrogate so the candidate count never shrinks.
+parameters.  Given an external process speaking the line protocol documented
+on ``ExternalGenerator``, ``infill`` puts the candidates it accepts from that
+endpoint first and backfills with the surrogate; invalid or unavailable
+responses fall back to the surrogate, so the candidate count never shrinks.
 """
 
 from __future__ import annotations
@@ -202,19 +203,11 @@ def _fill_once(masked: MaskedSequence, rng) -> ConstructionSequence:
     )
 
 
-def infill(masked: MaskedSequence, n: int, seed: int) -> tuple[Candidate, ...]:
-    """Exactly ``n`` valid candidates, deterministic given the seed.
-
-    Candidate ``k`` draws from its own stream seeded ``[seed, k]``, so the
-    set is stable under changes to ``n``.  Zero masked spans short-circuit
-    to copies of the base sequence.
-    """
-    if n < 1:
-        raise ValueError("need at least one candidate per round")
+def _surrogate(masked: MaskedSequence, count: int, seed: int) -> tuple[Candidate, ...]:
     if not masked.entries:
-        return (Candidate(masked.base, ORIGIN_SURROGATE),) * n
+        return (Candidate(masked.base, ORIGIN_SURROGATE),) * count
     return tuple(
-        Candidate(_fill_once(masked, np.random.default_rng([seed, k])), ORIGIN_SURROGATE) for k in range(n)
+        Candidate(_fill_once(masked, np.random.default_rng([seed, k])), ORIGIN_SURROGATE) for k in range(count)
     )
 
 
@@ -326,31 +319,30 @@ def _accept_external(line: str, masked: MaskedSequence) -> ConstructionSequence 
     return cand
 
 
-def external_infill(
-    masked: MaskedSequence, n: int, seed: int, endpoint: ExternalGenerator
+def infill(
+    masked: MaskedSequence, n: int, seed: int, endpoint: ExternalGenerator | None = None
 ) -> tuple[Candidate, ...]:
-    """Candidates from the endpoint, surrogate-backfilled to exactly n.
+    """Exactly ``n`` valid candidates, deterministic given the seed and the
+    endpoint's answers.
 
-    An unreachable, silent or protocol-breaking endpoint degrades to the
+    Surrogate candidate ``k`` draws from its own stream seeded ``[seed, k]``,
+    so the first ones do not depend on ``n``; zero masked spans give copies
+    of the base.  An endpoint's accepted lines come first, in its order, and
+    surrogate candidates 0, 1, ... fill the rest; a garbage line is dropped
+    alone.  An unreachable, silent or protocol-breaking endpoint gives the
     full surrogate set with a note in each candidate's provenance, and its
-    process is closed so a later request cannot read this one's leftover
-    lines.  Garbage lines are dropped one by one.
+    process is closed so a later request cannot read this one's leftovers.
     """
     if n < 1:
         raise ValueError("need at least one candidate per round")
+    if endpoint is None:
+        return _surrogate(masked, n, seed)
     try:
         lines = endpoint.request(masked.text(), n, seed)
     except (EndpointUnavailableError, GeneratorProtocolError) as err:
         endpoint.close()
         note = f"endpoint failed, surrogate fallback: {err}"
-        return tuple(dataclasses.replace(c, note=note) for c in infill(masked, n, seed))
-    kept = []
-    for line in lines:
-        seq = _accept_external(line, masked)
-        if seq is not None:
-            kept.append(Candidate(seq, ORIGIN_EXTERNAL))
-        if len(kept) == n:
-            break
-    if len(kept) < n:
-        kept.extend(infill(masked, n, seed)[: n - len(kept)])
-    return tuple(kept)
+        return tuple(dataclasses.replace(c, note=note) for c in _surrogate(masked, n, seed))
+    accepted = (_accept_external(line, masked) for line in lines)
+    kept = tuple(Candidate(seq, ORIGIN_EXTERNAL) for seq in accepted if seq is not None)
+    return kept + _surrogate(masked, n - len(kept), seed)

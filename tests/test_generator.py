@@ -15,7 +15,6 @@ from cadfit.generator import (
     ORIGIN_EXTERNAL,
     ORIGIN_SURROGATE,
     ExternalGenerator,
-    external_infill,
     infill,
 )
 from cadfit.kernel import GridSpec, render
@@ -66,7 +65,7 @@ def test_infill_rejects_zero_candidates():
     with pytest.raises(ValueError):
         infill(masked, 0, 0)
     with pytest.raises(ValueError):
-        external_infill(masked, 0, 0, ExternalGenerator(["/nonexistent/binary/path"]))
+        infill(masked, 0, 0, ExternalGenerator(["/nonexistent/binary/path"]))
 
 
 def test_zero_masks_returns_base_copies():
@@ -125,7 +124,7 @@ def test_seeded_infill_streams_are_pinned():
                 for cand in infill(masked, 6, seed):
                     lines.append(f"{name} {gran.value} {seed} [{labels}] {serialize_sequence(cand.seq)}")
     _, masked = _masked_circle()
-    for cand in external_infill(masked, 4, 3, ExternalGenerator(["/nonexistent/binary/path"])):
+    for cand in infill(masked, 4, 3, ExternalGenerator(["/nonexistent/binary/path"])):
         lines.append(f"fallback {cand.origin} {cand.note.split(':')[0]} {serialize_sequence(cand.seq)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SAMPLER_PIN
@@ -358,7 +357,7 @@ def test_echo_endpoint_restores_base(tmp_path):
         sequence_tokens(seq)[slice(*segments(seq)[0].span)]
     )
     with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, *span.split())) as gen:
-        out = external_infill(masked, 4, 0, gen)
+        out = infill(masked, 4, 0, gen)
     assert len(out) == 4
     for cand in out:
         assert cand.seq == seq
@@ -370,22 +369,28 @@ def test_garbage_endpoint_backfills_with_surrogate(tmp_path):
     _, masked = _masked_circle()
     n, seed = 5, 8
     with ExternalGenerator(_stub(tmp_path, "garbage.py", GARBAGE_STUB)) as gen:
-        out = external_infill(masked, n, seed, gen)
+        out = infill(masked, n, seed, gen)
     assert len(out) == 5
     assert all(c.origin == ORIGIN_SURROGATE for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
-def test_partial_endpoint_mixes_external_and_surrogate(tmp_path):
+def test_partial_endpoint_mixes_external_and_surrogate(tmp_path, monkeypatch):
     _, masked = _masked_circle()
     n, seed = 5, 8
+    alone = infill(masked, n, seed)
+    fill_once, draws = generator._fill_once, []
+    monkeypatch.setattr(generator, "_fill_once", lambda *args: draws.append(args) or fill_once(*args))
     cmd = _stub(tmp_path, "partial.py", PARTIAL_STUB, "C", "90", "90", "40")
     with ExternalGenerator(cmd) as gen:
-        out = external_infill(masked, n, seed, gen)
+        out = infill(masked, n, seed, gen)
     origins = [c.origin for c in out]
     assert origins == [ORIGIN_EXTERNAL] + [ORIGIN_SURROGATE] * 4
     got = out[0].seq.pairs[0][0].loops[0].primitives[0]
     assert got == Circle((90, 90), 40)
+    # the backfill is the surrogate's first four, drawn once each
+    assert [c.seq for c in out[1:]] == [c.seq for c in alone[:4]]
+    assert len(draws) == 4
 
 
 def test_tampering_endpoint_is_rejected(tmp_path):
@@ -397,7 +402,7 @@ def test_tampering_endpoint_is_rejected(tmp_path):
     assert validate_sequence(parse_sequence(tampered)) == []
     n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "tamper.py", TAMPER_STUB, *tampered.split())) as gen:
-        out = external_infill(masked, n, seed, gen)
+        out = infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE for c in out)
 
 
@@ -405,7 +410,7 @@ def test_unreachable_endpoint_falls_back_with_note():
     _, masked = _masked_circle()
     n, seed = 4, 8
     gen = ExternalGenerator(["/nonexistent/binary/path"])
-    out = external_infill(masked, n, seed, gen)
+    out = infill(masked, n, seed, gen)
     assert len(out) == 4
     for cand in out:
         assert cand.origin == ORIGIN_SURROGATE
@@ -416,7 +421,7 @@ def test_unreachable_endpoint_falls_back_with_note():
 def test_stalling_endpoint_times_out_to_fallback(tmp_path):
     _, masked = _masked_circle()
     with ExternalGenerator(_stub(tmp_path, "stall.py", STALL_STUB), timeout=0.3) as gen:
-        out = external_infill(masked, 3, 8, gen)
+        out = infill(masked, 3, 8, gen)
     assert all("fallback" in c.note for c in out)
 
 
@@ -425,7 +430,7 @@ def test_endpoint_breaking_off_mid_response_falls_back(tmp_path, body):
     _, masked = _masked_circle()
     n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "broken.py", body), timeout=0.3) as gen:
-        out = external_infill(masked, n, seed, gen)
+        out = infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
@@ -438,7 +443,7 @@ def test_missing_end_is_a_protocol_error(tmp_path):
             gen.request(masked.text(), 3, 8)
     n, seed = 3, 8
     with ExternalGenerator(cmd) as gen:
-        out = external_infill(masked, n, seed, gen)
+        out = infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
@@ -459,8 +464,8 @@ def test_late_answer_is_not_read_by_the_next_request(tmp_path):
     _, masked = _masked_circle()
     cmd = _stub(tmp_path, "late.py", LATE_SEED_STUB)
     with ExternalGenerator(cmd, timeout=1.0) as gen:
-        first = external_infill(masked, 2, 1, gen)
-        second = external_infill(masked, 2, 7, gen)
+        first = infill(masked, 2, 1, gen)
+        second = infill(masked, 2, 7, gen)
     assert all("fallback" in c.note for c in first)
     assert all(c.origin == ORIGIN_EXTERNAL for c in second)
     assert [c.seq.pairs[0][0].loops[0].primitives[0].radius for c in second] == [17, 17]
@@ -470,7 +475,7 @@ def test_endpoint_survives_repeated_requests(tmp_path):
     seq, masked = _masked_circle()
     span = sequence_tokens(seq)[slice(*segments(seq)[0].span)]
     with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, *span)) as gen:
-        first = external_infill(masked, 2, 0, gen)
-        second = external_infill(masked, 2, 1, gen)
+        first = infill(masked, 2, 0, gen)
+        second = infill(masked, 2, 1, gen)
     assert [c.seq for c in first] == [c.seq for c in second]
     assert all(c.origin == ORIGIN_EXTERNAL for c in second)
