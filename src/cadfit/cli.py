@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2
-when rendering found no solid and 1 for everything else, a missing input
-file or an unwritable output path included.  A malformed command line,
-such as ``--res abc``, is a click usage error, which also exits 2.
-``--res`` and ``--seed`` defaults can come from CADFIT_RESOLUTION and
-CADFIT_SEED.
+Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2 when
+rendering found no solid and 1 for everything else, a missing input file or an
+unwritable output path included.  A failed ``edit`` writes neither output, and
+``synth`` writes its manifest last, so a failed ``synth`` into a new directory
+leaves no loadable corpus.  A malformed command line, such as ``--res abc``, is
+a click usage error, which also exits 2.  ``--res`` and ``--seed`` defaults can
+come from CADFIT_RESOLUTION and CADFIT_SEED.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import click
 from .engine import ABLATION_MODES, EngineConfig, run, run_corpus
 from .errors import CadfitError, RenderInvalidError
 from .generator import ExternalGenerator
-from .gridio import read_grid, read_sequence_file, write_grid, write_sequence_file, write_text_atomic
+from .gridio import read_grid, read_sequence_file, sequence_bytes, write_atomic, write_grid, write_text_atomic
 from .kernel import GridSpec, attribute, render
 from .metrics import report_for
 from .planner import relative_scores, select_segments
@@ -112,8 +113,7 @@ def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, 
     target = read_grid(target_file)
     with (contextlib.nullcontext() if generator_cmd is None else ExternalGenerator(shlex.split(generator_cmd))) as gen:
         result = run(original, target, cfg, endpoint=gen)
-    write_sequence_file(out, result.final)
-    write_text_atomic(report_file, run_report(result, cfg))
+    write_atomic((out, sequence_bytes(result.final)), (report_file, run_report(result, cfg).encode("utf-8")))
     click.echo(f"rounds_used {result.rounds_used}")
     click.echo(f"stop_reason {result.stop_reason}")
     for line in metrics_lines(result.report):

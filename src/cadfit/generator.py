@@ -1,10 +1,9 @@
 """Masked-span infilling, the generate stage; ``infill`` is its one entry.
 
 The surrogate sampler draws grammar-valid fragments centered on the original
-parameters.  Given an external process speaking the line protocol documented
-on ``ExternalGenerator``, ``infill`` puts the candidates it accepts from that
-endpoint first and backfills with the surrogate; invalid or unavailable
-responses fall back to the surrogate, so the candidate count never shrinks.
+parameters.  Given an endpoint speaking the line protocol documented on
+``ExternalGenerator``, ``infill`` puts the candidates it accepts first and
+fills the rest from the surrogate, which also stands in for a failed endpoint.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ ORIGIN_SURROGATE = "surrogate"
 ORIGIN_EXTERNAL = "external"
 
 _RETRIES_PER_CANDIDATE = 64
+_MAX_LINE_BYTES = 1 << 20  # one endpoint response line; far beyond any candidate
 
 
 @dataclass(frozen=True)
@@ -292,6 +292,8 @@ class ExternalGenerator:
                 lines.append(self._buf[:nl].decode("utf-8", errors="replace"))
                 del self._buf[: nl + 1]
                 continue
+            if len(self._buf) > _MAX_LINE_BYTES:
+                raise GeneratorProtocolError(f"endpoint sent a line over {_MAX_LINE_BYTES} bytes")
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise EndpointUnavailableError(f"endpoint silent past {self.timeout:g}s")

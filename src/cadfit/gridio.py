@@ -11,6 +11,7 @@ a trailing newline.  Every read error names the file.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import struct
 import tempfile
@@ -36,24 +37,30 @@ def _naming(path):
         raise kind(f"{path}: {err}") from err
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
+def write_atomic(*outputs: tuple[str, bytes]) -> None:
+    """Write all ``(path, data)`` outputs or none: each is staged beside its
+    path and every path is checked before any is replaced, so no late
+    replace fails on a directory.  An ``OSError`` names the caller's path."""
+    staged = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        try:
+        for path, data in outputs:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
+            staged.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+        for tmp, (path, _) in zip(staged, outputs):
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-    except OSError as err:  # name the caller's path, not the temporary file
+    except OSError as err:
         raise type(err)(err.errno, err.strerror, path) from err
+    finally:
+        for tmp in filter(os.path.exists, staged):  # replaced ones are gone
+            os.unlink(tmp)
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    write_atomic((path, text.encode("utf-8")))
 
 
 def tsdf_bytes(grid: TSDFGrid) -> bytes:
@@ -63,7 +70,7 @@ def tsdf_bytes(grid: TSDFGrid) -> bytes:
 
 
 def write_tsdf(path: str, grid: TSDFGrid) -> None:
-    _atomic_write(path, tsdf_bytes(grid))
+    write_atomic((path, tsdf_bytes(grid)))
 
 
 def read_tsdf(path: str) -> TSDFGrid:
@@ -120,8 +127,12 @@ def write_grid(path: str, grid: TSDFGrid) -> None:
     (write_grid_text if os.fspath(path).endswith(".grid") else write_tsdf)(path, grid)
 
 
+def sequence_bytes(seq: ConstructionSequence) -> bytes:
+    return (serialize_sequence(seq) + "\n").encode("utf-8")
+
+
 def write_sequence_file(path: str, seq: ConstructionSequence) -> None:
-    write_text_atomic(path, serialize_sequence(seq) + "\n")
+    write_atomic((path, sequence_bytes(seq)))
 
 
 def read_sequence_file(path: str) -> ConstructionSequence:

@@ -132,6 +132,11 @@ def test_missing_input_file_exits_one_naming_it(runner, args, missing):
 
 
 _IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
+_NO_PARENT = "FileNotFoundError: [Errno 2] No such file or directory: 'missing/%s'"
+
+
+def _tree() -> dict:
+    return {str(p): p.read_bytes() for p in Path(".").rglob("*") if p.is_file()}
 
 
 @pytest.mark.parametrize(
@@ -140,10 +145,12 @@ _IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
         (["render", "cyl.seq", "-o", "adir"], _IS_A_DIRECTORY),
         (["edit", "cyl.seq", "t.tsdf", "-o", "adir", "--report", "r.txt", "--n", "0"], _IS_A_DIRECTORY),
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "missing/x.seq", "--report", "r.txt", "--n", "0"], _NO_PARENT % "x.seq"),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "missing/r.txt", "--n", "0"], _NO_PARENT % "r.txt"),
         (["eval", "corpus", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
         (["synth", "--spec", "recipe", "-o", "afile"], "FileExistsError: [Errno 17] File exists: 'afile'"),
     ],
-    ids=["render-o", "edit-o", "edit-report", "eval-report", "synth-o"],
+    ids=["render-o", "edit-o", "edit-report", "edit-o-parent", "edit-report-parent", "eval-report", "synth-o"],
 )
 def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, args, message):
     with runner.isolated_filesystem():
@@ -154,10 +161,15 @@ def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, args, me
         Path("recipe").write_text("corpus_size 1\nclasses param-jitter\n")
         Path("adir").mkdir()
         Path("afile").write_text("")
+        Path("x.seq").write_text("old sequence\n")
+        Path("r.txt").write_text("old report\n")
+        before = _tree()
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert res.stderr == message + "\n"
         assert not list(Path(".").glob(".tmp-*~"))
+        # no output is new or changed, and no temporary file is left anywhere
+        assert _tree() == before
 
 
 def test_malformed_option_value_is_a_usage_error(runner):

@@ -252,6 +252,17 @@ print("END")
 sys.stdout.flush()
 """
 
+# streams bytes and never ends the line
+FLOOD_STUB = """\
+import sys
+
+sys.stdin.readline()
+sys.stdin.readline()
+while True:
+    sys.stdout.write("C" * 65536)
+    sys.stdout.flush()
+"""
+
 NO_END_STUB = """\
 import sys
 
@@ -423,6 +434,15 @@ def test_stalling_endpoint_times_out_to_fallback(tmp_path):
     with ExternalGenerator(_stub(tmp_path, "stall.py", STALL_STUB), timeout=0.3) as gen:
         out = infill(masked, 3, 8, gen)
     assert all("fallback" in c.note for c in out)
+
+
+def test_endpoint_flooding_one_line_falls_back_at_the_bound(tmp_path):
+    _, masked = _masked_circle()
+    n, seed = 3, 8
+    with ExternalGenerator(_stub(tmp_path, "flood.py", FLOOD_STUB), timeout=10) as gen:
+        out = infill(masked, n, seed, gen)
+    assert all(c.origin == ORIGIN_SURROGATE and "line over 1048576 bytes" in c.note for c in out)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 @pytest.mark.parametrize("body", [PARTIAL_LINE_STUB, DYING_STUB], ids=["partial-line", "dies"])
