@@ -40,7 +40,8 @@ def _naming(path):
 def write_atomic(*outputs: tuple[str, bytes]) -> None:
     """Write all ``(path, data)`` outputs or none: each is staged beside its
     path and every path is checked before any is replaced, so no late
-    replace fails on a directory.  An ``OSError`` names the caller's path."""
+    replace fails on a directory.  An ``OSError`` names the caller's path as
+    a plain string."""
     staged = []
     try:
         for path, data in outputs:
@@ -53,7 +54,7 @@ def write_atomic(*outputs: tuple[str, bytes]) -> None:
         for tmp, (path, _) in zip(staged, outputs):
             os.replace(tmp, path)
     except OSError as err:
-        raise type(err)(err.errno, err.strerror, path) from err
+        raise type(err)(err.errno, err.strerror, os.fspath(path)) from err
     finally:
         for tmp in filter(os.path.exists, staged):  # replaced ones are gone
             os.unlink(tmp)

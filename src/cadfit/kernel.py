@@ -3,10 +3,11 @@
 Profiles are exact 2D signed distance fields (negative inside) built from
 loop boundary distance with a winding-number sign.  Bodies extrude those
 profiles along a placed sketch plane.  Booleans fold the bodies left to
-right on untruncated fields: the first body starts the scene, then NEW and
-JOIN apply ``sdf_union`` (min), CUT ``sdf_difference`` (max with the
-negated body) and INTERSECT ``sdf_intersection`` (max).  Truncation to
-[-tau, tau] happens once, when the composed field is stored on a grid.
+right: the first body starts the scene, then NEW and JOIN apply
+``sdf_union`` (min), CUT ``sdf_difference`` (max with the negated body) and
+INTERSECT ``sdf_intersection`` (max).  An attribution folds float64 fields
+and truncates to [-tau, tau] once, when the composed field is stored on a
+float32 grid; a render folds float32 clamped bodies to the same bits.
 
 The 2D layer works on x and y planes, and every distance is
 sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
@@ -44,8 +45,8 @@ its height, whatever z is, which leaves every nonzero sum unchanged and can
 flip only the sign of a zero one, and the profile never sees that sign
 because no quantized 2D coordinate is zero; likewise x and y enter the
 height only as +-0 terms, and the slab term takes its absolute value.
-Float64 fields, values and owners are bit-identical to evaluating every
-body at every cell center, as ``body_sdf`` does.
+Every float64 term and field value the lattice computes is bit-identical
+to evaluating the body at that cell center, as ``body_sdf`` does.
 
 ``render`` and ``attribute`` evaluate a body that is off the z axis, and not
 taken from a base, only in the blocks of cells its surface band can reach.
@@ -53,58 +54,98 @@ They first evaluate the body at the centers of 4^3-cell blocks, laid over
 the grid padded up to whole blocks when 4 does not divide n (at resolution
 32 these are ``embed_shape``'s pooling blocks).  A block whose center value
 f_c has |f_c| >= tau + 1.5 sqrt(3) pitch + a 1e-9 margin is filled with
-sign(f_c) * tau, and only the other blocks' cells are evaluated.  The result
-is again exact.  Every body field is 1-Lipschitz: a loop's boundary distance
-is, and its winding sign flips only on the boundary, where that distance is
-zero; the max with negated holes, uniform scaling, the extrusion formula
-(the distance to the quadrant d <= 0, slab <= 0, with d and the slab term
-1-Lipschitz in orthogonal coordinates) and an orthonormal placement all keep
-that.  Every cell center lies within the half-diagonal 1.5 sqrt(3) pitch of
-its block's center, so a filled cell's true value has the sign of f_c and a
-magnitude of at least tau; the margin absorbs float64 rounding.  Clamping
-to [-tau, tau] commutes with min, max and negation, and the float32 cast is
-monotone with tau exact in float32, so the stored grid is bit-identical: an
-in-band value (|v| < tau) lies strictly between the filled values of either
-sign, so every min and max of the fold picks the same in-band operand, bit
-for bit, and every out-of-band result keeps its sign and clamps to the same
+sign(f_c) * tau, and only the other blocks' cells are evaluated.  The fill
+keeps the band rule below.  Every body field is 1-Lipschitz: a loop's
+boundary distance is, and its winding sign flips only on the boundary, where
+that distance is zero; the max with negated holes, uniform scaling, the
+extrusion formula (the distance to the quadrant d <= 0, slab <= 0, with d
+and the slab term 1-Lipschitz in orthogonal coordinates) and an orthonormal
+placement all keep that.  Every cell center lies within the half-diagonal
+1.5 sqrt(3) pitch of its block's center, so a filled cell's true value has
+the sign of f_c and a magnitude of at least tau; the margin absorbs float64
+rounding.
+
+Every body obeys one band rule: its field is exact wherever |f| < tau, and
+elsewhere |f| >= tau with f's sign; a filled block is one case, a bounded
+hypot patch (below) the other.  The one exception is an attribution where
+``BAND_WIDTH`` * pitch > tau (resolution 8 at the default tau): the planner
+reads owners out there, so its bodies are full fields and it culls nothing.
+Clamping to [-tau, tau] maps a body that obeys the rule to the clamp of its
+full field, and it commutes with min, max and negation, so the fold of such
+bodies clamps like the dense one; the float32 cast is monotone with tau
+exact in float32, so the stored grid is bit-identical: an in-band value
+(|v| < tau) lies strictly between the out-of-band values of either sign,
+so every min and max of the fold picks the same in-band operand, bit for
+bit, and every out-of-band result keeps its sign and clamps to the same
 +-tau.
 
 An attribution fills a culled block's cap mask with False and its nearest
-primitive with 0, so it guarantees owners only in the band, where
-|v| < tau; there they are the dense fold's.  Proof: min and max return one
-of their operands, so the last pair that changed an in-band value v left
-its own value f (or -f for CUT) equal to v, in the band; that cell's block
-is never culled, and its cap mask and nearest primitive there are exact.
-The culled fold names the same pair: by the clamp commutation its scene
+primitive with 0, and folds bodies that differ from the full fields out of
+the band, so it guarantees owners only in the band, where |v| < tau; there
+they are the dense fold's.  Proof: min and max return one of their
+operands, so the last pair that changed an in-band value v left its own
+value f (or -f for CUT) equal to v, in the band; there that body is exact,
+its block is not culled, and its cap mask and nearest primitive are exact.
+The banded fold names the same pair: by the clamp commutation its scene
 clamps like the dense one after every pair, and a value that clamps to an
 in-band v is v, so from that pair on its scene is v, and before it the
-scene is not, as the dense one is not.  So a culled block, also in a body
-taken from a base, never owns an in-band voxel.  The planner reads owners
-out to ``BAND_WIDTH`` * pitch, so where that band exceeds tau (resolution 8
-at the default tau) an attribution culls nothing.
+scene is not, as the dense one is not.  So a cell out of a body's band,
+also in a body taken from a base, never owns an in-band voxel.  The
+planner reads owners out to ``BAND_WIDTH`` * pitch, which is why the
+exception above keeps full fields.
 
 The extrusion formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0))
 is max(d, slab) + 0.0 where d <= 0 or slab <= 0: hypot(0, x) == |x| exactly,
 and the + 0.0 turns a -0.0 into +0.0 as the formula's + hypot(0, 0) does;
 where both are positive it is 0.0 + hypot(d, slab).  So ``_field`` takes
-max(d, slab) + 0.0 and writes hypot(d, slab) only where both are positive,
-bit for bit the formula.  On the lattice, with d the profile term on the
-n^2 xy cells and slab the slab term on the n z layers, ``render`` and
-``attribute`` take max(d + 0.0, slab + 0.0) over the grid and write hypot
-only into the outer product of the xy cells with d > 0 and the z layers with
-slab > 0, so an attribution's lattice bodies are full fields.  ``render``
-bounds that patch further, to d < tau and slab < tau: where both are
-positive and one is at least tau, both values are at least tau, so they
-clamp to the same tau and, by the clamp commutation above, the stored grid
-is bit-identical.
+max(d, slab) + 0.0 and writes hypot(d, slab) only where both are positive
+and below a bound ``top``, bit for bit the formula there.  With top = tau
+that keeps the band rule: where both are positive and one is at least tau,
+max(d, slab) and hypot(d, slab) are both at least tau.  top is tau for
+every body but those of the exception above, where it is infinite; the
+cull reach is top plus the half-diagonal.  On the lattice, with d the
+profile term on the n^2 xy cells and slab the slab term on the n z layers,
+``render`` and ``attribute`` take max(d + 0.0, slab + 0.0) over the grid
+and write hypot only on the xy cells with 0 < d < top and the z layers with
+0 < slab < top.  The slab term is |z - mid| - half, so those layers form
+at most two runs, below and above the slab, and each is one slice of the
+(n^2, n) grid.
+
+A render folds h(f) = clip(float32(f), -tau, tau) of each body instead of f,
+in float32, and stores its scene without a final cast or clip: the lattice
+takes max(h(d + 0.0), h(slab + 0.0)) and writes h of its hypot patch,
+``_banded`` scatters h of its evaluated cells among the filled +-tau, and a
+body taken from a base is h of its stored float64 field.  The cast rounds to
+nearest and the clamp is symmetric, so h is non-decreasing and odd:
+h(min(a, b)) = min(h(a), h(b)), likewise for max, and h(-a) = -h(a).  So,
+pair by pair, the float32 scene is h of the float64 fold of the same
+bodies, which by the band rule is what an attribution stores: where
+h(a) < h(b) both folds pick the same operand, and where h(a) == h(b) in
+value, the operands' bits differ only as +0.0 and -0.0, among which min and
+max pick by position alike in either precision, and h keeps a zero's sign.
+The lattice's max of h(d + 0.0) and h(slab + 0.0) is h of their max the
+same way, and the + 0.0 still turns -0.0 into +0.0 before h sees it.
+
+The one gap is underflow: a nonzero |f| <= 2**-150 casts to a signed zero,
+and min or max of opposite zeros may then keep another operand than the
+float64 fold (a tiny negative beats +0.0 there, while -0.0 ties it).
+Quantized geometry is not proven free of such values: a tilted frame can
+cancel a coordinate far below the grid's scale, and a sweep of length zero
+makes that the slab term.  So every body a call evaluates checks the values
+h would see: d and slab on the lattice (every other value there is one of
+them or a hypot at least as large), the evaluated cells of a banded body.  A
+render that meets one takes the attribution's float64 fold instead, and an
+attribution does not keep the body, so a body taken from a base needs no
+check.
 
 An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
-Extrusion)`` to its field, cap mask and nearest primitive, all read-only.
-Given a ``base`` attribution at the same spec, ``render`` and ``attribute``
-take the bodies it holds and evaluate only the others.  A reused body is
-exact: its arrays depend only on the key and the spec, so an attribution
-folds the very arrays it would compute, and a render a field that clamps
-like the full one, which is all the shortcuts above are proven to need.
+Extrusion)`` that passes the underflow check to its float64 field, cap
+mask and nearest primitive, all read-only.  Given a ``base`` attribution
+at the same spec, ``render`` and ``attribute`` take the bodies it holds and
+evaluate only the others.  A reused body is exact: its arrays depend only
+on the key and the spec, so an attribution folds the very arrays it would
+compute, and a render h of a field that obeys the band rule, which is all
+the shortcuts above are proven to need.
 """
 
 from __future__ import annotations
@@ -209,7 +250,7 @@ class AttributionGrid:
 
     ``owner`` holds indices into ``segment_ids`` (primitive-granularity ids:
     primitives and extrusion blocks).  ``bodies`` holds the sequence's bodies
-    (see the module notes).
+    that a render can fold in float32 (see the module notes).
     """
 
     spec: GridSpec
@@ -395,12 +436,25 @@ def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarr
     return d * scale, np.abs(height - mid) - half, rows
 
 
-def _field(d: np.ndarray, slab: np.ndarray) -> np.ndarray:
-    """Signed distance to the quadrant d <= 0, slab <= 0, from terms of one shape (see the module notes)."""
+def _field(d: np.ndarray, slab: np.ndarray, top: float = math.inf) -> np.ndarray:
+    """Signed distance to the quadrant d <= 0, slab <= 0, from terms of one
+    shape, but max(d, slab) where both are positive and one reaches ``top``
+    (see the module notes)."""
     f = np.add(np.maximum(d, slab), 0.0, out=np.empty(np.shape(d)))
-    at = np.flatnonzero((d > 0) & (slab > 0))
+    at = np.flatnonzero((d > 0) & (slab > 0) & (d < top) & (slab < top))
     f.reshape(-1)[at] = np.hypot(np.reshape(d, -1)[at], np.reshape(slab, -1)[at])
     return f
+
+
+def _clamped(f: np.ndarray, tau: float) -> np.ndarray:
+    """h(f) = clip(float32(f), -tau, tau)."""
+    g = f.astype(np.float32)
+    return np.clip(g, -np.float32(tau), np.float32(tau), out=g)
+
+
+def _fits(*arrays: np.ndarray) -> bool:
+    """Whether no nonzero value casts to a float32 zero (see the module notes)."""
+    return all(np.count_nonzero(a) == np.count_nonzero(a.astype(np.float32)) for a in arrays)
 
 
 def _local(x, y, z, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,19 +472,19 @@ def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     return _field(*_extrude(sketch, ext, *_local(*coords, *placement_frame(ext)))[:2])
 
 
-def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, owners: bool):
-    """Body field on the (n, n, n) grid, and when ``owners`` its cap mask and
-    nearest primitive: exact in every block the field can bring into the band,
-    sign * tau, False and 0 in every other (see the module notes)."""
+def _banded(
+    sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, top: float, owners: bool
+):
+    """Body field on the (n, n, n) grid, h of it unless ``owners``, whether it
+    fits float32, and when ``owners`` its cap mask and nearest primitive: in
+    every block the field can bring below ``top``, the field bounded by
+    ``top``, and sign * tau, False and 0 in every other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb, cube = -(-n // _BLOCK), _BLOCK**3
     mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
     mids = mid.repeat(nb * nb), np.tile(mid.repeat(nb), nb), np.tile(mid, nb * nb)
     fc = _field(*_extrude(sketch, ext, *_local(*mids, rot, origin))[:2])
-    reach = tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN
-    if owners and BAND_WIDTH * pitch > tau:
-        reach = math.inf  # the planner reads owners beyond the band here
-    near = np.flatnonzero(np.abs(fc) < reach)
+    near = np.flatnonzero(np.abs(fc) < top + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN)
     # per axis, each near block's cell centers, the last standing in for pad
     # cells; cells run block by block, each block's in C order
     c, step = spec.centers(), np.arange(_BLOCK)
@@ -445,10 +499,12 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
         out = out.reshape((nb,) * 3 + (_BLOCK,) * 3).transpose(0, 3, 1, 4, 2, 5)
         return out.reshape((nb * _BLOCK,) * 3)[:n, :n, :n]
 
-    f = grid(_field(d, slab), np.where(fc < 0, -tau, tau)[:, None])
+    f = _field(d, slab, top)
+    fits = _fits(f)
+    f = grid(f if owners else _clamped(f, tau), np.where(fc < 0, -tau, tau)[:, None])
     if not owners:
-        return f, None, None
-    return f, grid(slab > d, False), grid(np.argmin(np.stack(rows), axis=0), 0)
+        return (f, None, None), fits
+    return (f, grid(slab > d, False), grid(np.argmin(np.stack(rows), axis=0), 0)), fits
 
 
 # --------------------------------------------------------------------------
@@ -485,27 +541,37 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
     loop order, then its extrusion block) and the sequence's bodies.  Bodies
     ``base`` holds at this spec are reused (see the module notes).
     """
-    n = spec.resolution
+    n, tau = spec.resolution, spec.tau
+    top = math.inf if owners and BAND_WIDTH * spec.pitch > tau else tau  # the planner reads owners past tau
+
+    def h(a):  # what a render folds in place of a body value (see the module notes)
+        return a if owners else _clamped(a, tau)
 
     def evaluate(sketch, ext):
-        """A body's field, cap mask and nearest primitive, broadcastable to
-        (n, n, n); its coordinates die with the call, before the fold allocates."""
+        """A body's field (h of it in a render), cap mask and nearest
+        primitive, broadcastable to (n, n, n), and whether it fits float32;
+        its coordinates die with the call, before the fold allocates."""
+        body = reused.get((sketch, ext))
+        if body is not None:  # an attribution keeps only bodies that fit
+            return (body if owners else (h(body[0]), None, None)), True
         rot, origin = placement_frame(ext)
         if not rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
-            return _banded(sketch, ext, spec, rot, origin, owners)
+            return _banded(sketch, ext, spec, rot, origin, top, owners)
         # z-aligned: the profile at the points (x_i, y_j, z_j), the slab at
         # the first n of them (see the module notes)
         c = spec.centers()
         plane, height = _local(np.repeat(c, n), np.tile(c, n), np.tile(c, n), rot, origin)
         d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
-        top = math.inf if owners else spec.tau  # a render needs hypot only inside the band
-        f = np.maximum(d + 0.0, slab + 0.0)
+        f = np.maximum(h(d + 0.0), h(slab + 0.0))
         xy = np.flatnonzero((d > 0) & (d < top))
         z = np.flatnonzero((slab > 0) & (slab < top))
-        f.reshape(-1, n)[np.ix_(xy, z)] = np.hypot(d.reshape(-1)[xy, None], slab[z])
+        for run in np.split(z, np.flatnonzero(np.diff(z) > 1) + 1):  # below and above the slab
+            if run.size:
+                f.reshape(n * n, n)[xy, run[0] : run[-1] + 1] = h(np.hypot(d.reshape(-1)[xy, None], slab[run]))
+        fits = _fits(d, slab)  # every other value is one of them or a hypot at least as large
         if not owners:
-            return f, None, None
-        return f, slab > d, np.argmin(np.stack(rows), axis=0)
+            return (f, None, None), fits
+        return (f, slab > d, np.argmin(np.stack(rows), axis=0)), fits
 
     reused = base.bodies if base is not None and base.spec == spec else {}
     bodies = {}
@@ -513,13 +579,16 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
     owner = np.empty((n, n, n), dtype=np.int32) if owners else None
     ids: list[SegmentId] = []
     for pi, (sketch, ext) in enumerate(seq.pairs):
-        body = reused.get((sketch, ext)) or evaluate(sketch, ext)
+        body, fits = evaluate(sketch, ext)
+        if not (fits or owners):
+            return _compose(seq, spec, True, base)  # the attribution's float64 fold (see the module notes)
         f, cap, nearest = body
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
             for a in body:
                 a.flags.writeable = False
-            bodies[sketch, ext] = body
+            if fits:
+                bodies[sketch, ext] = body
             first = len(ids)  # owner value of the pair's first primitive
             for li, loop in enumerate(sketch.loops):
                 ids += (SegmentId(pi, SegmentKind.PRIMITIVE, li, k) for k in range(len(loop.primitives)))
@@ -527,8 +596,7 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             took = True if scene is None else composed != scene
             np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
         scene = composed
-    tau = np.float32(spec.tau)
-    values = np.clip(scene.astype(np.float32), -tau, tau)
+    values = _clamped(scene, tau) if owners else scene
     if not (values < 0).any():
         raise RenderInvalidError("composed field has no interior voxels")
     return values, owner, tuple(ids), MappingProxyType(bodies)

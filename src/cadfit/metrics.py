@@ -39,8 +39,9 @@ def chamfer(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise EmptySetError("chamfer needs two nonempty point sets")
-    d_ab = cKDTree(b).query(a)[0]
-    d_ba = cKDTree(a).query(b)[0]
+    # unbalanced, uncompacted trees build faster and find the same nearest distances
+    d_ab = cKDTree(b, balanced_tree=False, compact_nodes=False).query(a)[0]
+    d_ba = cKDTree(a, balanced_tree=False, compact_nodes=False).query(b)[0]
     return 0.5 * float(np.mean(d_ab**2)) + 0.5 * float(np.mean(d_ba**2))
 
 

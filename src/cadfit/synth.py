@@ -16,13 +16,7 @@ import numpy as np
 
 from .engine import POOL_RES
 from .errors import ExhaustedAttemptsError, RenderInvalidError
-from .gridio import (
-    read_sequence_file,
-    read_tsdf,
-    write_sequence_file,
-    write_text_atomic,
-    write_tsdf,
-)
+from .gridio import read_sequence_file, read_tsdf, sequence_bytes, tsdf_bytes, write_atomic
 from .kernel import BAND_WIDTH, GridSpec, TSDFGrid, render
 from .quant import BIN_MAX, Channel, quantize
 from .sequence import (
@@ -340,6 +334,7 @@ def synth(spec: SynthSpec) -> list[Triplet]:
 
 
 def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
+    """Write every triplet's files and then the manifest, all or none."""
     path = Path(path)
     lines = [
         f"corpus_size {len(triplets)}",
@@ -349,13 +344,16 @@ def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
         f"resolution {spec.grid.resolution}",
         f"tau {spec.grid.tau:.9g}",
     ]
+    outputs = []
     for k, t in enumerate(triplets):
         stem = f"{k:04d}"
-        write_sequence_file(path / f"{stem}.orig.seq", t.original)
-        write_tsdf(path / f"{stem}.target.tsdf", t.target)
-        write_sequence_file(path / f"{stem}.truth.seq", t.truth)
+        outputs += [
+            (path / f"{stem}.orig.seq", sequence_bytes(t.original)),
+            (path / f"{stem}.target.tsdf", tsdf_bytes(t.target)),
+            (path / f"{stem}.truth.seq", sequence_bytes(t.truth)),
+        ]
         lines.append(f"triplet {stem} {t.edit_class}")
-    write_text_atomic(path / "manifest", "\n".join(lines) + "\n")
+    write_atomic(*outputs, (path / "manifest", ("\n".join(lines) + "\n").encode("utf-8")))
 
 
 def load_corpus(path) -> list[Triplet]:

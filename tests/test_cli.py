@@ -5,6 +5,7 @@ import math
 import statistics
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,6 +16,7 @@ from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file
 from cadfit.kernel import GridSpec, render
 from cadfit.report import fmt
 from cadfit.sequence import ConstructionSequence
+from cadfit.synth import load_corpus
 
 
 @pytest.fixture
@@ -454,6 +456,23 @@ def test_synth_emits_documented_layout(runner):
         truth = read_sequence_file("corpus/0000.truth.seq")
         target = read_tsdf("corpus/0000.target.tsdf")
         assert (render(truth, target.spec).values == target.values).all()
+
+
+def test_a_failed_synth_leaves_the_old_corpus_whole(runner):
+    with runner.isolated_filesystem():
+        _tiny_corpus(runner, out="c", seed="0")
+        old = load_corpus("c")
+        Path("c/0002.orig.seq").mkdir()
+        Path("recipe").write_text("corpus_size 3\nclasses param-jitter\n")
+        before = _tree()
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c", "--seed", "1"])
+        assert res.exit_code == 1
+        assert res.stderr == "IsADirectoryError: [Errno 21] Is a directory: 'c/0002.orig.seq'\n"
+        assert _tree() == before
+        assert not list(Path("c").glob(".tmp-*~"))
+        new = load_corpus("c")
+        assert [(t.original, t.truth) for t in new] == [(t.original, t.truth) for t in old]
+        assert all(np.array_equal(a.target.values, b.target.values) for a, b in zip(new, old))
 
 
 def test_synth_rejects_unknown_recipe_key(runner):

@@ -498,9 +498,19 @@ def _assert_equals_dense_fold(seq, spec):
     assert np.array_equal(render(seq, spec).values.view(np.uint32), values.view(np.uint32))
     ag = attribute(seq, spec)
     assert np.array_equal(ag.values.view(np.uint32), values.view(np.uint32))
+    assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), values.view(np.uint32))
     band = _in_band(values, spec)
     assert np.array_equal(ag.owner[band], owner[band])
     return True
+
+
+def _assert_band_exact(f, dense, tau):
+    """The one band rule for body fields: bitwise ``dense`` where |dense| <
+    tau, and elsewhere |f| >= tau with dense's sign."""
+    band = np.abs(dense) < tau
+    assert np.array_equal(f[band].view(np.uint64), dense[band].view(np.uint64))
+    assert (np.abs(f[~band]) >= tau).all()
+    assert (np.signbit(f[~band]) == np.signbit(dense[~band])).all()
 
 
 def test_attribution_owner_pair_matches_strict_chain_oracle():
@@ -560,11 +570,13 @@ def test_z_aligned_sequences_match_the_dense_fold_bitwise(resolution):
 
 @pytest.mark.parametrize("resolution", [16, 32])
 def test_z_aligned_body_fields_equal_body_sdf_in_float64(resolution):
-    """The lattice path's body fields are the dense path's bit for bit, not
-    only after the float32 clamp: every projection is one (N, 2) product."""
+    """The lattice path's body fields are the dense path's bit for bit in
+    float64 wherever the dense value is in the band, not only after the
+    float32 clamp: every projection is one (N, 2) product.  Elsewhere they
+    keep its sign and at least tau."""
     rng = np.random.default_rng([resolution, 131])
     spec = GridSpec(resolution=resolution)
-    pts, bodies = cell_points(spec), 0
+    pts, bodies, bounded = cell_points(spec), 0, 0
     for _ in range(30):
         try:
             ag = attribute(_z_aligned(random_sequence(rng), rng), spec)
@@ -572,9 +584,10 @@ def test_z_aligned_body_fields_equal_body_sdf_in_float64(resolution):
             continue
         for (sketch, ext), (f, _, _) in ag.bodies.items():
             dense = body_sdf(sketch, ext, pts).reshape(f.shape)
-            assert np.array_equal(f.view(np.uint64), dense.view(np.uint64))
+            _assert_band_exact(f, dense, spec.tau)
+            bounded += (f != dense).any()
             bodies += 1
-    assert bodies >= 40
+    assert bodies >= 40 and bounded
 
 
 @st.composite
@@ -656,7 +669,11 @@ def test_slab_term_edge_cases_match_the_dense_fold_bitwise(case, op):
     pairs = ((sketch, ext),)
     if op is not None:
         pairs = (circle_pair(r=100, dist_pos=200, origin=(128, 128, 40)), (sketch, dataclasses.replace(ext, bool_op=op)))
-    assert _assert_equals_dense_fold(ConstructionSequence(pairs), spec)
+    seq = ConstructionSequence(pairs)
+    assert _assert_equals_dense_fold(seq, spec)
+    # a CUT negates the body's +0.0 cells, and the scene inside keeps the -0.0
+    values = render(seq, spec).values
+    assert ((values == 0) & np.signbit(values)).any() == (op is BoolOp.CUT and d_hit == 0.0)
 
 
 # -- banded render --------------------------------------------------------------
@@ -748,13 +765,16 @@ def test_an_off_axis_attribution_evaluates_the_cells_a_render_does(monkeypatch):
 
 @pytest.mark.parametrize("resolution", [16, 17, 32])
 def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolution):
-    """Each 4^3 block of an off-axis attribution body is either evaluated,
-    bitwise body_sdf's in float64, or filled with sign * tau where
-    body_sdf's value is out of the band."""
+    """A 4^3 block of an off-axis attribution body whose center value lies
+    past tau plus the half-diagonal is filled with exactly sign * tau; every
+    other block is evaluated, bitwise body_sdf's in float64 where that is in
+    the band, and elsewhere at least tau with its sign."""
     rng = np.random.default_rng([resolution, 137])
     spec = GridSpec(resolution=resolution)
     n, tau, nb = resolution, spec.tau, -(-resolution // 4)
     pts, filled, evaluated = cell_points(spec), 0, 0
+    mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * 4 * spec.pitch
+    mids = np.stack(np.meshgrid(mid, mid, mid, indexing="ij"), axis=-1).reshape(-1, 3)
 
     def blocks(a):
         pad = np.pad(a, [(0, 4 * nb - n)] * 3, mode="edge")
@@ -767,12 +787,12 @@ def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolut
         except RenderInvalidError:
             continue
         for (sketch, ext), (f, _, _) in ag.bodies.items():
-            dense = body_sdf(sketch, ext, pts).reshape(f.shape)
-            same = blocks(f.view(np.uint64) == dense.view(np.uint64)).all(axis=1)
-            fill = blocks((f == np.copysign(tau, dense)) & (np.abs(dense) >= tau)).all(axis=1)
-            assert (same | fill).all()
-            evaluated += same.any()
-            filled += (fill & ~same).any()
+            _assert_band_exact(f, body_sdf(sketch, ext, pts).reshape(f.shape), tau)
+            fc = body_sdf(sketch, ext, mids)
+            culled = np.abs(fc) >= tau + 1.5 * math.sqrt(3.0) * spec.pitch + 1e-9
+            assert (blocks(f)[culled] == np.copysign(tau, fc[culled])[:, None]).all()
+            evaluated += (~culled).any()
+            filled += culled.any()
 
 
 @pytest.mark.parametrize("resolution, tau", [(8, 0.2), (16, 0.1)])
@@ -956,15 +976,85 @@ def test_a_render_off_the_z_axis_builds_no_meshgrid(monkeypatch, variant):
         assert np.array_equal(render(seq, spec).values.view(np.uint32), grid.values.view(np.uint32))
 
 
+# -- float32 clamped renders ----------------------------------------------------
+
+
+def _float64_render(seq, spec, bodies):
+    """The render fold in float64 over ``bodies``' fields, clamped once at the
+    end: the oracle for a render's fold of float32 clamped bodies."""
+    scene = None
+    for sketch, ext in seq.pairs:
+        f = bodies[sketch, ext][0]
+        scene = f if scene is None else kernel._BOOLEAN[ext.bool_op](scene, f)
+    tau = np.float32(spec.tau)
+    return np.clip(scene.astype(np.float32), -tau, tau)
+
+
+@pytest.mark.parametrize("variant", ["z-aligned", "tilted", "mixed"])
+@pytest.mark.parametrize("resolution", [16, 17, 32, 64])
+def test_the_float32_render_fold_is_the_float64_fold_bitwise(resolution, variant):
+    rng = np.random.default_rng([resolution, len(variant), 149])
+    spec = GridSpec(resolution=resolution)
+    ops, checked = set(), 0
+    while checked < 4 or ops != set(BoolOp):
+        seq, ag = _renderable(rng, spec, variant)
+        want = _float64_render(seq, spec, ag.bodies).view(np.uint32)
+        assert np.array_equal(render(seq, spec).values.view(np.uint32), want)
+        assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), want)
+        ops.update(ext.bool_op for _, ext in seq.pairs)
+        checked += 1
+
+
+@pytest.mark.parametrize("tilted", [False, True])
+def test_a_body_value_that_casts_to_a_signed_zero_takes_the_float64_fold(monkeypatch, tilted):
+    """Plant -1e-300 in one body and 0.0 in a second at one cell: their
+    float64 union is the -1e-300, which clamps to -0.0, while the union of
+    their float32 casts, -0.0 and +0.0, is +0.0.  A render must see the
+    underflow and fold in float64, and an attribution must not keep the
+    body for a render to reuse."""
+    spec = GridSpec(resolution=16)
+    a = circle_pair(r=60, dist_pos=120, origin=(128, 128, 70), orientation=(0, 64 if tilted else 0, 0))
+    b = circle_pair(op=BoolOp.JOIN, cx=150, r=40, dist_pos=80, origin=(128, 128, 90))
+    seq = ConstructionSequence((a, b))
+    pts = cell_points(spec)
+    cell = int(np.argmin(np.abs(body_sdf(*a, pts))))  # on a's surface, so in a block a's band reaches
+    planted, real = {}, kernel._extrude
+    for (sketch, ext), value in ((a, -1e-300), (b, 0.0)):
+        plane, height = kernel._local(*pts[cell, :, None], *placement_frame(ext))
+        planted[sketch, ext] = plane[0], height[0], value
+
+    def plant(sketch, ext, plane, height):
+        d, slab, rows = real(sketch, ext, plane, height)
+        p0, h0, value = planted[sketch, ext]
+        d = np.where((plane[..., 0] == p0[0]) & (plane[..., 1] == p0[1]), value, d)
+        return d, np.where(height == h0, -1.0, slab), rows
+
+    monkeypatch.setattr(kernel, "_extrude", plant)
+    fa, fb = body_sdf(*a, pts), body_sdf(*b, pts)
+    assert fa[cell] == -1e-300 and fb[cell] == 0.0
+    tau = np.float32(spec.tau)
+    want = np.clip(np.minimum(fa, fb).astype(np.float32), -tau, tau)
+    cast = np.minimum(*(np.clip(f.astype(np.float32), -tau, tau) for f in (fa, fb)))
+    assert np.signbit(want[cell]) and not np.signbit(cast[cell])
+    want = want.reshape((spec.resolution,) * 3).view(np.uint32)
+
+    assert np.array_equal(render(seq, spec).values.view(np.uint32), want)
+    ag = attribute(seq, spec)
+    assert np.array_equal(ag.values.view(np.uint32), want)
+    assert ag.bodies.keys() == {b}
+    assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), want)
+
+
 # -- 2D layer on x/y planes -----------------------------------------------------
 
 
 # sha256 of the render values, attribute values and owners below, and of
 # every body's float64 field, which the float32 grid would hide a last-bit
 # change in: any change to a rounding anywhere in the kernel moves it.  The
-# owners outside the band follow which blocks an attribution culls, so a
-# change to culling moves it too; IN_BAND_OWNER_PIN holds the guaranteed ones
-KERNEL_PIN = "c7fbc0819337e59ab2460e6952cff056379f407c7bb42a52c7081dd5a9dcf318"
+# owners outside the band follow which blocks an attribution culls and
+# where its bodies bound the hypot patch, so a change to either moves it
+# too; IN_BAND_OWNER_PIN holds the guaranteed ones
+KERNEL_PIN = "e891575193cfb0096e8fdb2d221644edd8f4a98a6762fe10e68a5ff8053d3b40"
 
 
 def test_seeded_renders_and_attributions_are_pinned():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from helpers import cell_points, circle_pair, cylinder_sequence
 
@@ -108,6 +109,28 @@ def test_chamfer_matches_brute_force():
         b = rng.uniform(-1, 1, size=(rng.integers(1, 40), 3))
         assert chamfer(a, b) == pytest.approx(_brute_chamfer(a, b), abs=1e-12)
         assert chamfer(a, b) == pytest.approx(chamfer(b, a), abs=1e-12)
+
+
+def _default_tree_chamfer(a, b):
+    """``chamfer`` on scipy's default balanced, compacted trees."""
+    d_ab = cKDTree(b).query(a)[0]
+    d_ba = cKDTree(a).query(b)[0]
+    return 0.5 * float(np.mean(d_ab**2)) + 0.5 * float(np.mean(d_ba**2))
+
+
+def test_chamfer_equals_the_default_trees_bit_for_bit():
+    rng = np.random.default_rng(151)
+    sizes = ((1, 7), (40, 3000), (2500, 2500))
+    cases = [(rng.uniform(-0.5, 0.5, (k, 3)), rng.uniform(-0.5, 0.5, (m, 3))) for k, m in sizes]
+    # lattice sets with exact ties: every cube center is equidistant from its
+    # eight corners, and every corner from its eight nearest centers
+    lattice = np.stack(np.meshgrid(*[np.arange(12) / 16] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    cases += [(lattice, lattice[::3] + 1 / 32), (lattice + 1 / 32, lattice), (lattice, rng.permutation(lattice))]
+    spec = GridSpec(resolution=32)
+    surfaces = [surface_points(render(cylinder_sequence(r=r, dist=d), spec)) for r, d in ((64, 128), (50, 90))]
+    cases.append(tuple(surfaces))
+    for a, b in cases:
+        assert chamfer(a, b) == _default_tree_chamfer(a, b)
 
 
 def test_chamfer_empty_raises():
