@@ -67,17 +67,14 @@ rounding.
 
 Every body obeys one band rule: its field is exact wherever |f| < tau, and
 elsewhere |f| >= tau with f's sign; a filled block is one case, a bounded
-hypot patch (below) the other.  The one exception is an attribution where
-``BAND_WIDTH`` * pitch > tau (resolution 8 at the default tau): the planner
-reads owners out there, so its bodies are full fields and it culls nothing.
-Clamping to [-tau, tau] maps a body that obeys the rule to the clamp of its
-full field, and it commutes with min, max and negation, so the fold of such
-bodies clamps like the dense one; the float32 cast is monotone with tau
-exact in float32, so the stored grid is bit-identical: an in-band value
-(|v| < tau) lies strictly between the out-of-band values of either sign,
-so every min and max of the fold picks the same in-band operand, bit for
-bit, and every out-of-band result keeps its sign and clamps to the same
-+-tau.
+hypot patch (below) the other.  Clamping to [-tau, tau] maps a body that
+obeys the rule to the clamp of its full field, and it commutes with min,
+max and negation, so the fold of such bodies clamps like the dense one; the
+float32 cast is monotone with tau exact in float32, so the stored grid is
+bit-identical: an in-band value (|v| < tau) lies strictly between the
+out-of-band values of either sign, so every min and max of the fold picks
+the same in-band operand, bit for bit, and every out-of-band result keeps
+its sign and clamps to the same +-tau.
 
 An attribution fills a culled block's cap mask with False and its nearest
 primitive with 0, and folds bodies that differ from the full fields out of
@@ -90,26 +87,25 @@ The banded fold names the same pair: by the clamp commutation its scene
 clamps like the dense one after every pair, and a value that clamps to an
 in-band v is v, so from that pair on its scene is v, and before it the
 scene is not, as the dense one is not.  So a cell out of a body's band,
-also in a body taken from a base, never owns an in-band voxel.  The
-planner reads owners out to ``BAND_WIDTH`` * pitch, which is why the
-exception above keeps full fields.
+also in a body taken from a base, never owns an in-band voxel.  Owners in
+|v| < tau are all the planner reads, since its band never exceeds tau.
 
 The extrusion formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0))
-is max(d, slab) + 0.0 where d <= 0 or slab <= 0: hypot(0, x) == |x| exactly,
-and the + 0.0 turns a -0.0 into +0.0 as the formula's + hypot(0, 0) does;
-where both are positive it is 0.0 + hypot(d, slab).  So ``_field`` takes
-max(d, slab) + 0.0 and writes hypot(d, slab) only where both are positive
-and below a bound ``top``, bit for bit the formula there.  With top = tau
-that keeps the band rule: where both are positive and one is at least tau,
-max(d, slab) and hypot(d, slab) are both at least tau.  top is tau for
-every body but those of the exception above, where it is infinite; the
-cull reach is top plus the half-diagonal.  On the lattice, with d the
+is max(d, slab) + 0.0 where d <= 0 or slab <= 0: hypot(0, x) == |x|
+exactly, and the + 0.0 turns a -0.0 into +0.0 as the formula's
++ hypot(0, 0) does; where both are positive it is 0.0 + hypot(d, slab).
+So ``_field`` takes max(d, slab) + 0.0 and writes hypot(d, slab) only
+where both are positive and below a bound ``top``, bit for bit the formula
+there.  Every body of a render or an attribution takes top = tau, which
+keeps the band rule: where both are positive and one is at least tau,
+max(d, slab) and hypot(d, slab) are both at least tau; ``body_sdf`` and
+the cull's block centers take the full field.  On the lattice, with d the
 profile term on the n^2 xy cells and slab the slab term on the n z layers,
 ``render`` and ``attribute`` take max(d + 0.0, slab + 0.0) over the grid
-and write hypot only on the xy cells with 0 < d < top and the z layers with
-0 < slab < top.  The slab term is |z - mid| - half, so those layers form
-at most two runs, below and above the slab, and each is one slice of the
-(n^2, n) grid.
+and write hypot only on the xy cells with 0 < d < tau and the z layers
+with 0 < slab < tau.  The slab term is |z - mid| - half, so those layers
+form at most two runs, below and above the slab, and each is one slice of
+the (n^2, n) grid.
 
 A render folds h(f) = clip(float32(f), -tau, tau) of each body instead of f,
 in float32, and stores its scene without a final cast or clip: the lattice
@@ -183,8 +179,6 @@ DOMAIN_MIN = -0.5
 DOMAIN_MAX = 0.5
 
 _TWO_PI = 2.0 * math.pi
-
-BAND_WIDTH = 2.0  # half-width of the planner's near-surface band, in voxels
 
 _BLOCK = 4  # cell edge of the blocks a banded evaluation culls (see the module notes)
 _CULL_MARGIN = 1e-9  # slack over the Lipschitz bound for float64 rounding
@@ -472,19 +466,17 @@ def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
     return _field(*_extrude(sketch, ext, *_local(*coords, *placement_frame(ext)))[:2])
 
 
-def _banded(
-    sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, top: float, owners: bool
-):
+def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, owners: bool):
     """Body field on the (n, n, n) grid, h of it unless ``owners``, whether it
     fits float32, and when ``owners`` its cap mask and nearest primitive: in
-    every block the field can bring below ``top``, the field bounded by
-    ``top``, and sign * tau, False and 0 in every other (see the module notes)."""
+    every block the field can bring into the band, the field bounded by tau,
+    and sign * tau, False and 0 in every other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb, cube = -(-n // _BLOCK), _BLOCK**3
     mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
     mids = mid.repeat(nb * nb), np.tile(mid.repeat(nb), nb), np.tile(mid, nb * nb)
     fc = _field(*_extrude(sketch, ext, *_local(*mids, rot, origin))[:2])
-    near = np.flatnonzero(np.abs(fc) < top + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN)
+    near = np.flatnonzero(np.abs(fc) < tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN)
     # per axis, each near block's cell centers, the last standing in for pad
     # cells; cells run block by block, each block's in C order
     c, step = spec.centers(), np.arange(_BLOCK)
@@ -499,7 +491,7 @@ def _banded(
         out = out.reshape((nb,) * 3 + (_BLOCK,) * 3).transpose(0, 3, 1, 4, 2, 5)
         return out.reshape((nb * _BLOCK,) * 3)[:n, :n, :n]
 
-    f = _field(d, slab, top)
+    f = _field(d, slab, tau)
     fits = _fits(f)
     f = grid(f if owners else _clamped(f, tau), np.where(fc < 0, -tau, tau)[:, None])
     if not owners:
@@ -542,7 +534,6 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
     ``base`` holds at this spec are reused (see the module notes).
     """
     n, tau = spec.resolution, spec.tau
-    top = math.inf if owners and BAND_WIDTH * spec.pitch > tau else tau  # the planner reads owners past tau
 
     def h(a):  # what a render folds in place of a body value (see the module notes)
         return a if owners else _clamped(a, tau)
@@ -556,15 +547,15 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             return (body if owners else (h(body[0]), None, None)), True
         rot, origin = placement_frame(ext)
         if not rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
-            return _banded(sketch, ext, spec, rot, origin, top, owners)
+            return _banded(sketch, ext, spec, rot, origin, owners)
         # z-aligned: the profile at the points (x_i, y_j, z_j), the slab at
         # the first n of them (see the module notes)
         c = spec.centers()
         plane, height = _local(np.repeat(c, n), np.tile(c, n), np.tile(c, n), rot, origin)
         d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
         f = np.maximum(h(d + 0.0), h(slab + 0.0))
-        xy = np.flatnonzero((d > 0) & (d < top))
-        z = np.flatnonzero((slab > 0) & (slab < top))
+        xy = np.flatnonzero((d > 0) & (d < tau))
+        z = np.flatnonzero((slab > 0) & (slab < tau))
         for run in np.split(z, np.flatnonzero(np.diff(z) > 1) + 1):  # below and above the slab
             if run.size:
                 f.reshape(n * n, n)[xy, run[0] : run[-1] + 1] = h(np.hypot(d.reshape(-1)[xy, None], slab[run]))

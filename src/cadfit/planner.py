@@ -2,10 +2,11 @@
 
 The planner reads one map, the attribution of the current sequence (see
 ``cadfit.kernel.attribute``), which gives the current shape and the owner of
-every voxel.  A segment's contribution M to a shape is measured by how much
-of its owned near-surface voxel set lies in the shape's own near-surface
-band; masking candidates are the segments whose contribution changes most
-between the current rendering and the target.
+every voxel in the truncation band.  A segment's contribution M to a shape
+is measured by how much of its owned near-surface voxel set lies in the
+shape's own near-surface band, ``band`` wide; masking candidates are the
+segments whose contribution changes most between the current rendering and
+the target.
 """
 
 from __future__ import annotations
@@ -16,8 +17,16 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EmptyListError
-from .kernel import BAND_WIDTH, AttributionGrid, TSDFGrid
+from .kernel import AttributionGrid, GridSpec, TSDFGrid
 from .sequence import Granularity, SegmentId, holder
+
+BAND_WIDTH = 2.0  # half-width of the near-surface band, in voxels, up to tau
+
+
+def band(spec: GridSpec) -> float:
+    """Half-width of the near-surface band, which stops at tau: a truncated field holds no distance
+    past tau, so a wider band would hold every clamped voxel of both shapes and make every score 0."""
+    return min(BAND_WIDTH * spec.pitch, spec.tau)
 
 
 @dataclass(frozen=True)
@@ -53,11 +62,11 @@ def relative_scores(
     lifted = np.empty(len(ag.segment_ids), dtype=np.int64)
     for k, sid in enumerate(ag.segment_ids):
         lifted[k] = slots.setdefault(holder(sid, granularity), len(slots))
-    band = BAND_WIDTH * ag.spec.pitch
-    in_band = np.abs(ag.values) < band
+    width = band(ag.spec)
+    in_band = np.abs(ag.values) < width
     held = lifted[ag.owner[in_band]]  # holder slot of each banded voxel
     sizes = np.bincount(held, minlength=len(slots))
-    inter = np.bincount(held[np.abs(s_target.values[in_band]) < band], minlength=len(slots))
+    inter = np.bincount(held[np.abs(s_target.values[in_band]) < width], minlength=len(slots))
     # the current shape's own band holds every banded voxel, so its
     # intersection is sizes itself; the +1 keeps segments with no banded
     # voxels at zero instead of 0/0

@@ -17,7 +17,8 @@ import numpy as np
 from .engine import POOL_RES
 from .errors import ExhaustedAttemptsError, RenderInvalidError
 from .gridio import read_sequence_file, read_tsdf, sequence_bytes, tsdf_bytes, write_atomic
-from .kernel import BAND_WIDTH, GridSpec, TSDFGrid, render
+from .kernel import GridSpec, TSDFGrid, render
+from .planner import band
 from .quant import BIN_MAX, Channel, quantize
 from .sequence import (
     Arc,
@@ -319,8 +320,7 @@ def synth(spec: SynthSpec) -> list[Triplet]:
             # a surface-band representation must be able to see the edit:
             # some of the old near-surface shell has to end up far from the
             # new surface, or the change is pure growth into free space
-            band = BAND_WIDTH * spec.grid.pitch
-            departed = (np.abs(base_grid.values) < band) & ~(np.abs(target.values) < band)
+            departed = (np.abs(base_grid.values) < band(spec.grid)) & (np.abs(target.values) >= band(spec.grid))
             if int(departed.sum()) < spec.min_band_departure:
                 continue
             out.append(Triplet(base, target, truth, edit_class, edit_distance(base, truth)))

@@ -431,9 +431,9 @@ def test_metrics_names_a_sequence_file_that_is_not_utf8(runner):
 # -- synth and eval ----------------------------------------------------------
 
 
-def _tiny_corpus(runner, out="corpus", seed="7"):
+def _tiny_corpus(runner, out="corpus", seed="7", extra=""):
     with open("recipe", "w") as fh:
-        fh.write("corpus_size 2\nclasses param-jitter\n")
+        fh.write("corpus_size 2\nclasses param-jitter\n" + extra)
     res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", out, "--seed", seed])
     assert res.exit_code == 0, res.stderr
 
@@ -473,6 +473,16 @@ def test_a_failed_synth_leaves_the_old_corpus_whole(runner):
         new = load_corpus("c")
         assert [(t.original, t.truth) for t in new] == [(t.original, t.truth) for t in old]
         assert all(np.array_equal(a.target.values, b.target.values) for a, b in zip(new, old))
+
+
+def test_a_recipe_tau_below_two_voxels_gives_a_corpus_that_edits(runner):
+    # at resolution 32, two voxels are 0.0625: the planner's band stops at tau
+    with runner.isolated_filesystem():
+        _tiny_corpus(runner, extra="tau 0.05\n")
+        assert read_tsdf("corpus/0000.target.tsdf").spec.tau == np.float32(0.05)
+        res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", "--rounds", "2"])
+        assert res.exit_code == 0, res.stderr
+        assert float(_parse_kv(Path("r.txt").read_text())["aggregate"]["edit_distance_mean"][0]) > 0
 
 
 def test_synth_rejects_unknown_recipe_key(runner):

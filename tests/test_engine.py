@@ -281,6 +281,16 @@ def test_run_never_ends_farther_than_it_started():
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
 
 
+@pytest.mark.parametrize("resolution, tau", [(8, 0.2), (16, 0.1), (32, 0.05)])
+def test_where_two_voxels_reach_past_tau_a_run_edits_past_round_one(resolution, tau):
+    spec = GridSpec(resolution=resolution, tau=tau)
+    trips = synth(SynthSpec(corpus_size=3, classes=("param-jitter",), seed=0, grid=spec))
+    results = [run(t.original, t.target, EngineConfig(max_rounds=2, seed=k)) for k, t in enumerate(trips)]
+    assert all(r.trace[0].selected for r in results)
+    assert any(r.rounds_used > 1 for r in results)
+    assert any(r.report.edit_distance > 0 for r in results)
+
+
 def test_run_is_deterministic():
     trips = synth(SynthSpec(corpus_size=1, classes=("param-jitter",), seed=21))
     t = trips[0]

@@ -27,7 +27,6 @@ from cadfit.errors import (
     ZeroExtentError,
 )
 from cadfit.kernel import (
-    BAND_WIDTH,
     DOMAIN_MIN,
     GridSpec,
     TSDFGrid,
@@ -559,10 +558,20 @@ def _z_aligned(seq, rng):
     return ConstructionSequence(tuple(pairs))
 
 
-@pytest.mark.parametrize("resolution", [16, 17, 32])
-def test_z_aligned_sequences_match_the_dense_fold_bitwise(resolution):
-    rng = np.random.default_rng(resolution)
-    spec = GridSpec(resolution=resolution)
+# the specs of the dense-fold comparisons below; at resolution 8 and at tau
+# 0.1 the planner's band stops at tau, not at two voxels
+_FOLD_SPECS = [
+    pytest.param(GridSpec(resolution=8), id="8"),
+    pytest.param(GridSpec(resolution=16), id="16"),
+    pytest.param(GridSpec(resolution=16, tau=0.1), id="16-tau0.1"),
+    pytest.param(GridSpec(resolution=17), id="17"),
+    pytest.param(GridSpec(resolution=32), id="32"),
+]
+
+
+@pytest.mark.parametrize("spec", _FOLD_SPECS)
+def test_z_aligned_sequences_match_the_dense_fold_bitwise(spec):
+    rng = np.random.default_rng(spec.resolution)
     checked = 0
     while checked < 8:
         checked += _assert_equals_dense_fold(_z_aligned(random_sequence(rng), rng), spec)
@@ -680,10 +689,9 @@ def test_slab_term_edge_cases_match_the_dense_fold_bitwise(case, op):
 
 
 @pytest.mark.parametrize("variant", ["tilted", "mixed"])
-@pytest.mark.parametrize("resolution", [16, 17, 32])
-def test_banded_render_matches_the_dense_fold_bitwise(resolution, variant):
-    rng = np.random.default_rng([resolution, len(variant), 5])
-    spec = GridSpec(resolution=resolution)
+@pytest.mark.parametrize("spec", _FOLD_SPECS)
+def test_banded_render_matches_the_dense_fold_bitwise(spec, variant):
+    rng = np.random.default_rng([spec.resolution, len(variant), 5])
     ops, checked = set(), 0
     while checked < 6 or ops != set(BoolOp):
         seq = _placed(random_sequence(rng), rng, variant)
@@ -793,21 +801,6 @@ def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolut
             assert (blocks(f)[culled] == np.copysign(tau, fc[culled])[:, None]).all()
             evaluated += (~culled).any()
             filled += culled.any()
-
-
-@pytest.mark.parametrize("resolution, tau", [(8, 0.2), (16, 0.1)])
-def test_where_the_planner_band_reaches_tau_every_owner_is_the_dense_folds(resolution, tau):
-    rng = np.random.default_rng([resolution, 139])
-    spec = GridSpec(resolution=resolution, tau=tau)
-    assert BAND_WIDTH * spec.pitch > spec.tau
-    checked = 0
-    while checked < 6:
-        seq = _placed(random_sequence(rng, min_pairs=2), rng, "mixed")
-        values, owner = _dense_fold(seq, spec)
-        if not (values < 0).any():
-            continue
-        assert np.array_equal(attribute(seq, spec).owner, owner)
-        checked += 1
 
 
 def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch):

@@ -14,6 +14,7 @@ from cadfit.planner import (
     BAND_WIDTH,
     InfluenceEntry,
     InfluenceVector,
+    band,
     relative_scores,
     select_segments,
 )
@@ -55,13 +56,13 @@ def test_influence_self_overlap_matches_attribution_counts():
     m = np.array([e.m_current for e in relative_scores(ag, render(seq, spec), Granularity.PAIR).entries])
     # against its own render, every banded voxel is near-surface, so M
     # reduces to |A_i| / (|A_i| + 1); recompute that from attribution
-    band = np.abs(ag.values) < BAND_WIDTH * spec.pitch
+    in_band = np.abs(ag.values) < band(spec)
     for k in range(3):
-        owned = np.zeros_like(band)
+        owned = np.zeros_like(in_band)
         for idx, sid in enumerate(ag.segment_ids):
             if sid.pair == k:
                 owned |= ag.owner == idx
-        size = int((owned & band).sum())
+        size = int((owned & in_band).sum())
         assert m[k] == pytest.approx(size / (size + 1), abs=1e-12)
     assert ((m >= 0) & (m < 1)).all()
 
@@ -93,9 +94,10 @@ def test_scored_segments_follow_document_order():
 
 
 # one digest per resolution, recorded before relative_scores read the
-# current shape off one band mask
+# current shape off one band mask; resolution 8's moved when the band came
+# to stop at tau
 PLANNER_PIN = {
-    8: "498d7ee8b15d5c20a5cbda8c13a24142aee72b18d1e515fb9e2164db12bf45ca",
+    8: "cc419fda2b8db344f1e9a0047d348b1794fd292048ba8c23100439eac2e74a59",
     16: "a1aac96966b943fda2eee5f67641e271ef197402e9ba52e21e6e1e68f3d6579c",
     32: "da6fbc53a4c3cdbb7b382b7cdece793f3758620cb8e134dff594e9408c152db3",
 }
@@ -122,6 +124,27 @@ def test_seeded_influence_scores_are_pinned():
         digests[resolution] = digest.hexdigest()
     assert scored > 0
     assert digests == PLANNER_PIN
+
+
+# specs where two voxels reach past tau: resolution 8 at the default tau,
+# and 16 and 32 at a smaller one
+SMALL_TAU_SPECS = [(8, 0.2), (16, 0.1), (32, 0.05)]
+
+
+@pytest.mark.parametrize("resolution, tau", SMALL_TAU_SPECS + [(32, 0.2)])
+def test_the_band_is_two_voxels_but_stops_at_tau(resolution, tau):
+    spec = GridSpec(resolution=resolution, tau=tau)
+    assert band(spec) == min(2 * spec.pitch, spec.tau)
+
+
+@pytest.mark.parametrize("resolution, tau", SMALL_TAU_SPECS)
+def test_where_two_voxels_reach_past_tau_the_planner_still_selects(resolution, tau):
+    """A band wider than tau holds every clamped voxel of both shapes, so
+    every score would be 0 and nothing would be selected."""
+    spec = GridSpec(resolution=resolution, tau=tau)
+    assert BAND_WIDTH * spec.pitch > spec.tau
+    trips = synth(SynthSpec(corpus_size=6, classes=("param-jitter",), seed=0, grid=spec))
+    assert all(select_segments(_scores(t.original, t.target)) for t in trips)
 
 
 def test_relative_scores_zero_on_identical_shapes():
