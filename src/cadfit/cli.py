@@ -1,12 +1,13 @@
 """Command-line surface.
 
 Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2 when
-rendering found no solid and 1 for everything else, a missing input file or an
-unwritable output path included.  A failed ``edit`` writes neither output, and
-``synth`` writes its manifest last, so a failed ``synth`` into a new directory
-leaves no loadable corpus.  A malformed command line, such as ``--res abc``, is
-a click usage error, which also exits 2.  ``--res`` and ``--seed`` defaults can
-come from CADFIT_RESOLUTION and CADFIT_SEED.
+rendering found no solid and 1 for everything else, a missing input file, an
+unwritable output path and two outputs that name one file included.  A failed
+``edit`` or ``synth`` writes no file: each writes all of its outputs through
+one ``write_atomic`` call, so an existing corpus stays whole (a failed
+``synth`` may leave a new output directory, empty).  A malformed command line,
+such as ``--res abc``, is a click usage error, which also exits 2.  ``--res``
+and ``--seed`` defaults can come from CADFIT_RESOLUTION and CADFIT_SEED.
 """
 
 from __future__ import annotations

@@ -283,6 +283,8 @@ class ExternalGenerator:
         return lines[:-1]
 
     def _read_lines(self, proc: subprocess.Popen, count: int) -> list[str]:
+        """The next ``count`` lines, of which only the last may read END: an
+        earlier END is a protocol error at once, as no token stream reads END."""
         deadline = time.monotonic() + self.timeout
         fd = proc.stdout.fileno()
         lines: list[str] = []
@@ -291,6 +293,8 @@ class ExternalGenerator:
             if nl >= 0:
                 lines.append(self._buf[:nl].decode("utf-8", errors="replace"))
                 del self._buf[: nl + 1]
+                if len(lines) < count and lines[-1].strip() == "END":
+                    raise GeneratorProtocolError(f"END after {len(lines) - 1} of {count - 1} candidate lines")
                 continue
             if len(self._buf) > _MAX_LINE_BYTES:
                 raise GeneratorProtocolError(f"endpoint sent a line over {_MAX_LINE_BYTES} bytes")

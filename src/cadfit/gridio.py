@@ -41,7 +41,14 @@ def write_atomic(*outputs: tuple[str, bytes]) -> None:
     """Write all ``(path, data)`` outputs or none: each is staged beside its
     path and every path is checked before any is replaced, so no late
     replace fails on a directory.  An ``OSError`` names the caller's path as
-    a plain string."""
+    a plain string, and so does the ``ValueError`` for two outputs that name
+    one file, since the later would replace the earlier."""
+    seen = set()
+    for path, _ in outputs:
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"{os.fspath(path)}: named by two outputs")
+        seen.add(real)
     staged = []
     try:
         for path, data in outputs:

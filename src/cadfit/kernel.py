@@ -122,26 +122,26 @@ max pick by position alike in either precision, and h keeps a zero's sign.
 The lattice's max of h(d + 0.0) and h(slab + 0.0) is h of their max the
 same way, and the + 0.0 still turns -0.0 into +0.0 before h sees it.
 
-The one gap is underflow: a nonzero |f| <= 2**-150 casts to a signed zero,
-and min or max of opposite zeros may then keep another operand than the
-float64 fold (a tiny negative beats +0.0 there, while -0.0 ties it).
-Quantized geometry is not proven free of such values: a tilted frame can
-cancel a coordinate far below the grid's scale, and a sweep of length zero
-makes that the slab term.  So every body a call evaluates checks the values
-h would see: d and slab on the lattice (every other value there is one of
-them or a hypot at least as large), the evaluated cells of a banded body.  A
-render that meets one takes the attribution's float64 fold instead, and an
-attribution does not keep the body, so a body taken from a base needs no
-check.
+That needs h(a) to be a zero only where a is one: a nonzero |a| <= 2**-150
+casts to a signed zero, and min or max of opposite zeros may then keep
+another operand than the float64 fold (a tiny negative beats +0.0 there,
+while -0.0 ties it).  Quantized geometry is not proven free of such values:
+a tilted frame can cancel a coordinate far below the grid's scale, and a
+sweep of length zero makes that the slab term.  So ``_extrude`` makes each
+such d and slab value a zero of its sign, a move the cull's margin absorbs
+like rounding.  Every body value is then +-tau, one of them plus 0.0 or a
+hypot at least as large, so none casts to a zero it is not.  Values above
+2**-150 stay: float32 keeps them nonzero, so a flush of more, such as
+-1e-40, would only turn occupied cells empty.
 
 An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
-Extrusion)`` that passes the underflow check to its float64 field, cap
-mask and nearest primitive, all read-only.  Given a ``base`` attribution
-at the same spec, ``render`` and ``attribute`` take the bodies it holds and
-evaluate only the others.  A reused body is exact: its arrays depend only
-on the key and the spec, so an attribution folds the very arrays it would
-compute, and a render h of a field that obeys the band rule, which is all
-the shortcuts above are proven to need.
+Extrusion)`` of the sequence to its float64 field, cap mask and nearest
+primitive, all read-only.  Given a ``base`` attribution at the same spec,
+``render`` and ``attribute`` take the bodies it holds and evaluate only the
+others.  A reused body is exact: its arrays depend only on the key and the
+spec, so an attribution folds the very arrays it would compute, and a
+render h of a field that obeys the band rule, which is all the shortcuts
+above are proven to need.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ class AttributionGrid:
     """Composed field plus, per voxel, the segment that owns it.
 
     ``owner`` holds indices into ``segment_ids`` (primitive-granularity ids:
-    primitives and extrusion blocks).  ``bodies`` holds the sequence's bodies
-    that a render can fold in float32 (see the module notes).
+    primitives and extrusion blocks).  ``bodies`` holds every body of the
+    sequence, for a later call to reuse (see the module notes).
     """
 
     spec: GridSpec
@@ -420,14 +420,21 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
 def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray):
     """Profile term, in ``plane``'s shape, slab term, in ``height``'s, and the
     primitives' boundary distances in loop order, from sketch-plane
-    coordinates (..., 2) and heights along the normal."""
+    coordinates (..., 2) and heights along the normal, each term flushed
+    (see the module notes)."""
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
         raise ValueError("extrusion scale dequantizes to zero")
     d, rows = _profile_eval(sketch, plane[..., 0] / scale, plane[..., 1] / scale)
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return d * scale, np.abs(height - mid) - half, rows
+    return _flushed(d * scale), _flushed(np.abs(height - mid) - half), rows
+
+
+def _flushed(t: np.ndarray) -> np.ndarray:
+    """``t`` with each value float32 rounds to a zero made a zero of its sign."""
+    tiny = np.abs(t) <= 2.0**-150  # the largest magnitude float32 rounds to a zero
+    return np.where(tiny, np.copysign(0.0, t), t) if tiny.any() else t
 
 
 def _field(d: np.ndarray, slab: np.ndarray, top: float = math.inf) -> np.ndarray:
@@ -446,11 +453,6 @@ def _clamped(f: np.ndarray, tau: float) -> np.ndarray:
     return np.clip(g, -np.float32(tau), np.float32(tau), out=g)
 
 
-def _fits(*arrays: np.ndarray) -> bool:
-    """Whether no nonzero value casts to a float32 zero (see the module notes)."""
-    return all(np.count_nonzero(a) == np.count_nonzero(a.astype(np.float32)) for a in arrays)
-
-
 def _local(x, y, z, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sketch-plane coordinates (..., 2) and heights of the points (x, y, z), all of one shape."""
     rel = np.empty(np.shape(x) + (3,))
@@ -467,10 +469,10 @@ def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
 
 
 def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, owners: bool):
-    """Body field on the (n, n, n) grid, h of it unless ``owners``, whether it
-    fits float32, and when ``owners`` its cap mask and nearest primitive: in
-    every block the field can bring into the band, the field bounded by tau,
-    and sign * tau, False and 0 in every other (see the module notes)."""
+    """Body field on the (n, n, n) grid, h of it unless ``owners``, and when
+    ``owners`` its cap mask and nearest primitive: in every block the field
+    can bring into the band, the field bounded by tau, and sign * tau, False
+    and 0 in every other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb, cube = -(-n // _BLOCK), _BLOCK**3
     mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
@@ -492,11 +494,10 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
         return out.reshape((nb * _BLOCK,) * 3)[:n, :n, :n]
 
     f = _field(d, slab, tau)
-    fits = _fits(f)
     f = grid(f if owners else _clamped(f, tau), np.where(fc < 0, -tau, tau)[:, None])
     if not owners:
-        return (f, None, None), fits
-    return (f, grid(slab > d, False), grid(np.argmin(np.stack(rows), axis=0), 0)), fits
+        return f, None, None
+    return f, grid(slab > d, False), grid(np.argmin(np.stack(rows), axis=0), 0)
 
 
 # --------------------------------------------------------------------------
@@ -540,11 +541,11 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
 
     def evaluate(sketch, ext):
         """A body's field (h of it in a render), cap mask and nearest
-        primitive, broadcastable to (n, n, n), and whether it fits float32;
-        its coordinates die with the call, before the fold allocates."""
+        primitive, broadcastable to (n, n, n); its coordinates die with the
+        call, before the fold allocates."""
         body = reused.get((sketch, ext))
-        if body is not None:  # an attribution keeps only bodies that fit
-            return (body if owners else (h(body[0]), None, None)), True
+        if body is not None:
+            return body if owners else (h(body[0]), None, None)
         rot, origin = placement_frame(ext)
         if not rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
             return _banded(sketch, ext, spec, rot, origin, owners)
@@ -559,10 +560,9 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
         for run in np.split(z, np.flatnonzero(np.diff(z) > 1) + 1):  # below and above the slab
             if run.size:
                 f.reshape(n * n, n)[xy, run[0] : run[-1] + 1] = h(np.hypot(d.reshape(-1)[xy, None], slab[run]))
-        fits = _fits(d, slab)  # every other value is one of them or a hypot at least as large
         if not owners:
-            return (f, None, None), fits
-        return (f, slab > d, np.argmin(np.stack(rows), axis=0)), fits
+            return f, None, None
+        return f, slab > d, np.argmin(np.stack(rows), axis=0)
 
     reused = base.bodies if base is not None and base.spec == spec else {}
     bodies = {}
@@ -570,16 +570,12 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
     owner = np.empty((n, n, n), dtype=np.int32) if owners else None
     ids: list[SegmentId] = []
     for pi, (sketch, ext) in enumerate(seq.pairs):
-        body, fits = evaluate(sketch, ext)
-        if not (fits or owners):
-            return _compose(seq, spec, True, base)  # the attribution's float64 fold (see the module notes)
-        f, cap, nearest = body
+        body = f, cap, nearest = evaluate(sketch, ext)
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
             for a in body:
                 a.flags.writeable = False
-            if fits:
-                bodies[sketch, ext] = body
+            bodies[sketch, ext] = body
             first = len(ids)  # owner value of the pair's first primitive
             for li, loop in enumerate(sketch.loops):
                 ids += (SegmentId(pi, SegmentKind.PRIMITIVE, li, k) for k in range(len(loop.primitives)))

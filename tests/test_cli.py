@@ -135,6 +135,7 @@ def test_missing_input_file_exits_one_naming_it(runner, args, missing):
 
 _IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
 _NO_PARENT = "FileNotFoundError: [Errno 2] No such file or directory: 'missing/%s'"
+_TWICE = "ValueError: r.txt: named by two outputs"
 
 
 def _tree() -> dict:
@@ -149,10 +150,20 @@ def _tree() -> dict:
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
         (["edit", "cyl.seq", "t.tsdf", "-o", "missing/x.seq", "--report", "r.txt", "--n", "0"], _NO_PARENT % "x.seq"),
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "missing/r.txt", "--n", "0"], _NO_PARENT % "r.txt"),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "r.txt", "--report", "r.txt", "--n", "0"], _TWICE),
         (["eval", "corpus", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
         (["synth", "--spec", "recipe", "-o", "afile"], "FileExistsError: [Errno 17] File exists: 'afile'"),
     ],
-    ids=["render-o", "edit-o", "edit-report", "edit-o-parent", "edit-report-parent", "eval-report", "synth-o"],
+    ids=[
+        "render-o",
+        "edit-o",
+        "edit-report",
+        "edit-o-parent",
+        "edit-report-parent",
+        "edit-o-is-report",
+        "eval-report",
+        "synth-o",
+    ],
 )
 def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, args, message):
     with runner.isolated_filesystem():

@@ -275,6 +275,19 @@ print("FIN")
 sys.stdout.flush()
 """
 
+# answers one candidate line and END to every request, and stays alive
+EARLY_END_STUB = """\
+import sys
+
+while True:
+    if not sys.stdin.readline():
+        break
+    masked = sys.stdin.readline().strip()
+    print(masked.replace("MASK", "C 90 90 40"))
+    print("END")
+    sys.stdout.flush()
+"""
+
 STALL_STUB = """\
 import sys, time
 
@@ -465,6 +478,18 @@ def test_missing_end_is_a_protocol_error(tmp_path):
     with ExternalGenerator(cmd) as gen:
         out = infill(masked, n, seed, gen)
     assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
+
+
+def test_an_early_end_is_a_protocol_error_at_once(tmp_path):
+    _, masked = _masked_circle()
+    cmd = _stub(tmp_path, "early.py", EARLY_END_STUB)
+    n, seed = 4, 8
+    with ExternalGenerator(cmd) as gen:
+        with pytest.raises(GeneratorProtocolError, match="^END after 1 of 4 candidate lines$"):
+            gen.request(masked.text(), n, seed)
+        out = infill(masked, n, seed, gen)
+    assert all(c.origin == ORIGIN_SURROGATE and c.note.endswith("END after 1 of 4 candidate lines") for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 

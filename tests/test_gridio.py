@@ -1,6 +1,7 @@
 """Round trips for the binary grid format, the text debug format, and sequence files."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cadfit.gridio import (
     read_sequence_file,
     read_tsdf,
     tsdf_bytes,
+    write_atomic,
     write_grid,
     write_grid_text,
     write_sequence_file,
@@ -81,6 +83,17 @@ def test_grid_files_take_their_form_from_the_suffix(grid, tmp_path, suffix, writ
     back = read_grid(path)
     assert back.spec == grid.spec
     assert np.array_equal(back.values.view(np.uint32), grid.values.view(np.uint32))
+
+
+@pytest.mark.parametrize("second", ["./out", "link"])
+def test_outputs_that_name_one_file_write_nothing(tmp_path, monkeypatch, second):
+    monkeypatch.chdir(tmp_path)
+    Path("out").write_bytes(b"old")
+    Path("link").symlink_to("out")
+    with pytest.raises(ValueError, match=f"^{second}: named by two outputs$"):
+        write_atomic(("new", b"first"), ("out", b"second"), (second, b"third"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "out"]
+    assert Path("out").read_bytes() == b"old"
 
 
 def test_sequence_file_round_trip(tmp_path):

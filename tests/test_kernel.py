@@ -999,43 +999,65 @@ def test_the_float32_render_fold_is_the_float64_fold_bitwise(resolution, variant
 
 
 @pytest.mark.parametrize("tilted", [False, True])
-def test_a_body_value_that_casts_to_a_signed_zero_takes_the_float64_fold(monkeypatch, tilted):
-    """Plant -1e-300 in one body and 0.0 in a second at one cell: their
-    float64 union is the -1e-300, which clamps to -0.0, while the union of
-    their float32 casts, -0.0 and +0.0, is +0.0.  A render must see the
-    underflow and fold in float64, and an attribution must not keep the
-    body for a render to reuse."""
+def test_a_profile_value_that_casts_to_a_signed_zero_leaves_both_folds_equal(monkeypatch, tilted):
+    """Plant 1e-300 in one body's profile and 0.0 in a second, cut, body's at
+    one cell inside both slabs.  Unflushed, their float64 difference keeps
+    the 1e-300, which clamps to +0.0, while the difference of their float32
+    casts, max(+0.0, -0.0), is -0.0.  The flush makes the first body +0.0
+    there, so the render's float32 fold is the float64 fold of the bodies
+    the attribution keeps, and it keeps both."""
     spec = GridSpec(resolution=16)
     a = circle_pair(r=60, dist_pos=120, origin=(128, 128, 70), orientation=(0, 64 if tilted else 0, 0))
-    b = circle_pair(op=BoolOp.JOIN, cx=150, r=40, dist_pos=80, origin=(128, 128, 90))
+    b = circle_pair(op=BoolOp.CUT, cx=150, r=40, dist_pos=80, origin=(128, 128, 90))
     seq = ConstructionSequence((a, b))
     pts = cell_points(spec)
-    cell = int(np.argmin(np.abs(body_sdf(*a, pts))))  # on a's surface, so in a block a's band reaches
-    planted, real = {}, kernel._extrude
-    for (sketch, ext), value in ((a, -1e-300), (b, 0.0)):
-        plane, height = kernel._local(*pts[cell, :, None], *placement_frame(ext))
-        planted[sketch, ext] = plane[0], height[0], value
+    (d, slab_a, _), (_, slab_b, _) = (_extrude(*p, *kernel._local(*pts.T, *placement_frame(p[1]))) for p in (a, b))
+    # on a's lateral surface, so in a block a's band reaches, where both bodies are their profiles
+    cell = int(np.argmin(np.where((slab_a < 0) & (slab_b < 0), np.abs(d), np.inf)))
+    # the gap: unflushed, the two folds part at that cell
+    assert not np.signbit(np.float32(np.maximum(1e-300, -0.0)))
+    assert np.signbit(np.maximum(np.float32(1e-300), np.float32(-0.0)))
+    planted, real = {}, kernel._profile_eval
+    for (sketch, ext), value in ((a, 1e-300), (b, 0.0)):
+        plane, _ = kernel._local(*pts[cell, :, None], *placement_frame(ext))
+        planted[sketch] = plane[0], value  # the scale dequantizes to 1.0, so x and y are the plane's
 
-    def plant(sketch, ext, plane, height):
-        d, slab, rows = real(sketch, ext, plane, height)
-        p0, h0, value = planted[sketch, ext]
-        d = np.where((plane[..., 0] == p0[0]) & (plane[..., 1] == p0[1]), value, d)
-        return d, np.where(height == h0, -1.0, slab), rows
+    def plant(sketch, x, y):
+        f, rows = real(sketch, x, y)
+        p0, value = planted[sketch]
+        return np.where((x == p0[0]) & (y == p0[1]), value, f), rows
 
-    monkeypatch.setattr(kernel, "_extrude", plant)
+    monkeypatch.setattr(kernel, "_profile_eval", plant)
     fa, fb = body_sdf(*a, pts), body_sdf(*b, pts)
-    assert fa[cell] == -1e-300 and fb[cell] == 0.0
-    tau = np.float32(spec.tau)
-    want = np.clip(np.minimum(fa, fb).astype(np.float32), -tau, tau)
-    cast = np.minimum(*(np.clip(f.astype(np.float32), -tau, tau) for f in (fa, fb)))
-    assert np.signbit(want[cell]) and not np.signbit(cast[cell])
-    want = want.reshape((spec.resolution,) * 3).view(np.uint32)
+    assert fa[cell] == 0.0 and not np.signbit(fa[cell]) and fb[cell] == 0.0
 
-    assert np.array_equal(render(seq, spec).values.view(np.uint32), want)
     ag = attribute(seq, spec)
+    assert ag.bodies.keys() == {a, b}
+    want = _float64_render(seq, spec, ag.bodies).view(np.uint32)
+    assert np.signbit(want.reshape(-1)[cell].view(np.float32))
     assert np.array_equal(ag.values.view(np.uint32), want)
-    assert ag.bodies.keys() == {b}
+    assert np.array_equal(render(seq, spec).values.view(np.uint32), want)
     assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), want)
+
+
+def test_extrude_flushes_exactly_the_terms_float32_rounds_to_a_zero(monkeypatch):
+    """Magnitudes up to 2**-150 round to a float32 zero and become zeros of
+    their sign; above it float32 keeps the smallest subnormal and the sign,
+    so the term stays, and a value such as -1e-40 stays occupied."""
+    tiny = 2.0**-150
+    flushed = [tiny, -tiny, 1e-300, -1e-300, 0.0, -0.0]
+    kept = [np.nextafter(tiny, 1.0), -np.nextafter(tiny, 1.0), 2.0**-149, -(2.0**-149), 1e-40, -1e-40, 0.25]
+    values = np.array(flushed + kept)
+    assert not np.float32(values[: len(flushed)]).any() and np.float32(values[len(flushed) :]).all()
+    sketch, ext = circle_pair()  # scale 255 dequantizes to 1.0: d is the profile value
+    assert dequantize(ext.scale, Channel.SCALE) == 1.0
+    monkeypatch.setattr(kernel, "_profile_eval", lambda sketch, x, y: (values.copy(), []))
+    monkeypatch.setattr(kernel, "extent_interval", lambda ext: (0.0, 0.0))  # the slab term is |height|
+    d, slab, _ = _extrude(sketch, ext, np.zeros((len(values), 2)), values.copy())
+    for got, want in ((d, values), (slab, np.abs(values))):
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not got[: len(flushed)].any()
+        assert np.array_equal(got[len(flushed) :].view(np.uint64), want[len(flushed) :].view(np.uint64))
 
 
 # -- 2D layer on x/y planes -----------------------------------------------------
