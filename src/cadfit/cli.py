@@ -2,10 +2,13 @@
 
 Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2 when
 rendering found no solid and 1 for everything else, a missing input file, an
-unwritable output path and two outputs that name one file included.  A failed
-``edit`` or ``synth`` writes no file: each writes all of its outputs through
-one ``write_atomic`` call, so an existing corpus stays whole (a failed
-``synth`` may leave a new output directory, empty).  A malformed command line,
+unwritable output path and two outputs that name one file included.  Such an
+output fails before the work: ``render``, ``edit`` and ``eval`` check theirs
+with ``check_outputs`` before they read an input, and ``synth`` makes its
+output directory before it draws.  A failed ``edit`` or ``synth`` writes no
+file: each writes all of its outputs through one ``write_atomic`` call, so an
+existing corpus stays whole (a failed ``synth`` may leave a new output
+directory, empty).  A malformed command line,
 such as ``--res abc``, is a click usage error, which also exits 2.  ``--res``
 and ``--seed`` defaults can come from CADFIT_RESOLUTION and CADFIT_SEED.
 """
@@ -22,7 +25,15 @@ import click
 from .engine import ABLATION_MODES, EngineConfig, run, run_corpus
 from .errors import CadfitError, RenderInvalidError
 from .generator import ExternalGenerator
-from .gridio import read_grid, read_sequence_file, sequence_bytes, write_atomic, write_grid, write_text_atomic
+from .gridio import (
+    check_outputs,
+    read_grid,
+    read_sequence_file,
+    sequence_bytes,
+    write_atomic,
+    write_grid,
+    write_text_atomic,
+)
 from .kernel import GridSpec, attribute, render
 from .metrics import report_for
 from .planner import relative_scores, select_segments
@@ -82,6 +93,7 @@ def main() -> None:
 @_guarded
 def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
     """Render a sequence file to a grid file (.grid suffix for text form)."""
+    check_outputs(out)
     write_grid(out, render(read_sequence_file(seq_file), GridSpec(resolution=res, tau=tau)))
     click.echo(f"wrote {out}")
 
@@ -110,6 +122,7 @@ def _engine_config(rounds, n, queue, seed, granularity, ablate) -> EngineConfig:
 def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, report_file, granularity):
     """Update a sequence toward a target grid and write the run report."""
     cfg = _engine_config(rounds, n, queue, seed, granularity, None)
+    check_outputs(out, report_file)
     original = read_sequence_file(seq_file)
     target = read_grid(target_file)
     with (contextlib.nullcontext() if generator_cmd is None else ExternalGenerator(shlex.split(generator_cmd))) as gen:
@@ -175,8 +188,8 @@ def synth_cmd(spec_file, out, seed, res):
     param-jitter, primitive-substitute, loop-add-remove, pair-add-remove.
     """
     spec = read_recipe(spec_file, seed, res)
-    triplets = synth(spec)
     Path(out).mkdir(parents=True, exist_ok=True)
+    triplets = synth(spec)
     save_corpus(out, triplets, spec)
     click.echo(f"wrote {len(triplets)} triplets to {out}")
 
@@ -194,6 +207,7 @@ def synth_cmd(spec_file, out, seed, res):
 def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularity):
     """Run the engine over every triplet in a corpus and aggregate metrics."""
     cfg = _engine_config(rounds, n, queue, seed, granularity, ablate)
+    check_outputs(report_file)
     triplets = load_corpus(corpus_dir)
     results = [result for _, result in run_corpus(triplets, cfg)]
     text = eval_report(cfg, triplets, results)

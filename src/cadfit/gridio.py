@@ -37,23 +37,36 @@ def _naming(path):
         raise kind(f"{path}: {err}") from err
 
 
-def write_atomic(*outputs: tuple[str, bytes]) -> None:
-    """Write all ``(path, data)`` outputs or none: each is staged beside its
-    path and every path is checked before any is replaced, so no late
-    replace fails on a directory.  An ``OSError`` names the caller's path as
-    a plain string, and so does the ``ValueError`` for two outputs that name
-    one file, since the later would replace the earlier."""
+def check_outputs(*paths: str) -> None:
+    """Raise if ``write_atomic`` could not write these paths: a
+    ``ValueError`` for two paths that name one file, since the later would
+    replace the earlier, else an ``OSError`` for a path that is a directory
+    or whose parent is not one.  Each error names the caller's path as a
+    plain string.  A command calls this before its work, so a bad output
+    fails at once and not after the run."""
     seen = set()
-    for path, _ in outputs:
+    for path in paths:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{os.fspath(path)}: named by two outputs")
         seen.add(real)
+        if os.path.isdir(path) and not os.path.islink(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), os.fspath(path))  # the subclass for the code
+
+
+def write_atomic(*outputs: tuple[str, bytes]) -> None:
+    """Write all ``(path, data)`` outputs or none: every path passes
+    ``check_outputs`` and each is staged beside its path before any is
+    replaced, so no late replace fails on a directory.  An ``OSError`` names
+    the caller's path."""
+    check_outputs(*(path for path, _ in outputs))
     staged = []
     try:
         for path, data in outputs:
-            if os.path.isdir(path) and not os.path.islink(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
             staged.append(tmp)
             with os.fdopen(fd, "wb") as fh:

@@ -376,16 +376,6 @@ def _profile_eval(sketch: Sketch, x: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     return f, all_rows
 
 
-def loop_sdf(loop: Loop, pts) -> np.ndarray:
-    """Signed distance to the loop's region, negative inside."""
-    return _loop_eval(loop, *np.moveaxis(np.asarray(pts, dtype=float), -1, 0))[0]
-
-
-def profile_sdf(sketch: Sketch, pts) -> np.ndarray:
-    """Sketch SDF: the outer loop minus every hole loop."""
-    return _profile_eval(sketch, *np.moveaxis(np.asarray(pts, dtype=float), -1, 0))[0]
-
-
 # --------------------------------------------------------------------------
 # 3D bodies
 

@@ -35,10 +35,6 @@ _RANGES: dict[Channel, tuple[float, float]] = {
 }
 
 
-def channel_range(channel: Channel) -> tuple[float, float]:
-    return _RANGES[channel]
-
-
 def check_bin(value: int) -> int:
     """Return ``value`` if it is a plain int in [0, 255], else raise."""
     if isinstance(value, bool) or not isinstance(value, int):

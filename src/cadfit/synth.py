@@ -8,6 +8,7 @@ produced it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -55,11 +56,16 @@ class SynthSpec:
     grid: GridSpec = field(default_factory=GridSpec)
 
     # fixed for every corpus, so not part of the recipe: one edit per
-    # triplet, the two filters an edit must pass, and the draws per triplet
+    # triplet, the band filter an edit must pass, and the draws per triplet
     edits_per_triplet: ClassVar[int] = 1
-    min_voxel_delta: ClassVar[int] = 40
     min_band_departure: ClassVar[int] = 8
     max_attempts: ClassVar[int] = 500
+
+    @property
+    def min_voxel_delta(self) -> int:
+        """Cells an edit must flip: 40 at resolution 32, and the same share
+        of the grid, rounded up, at any other resolution."""
+        return math.ceil(40 * self.grid.resolution**3 / 32**3)
 
     def __post_init__(self) -> None:
         if self.corpus_size < 1:
@@ -162,7 +168,8 @@ def random_sequence(rng, min_pairs: int = 1, max_pairs: int = 4) -> Construction
     return ConstructionSequence(tuple(_random_pair(rng, i == 0) for i in range(count)))
 
 
-def _random_rendered(rng, spec: GridSpec, min_pairs: int, max_pairs: int) -> tuple[ConstructionSequence, TSDFGrid]:
+def random_renderable(rng, spec: GridSpec, min_pairs: int = 1, max_pairs: int = 4):
+    """``(sequence, grid)`` for the first of ``random_sequence``'s draws that renders."""
     for _ in range(_RENDER_ATTEMPTS):
         seq = random_sequence(rng, min_pairs, max_pairs)
         try:
@@ -170,12 +177,6 @@ def _random_rendered(rng, spec: GridSpec, min_pairs: int, max_pairs: int) -> tup
         except RenderInvalidError:
             continue
     raise ExhaustedAttemptsError(f"no renderable sequence in {_RENDER_ATTEMPTS} attempts")
-
-
-def random_renderable(
-    rng, spec: GridSpec | None = None, min_pairs: int = 1, max_pairs: int = 4
-) -> ConstructionSequence:
-    return _random_rendered(rng, spec or GridSpec(), min_pairs, max_pairs)[0]
 
 
 # -- mutations --------------------------------------------------------------
@@ -306,7 +307,7 @@ def synth(spec: SynthSpec) -> list[Triplet]:
         rng = np.random.default_rng([spec.seed, index])
         for _ in range(spec.max_attempts):
             try:
-                base, base_grid = _random_rendered(rng, spec.grid, spec.min_pairs, spec.max_pairs)
+                base, base_grid = random_renderable(rng, spec.grid, spec.min_pairs, spec.max_pairs)
             except ExhaustedAttemptsError:
                 continue
             edit_class = spec.classes[int(rng.integers(len(spec.classes)))]
@@ -333,6 +334,24 @@ def synth(spec: SynthSpec) -> list[Triplet]:
     return out
 
 
+# how each recipe key's value converts; resolution and tau are the GridSpec's
+_RECIPE_KEYS = {
+    **dict.fromkeys(("corpus_size", "min_pairs", "max_pairs", "seed", "resolution"), int),
+    "classes": lambda text: tuple(text.split(",")),
+    "tau": float,
+}
+
+
+# how each header line that save_corpus writes converts, in its order;
+# resolution and tau as a GridSpec holds them, so a bad one fails on its line
+_HEADER_KEYS = {
+    **{key: _RECIPE_KEYS[key] for key in ("corpus_size", "seed", "classes")},
+    "edits_per_triplet": int,
+    "resolution": lambda text: GridSpec(resolution=int(text)).resolution,
+    "tau": lambda text: GridSpec(tau=float(text)).tau,
+}
+
+
 def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
     """Write every triplet's files and then the manifest, all or none."""
     path = Path(path)
@@ -357,37 +376,62 @@ def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
 
 
 def load_corpus(path) -> list[Triplet]:
-    """The triplets a corpus manifest lists, as ``triplet <stem> <class>``
-    lines, each stem a plain file name and each class one of EDIT_CLASSES."""
+    """The triplets a corpus manifest lists, checked against its header.
+
+    A manifest holds the ``key value`` header lines ``save_corpus`` writes,
+    each once, and then ``triplet <stem> <class>`` lines, each stem a plain
+    file name.  Each class must be one of the header's ``classes``, each
+    target must have its ``resolution`` and ``tau``, and there must be
+    ``corpus_size`` triplets.  Any other line, and any mismatch, is a
+    ValueError that names the manifest line.
+    """
     path = Path(path)
     manifest = path / "manifest"
-    out = []
+    header: dict[str, tuple[int, object]] = {}
+    grid, out = None, []
     for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.startswith("triplet "):
+        where = f"{manifest}:{number}"
+        key, _, text = line.partition(" ")
+        if key in _HEADER_KEYS and grid is None:
+            if key in header:
+                raise ValueError(f"{where}: {key} given twice")
+            try:
+                header[key] = (number, _HEADER_KEYS[key](text))
+            except ValueError as err:
+                raise ValueError(f"{where}: {key}: {err}") from err
             continue
+        if key != "triplet":
+            raise ValueError(f"{where}: expected a header line or 'triplet <stem> <class>', got {line!r}")
+        if grid is None:
+            missing = [k for k in _HEADER_KEYS if k not in header]
+            if missing:
+                raise ValueError(f"{where}: no {missing[0]} line before the triplets")
+            grid = GridSpec(header["resolution"][1], header["tau"][1])
         fields = line.split()
         if len(fields) != 3:
-            raise ValueError(f"{manifest}:{number}: expected 'triplet <stem> <class>', got {line!r}")
+            raise ValueError(f"{where}: expected 'triplet <stem> <class>', got {line!r}")
         _, stem, edit_class = fields
         if Path(stem).name != stem:
-            raise ValueError(f"{manifest}:{number}: stem {stem!r} is not a plain file name")
+            raise ValueError(f"{where}: stem {stem!r} is not a plain file name")
         if edit_class not in EDIT_CLASSES:
-            raise ValueError(f"{manifest}:{number}: unknown edit class {edit_class!r}")
+            raise ValueError(f"{where}: unknown edit class {edit_class!r}")
+        if edit_class not in header["classes"][1]:
+            raise ValueError(f"{where}: class {edit_class!r} is not in the header's classes")
         original = read_sequence_file(path / f"{stem}.orig.seq")
         truth = read_sequence_file(path / f"{stem}.truth.seq")
         target = read_tsdf(path / f"{stem}.target.tsdf")
+        if target.spec != grid:
+            raise ValueError(
+                f"{where}: target has resolution {target.spec.resolution} and tau {target.spec.tau:.9g}, "
+                f"the header {grid.resolution} and {grid.tau:.9g}"
+            )
         out.append(Triplet(original, target, truth, edit_class, edit_distance(original, truth)))
     if not out:
         raise ValueError(f"{manifest}: no triplets")
+    number, size = header["corpus_size"]
+    if len(out) != size:
+        raise ValueError(f"{manifest}:{number}: corpus_size {size} but {len(out)} triplet lines")
     return out
-
-
-# how each recipe key's value converts; resolution and tau are the GridSpec's
-_RECIPE_KEYS = {
-    **dict.fromkeys(("corpus_size", "min_pairs", "max_pairs", "seed", "resolution"), int),
-    "classes": lambda text: tuple(text.split(",")),
-    "tau": float,
-}
 
 
 def read_recipe(path, seed: int, resolution: int) -> SynthSpec:

@@ -136,6 +136,8 @@ def test_missing_input_file_exits_one_naming_it(runner, args, missing):
 _IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
 _NO_PARENT = "FileNotFoundError: [Errno 2] No such file or directory: 'missing/%s'"
 _TWICE = "ValueError: r.txt: named by two outputs"
+# what a command reads or runs after it has checked its outputs
+_THE_WORK = ("read_sequence_file", "read_grid", "load_corpus", "render", "run", "run_corpus", "synth")
 
 
 def _tree() -> dict:
@@ -146,26 +148,33 @@ def _tree() -> dict:
     "args, message",
     [
         (["render", "cyl.seq", "-o", "adir"], _IS_A_DIRECTORY),
+        (["render", "cyl.seq", "-o", "missing/x.tsdf"], _NO_PARENT % "x.tsdf"),
         (["edit", "cyl.seq", "t.tsdf", "-o", "adir", "--report", "r.txt", "--n", "0"], _IS_A_DIRECTORY),
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
         (["edit", "cyl.seq", "t.tsdf", "-o", "missing/x.seq", "--report", "r.txt", "--n", "0"], _NO_PARENT % "x.seq"),
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "missing/r.txt", "--n", "0"], _NO_PARENT % "r.txt"),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "afile/x.seq", "--report", "r.txt", "--n", "0"],
+         "NotADirectoryError: [Errno 20] Not a directory: 'afile/x.seq'"),
         (["edit", "cyl.seq", "t.tsdf", "-o", "r.txt", "--report", "r.txt", "--n", "0"], _TWICE),
         (["eval", "corpus", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
+        (["eval", "corpus", "--report", "missing/r.txt", "--n", "0"], _NO_PARENT % "r.txt"),
         (["synth", "--spec", "recipe", "-o", "afile"], "FileExistsError: [Errno 17] File exists: 'afile'"),
     ],
     ids=[
         "render-o",
+        "render-o-parent",
         "edit-o",
         "edit-report",
         "edit-o-parent",
         "edit-report-parent",
+        "edit-o-parent-is-a-file",
         "edit-o-is-report",
         "eval-report",
+        "eval-report-parent",
         "synth-o",
     ],
 )
-def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, args, message):
+def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, monkeypatch, args, message):
     with runner.isolated_filesystem():
         _write_models()
         runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
@@ -177,6 +186,12 @@ def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, args, me
         Path("x.seq").write_text("old sequence\n")
         Path("r.txt").write_text("old report\n")
         before = _tree()
+
+        def work(*_args, **_kwargs):
+            raise RuntimeError("reached the work before the output check")
+
+        for name in _THE_WORK:  # a bad output fails before any of them
+            monkeypatch.setattr(f"cadfit.cli.{name}", work)
         res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert res.stderr == message + "\n"
@@ -608,6 +623,8 @@ def test_eval_names_a_truth_sequence_it_cannot_parse(runner):
         ("triplet 0001", "8: expected 'triplet <stem> <class>', got 'triplet 0001'"),
         ("triplet 0001 param-jitter x", "8: expected 'triplet <stem> <class>', got 'triplet 0001 param-jitter x'"),
         ("triplet 0001 bogus-class", "8: unknown edit class 'bogus-class'"),
+        ("triplet 0001 pair-add-remove", "8: class 'pair-add-remove' is not in the header's classes"),
+        ("tripelt 0001 param-jitter", "8: expected a header line or 'triplet <stem> <class>', got 'tripelt 0001 param-jitter'"),
         ("triplet ../corpus/0001 param-jitter", "8: stem '../corpus/0001' is not a plain file name"),
         ("", " no triplets"),
     ],

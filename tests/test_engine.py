@@ -113,7 +113,7 @@ def test_seeded_embeddings_are_pinned():
         rng = np.random.default_rng([resolution, 101])
         spec = GridSpec(resolution=resolution)
         for _ in range(count):
-            lat = embed_shape(render(random_renderable(rng, spec), spec))
+            lat = embed_shape(random_renderable(rng, spec)[1])
             digest.update(lat.tobytes())
     assert digest.hexdigest() == EMBED_PIN
 
@@ -162,8 +162,8 @@ def test_lower_latent_distance_tracks_higher_iou():
     while total < 100:
         rng = np.random.default_rng([79, 0, case])
         case += 1
-        a = random_renderable(rng, spec)
-        b = random_renderable(rng, spec)
+        a = random_renderable(rng, spec)[0]
+        b = random_renderable(rng, spec)[0]
         iou_a = iou(render(a, spec), sphere)
         iou_b = iou(render(b, spec), sphere)
         if abs(iou_a - iou_b) < 0.12:

@@ -82,7 +82,7 @@ def test_candidates_validate_and_preserve_unmasked_spans():
     rng = np.random.default_rng(11)
     n, seed = 4, 7
     for _ in range(6):
-        seq = random_renderable(rng, GridSpec())
+        seq = random_renderable(rng, GridSpec())[0]
         for gran in Granularity:
             segs = segments(seq, gran)
             take = min(len(segs), 1 + int(rng.integers(2)))

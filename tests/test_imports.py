@@ -1,5 +1,6 @@
 """Static checks: every name a cadfit module imports is used in that module,
-and every module-level private name is referenced in the module defining it.
+every module-level private name is referenced in the module defining it, and
+every public function and class has a caller outside the tests.
 
 Standard library only, so it runs wherever the tests do; no linter needed.
 """
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "cadfit").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "cadfit").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -72,6 +75,85 @@ def test_module_references_every_private_name_it_defines(path):
     defined = _private_definitions(tree)
     unused = [f"{path.name}:{line} {name}" for name, line in defined.items() if name not in used]
     assert unused == []
+
+
+def _identifiers(nodes) -> set[str]:
+    """Names, attribute names and imported names among ``nodes``."""
+    names = set()
+    for node in nodes:
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _is_command(node) -> bool:
+    """A click command, decorated with ``<group>.command(...)``."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "command"
+        for d in node.decorator_list
+    )
+
+
+def _uncalled(modules: dict[str, ast.Module], outside: list[ast.Module]) -> list[str]:
+    """``module.name`` of each public module-level function or class, click
+    commands aside, that no other module names, nor its own module outside
+    its definition, nor any ``outside`` tree, as an identifier or a string
+    (perfbench's tracer names the functions it wraps by string)."""
+    named_outside = set()
+    for tree in outside:
+        nodes = list(ast.walk(tree))
+        named_outside |= _identifiers(nodes)
+        named_outside |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    statements = {mod: [_identifiers(ast.walk(stmt)) for stmt in tree.body] for mod, tree in modules.items()}
+    found = []
+    for mod, tree in modules.items():
+        named = named_outside.union(*(names for other in modules if other != mod for names in statements[other]))
+        for i, node in enumerate(tree.body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_") or _is_command(node):
+                continue
+            own = set().union(*(names for j, names in enumerate(statements[mod]) if j != i))
+            if node.name not in named | own:
+                found.append(f"{mod}.{node.name}")
+    return found
+
+
+def test_caller_check_follows_its_rules():
+    modules = {
+        "a": ast.parse(
+            "def called(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def in_a_docstring(): pass\n"
+            "def by_string(): pass\n"
+            "class Kept: pass\n"
+            "KEPT = Kept\n"
+            "def _private(): pass\n"
+            "@main.command('x')\n"
+            "def cmd(): pass\n"
+        ),
+        "b": ast.parse('"""in_a_docstring"""\nfrom a import called\n'),
+    }
+    outside = [ast.parse("WRAPPED = ('by_string',)\n")]
+    assert _uncalled(modules, outside) == ["a.recursive", "a.in_a_docstring"]
+
+
+# public names no code outside the tests may call, and why they stay
+_TEST_ONLY = {
+    # the dense reference every fast path is tested against bit for bit;
+    # the kernel notes define a body's field by it
+    "kernel.body_sdf",
+}
+
+
+def test_every_public_definition_has_a_caller_outside_the_tests():
+    """No test-only twins of engine logic: a public function or class that
+    only tests call is either a caller's or not needed."""
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    outside = [ast.parse(p.read_text(), filename=str(p)) for p in PERFBENCH]
+    assert sorted(_uncalled(modules, outside)) == sorted(_TEST_ONLY)
 
 
 # method names that change a list, dict or set in place

@@ -35,9 +35,7 @@ from cadfit.kernel import (
     attribute,
     body_sdf,
     extent_interval,
-    loop_sdf,
     placement_frame,
-    profile_sdf,
     render,
     sdf_difference,
     sdf_intersection,
@@ -107,7 +105,7 @@ def _check_loop_against_oracle(loop, rng, tol=1e-4):
     pts = rng.uniform(-0.5, 0.5, size=(250, 2))
     brute = np.array([np.linalg.norm(poly - p, axis=1).min() for p in pts])
     keep = brute > 2e-3  # stay clear of the boundary so sampling error is negligible
-    sdf = loop_sdf(loop, pts[keep])
+    sdf = kernel._loop_eval(loop, *pts[keep].T)[0]
     inside = _even_odd_inside(poly, pts[keep])
     assert np.abs(np.abs(sdf) - brute[keep]).max() < tol
     assert np.array_equal(sdf < 0, inside)
@@ -115,17 +113,15 @@ def _check_loop_against_oracle(loop, rng, tol=1e-4):
 
 def test_square_loop_sdf_values():
     loop = square_loop()  # bins 51/204 decode to exactly -0.3/0.3
-    assert loop_sdf(loop, np.array([0.0, 0.0])) == pytest.approx(-0.3)
-    assert loop_sdf(loop, np.array([0.45, 0.0])) == pytest.approx(0.15)
-    assert loop_sdf(loop, np.array([0.45, 0.45])) == pytest.approx(math.hypot(0.15, 0.15))
+    f, _ = kernel._loop_eval(loop, np.array([0.0, 0.45, 0.45]), np.array([0.0, 0.0, 0.45]))
+    assert f == pytest.approx([-0.3, 0.15, math.hypot(0.15, 0.15)])
 
 
 def test_circle_loop_sdf_is_exact():
     loop = Loop((Circle((128, 128), 51),))
     c = dequantize(128, Channel.COORD_2D)
-    pts = np.array([[c, c], [c + 0.5, c], [c, c - 0.2]])
-    expect = np.array([-0.2, 0.3, 0.0])
-    assert loop_sdf(loop, pts) == pytest.approx(expect, abs=1e-12)
+    f, _ = kernel._loop_eval(loop, np.array([c, c + 0.5, c]), np.array([c, c, c - 0.2]))
+    assert f == pytest.approx([-0.2, 0.3, 0.0], abs=1e-12)
 
 
 def test_polygon_loops_match_dense_oracle():
@@ -147,7 +143,8 @@ def test_lens_loop_of_two_arcs():
     lens = Loop((Arc(b, 85, True), Arc(a, 85, True)))
     rng = np.random.default_rng(31)
     _check_loop_against_oracle(lens, rng)
-    assert loop_sdf(lens, np.array([0.0, dequantize(128, Channel.COORD_2D)])) < 0
+    f, _ = kernel._loop_eval(lens, np.array([0.0]), np.array([dequantize(128, Channel.COORD_2D)]))
+    assert f[0] < 0
 
 
 @pytest.mark.parametrize("ccw", [True, False])
@@ -169,16 +166,15 @@ def test_arc_sweep_test_equals_the_float_remainder(ccw):
 def test_degenerate_chain_raises():
     loop = Loop((Line((60, 60)), Line((60, 60)), Line((200, 60))))
     with pytest.raises(DegenerateLoopError):
-        loop_sdf(loop, np.zeros(2))
+        kernel._loop_eval(loop, np.zeros(1), np.zeros(1))
 
 
 def test_profile_with_hole_annulus():
     sketch = Sketch((Loop((Circle((128, 128), 102),)), Loop((Circle((128, 128), 51),))))
     c = dequantize(128, Channel.COORD_2D)
     # outer radius decodes to exactly 0.4, hole to 0.2
-    assert profile_sdf(sketch, np.array([c, c])) == pytest.approx(0.2)
-    assert profile_sdf(sketch, np.array([c + 0.3, c])) == pytest.approx(-0.1)
-    assert profile_sdf(sketch, np.array([c + 0.45, c])) == pytest.approx(0.05)
+    f, _ = kernel._profile_eval(sketch, c + np.array([0.0, 0.3, 0.45]), np.full(3, c))
+    assert f == pytest.approx([0.2, -0.1, 0.05])
 
 
 # -- bodies -----------------------------------------------------------------
@@ -434,7 +430,7 @@ def test_attribution_matches_render_values():
     rng = np.random.default_rng(61)
     spec = GridSpec()
     for _ in range(12):
-        drawn = random_renderable(rng, spec)
+        drawn = random_renderable(rng, spec)[0]
         for seq in (drawn, _tilted(drawn, rng), _turned(drawn, rng)):
             assert np.array_equal(attribute(seq, spec).values, render(seq, spec).values)
 
@@ -518,7 +514,7 @@ def test_attribution_owner_pair_matches_strict_chain_oracle():
     ops = (BoolOp.JOIN, BoolOp.CUT, BoolOp.INTERSECT)
     checked = 0
     while checked < 16:
-        drawn = random_renderable(rng, spec, min_pairs=2)
+        drawn = random_renderable(rng, spec, min_pairs=2)[0]
         pairs = [drawn.pairs[0]] + [
             (sketch, dataclasses.replace(ext, bool_op=ops[int(rng.integers(3))]))
             for sketch, ext in drawn.pairs[1:]
@@ -629,7 +625,7 @@ def test_z_aligned_body_matches_the_dense_fold_bitwise(case):
 
 
 def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
-    seq = _z_aligned(random_renderable(np.random.default_rng(71), GridSpec()), np.random.default_rng(73))
+    seq = _z_aligned(random_renderable(np.random.default_rng(71), GridSpec())[0], np.random.default_rng(73))
     seen, real = [], kernel._extrude
 
     def counted(sketch, ext, plane, height):
@@ -670,7 +666,7 @@ def test_slab_term_edge_cases_match_the_dense_fold_bitwise(case, op):
     spec = GridSpec(resolution=resolution, tau=tau)
     sketch, ext = _corner_square(extent)
     t = spec.centers() + 0.5
-    d = profile_sdf(sketch, np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1))
+    d = kernel._profile_eval(sketch, *np.meshgrid(t, t, indexing="ij"))[0]
     lo, hi = extent_interval(ext)
     slab = np.abs(t - (lo + hi) / 2.0) - (hi - lo) / 2.0
     assert (d == d_hit).any()
@@ -824,7 +820,7 @@ def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch)
 def test_bodies_are_placed_once_and_store_hits_build_no_coordinates(monkeypatch):
     rng = np.random.default_rng(79)
     spec = GridSpec()
-    seq = _turned(random_renderable(rng, spec, min_pairs=2), rng, tilt_share=0.5)
+    seq = _turned(random_renderable(rng, spec, min_pairs=2)[0], rng, tilt_share=0.5)
     placed, real = [], kernel.placement_frame
 
     def counted(ext):

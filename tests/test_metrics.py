@@ -216,7 +216,7 @@ def _pin_grids():
     for resolution in (16, 17, 32, 64):
         spec = GridSpec(resolution=resolution)
         rng = np.random.default_rng([resolution, 113])
-        yield render(random_renderable(rng, spec), spec)
+        yield random_renderable(rng, spec)[1]
         pts = cell_points(spec)
         balls = [np.linalg.norm(pts - rng.uniform(-0.3, 0.3, 3), axis=1) - rng.uniform(0.08, 0.2) for _ in range(3)]
         vals = np.clip(np.minimum.reduce(balls), -spec.tau, spec.tau)

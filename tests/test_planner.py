@@ -80,7 +80,7 @@ def test_scored_segments_follow_document_order():
     target = render(_three_pair_sequence(), spec)
     checked = 0
     while checked < 24:
-        seq = random_renderable(rng, spec)
+        seq = random_renderable(rng, spec)[0]
         if checked % 2:
             seq = _tilted(seq)
         try:
@@ -151,7 +151,7 @@ def test_relative_scores_zero_on_identical_shapes():
     rng = np.random.default_rng(53)
     spec = GridSpec()
     for _ in range(20):
-        seq = random_renderable(rng, spec)
+        seq = random_renderable(rng, spec)[0]
         shape = render(seq, spec)
         iv = _scores(seq, shape)
         assert all(e.j == 0.0 for e in iv.entries)

@@ -3,12 +3,22 @@ import math
 import pytest
 
 from cadfit.errors import BinRangeError
-from cadfit.quant import BIN_MAX, Channel, channel_range, dequantize, quantize
+from cadfit.quant import BIN_MAX, Channel, dequantize, quantize
+
+
+# each channel's range, written out so the test does not read quant's table
+_RANGES = {
+    Channel.COORD_2D: (-0.5, 0.5),
+    Channel.COORD_3D: (-0.5, 0.5),
+    Channel.ANGLE: (0.0, 2.0 * math.pi),
+    Channel.SCALE: (0.0, 1.0),
+    Channel.DISTANCE: (0.0, 1.0),
+}
 
 
 def test_endpoint_bins_hit_range_endpoints():
-    for channel in Channel:
-        lo, hi = channel_range(channel)
+    assert set(_RANGES) == set(Channel)
+    for channel, (lo, hi) in _RANGES.items():
         assert dequantize(0, channel) == lo
         assert dequantize(BIN_MAX, channel) == hi
 

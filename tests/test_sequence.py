@@ -379,7 +379,7 @@ def test_edit_distance_matches_reference_on_near_identical_streams():
     rng, spec = np.random.default_rng(23), GridSpec(resolution=16)
     checked = 0
     while checked < 40:
-        source = random_renderable(rng, spec)
+        source = random_renderable(rng, spec)[0]
         edited = mutate(source, EDIT_CLASSES[checked % len(EDIT_CLASSES)], rng, spec)
         if edited is None:
             continue

@@ -8,6 +8,7 @@ import pytest
 
 from cadfit import synth as synth_module
 from cadfit.errors import ExhaustedAttemptsError
+from cadfit.gridio import tsdf_bytes
 from cadfit.kernel import GridSpec, render
 from cadfit.metrics import iou
 from cadfit.sequence import (
@@ -62,16 +63,16 @@ def test_random_renderable_renders():
     rng = np.random.default_rng(13)
     spec = GridSpec()
     for _ in range(5):
-        seq = random_renderable(rng, spec)
-        grid = render(seq, spec)
+        seq, grid = random_renderable(rng, spec)
         assert grid.occupancy().any()
+        assert np.array_equal(render(seq, spec).values, grid.values)
 
 
 def test_param_jitter_changes_one_segment():
     rng = np.random.default_rng(17)
     spec = GridSpec()
     for _ in range(10):
-        base = random_renderable(rng, spec)
+        base = random_renderable(rng, spec)[0]
         truth = mutate(base, "param-jitter", rng, spec)
         if truth is None:
             continue
@@ -85,7 +86,7 @@ def test_primitive_substitute_swaps_kind():
     spec = GridSpec()
     seen = 0
     for _ in range(20):
-        base = random_renderable(rng, spec)
+        base = random_renderable(rng, spec)[0]
         truth = mutate(base, "primitive-substitute", rng, spec)
         if truth is None:
             continue
@@ -104,7 +105,7 @@ def test_loop_add_remove_changes_loop_count():
     spec = GridSpec()
     seen = 0
     for _ in range(30):
-        base = random_renderable(rng, spec)
+        base = random_renderable(rng, spec)[0]
         truth = mutate(base, "loop-add-remove", rng, spec)
         if truth is None:
             continue
@@ -123,7 +124,7 @@ def test_pair_add_remove_changes_pair_count():
     spec = GridSpec()
     seen = 0
     for _ in range(20):
-        base = random_renderable(rng, spec)
+        base = random_renderable(rng, spec)[0]
         truth = mutate(base, "pair-add-remove", rng, spec)
         if truth is None:
             continue
@@ -186,6 +187,61 @@ def test_corpus_round_trip(tmp_path, small_corpus):
         assert u.target.spec == t.target.spec
 
 
+def test_corpus_round_trip_keeps_a_small_grid(tmp_path):
+    spec = SynthSpec(corpus_size=2, seed=5, grid=GridSpec(resolution=16, tau=0.1))
+    triplets = synth(spec)
+    save_corpus(tmp_path, triplets, spec)
+    back = load_corpus(tmp_path)
+    assert [t.target.spec for t in back] == [spec.grid] * 2
+    assert all(np.array_equal(u.target.values, t.target.values) for t, u in zip(triplets, back))
+
+
+def _tell(lie: str, lines: list[str], where, triplets) -> None:
+    """Make a saved 6-triplet manifest lie: change its lines, or a file."""
+    if lie == "coarse-target":
+        coarse = render(triplets[2].truth, GridSpec(resolution=16))
+        (where / "0002.target.tsdf").write_bytes(tsdf_bytes(coarse))
+    elif lie == "short":
+        del lines[8]
+    elif lie in ("misspelled", "garbage"):
+        lines.append({"misspelled": "tripelt 0009 param-jitter", "garbage": "garbage line"}[lie])
+    elif lie == "class":
+        lines[2] = "classes " + ",".join(c for c in EDIT_CLASSES if c != triplets[0].edit_class)
+    elif lie == "tau-twice":
+        lines.insert(6, "tau 0.1")
+    elif lie == "no-tau":
+        del lines[5]
+    else:
+        lines[4] = "resolution 4"
+
+
+# each lie's error, after "<manifest>:"
+_LIES = {
+    "coarse-target": "9: target has resolution 16 and tau 0.200000003, the header 32 and 0.200000003",
+    "short": "1: corpus_size 6 but 5 triplet lines",
+    "misspelled": "13: expected a header line or 'triplet <stem> <class>', got 'tripelt 0009 param-jitter'",
+    "garbage": "13: expected a header line or 'triplet <stem> <class>', got 'garbage line'",
+    "class": "7: class {cls!r} is not in the header's classes",
+    "tau-twice": "7: tau given twice",
+    "no-tau": "6: no tau line before the triplets",
+    "resolution": "5: resolution: resolution 4 below the minimum of 8",
+}
+
+
+@pytest.mark.parametrize("lie", list(_LIES))
+def test_a_manifest_that_lies_is_rejected_on_its_line(tmp_path, small_corpus, lie):
+    spec, triplets = small_corpus
+    save_corpus(tmp_path, triplets, spec)
+    manifest = tmp_path / "manifest"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    assert lines[6:] == [f"triplet {k:04d} {t.edit_class}" for k, t in enumerate(triplets)]
+    _tell(lie, lines, tmp_path, triplets)
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == f"{manifest}:" + _LIES[lie].format(cls=triplets[0].edit_class)
+
+
 def test_corpus_save_is_reproducible(tmp_path, small_corpus):
     spec, triplets = small_corpus
     a_dir = tmp_path / "a"
@@ -204,7 +260,7 @@ CORPUS_PIN = "7ac0d19c4342d853a8389f3ffddb52646363f43e74b8dc429c911dd83279932d"
 
 
 def test_synth_renders_each_sequence_once_per_attempt_and_its_corpus_is_pinned(tmp_path, monkeypatch):
-    renders, real_render, real_draw = [], synth_module.render, synth_module._random_rendered
+    renders, real_render, real_draw = [], synth_module.render, synth_module.random_renderable
 
     def counted(seq, spec):
         renders[-1].append((seq, spec))
@@ -215,7 +271,7 @@ def test_synth_renders_each_sequence_once_per_attempt_and_its_corpus_is_pinned(t
         return real_draw(*args)
 
     monkeypatch.setattr(synth_module, "render", counted)
-    monkeypatch.setattr(synth_module, "_random_rendered", attempt)
+    monkeypatch.setattr(synth_module, "random_renderable", attempt)
     digest = hashlib.sha256()
     for seed in (0, 1):
         spec = SynthSpec(corpus_size=10, seed=seed)
@@ -245,6 +301,13 @@ def test_seeded_mutations_are_pinned():
             lines.append(f"{s} {cls} {'-' if out is None else serialize_sequence(out)}")
     assert any(line.endswith(" -") for line in lines)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MUTATE_PIN
+
+
+def test_synth_finishes_on_a_resolution_8_grid():
+    # a fixed 40 cells is 7.8% of 8^3, and seed 8 exhausted its attempts on triplet 1
+    assert [SynthSpec(grid=GridSpec(resolution=r)).min_voxel_delta for r in (8, 16, 32, 64)] == [1, 5, 40, 320]
+    spec = SynthSpec(corpus_size=6, classes=("param-jitter",), seed=8, grid=GridSpec(resolution=8))
+    assert len(synth(spec)) == 6
 
 
 def test_single_class_spec_restricts_classes():
