@@ -40,10 +40,11 @@ def _naming(path):
 def check_outputs(*paths: str) -> None:
     """Raise if ``write_atomic`` could not write these paths: a
     ``ValueError`` for two paths that name one file, since the later would
-    replace the earlier, else an ``OSError`` for a path that is a directory
-    or whose parent is not one.  Each error names the caller's path as a
-    plain string.  A command calls this before its work, so a bad output
-    fails at once and not after the run."""
+    replace the earlier, else an ``OSError`` for a path that is a directory,
+    or whose parent is not one or is one this process cannot write and
+    search.  Each error names the caller's path as a plain string.  A
+    command calls this before its work, so a bad output fails at once and
+    not after the run."""
     seen = set()
     for path in paths:
         real = os.path.realpath(path)
@@ -56,6 +57,8 @@ def check_outputs(*paths: str) -> None:
         if not os.path.isdir(parent):
             code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
             raise OSError(code, os.strerror(code), os.fspath(path))  # the subclass for the code
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
 
 
 def write_atomic(*outputs: tuple[str, bytes]) -> None:

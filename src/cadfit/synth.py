@@ -334,22 +334,26 @@ def synth(spec: SynthSpec) -> list[Triplet]:
     return out
 
 
-# how each recipe key's value converts; resolution and tau are the GridSpec's
-_RECIPE_KEYS = {
-    **dict.fromkeys(("corpus_size", "min_pairs", "max_pairs", "seed", "resolution"), int),
+# how each setting's value converts, in a recipe or a manifest header; a bad
+# resolution or tau fails on its line, as a GridSpec holds them, and only a
+# manifest states edits_per_triplet, which is the same for every corpus
+_SETTINGS = {
+    **dict.fromkeys(("corpus_size", "min_pairs", "max_pairs", "seed", "edits_per_triplet"), int),
     "classes": lambda text: tuple(text.split(",")),
-    "tau": float,
-}
-
-
-# how each header line that save_corpus writes converts, in its order;
-# resolution and tau as a GridSpec holds them, so a bad one fails on its line
-_HEADER_KEYS = {
-    **{key: _RECIPE_KEYS[key] for key in ("corpus_size", "seed", "classes")},
-    "edits_per_triplet": int,
     "resolution": lambda text: GridSpec(resolution=int(text)).resolution,
     "tau": lambda text: GridSpec(tau=float(text)).tau,
 }
+
+
+def _read_setting(given: dict, line: str, where) -> None:
+    """Convert a ``key value`` line into ``given``, which may not hold its key yet."""
+    key, _, text = line.partition(" ")
+    if key in given:
+        raise ValueError(f"{where}: {key}: given twice")
+    try:
+        given[key] = _SETTINGS[key](text)
+    except ValueError as err:
+        raise ValueError(f"{where}: {key}: {err}") from err
 
 
 def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
@@ -376,61 +380,54 @@ def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
 
 
 def load_corpus(path) -> list[Triplet]:
-    """The triplets a corpus manifest lists, checked against its header.
+    """The triplets a corpus manifest lists, read as ``save_corpus`` writes it.
 
-    A manifest holds the ``key value`` header lines ``save_corpus`` writes,
-    each once, and then ``triplet <stem> <class>`` lines, each stem a plain
-    file name.  Each class must be one of the header's ``classes``, each
-    target must have its ``resolution`` and ``tau``, and there must be
-    ``corpus_size`` triplets.  Any other line, and any mismatch, is a
-    ValueError that names the manifest line.
+    A manifest is six header lines, ``corpus_size``, ``seed``, ``classes``,
+    ``edits_per_triplet``, ``resolution`` and ``tau`` in that order, and then
+    only ``triplet <stem> <class>`` lines, each stem a plain file name.  The
+    header must make a SynthSpec, with the one ``edits_per_triplet`` every
+    corpus has; each class must be one of its ``classes``, each target must
+    have its grid, and there must be ``corpus_size`` triplets.  Anything else
+    is a ValueError that names the manifest, and the line where it can.
     """
     path = Path(path)
     manifest = path / "manifest"
-    header: dict[str, tuple[int, object]] = {}
-    grid, out = None, []
-    for number, line in enumerate(manifest.read_text(encoding="utf-8").splitlines(), 1):
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    header: dict[str, object] = {}
+    for number, key in enumerate(("corpus_size", "seed", "classes", "edits_per_triplet", "resolution", "tau"), 1):
+        line = lines[number - 1] if number <= len(lines) else ""
+        if line.partition(" ")[0] != key:
+            raise ValueError(f"{manifest}:{number}: expected a {key} line, got {line!r}")
+        _read_setting(header, line, f"{manifest}:{number}")
+    edits = header.pop("edits_per_triplet")
+    if edits != SynthSpec.edits_per_triplet:
+        raise ValueError(f"{manifest}:4: edits_per_triplet must be {SynthSpec.edits_per_triplet}, got {edits}")
+    try:
+        spec = SynthSpec(grid=GridSpec(header.pop("resolution"), header.pop("tau")), **header)
+    except ValueError as err:
+        raise ValueError(f"{manifest}: {err}") from err
+    out = []
+    for number, line in enumerate(lines[6:], 7):
         where = f"{manifest}:{number}"
-        key, _, text = line.partition(" ")
-        if key in _HEADER_KEYS and grid is None:
-            if key in header:
-                raise ValueError(f"{where}: {key} given twice")
-            try:
-                header[key] = (number, _HEADER_KEYS[key](text))
-            except ValueError as err:
-                raise ValueError(f"{where}: {key}: {err}") from err
-            continue
-        if key != "triplet":
-            raise ValueError(f"{where}: expected a header line or 'triplet <stem> <class>', got {line!r}")
-        if grid is None:
-            missing = [k for k in _HEADER_KEYS if k not in header]
-            if missing:
-                raise ValueError(f"{where}: no {missing[0]} line before the triplets")
-            grid = GridSpec(header["resolution"][1], header["tau"][1])
         fields = line.split()
-        if len(fields) != 3:
+        if len(fields) != 3 or fields[0] != "triplet":
             raise ValueError(f"{where}: expected 'triplet <stem> <class>', got {line!r}")
         _, stem, edit_class = fields
         if Path(stem).name != stem:
             raise ValueError(f"{where}: stem {stem!r} is not a plain file name")
-        if edit_class not in EDIT_CLASSES:
-            raise ValueError(f"{where}: unknown edit class {edit_class!r}")
-        if edit_class not in header["classes"][1]:
+        if edit_class not in spec.classes:
             raise ValueError(f"{where}: class {edit_class!r} is not in the header's classes")
         original = read_sequence_file(path / f"{stem}.orig.seq")
         truth = read_sequence_file(path / f"{stem}.truth.seq")
         target = read_tsdf(path / f"{stem}.target.tsdf")
-        if target.spec != grid:
+        if target.spec != spec.grid:
             raise ValueError(
                 f"{where}: target has resolution {target.spec.resolution} and tau {target.spec.tau:.9g}, "
-                f"the header {grid.resolution} and {grid.tau:.9g}"
+                f"the header {spec.grid.resolution} and {spec.grid.tau:.9g}"
             )
         out.append(Triplet(original, target, truth, edit_class, edit_distance(original, truth)))
-    if not out:
-        raise ValueError(f"{manifest}: no triplets")
-    number, size = header["corpus_size"]
-    if len(out) != size:
-        raise ValueError(f"{manifest}:{number}: corpus_size {size} but {len(out)} triplet lines")
+    if len(out) != spec.corpus_size:
+        raise ValueError(f"{manifest}:1: corpus_size {spec.corpus_size} but {len(out)} triplet lines")
     return out
 
 
@@ -442,17 +439,12 @@ def read_recipe(path, seed: int, resolution: int) -> SynthSpec:
     A key may appear once.
     """
     given: dict[str, object] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        key, _, text = line.strip().partition(" ")
+    for line in map(str.strip, Path(path).read_text(encoding="utf-8").splitlines()):
+        key = line.partition(" ")[0]
         if not key or key.startswith("#"):
             continue
-        if key not in _RECIPE_KEYS:
+        if key not in _SETTINGS or key == "edits_per_triplet":
             raise ValueError(f"{path}: unknown recipe key {key!r}")
-        if key in given:
-            raise ValueError(f"{path}: {key}: given twice")
-        try:
-            given[key] = _RECIPE_KEYS[key](text)
-        except ValueError as err:
-            raise ValueError(f"{path}: {key}: {err}") from err
+        _read_setting(given, line, path)
     grid = GridSpec(given.pop("resolution", resolution), given.pop("tau", GridSpec.tau))
     return SynthSpec(grid=grid, **{"seed": seed, **given})

@@ -6,20 +6,24 @@ something that would surface as a traceback.
 """
 
 import os
+import re
 import struct
 import tempfile
 
 import numpy as np
-from hypothesis import given
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cell_points
 
+from cadfit.cli import main
 from cadfit.errors import CadfitError
 from cadfit.gridio import read_grid_text, read_tsdf, tsdf_bytes, write_grid_text
 from cadfit.kernel import GridSpec, TSDFGrid
 from cadfit.sequence import parse_sequence, serialize_sequence
-from cadfit.synth import random_sequence
+from cadfit.synth import SynthSpec, random_sequence, save_corpus, synth
 
 REPORTED = (CadfitError, ValueError, OSError)
 
@@ -135,3 +139,53 @@ def test_read_tsdf_raises_only_reported_errors(tmp_path_factory, data):
 @given(grid_text_files())
 def test_read_grid_text_raises_only_reported_errors(tmp_path_factory, data):
     _read_reports_only(read_grid_text, tmp_path_factory.getbasetemp() / "fuzz.grid", data)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A saved 2-triplet resolution-16 corpus, its manifest lines, and a
+    directory for eval's report."""
+    path = tmp_path_factory.mktemp("corpus")
+    spec = SynthSpec(corpus_size=2, seed=5, grid=GridSpec(resolution=16, tau=0.1))
+    save_corpus(path, synth(spec), spec)
+    return path, (path / "manifest").read_text(encoding="utf-8").splitlines(), tmp_path_factory.mktemp("out")
+
+
+@st.composite
+def damaged_manifests(draw, lines):
+    """The manifest with one line dropped, duplicated, swapped or rewritten,
+    or one header value rewritten."""
+    lines = list(lines)
+    words = sorted({word for line in lines for word in line.split()} | {"bogus-class", "0002", "../0000"})
+    # counted from the end, so the simplest draws damage the triplet lines
+    i, kind = len(lines) - 1 - draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, 4))
+    if kind == 0:
+        del lines[i]
+    elif kind == 1:
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+    elif kind == 2:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == 3:
+        lines[i] = draw(st.one_of(st.lists(st.sampled_from(words), max_size=4).map(" ".join), st.text(max_size=30)))
+    else:
+        values = st.sampled_from(["-3", "0", "1", "2", "7", "12", "16", "0.1", "nan", "1e39", "x", "", "param-jitter,bogus-class"])
+        i = draw(st.integers(0, 5))
+        lines[i] = lines[i].partition(" ")[0] + " " + draw(st.one_of(values, st.text(max_size=8)))
+    return lines
+
+
+@settings(max_examples=25, derandomize=True)
+@given(data=st.data())
+def test_eval_on_a_damaged_manifest_runs_or_fails_in_one_line(corpus, data):
+    path, lines, out = corpus
+    (path / "manifest").write_text("\n".join(data.draw(damaged_manifests(lines))) + "\n", encoding="utf-8")
+    report = out / "report.txt"
+    res = CliRunner().invoke(main, ["eval", str(path), "--report", str(report), "--rounds", "1", "--n", "1"])
+    if res.exit_code == 0:
+        assert res.stderr == ""
+        report.unlink()
+        return
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert re.fullmatch(r"[A-Z]\w*: [^\n]*\n", res.stderr)
+    assert not report.exists()

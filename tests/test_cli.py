@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import statistics
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file
 from cadfit.kernel import GridSpec, render
 from cadfit.report import fmt
 from cadfit.sequence import ConstructionSequence
-from cadfit.synth import load_corpus
+from cadfit.synth import EDIT_CLASSES, load_corpus
 
 
 @pytest.fixture
@@ -136,6 +137,7 @@ def test_missing_input_file_exits_one_naming_it(runner, args, missing):
 _IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
 _NO_PARENT = "FileNotFoundError: [Errno 2] No such file or directory: 'missing/%s'"
 _TWICE = "ValueError: r.txt: named by two outputs"
+_LOCKED = "PermissionError: [Errno 13] Permission denied: 'locked/%s'"
 # what a command reads or runs after it has checked its outputs
 _THE_WORK = ("read_sequence_file", "read_grid", "load_corpus", "render", "run", "run_corpus", "synth")
 
@@ -159,6 +161,10 @@ def _tree() -> dict:
         (["eval", "corpus", "--report", "adir", "--n", "0"], _IS_A_DIRECTORY),
         (["eval", "corpus", "--report", "missing/r.txt", "--n", "0"], _NO_PARENT % "r.txt"),
         (["synth", "--spec", "recipe", "-o", "afile"], "FileExistsError: [Errno 17] File exists: 'afile'"),
+        (["render", "cyl.seq", "-o", "locked/x.tsdf"], _LOCKED % "x.tsdf"),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "locked/r.txt", "--n", "0"], _LOCKED % "r.txt"),
+        (["eval", "corpus", "--report", "locked/r.txt", "--n", "0"], _LOCKED % "r.txt"),
+        (["synth", "--spec", "recipe", "-o", "locked"], _LOCKED % "manifest"),
     ],
     ids=[
         "render-o",
@@ -172,6 +178,10 @@ def _tree() -> dict:
         "eval-report",
         "eval-report-parent",
         "synth-o",
+        "render-o-parent-locked",
+        "edit-report-parent-locked",
+        "eval-report-parent-locked",
+        "synth-o-locked",
     ],
 )
 def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, monkeypatch, args, message):
@@ -182,10 +192,14 @@ def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, monkeypa
             _tiny_corpus(runner)
         Path("recipe").write_text("corpus_size 1\nclasses param-jitter\n")
         Path("adir").mkdir()
+        Path("locked").mkdir()
         Path("afile").write_text("")
         Path("x.seq").write_text("old sequence\n")
         Path("r.txt").write_text("old report\n")
         before = _tree()
+        # root passes every mode check, so only a patched os.access can deny `locked`
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: os.path.basename(path) != "locked" and access(path, mode))
 
         def work(*_args, **_kwargs):
             raise RuntimeError("reached the work before the output check")
@@ -467,8 +481,6 @@ def _tiny_corpus(runner, out="corpus", seed="7", extra=""):
 def test_synth_emits_documented_layout(runner):
     with runner.isolated_filesystem():
         _tiny_corpus(runner)
-        import os
-
         names = sorted(os.listdir("corpus"))
         assert names == [
             "0000.orig.seq", "0000.target.tsdf", "0000.truth.seq",
@@ -529,6 +541,9 @@ def test_synth_rejects_unknown_recipe_key(runner):
         ("corpus_size x", "corpus_size: invalid literal for int() with base 10: 'x'"),
         ("corpus_size", "corpus_size: invalid literal for int() with base 10: ''"),
         ("tau abc", "tau: could not convert string to float: 'abc'"),
+        # a recipe and a manifest header build their GridSpec value by value
+        ("resolution 4", "resolution: resolution 4 below the minimum of 8"),
+        ("tau 0", "tau: truncation tau 0.0 is not positive and finite in float32"),
         ("seed 3\ncorpus_size 1\nseed 4", "seed: given twice"),
     ],
 )
@@ -550,6 +565,24 @@ def test_synth_rejects_a_resolution_the_engine_cannot_pool(runner, where):
         res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"] + extra)
         assert res.exit_code == 1
         assert res.stderr == "ValueError: resolution must be a multiple of 8, got 12\n"
+        assert not Path("c").exists()
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ("corpus_size 0\n", "corpus_size must be positive, got 0"),
+        ("classes param-jitter,bogus-class\n", f"classes must be a nonempty subset of {EDIT_CLASSES}"),
+        ("min_pairs 3\nmax_pairs 2\n", "need 1 <= min_pairs <= max_pairs"),
+    ],
+    ids=["corpus-size", "classes", "pairs"],
+)
+def test_synth_rejects_a_recipe_that_makes_no_synth_spec(runner, recipe, message):
+    with runner.isolated_filesystem():
+        Path("recipe").write_text(recipe)
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"])
+        assert res.exit_code == 1
+        assert res.stderr == f"ValueError: {message}\n"
         assert not Path("c").exists()
 
 
@@ -622,11 +655,11 @@ def test_eval_names_a_truth_sequence_it_cannot_parse(runner):
     [
         ("triplet 0001", "8: expected 'triplet <stem> <class>', got 'triplet 0001'"),
         ("triplet 0001 param-jitter x", "8: expected 'triplet <stem> <class>', got 'triplet 0001 param-jitter x'"),
-        ("triplet 0001 bogus-class", "8: unknown edit class 'bogus-class'"),
+        ("triplet 0001 bogus-class", "8: class 'bogus-class' is not in the header's classes"),
         ("triplet 0001 pair-add-remove", "8: class 'pair-add-remove' is not in the header's classes"),
-        ("tripelt 0001 param-jitter", "8: expected a header line or 'triplet <stem> <class>', got 'tripelt 0001 param-jitter'"),
+        ("tripelt 0001 param-jitter", "8: expected 'triplet <stem> <class>', got 'tripelt 0001 param-jitter'"),
         ("triplet ../corpus/0001 param-jitter", "8: stem '../corpus/0001' is not a plain file name"),
-        ("", " no triplets"),
+        ("", "1: corpus_size 2 but 0 triplet lines"),
     ],
 )
 def test_eval_names_the_manifest_line_it_rejects(runner, triplet, message):

@@ -330,6 +330,19 @@ while True:
     sys.stdout.flush()
 """
 
+# closes its input before it answers the first request with garbage, then
+# stays alive, so the next request's write meets a pipe with no reader
+DEAF_STUB = """\
+import os, sys, time
+
+n = int(sys.stdin.readline().split()[1])
+sys.stdin.readline()
+os.close(0)
+print("garbage\\n" * n + "END")
+sys.stdout.flush()
+time.sleep(30)
+"""
+
 # answers every request with a circle of radius 10 + seed; the answer to
 # seed 1 comes only after the client has given up waiting for it
 LATE_SEED_STUB = """\
@@ -524,3 +537,22 @@ def test_endpoint_survives_repeated_requests(tmp_path):
         second = infill(masked, 2, 1, gen)
     assert [c.seq for c in first] == [c.seq for c in second]
     assert all(c.origin == ORIGIN_EXTERNAL for c in second)
+
+
+def test_an_endpoint_that_stopped_reading_falls_back_and_is_stopped(tmp_path):
+    _, masked = _masked_circle()
+    n, seed = 3, 8
+    alone = [c.seq for c in infill(masked, n, seed)]
+    with ExternalGenerator(_stub(tmp_path, "deaf.py", DEAF_STUB), timeout=2.0) as gen:
+        first = infill(masked, n, seed, gen)
+        proc = gen._proc
+        out = infill(masked, n, seed, gen)
+        assert gen._proc is None and proc.poll() is not None
+    assert [(c.seq, c.note) for c in first] == [(seq, "") for seq in alone]
+    note = "endpoint failed, surrogate fallback: endpoint rejected the request: [Errno 32] Broken pipe"
+    assert [(c.seq, c.origin, c.note) for c in out] == [(seq, ORIGIN_SURROGATE, note) for seq in alone]
+
+
+def test_an_endpoint_needs_a_command_line():
+    with pytest.raises(ValueError, match="^external generator needs a command line$"):
+        ExternalGenerator(())

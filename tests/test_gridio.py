@@ -1,5 +1,7 @@
 """Round trips for the binary grid format, the text debug format, and sequence files."""
 
+import errno
+import os
 import struct
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from helpers import cylinder_sequence
 
+from cadfit import gridio
 from cadfit.errors import SequenceSyntaxError, StructureError
 from cadfit.gridio import (
     MAGIC,
@@ -238,3 +241,24 @@ def test_a_text_grid_that_is_not_utf8_is_named(tmp_path):
 def test_parse_serialize_identity_through_files(tmp_path):
     text = serialize_sequence(cylinder_sequence())
     assert serialize_sequence(parse_sequence(text)) == text
+
+
+def test_a_failed_staging_names_its_output_and_leaves_every_file_as_it_was(tmp_path, monkeypatch):
+    first, second = tmp_path / "first", tmp_path / "second"
+    first.write_bytes(b"old first")
+    mkstemp, staged = gridio.tempfile.mkstemp, []
+
+    def full_disk_on_the_second(**kwargs):
+        if staged:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        staged.append(mkstemp(**kwargs))
+        return staged[-1]
+
+    monkeypatch.setattr(gridio.tempfile, "mkstemp", full_disk_on_the_second)
+    with pytest.raises(OSError) as err:
+        write_atomic((first, b"new first"), (second, b"new second"))
+    assert (err.value.errno, err.value.filename) == (errno.ENOSPC, str(second))
+    # the first output was staged, and its temporary file is gone again
+    assert Path(staged[0][1]).parent == tmp_path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first"]
+    assert first.read_bytes() == b"old first"

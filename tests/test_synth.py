@@ -196,11 +196,28 @@ def test_corpus_round_trip_keeps_a_small_grid(tmp_path):
     assert all(np.array_equal(u.target.values, t.target.values) for t, u in zip(triplets, back))
 
 
+# header lines that parse but make no SynthSpec, or not the fixed edits_per_triplet
+_BAD_HEADERS = {
+    "no-size": (0, "corpus_size 0"),
+    "seed": (1, "seed -3"),
+    "bogus-class": (2, "classes " + ",".join(EDIT_CLASSES + ("bogus-class",))),
+    "edits": (3, "edits_per_triplet 7"),
+}
+
+
 def _tell(lie: str, lines: list[str], where, triplets) -> None:
     """Make a saved 6-triplet manifest lie: change its lines, or a file."""
     if lie == "coarse-target":
         coarse = render(triplets[2].truth, GridSpec(resolution=16))
         (where / "0002.target.tsdf").write_bytes(tsdf_bytes(coarse))
+    elif lie == "resolution-12":
+        # every target agrees with the header, but the engine cannot pool 12
+        for k, t in enumerate(triplets):
+            (where / f"{k:04d}.target.tsdf").write_bytes(tsdf_bytes(render(t.truth, GridSpec(resolution=12))))
+        lines[4] = "resolution 12"
+    elif lie in _BAD_HEADERS:
+        index, line = _BAD_HEADERS[lie]
+        lines[index] = line
     elif lie == "short":
         del lines[8]
     elif lie in ("misspelled", "garbage"):
@@ -215,16 +232,21 @@ def _tell(lie: str, lines: list[str], where, triplets) -> None:
         lines[4] = "resolution 4"
 
 
-# each lie's error, after "<manifest>:"
+# each lie's error, after "<manifest>:"; a header that makes no SynthSpec names no line
 _LIES = {
     "coarse-target": "9: target has resolution 16 and tau 0.200000003, the header 32 and 0.200000003",
     "short": "1: corpus_size 6 but 5 triplet lines",
-    "misspelled": "13: expected a header line or 'triplet <stem> <class>', got 'tripelt 0009 param-jitter'",
-    "garbage": "13: expected a header line or 'triplet <stem> <class>', got 'garbage line'",
+    "misspelled": "13: expected 'triplet <stem> <class>', got 'tripelt 0009 param-jitter'",
+    "garbage": "13: expected 'triplet <stem> <class>', got 'garbage line'",
     "class": "7: class {cls!r} is not in the header's classes",
-    "tau-twice": "7: tau given twice",
-    "no-tau": "6: no tau line before the triplets",
+    "tau-twice": "7: expected 'triplet <stem> <class>', got 'tau 0.1'",
+    "no-tau": "6: expected a tau line, got 'triplet 0000 {cls}'",
     "resolution": "5: resolution: resolution 4 below the minimum of 8",
+    "resolution-12": " resolution must be a multiple of 8, got 12",
+    "no-size": " corpus_size must be positive, got 0",
+    "seed": " seed must be non-negative, got -3",
+    "bogus-class": f" classes must be a nonempty subset of {EDIT_CLASSES}",
+    "edits": "4: edits_per_triplet must be 1, got 7",
 }
 
 
