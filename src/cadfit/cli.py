@@ -4,13 +4,13 @@ Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2 when
 rendering found no solid and 1 for everything else, a missing input file, an
 unwritable output path and two outputs that name one file included.  Such an
 output fails before the work: ``render``, ``edit`` and ``eval`` check theirs
-with ``check_outputs`` before they read an input, and ``synth`` checks its
-manifest path as soon as it has made its directory.  A failed ``edit`` or
-``synth`` writes no file: each writes all of its outputs through one
-``write_atomic`` call, so an existing corpus stays whole (a failed ``synth``
-may leave a new output directory, empty).  A malformed command line, such as
-``--res abc``, is a click usage error and exits 2.  ``--res`` and ``--seed``
-defaults can come from CADFIT_RESOLUTION and CADFIT_SEED.
+with ``check_outputs`` before they read an input, and ``synth`` checks every
+file of its corpus as soon as it has made its directory, before it draws.  A
+failed ``edit`` or ``synth`` writes no file: each writes all of its outputs
+through one ``write_atomic`` call, so an existing corpus stays whole (a failed
+``synth`` may leave a new output directory, empty).  A malformed command line,
+such as ``--res abc``, is a click usage error and exits 2.  ``--res`` and
+``--seed`` defaults can come from CADFIT_RESOLUTION and CADFIT_SEED.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .metrics import report_for
 from .planner import relative_scores, select_segments
 from .report import eval_report, influence_lines, metrics_lines, run_report
 from .sequence import Granularity
-from .synth import load_corpus, read_recipe, save_corpus, synth
+from .synth import corpus_files, load_corpus, read_recipe, save_corpus, synth
 
 _res_option = click.option(
     "--res",
@@ -189,7 +189,7 @@ def synth_cmd(spec_file, out, seed, res):
     """
     spec = read_recipe(spec_file, seed, res)
     Path(out).mkdir(parents=True, exist_ok=True)
-    check_outputs(Path(out) / "manifest")
+    check_outputs(*corpus_files(out, spec.corpus_size))
     triplets = synth(spec)
     save_corpus(out, triplets, spec)
     click.echo(f"wrote {len(triplets)} triplets to {out}")

@@ -142,6 +142,13 @@ others.  A reused body is exact: its arrays depend only on the key and the
 spec, so an attribution folds the very arrays it would compute, and a
 render h of a field that obeys the band rule, which is all the shortcuts
 above are proven to need.
+
+Kernel grids are trusted.  ``_compose`` hands back a fresh, C-ordered
+float32 array that it made read-only, in [-tau, tau] by the clamp of every
+body (a render) or of the scene (an attribution), so ``render`` and
+``AttributionGrid.grid`` wrap it in a TSDFGrid without the constructor's
+cast, scan and copy.  The constructor keeps them for every other caller,
+so a grid read from a file is checked at that boundary.
 """
 
 from __future__ import annotations
@@ -210,10 +217,36 @@ class GridSpec:
         i = np.arange(self.resolution)
         return DOMAIN_MIN + (i + 0.5) * self.pitch
 
+    @functools.cached_property
+    def _lattice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x, y and z of the n^2 lattice points (x_i, y_j, z_j) a z-aligned
+        body is evaluated at (see the module notes), read-only."""
+        c, n = self.centers(), self.resolution
+        x, yz = _read_only(np.repeat(c, n)), _read_only(np.tile(c, n))
+        return x, yz, yz
+
+    @functools.cached_property
+    def _block_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x, y and z of the centers of the blocks ``_banded`` culls, in C
+        order, read-only."""
+        nb = -(-self.resolution // _BLOCK)
+        mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * self.pitch)
+        return tuple(map(_read_only, (mid.repeat(nb * nb), np.tile(mid.repeat(nb), nb), np.tile(mid, nb * nb))))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 @dataclass(frozen=True, eq=False)
 class TSDFGrid:
-    """Truncated SDF samples at cell centers, clamped to [-tau, tau]."""
+    """Truncated SDF samples at cell centers, clamped to [-tau, tau].
+
+    The constructor checks and copies ``values``, so a grid read from a file
+    is rejected at that boundary; the kernel's own grids are trusted and
+    built by ``_kernel_grid`` without that pass.
+    """
 
     spec: GridSpec
     values: np.ndarray
@@ -238,6 +271,15 @@ class TSDFGrid:
         return self.values < 0
 
 
+def _kernel_grid(spec: GridSpec, values: np.ndarray) -> TSDFGrid:
+    """A TSDFGrid of ``_compose``'s values, which are fresh, read-only,
+    C-ordered float32 in [-tau, tau]: not cast, scanned or copied again."""
+    grid = object.__new__(TSDFGrid)
+    object.__setattr__(grid, "spec", spec)
+    object.__setattr__(grid, "values", values)
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class AttributionGrid:
     """Composed field plus, per voxel, the segment that owns it.
@@ -254,7 +296,7 @@ class AttributionGrid:
     bodies: Mapping[tuple[Sketch, Extrusion], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def grid(self) -> TSDFGrid:
-        return TSDFGrid(self.spec, self.values)
+        return _kernel_grid(self.spec, self.values)
 
 
 # --------------------------------------------------------------------------
@@ -332,14 +374,11 @@ def _arc(a, b, sweep, ccw, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loop_vertices(loop: Loop) -> list[np.ndarray]:
-    verts = [
-        np.array([dequantize(x, Channel.COORD_2D), dequantize(y, Channel.COORD_2D)])
-        for x, y in chain_vertices(loop)
-    ]
-    for k in range(len(verts)):
-        if np.array_equal(verts[k], verts[(k + 1) % len(verts)]):
-            raise DegenerateLoopError("zero-length chain step")
-    return verts
+    bins = chain_vertices(loop)
+    # distinct bins dequantize to distinct coordinates
+    if any(bins[k - 1] == bins[k] for k in range(len(bins))):
+        raise DegenerateLoopError("zero-length chain step")
+    return [np.array([dequantize(x, Channel.COORD_2D), dequantize(y, Channel.COORD_2D)]) for x, y in bins]
 
 
 def _loop_eval(loop: Loop, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -440,7 +479,7 @@ def _field(d: np.ndarray, slab: np.ndarray, top: float = math.inf) -> np.ndarray
 def _clamped(f: np.ndarray, tau: float) -> np.ndarray:
     """h(f) = clip(float32(f), -tau, tau)."""
     g = f.astype(np.float32)
-    return np.clip(g, -np.float32(tau), np.float32(tau), out=g)
+    return g.clip(-np.float32(tau), np.float32(tau), out=g)
 
 
 def _local(x, y, z, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -465,9 +504,7 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
     and 0 in every other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb, cube = -(-n // _BLOCK), _BLOCK**3
-    mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)
-    mids = mid.repeat(nb * nb), np.tile(mid.repeat(nb), nb), np.tile(mid, nb * nb)
-    fc = _field(*_extrude(sketch, ext, *_local(*mids, rot, origin))[:2])
+    fc = _field(*_extrude(sketch, ext, *_local(*spec._block_centers, rot, origin))[:2])
     near = np.flatnonzero(np.abs(fc) < tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN)
     # per axis, each near block's cell centers, the last standing in for pad
     # cells; cells run block by block, each block's in C order
@@ -541,8 +578,7 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             return _banded(sketch, ext, spec, rot, origin, owners)
         # z-aligned: the profile at the points (x_i, y_j, z_j), the slab at
         # the first n of them (see the module notes)
-        c = spec.centers()
-        plane, height = _local(np.repeat(c, n), np.tile(c, n), np.tile(c, n), rot, origin)
+        plane, height = _local(*spec._lattice, rot, origin)
         d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
         f = np.maximum(h(d + 0.0), h(slab + 0.0))
         xy = np.flatnonzero((d > 0) & (d < tau))
@@ -573,10 +609,10 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             took = True if scene is None else composed != scene
             np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
         scene = composed
-    values = _clamped(scene, tau) if owners else scene
+    values = np.ascontiguousarray(_clamped(scene, tau) if owners else scene)
     if not (values < 0).any():
         raise RenderInvalidError("composed field has no interior voxels")
-    return values, owner, tuple(ids), MappingProxyType(bodies)
+    return _read_only(values), owner, tuple(ids), MappingProxyType(bodies)
 
 
 def render(
@@ -586,7 +622,7 @@ def render(
     ``base`` holds.  Raises RenderInvalidError when the composed occupancy
     is empty.
     """
-    return TSDFGrid(spec, _compose(seq, spec, False, base)[0])
+    return _kernel_grid(spec, _compose(seq, spec, False, base)[0])
 
 
 def attribute(
@@ -614,12 +650,15 @@ def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> np.
     flat = grid.values.reshape(-1)
     pts = []
     for axis in range(3):
-        # occ[i] != occ[i + 1] along the axis; the last layer meets its own copy
-        at = np.flatnonzero(np.diff(occ, axis=axis, append=occ.take([-1], axis=axis)))
-        if not at.size:
+        # occ[i] != occ[i + 1] along the axis, found as flat indices k of the
+        # (n - 1)-layer comparison and moved to the grid by the layers skipped
+        lead, inner = (slice(None),) * axis, n ** (2 - axis)
+        k = np.flatnonzero(occ[lead + (slice(1, None),)] != occ[lead + (slice(-1),)])
+        if not k.size:
             continue
+        at = k + k // ((n - 1) * inner) * inner
         va = flat[at].astype(np.float64)
-        t = va / (va - flat[at + n ** (2 - axis)])
+        t = va / (va - flat[at + inner])
         coords = DOMAIN_MIN + (np.stack(np.unravel_index(at, occ.shape), axis=-1) + 0.5) * pitch
         coords[:, axis] += t * pitch
         pts.append(coords)

@@ -1,4 +1,9 @@
-"""Shape and structure metrics for comparing edits against a target."""
+"""Shape and structure metrics for comparing edits against a target.
+
+A metric reads ``TSDFGrid`` values without checking them again: a kernel
+grid is built inside the band, and a grid from a file was checked where
+``gridio`` read it.
+"""
 
 from __future__ import annotations
 
@@ -27,10 +32,10 @@ def iou(a: TSDFGrid, b: TSDFGrid) -> float:
     if a.spec != b.spec:
         raise SpecMismatchError("grids use different specs")
     occ_a, occ_b = a.occupancy(), b.occupancy()
-    union = int((occ_a | occ_b).sum())
+    union = int(np.count_nonzero(occ_a | occ_b))
     if union == 0:
         return 1.0
-    return int((occ_a & occ_b).sum()) / union
+    return int(np.count_nonzero(occ_a & occ_b)) / union
 
 
 def chamfer(a, b) -> float:
@@ -59,10 +64,16 @@ def jsd(p, q) -> float:
     if p.shape != q.shape:
         raise NormalizationError("histograms must share a shape")
     m = (p + q) / 2
-    # 0·log(0/m) terms contribute nothing
-    kl_pm = float(np.sum(np.where(p > 0, p * np.log(np.where(p > 0, p, 1) / np.where(m > 0, m, 1)), 0.0)))
-    kl_qm = float(np.sum(np.where(q > 0, q * np.log(np.where(q > 0, q, 1) / np.where(m > 0, m, 1)), 0.0)))
-    return 0.5 * kl_pm + 0.5 * kl_qm
+    term = np.empty_like(m)
+
+    def kl(a):  # sum of a * log(a / m), where 0 * log(0 / m) contributes 0
+        term.fill(0.0)
+        at = a > 0  # there m > 0 too
+        np.divide(a, m, out=term, where=at)
+        np.log(term, out=term, where=at)
+        return float(np.sum(np.multiply(term, a, out=term)))
+
+    return 0.5 * kl(p) + 0.5 * kl(q)
 
 
 def occupancy_histogram(grids) -> np.ndarray:

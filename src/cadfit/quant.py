@@ -44,9 +44,14 @@ def check_bin(value: int) -> int:
     return value
 
 
+# every bin's value, lo + b * (hi - lo) / 255, per channel
+_VALUES: dict[Channel, tuple[float, ...]] = {
+    channel: tuple(lo + b * (hi - lo) / BIN_MAX for b in range(BIN_MAX + 1)) for channel, (lo, hi) in _RANGES.items()
+}
+
+
 def dequantize(bin_value: int, channel: Channel) -> float:
-    lo, hi = _RANGES[channel]
-    return lo + check_bin(bin_value) * (hi - lo) / BIN_MAX
+    return _VALUES[channel][check_bin(bin_value)]
 
 
 def quantize(value: float, channel: Channel) -> int:

@@ -356,9 +356,15 @@ def _read_setting(given: dict, line: str, where) -> None:
         raise ValueError(f"{where}: {key}: {err}") from err
 
 
+def corpus_files(path, corpus_size: int) -> list[Path]:
+    """The files ``save_corpus`` writes for ``corpus_size`` triplets, in its
+    order: each stem's original, target and truth, then the manifest."""
+    names = [f"{k:04d}.{kind}" for k in range(corpus_size) for kind in ("orig.seq", "target.tsdf", "truth.seq")]
+    return [Path(path) / name for name in names + ["manifest"]]
+
+
 def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
     """Write every triplet's files and then the manifest, all or none."""
-    path = Path(path)
     lines = [
         f"corpus_size {len(triplets)}",
         f"seed {spec.seed}",
@@ -367,16 +373,12 @@ def save_corpus(path, triplets: list[Triplet], spec: SynthSpec) -> None:
         f"resolution {spec.grid.resolution}",
         f"tau {spec.grid.tau:.9g}",
     ]
-    outputs = []
+    data = []
     for k, t in enumerate(triplets):
-        stem = f"{k:04d}"
-        outputs += [
-            (path / f"{stem}.orig.seq", sequence_bytes(t.original)),
-            (path / f"{stem}.target.tsdf", tsdf_bytes(t.target)),
-            (path / f"{stem}.truth.seq", sequence_bytes(t.truth)),
-        ]
-        lines.append(f"triplet {stem} {t.edit_class}")
-    write_atomic(*outputs, (path / "manifest", ("\n".join(lines) + "\n").encode("utf-8")))
+        data += [sequence_bytes(t.original), tsdf_bytes(t.target), sequence_bytes(t.truth)]
+        lines.append(f"triplet {k:04d} {t.edit_class}")
+    data.append(("\n".join(lines) + "\n").encode("utf-8"))
+    write_atomic(*zip(corpus_files(path, len(triplets)), data))
 
 
 def load_corpus(path) -> list[Triplet]:
@@ -406,7 +408,7 @@ def load_corpus(path) -> list[Triplet]:
         spec = SynthSpec(grid=GridSpec(header.pop("resolution"), header.pop("tau")), **header)
     except ValueError as err:
         raise ValueError(f"{manifest}: {err}") from err
-    out = []
+    listed = []  # every line is checked, and counted, before any triplet file is read
     for number, line in enumerate(lines[6:], 7):
         where = f"{manifest}:{number}"
         fields = line.split()
@@ -417,6 +419,11 @@ def load_corpus(path) -> list[Triplet]:
             raise ValueError(f"{where}: stem {stem!r} is not a plain file name")
         if edit_class not in spec.classes:
             raise ValueError(f"{where}: class {edit_class!r} is not in the header's classes")
+        listed.append((where, stem, edit_class))
+    if len(listed) != spec.corpus_size:
+        raise ValueError(f"{manifest}:1: corpus_size {spec.corpus_size} but {len(listed)} triplet lines")
+    out = []
+    for where, stem, edit_class in listed:
         original = read_sequence_file(path / f"{stem}.orig.seq")
         truth = read_sequence_file(path / f"{stem}.truth.seq")
         target = read_tsdf(path / f"{stem}.target.tsdf")
@@ -426,8 +433,6 @@ def load_corpus(path) -> list[Triplet]:
                 f"the header {spec.grid.resolution} and {spec.grid.tau:.9g}"
             )
         out.append(Triplet(original, target, truth, edit_class, edit_distance(original, truth)))
-    if len(out) != spec.corpus_size:
-        raise ValueError(f"{manifest}:1: corpus_size {spec.corpus_size} but {len(out)} triplet lines")
     return out
 
 

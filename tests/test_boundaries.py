@@ -16,12 +16,12 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_points
+from helpers import cell_points, cylinder_sequence
 
 from cadfit.cli import main
 from cadfit.errors import CadfitError
 from cadfit.gridio import read_grid_text, read_tsdf, tsdf_bytes, write_grid_text
-from cadfit.kernel import GridSpec, TSDFGrid
+from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.sequence import parse_sequence, serialize_sequence
 from cadfit.synth import SynthSpec, random_sequence, save_corpus, synth
 
@@ -189,3 +189,58 @@ def test_eval_on_a_damaged_manifest_runs_or_fails_in_one_line(corpus, data):
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert re.fullmatch(r"[A-Z]\w*: [^\n]*\n", res.stderr)
     assert not report.exists()
+
+
+@pytest.fixture(scope="module")
+def scoring_inputs(tmp_path_factory):
+    """A directory holding a sequence file, and its resolution-16 render."""
+    path = tmp_path_factory.mktemp("scoring")
+    seq = cylinder_sequence()
+    (path / "cyl.seq").write_text(serialize_sequence(seq) + "\n", encoding="utf-8")
+    return path, render(seq, GridSpec(resolution=16))
+
+
+@st.composite
+def damaged_targets(draw, grid):
+    """``grid`` as a ``.tsdf`` or ``.grid`` file, truncated or with one
+    sample made NaN, an infinity or the next float32 past tau, of either
+    sign."""
+    suffix = draw(st.sampled_from((".tsdf", ".grid")))
+    damage = draw(st.sampled_from(("truncated", "nan", "inf", "-inf", "past-tau")))
+    past = np.nextafter(np.float32(grid.spec.tau), np.float32(np.inf)) * draw(st.sampled_from((1, -1)))
+    bad = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "past-tau": past}.get(damage)
+    k = draw(st.integers(0, grid.values.size - 1))
+    if suffix == ".tsdf":
+        data = bytearray(tsdf_bytes(grid))
+        if damage == "truncated":
+            return suffix, damage, bytes(data[: draw(st.integers(_HEADER, len(data) - 1))])
+        data[_HEADER + 4 * k : _HEADER + 4 * k + 4] = np.float32(bad).astype("<f4").tobytes()
+        return suffix, damage, bytes(data)
+    lines = _grid_text(grid).splitlines()
+    if damage == "truncated":
+        return suffix, damage, ("\n".join(lines[: draw(st.integers(1, len(lines) - 1))]) + "\n").encode()
+    tokens = "\n".join(lines[1:]).split()
+    tokens[k] = f"{np.float32(bad):.9g}"
+    return suffix, damage, (lines[0] + "\n" + " ".join(tokens) + "\n").encode()
+
+
+@settings(max_examples=30, derandomize=True)
+@given(data=st.data())
+def test_scoring_a_damaged_target_fails_in_one_line_and_writes_nothing(scoring_inputs, data):
+    """The file boundary rejects what the kernel's own grids skip: a target
+    that is truncated, not finite or out of the band."""
+    path, grid = scoring_inputs
+    suffix, damage, raw = data.draw(damaged_targets(grid))
+    target = path / f"target{suffix}"
+    target.write_bytes(raw)
+    before = sorted(os.listdir(path))
+    seq = str(path / "cyl.seq")
+    for args in (
+        ["metrics", seq, str(target), "--res", "16"],
+        ["edit", seq, str(target), "-o", str(path / "out.seq"), "--report", str(path / "r.txt"), "--rounds", "1"],
+    ):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), (damage, args[0], res.output)
+        assert re.fullmatch(rf"ValueError: {re.escape(str(target))}: [^\n]*\n", res.stderr), res.stderr
+        assert res.stdout == ""
+        assert sorted(os.listdir(path)) == before

@@ -164,7 +164,7 @@ def _tree() -> dict:
         (["render", "cyl.seq", "-o", "locked/x.tsdf"], _LOCKED % "x.tsdf"),
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "locked/r.txt", "--n", "0"], _LOCKED % "r.txt"),
         (["eval", "corpus", "--report", "locked/r.txt", "--n", "0"], _LOCKED % "r.txt"),
-        (["synth", "--spec", "recipe", "-o", "locked"], _LOCKED % "manifest"),
+        (["synth", "--spec", "recipe", "-o", "locked"], _LOCKED % "0000.orig.seq"),
     ],
     ids=[
         "render-o",
@@ -496,13 +496,18 @@ def test_synth_emits_documented_layout(runner):
         assert (render(truth, target.spec).values == target.values).all()
 
 
-def test_a_failed_synth_leaves_the_old_corpus_whole(runner):
+def test_a_failed_synth_leaves_the_old_corpus_whole(runner, monkeypatch):
     with runner.isolated_filesystem():
         _tiny_corpus(runner, out="c", seed="0")
         old = load_corpus("c")
         Path("c/0002.orig.seq").mkdir()
         Path("recipe").write_text("corpus_size 3\nclasses param-jitter\n")
         before = _tree()
+
+        def draw(_spec):
+            raise RuntimeError("drew before every corpus file was checked")
+
+        monkeypatch.setattr("cadfit.cli.synth", draw)
         res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c", "--seed", "1"])
         assert res.exit_code == 1
         assert res.stderr == "IsADirectoryError: [Errno 21] Is a directory: 'c/0002.orig.seq'\n"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -164,9 +164,20 @@ def test_arc_sweep_test_equals_the_float_remainder(ccw):
 
 
 def test_degenerate_chain_raises():
-    loop = Loop((Line((60, 60)), Line((60, 60)), Line((200, 60))))
-    with pytest.raises(DegenerateLoopError):
-        kernel._loop_eval(loop, np.zeros(1), np.zeros(1))
+    """Two equal consecutive vertices, at any step of the chain, the closing
+    one included, and whether a line or an arc ends at the repeat."""
+    for repeat in range(5):
+        for arc in (False, True):
+            ends = [(60, 60), (200, 60), (200, 200), (60, 200)]
+            ends.insert(repeat, ends[repeat - 1])
+            prims = [Line(e) for e in ends]
+            if arc:
+                prims[repeat] = Arc(ends[repeat], 40, True)
+            loop = Loop(tuple(prims))
+            with pytest.raises(DegenerateLoopError):
+                kernel._loop_eval(loop, np.zeros(1), np.zeros(1))
+            with pytest.raises(DegenerateLoopError):
+                render(ConstructionSequence(((Sketch((loop,)), extrusion()),)), GridSpec(resolution=8))
 
 
 def test_profile_with_hole_annulus():
@@ -904,6 +915,42 @@ def _renderable(rng, spec, variant):
             return seq, attribute(seq, spec)
         except RenderInvalidError:
             continue
+
+
+@settings(max_examples=24, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    variant=st.sampled_from(("z-aligned", "tilted", "mixed")),
+    pairs=st.integers(1, 4),
+    resolution=st.sampled_from((16, 17, 32, 64)),
+    tau=st.sampled_from((0.2, 0.05)),
+)
+# at resolution 17 the culled blocks overhang the grid, so a lone tilted
+# body's field is a slice of a larger array
+@example(seed=0, variant="tilted", pairs=1, resolution=17, tau=0.2)
+def test_kernel_grids_are_read_only_in_band_float32_the_checked_constructor_keeps(seed, variant, pairs, resolution, tau):
+    """``render`` and ``AttributionGrid.grid`` skip ``TSDFGrid``'s check and
+    copy: their values must pass the check unchanged and stay unwritable."""
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(resolution, tau)
+    pairs = max(pairs, 2) if variant == "mixed" else pairs
+    while True:
+        seq = _placed(random_sequence(rng, min_pairs=pairs, max_pairs=pairs), rng, variant)
+        try:
+            grids = [render(seq, spec), attribute(seq, spec).grid()]
+            break
+        except RenderInvalidError:
+            continue
+    for grid in grids:
+        values = grid.values
+        assert grid.spec == spec and values.shape == (resolution,) * 3
+        assert values.dtype == np.float32 and values.flags.c_contiguous
+        assert np.isfinite(values).all() and (np.abs(values) <= np.float32(spec.tau)).all()
+        assert not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0, 0] = 0
+        assert np.array_equal(TSDFGrid(spec, values).values.view(np.uint32), values.view(np.uint32))
+    assert np.array_equal(grids[0].values.view(np.uint32), grids[1].values.view(np.uint32))
 
 
 @pytest.mark.parametrize("variant", ["z-aligned", "tilted", "mixed"])

@@ -46,10 +46,14 @@ def test_quantize_clamps_out_of_range_values():
     assert quantize(-0.1, Channel.DISTANCE) == 0
 
 
+def test_every_bin_dequantizes_to_the_affine_formula_bit_for_bit():
+    for channel, (lo, hi) in _RANGES.items():
+        for b in range(BIN_MAX + 1):
+            assert dequantize(b, channel).hex() == (lo + b * (hi - lo) / BIN_MAX).hex()
+
+
 def test_dequantize_rejects_bad_bins():
-    with pytest.raises(BinRangeError):
-        dequantize(-1, Channel.COORD_2D)
-    with pytest.raises(BinRangeError):
-        dequantize(256, Channel.ANGLE)
-    with pytest.raises(BinRangeError):
-        dequantize(1.5, Channel.SCALE)
+    for channel in Channel:
+        for bad in (True, False, -1, 256, 3.0, 1.5, "3", None):
+            with pytest.raises(BinRangeError):
+                dequantize(bad, channel)

@@ -264,6 +264,23 @@ def test_a_manifest_that_lies_is_rejected_on_its_line(tmp_path, small_corpus, li
     assert str(err.value) == f"{manifest}:" + _LIES[lie].format(cls=triplets[0].edit_class)
 
 
+def test_a_manifest_with_an_extra_triplet_line_fails_before_any_file_is_read(tmp_path, small_corpus, monkeypatch):
+    spec, triplets = small_corpus
+    save_corpus(tmp_path, triplets, spec)
+    manifest = tmp_path / "manifest"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("\n".join(lines + lines[-1:]) + "\n", encoding="utf-8")
+
+    def read(path):
+        raise AssertionError(f"read {path} before counting the triplet lines")
+
+    for name in ("read_sequence_file", "read_tsdf"):
+        monkeypatch.setattr(synth_module, name, read)
+    with pytest.raises(ValueError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == f"{manifest}:1: corpus_size 6 but 7 triplet lines"
+
+
 def test_corpus_save_is_reproducible(tmp_path, small_corpus):
     spec, triplets = small_corpus
     a_dir = tmp_path / "a"
