@@ -174,6 +174,54 @@ def test_parse_names_the_rule_a_stream_breaks(text, kind, message):
     assert str(err.value) == message
 
 
+# every part's fields in stream order, spelled out apart from the parser:
+# head -> (name in messages, valid values, [(field, largest value, error past it)])
+_BIN = (255, BinRangeError)
+_PART_FIELDS = {
+    "L": ("line", "10 20", [("ex", *_BIN), ("ey", *_BIN)]),
+    "A": ("arc", "10 20 64 1", [("ex", *_BIN), ("ey", *_BIN), ("sweep", *_BIN), ("ccw", 1, SequenceSyntaxError)]),
+    "C": ("circle", "128 128 64", [("cx", *_BIN), ("cy", *_BIN), ("r", *_BIN)]),
+    "E": (
+        "extrusion",
+        _EXT.split(" ", 1)[1],
+        [(f, *_BIN) for f in ("theta", "phi", "gamma", "ox", "oy", "oz", "scale", "dist+", "dist-")]
+        + [("op", 3, SequenceSyntaxError), ("ext", 2, SequenceSyntaxError)],
+    ),
+}
+
+
+def _field_cases():
+    for head, (name, valid, fields) in _PART_FIELDS.items():
+        for k, (field, limit, error) in enumerate(fields):
+            what = f"{name} {field}"
+            yield head, k, "x", SequenceSyntaxError, f"{what}: expected an integer, got 'x'"
+            yield head, k, "1.5", SequenceSyntaxError, f"{what}: expected an integer, got '1.5'"
+            yield head, k, str(limit + 1), error, f"{what}: value {limit + 1} outside [0, {limit}]"
+            yield head, k, "-1", error, f"{what}: value -1 outside [0, {limit}]"
+            yield head, k, None, SequenceSyntaxError, "unexpected end of stream"
+
+
+@pytest.mark.parametrize(
+    "head, k, token, kind, message",
+    list(_field_cases()),
+    ids=[f"{h}-{_PART_FIELDS[h][2][k][0]}-{'cut' if t is None else t}" for h, k, t, *_ in _field_cases()],
+)
+def test_parse_names_the_field_a_token_breaks(head, k, token, kind, message):
+    """A bad token in field k of a part, or the stream cut after field k."""
+    values = _PART_FIELDS[head][1].split()
+    before = "SOL C 128 128 64" if head == "E" else "SOL"
+    after = "SEP EOS" if head == "E" else f"{_EXT} SEP EOS"
+    if token is None:
+        text = " ".join([before, head, *values[: k + 1]])
+    else:
+        values[k] = token
+        text = " ".join([before, head, *values, after])
+    with pytest.raises(kind) as err:
+        parse_sequence(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
 def test_parse_rejects_first_op_not_new():
     text = serialize_sequence(ConstructionSequence((circle_pair(),))).split()
     text[-4] = "1"  # bool_op field of the only extrusion
