@@ -35,7 +35,7 @@ from .gridio import (
     write_text_atomic,
 )
 from .kernel import GridSpec, attribute, render
-from .metrics import report_for
+from .metrics import DEFAULT_LAMBDA, report_for
 from .planner import relative_scores, select_segments
 from .report import eval_report, influence_lines, metrics_lines, run_report
 from .sequence import Granularity
@@ -44,7 +44,7 @@ from .synth import corpus_files, load_corpus, read_recipe, save_corpus, synth
 _res_option = click.option(
     "--res",
     type=int,
-    default=32,
+    default=GridSpec.resolution,
     envvar="CADFIT_RESOLUTION",
     show_default=True,
     help="Grid resolution per axis.",
@@ -64,6 +64,15 @@ _granularity_option = click.option(
     show_default=True,
     help="Segment size the planner scores and masks.",
 )
+
+
+def _engine_options(fn):
+    """--rounds, --n and --queue, each defaulting to its EngineConfig field."""
+    fn = click.option(
+        "--queue", type=int, default=EngineConfig.queue_capacity, show_default=True, help="Queue capacity."
+    )(fn)
+    fn = click.option("--n", type=int, default=EngineConfig.n, show_default=True, help="Candidates per round.")(fn)
+    return click.option("--rounds", type=int, default=EngineConfig.max_rounds, show_default=True)(fn)
 
 
 def _guarded(fn):
@@ -89,7 +98,7 @@ def main() -> None:
 @click.argument("seq_file")
 @click.option("-o", "--out", required=True)
 @_res_option
-@click.option("--tau", type=float, default=0.2, show_default=True, help="Truncation distance.")
+@click.option("--tau", type=float, default=GridSpec.tau, show_default=True, help="Truncation distance.")
 @_guarded
 def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
     """Render a sequence file to a grid file (.grid suffix for text form)."""
@@ -111,9 +120,7 @@ def _engine_config(rounds, n, queue, seed, granularity, ablate) -> EngineConfig:
 @click.argument("seq_file")
 @click.argument("target_file")
 @click.option("-o", "--out", required=True)
-@click.option("--rounds", type=int, default=10, show_default=True)
-@click.option("--n", type=int, default=8, show_default=True, help="Candidates per round.")
-@click.option("--queue", type=int, default=5, show_default=True, help="Queue capacity.")
+@_engine_options
 @_seed_option
 @click.option("--generator-cmd", default=None, help="External infill endpoint command line.")
 @click.option("--report", "report_file", required=True)
@@ -154,7 +161,7 @@ def inspect_cmd(seq_file, target_file, granularity):
 @click.argument("seq_file")
 @click.argument("other_file")
 @_res_option
-@click.option("--lam", type=float, default=0.1, show_default=True)
+@click.option("--lam", type=float, default=DEFAULT_LAMBDA, show_default=True)
 @_guarded
 def metrics_cmd(seq_file, other_file, res, lam):
     """Score a sequence against a grid file, or against another sequence.
@@ -199,9 +206,7 @@ def synth_cmd(spec_file, out, seed, res):
 @click.argument("corpus_dir")
 @click.option("--report", "report_file", required=True)
 @click.option("--ablate", type=click.Choice(ABLATION_MODES), default=None)
-@click.option("--rounds", type=int, default=10, show_default=True)
-@click.option("--n", type=int, default=8, show_default=True, help="Candidates per round.")
-@click.option("--queue", type=int, default=5, show_default=True, help="Queue capacity.")
+@_engine_options
 @_seed_option
 @_granularity_option
 @_guarded

@@ -7,7 +7,7 @@ are encoded endpoint-only: primitive i runs from the endpoint of primitive
 i-1 to its own endpoint, and the chain starts where the final primitive
 ends, so a syntactically complete chain closes by construction.  What can
 still go wrong geometrically (zero-length steps, chains too short to bound
-area) is reported by :func:`validate_sequence` as closure violations.
+area) is reported by :func:`validate_sequence`.
 
 Canonical text form, whitespace separated, one token per field::
 
@@ -21,7 +21,10 @@ Canonical text form, whitespace separated, one token per field::
     MASK                             span placeholder in masked streams
 
 Numeric fields are decimal bins 0..255; ``ccw`` is 0|1, ``op`` 0..3 and
-``ext`` 0..2.
+``ext`` 0..2.  ``_PARTS`` is the one place that lists each part's fields,
+their limits and the error past each: the parser reads a part through it,
+``part_tokens`` writes the fields in its order and segment spans take each
+part's width from it.
 """
 
 from __future__ import annotations
@@ -174,24 +177,46 @@ def chain_vertices(loop: Loop) -> list[tuple[int, int]]:
 
 
 # --------------------------------------------------------------------------
-# serialization
+# the part table and serialization
 
 
-def primitive_tokens(prim: Primitive) -> list[str]:
-    if isinstance(prim, Line):
-        return ["L", str(prim.end[0]), str(prim.end[1])]
-    if isinstance(prim, Arc):
-        return ["A", str(prim.end[0]), str(prim.end[1]), str(prim.sweep), str(int(prim.ccw))]
-    return ["C", str(prim.center[0]), str(prim.center[1]), str(prim.radius)]
+def _fields(names: str, limit: int = BIN_MAX) -> tuple[tuple[str, int, type[CadfitError]], ...]:
+    """(name, largest value, error past it) for each name: a bin past its
+    largest value is out of range, a flag or an enum is malformed."""
+    error = BinRangeError if limit == BIN_MAX else SequenceSyntaxError
+    return tuple((name, limit, error) for name in names.split())
 
 
-def extrusion_tokens(ext: Extrusion) -> list[str]:
-    fields = (
-        list(ext.orientation)
-        + list(ext.origin)
-        + [ext.scale, ext.dist_pos, ext.dist_neg, int(ext.bool_op), int(ext.extent)]
-    )
-    return ["E"] + [str(v) for v in fields]
+# head token -> (name in messages, class, fields in stream order, the part
+# built from the field values)
+_PARTS = {
+    "L": ("line", Line, _fields("ex ey"), lambda v: Line((v[0], v[1]))),
+    "A": ("arc", Arc, _fields("ex ey sweep") + _fields("ccw", 1), lambda v: Arc((v[0], v[1]), v[2], v[3])),
+    "C": ("circle", Circle, _fields("cx cy r"), lambda v: Circle((v[0], v[1]), v[2])),
+    "E": (
+        "extrusion",
+        Extrusion,
+        _fields("theta phi gamma ox oy oz scale dist+ dist-") + _fields("op", 3) + _fields("ext", 2),
+        lambda v: Extrusion((v[0], v[1], v[2]), (v[3], v[4], v[5]), *v[6:]),
+    ),
+}
+# tokens a part spans: its head and its fields
+_WIDTH = {kind: 1 + len(fields) for _, kind, fields, _ in _PARTS.values()}
+
+
+def part_tokens(part: Primitive | Extrusion) -> list[str]:
+    """The head and field tokens of a primitive or an extrusion, in ``_PARTS`` order."""
+    if isinstance(part, Line):
+        return ["L", str(part.end[0]), str(part.end[1])]
+    if isinstance(part, Arc):
+        return ["A", str(part.end[0]), str(part.end[1]), str(part.sweep), str(int(part.ccw))]
+    if isinstance(part, Circle):
+        return ["C", str(part.center[0]), str(part.center[1]), str(part.radius)]
+    (t, p, g), (x, y, z) = part.orientation, part.origin
+    return [
+        "E", str(t), str(p), str(g), str(x), str(y), str(z), str(part.scale), str(part.dist_pos),
+        str(part.dist_neg), str(int(part.bool_op)), str(int(part.extent)),
+    ]
 
 
 def sequence_tokens(seq: ConstructionSequence) -> list[str]:
@@ -200,8 +225,8 @@ def sequence_tokens(seq: ConstructionSequence) -> list[str]:
         for loop in sketch.loops:
             out.append(SOL)
             for prim in loop.primitives:
-                out.extend(primitive_tokens(prim))
-        out.extend(extrusion_tokens(ext))
+                out.extend(part_tokens(prim))
+        out.extend(part_tokens(ext))
         out.append(SEP)
     out.append(EOS)
     return out
@@ -216,62 +241,22 @@ def serialize_sequence(seq: ConstructionSequence) -> str:
 # parsing
 
 
-class _Cursor:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise SequenceSyntaxError("unexpected end of stream")
-        self.pos += 1
-        return tok
-
-    def take_int(self, what: str, limit: int = BIN_MAX, error: type[CadfitError] = BinRangeError) -> int:
-        """The next token as an integer in [0, limit]; a bin by default."""
-        tok = self.take()
+def _parse_part(tokens: list[str], i: int) -> tuple[Primitive | Extrusion, int]:
+    """The part whose head is ``tokens[i]``, and the index past its fields."""
+    name, _, fields, build = _PARTS[tokens[i]]
+    raw = tokens[i + 1 : i + 1 + len(fields)]
+    values = []
+    for (field, limit, error), tok in zip(fields, raw):
         try:
             value = int(tok)
         except ValueError:
-            raise SequenceSyntaxError(f"{what}: expected an integer, got {tok!r}") from None
+            raise SequenceSyntaxError(f"{name} {field}: expected an integer, got {tok!r}") from None
         if not 0 <= value <= limit:
-            raise error(f"{what}: value {value} outside [0, {limit}]")
-        return value
-
-
-def _parse_primitive(cur: _Cursor) -> Primitive:
-    head = cur.take()
-    if head == "L":
-        return Line((cur.take_int("line ex"), cur.take_int("line ey")))
-    if head == "A":
-        end = (cur.take_int("arc ex"), cur.take_int("arc ey"))
-        sweep = cur.take_int("arc sweep")
-        return Arc(end, sweep, cur.take_int("arc ccw", 1, SequenceSyntaxError))
-    if head == "C":
-        center = (cur.take_int("circle cx"), cur.take_int("circle cy"))
-        return Circle(center, cur.take_int("circle r"))
-    raise SequenceSyntaxError(f"expected a primitive token, got {head!r}")
-
-
-def _parse_extrusion(cur: _Cursor) -> Extrusion:
-    head = cur.take()
-    if head != "E":
-        raise StructureError(f"expected extrusion block, got {head!r}")
-    names = ["theta", "phi", "gamma", "ox", "oy", "oz", "scale", "dist+", "dist-"]
-    bins = [cur.take_int(f"extrusion {n}") for n in names]
-    return Extrusion(
-        orientation=(bins[0], bins[1], bins[2]),
-        origin=(bins[3], bins[4], bins[5]),
-        scale=bins[6],
-        dist_pos=bins[7],
-        dist_neg=bins[8],
-        bool_op=cur.take_int("extrusion op", 3, SequenceSyntaxError),
-        extent=cur.take_int("extrusion ext", 2, SequenceSyntaxError),
-    )
+            raise error(f"{name} {field}: value {value} outside [0, {limit}]")
+        values.append(value)
+    if len(raw) < len(fields):
+        raise SequenceSyntaxError("unexpected end of stream")
+    return build(values), i + 1 + len(fields)
 
 
 def parse_sequence(text: str) -> ConstructionSequence:
@@ -287,30 +272,35 @@ def parse_sequence(text: str) -> ConstructionSequence:
         raise StructureError("empty stream")
     if MASK in tokens:
         raise SequenceSyntaxError("mask placeholder in a complete stream")
-    cur = _Cursor(tokens)
+    end, i = len(tokens), 0
     pairs: list[Pair] = []
-    while True:
-        tok = cur.peek()
-        if tok is None:
-            raise StructureError("stream ended without EOS")
-        if tok == EOS:
-            cur.take()
-            break
+    while i < end and tokens[i] != EOS:
         loops: list[Loop] = []
-        while cur.peek() == SOL:
-            cur.take()
+        while i < end and tokens[i] == SOL:
+            i += 1
             prims: list[Primitive] = []
-            while cur.peek() not in (SOL, "E", None):
-                if cur.peek() in (SEP, EOS):
+            while i < end and tokens[i] not in (SOL, "E"):
+                if tokens[i] in (SEP, EOS):
                     raise StructureError("loop not followed by an extrusion block")
-                prims.append(_parse_primitive(cur))
+                if tokens[i] not in _PARTS:
+                    raise SequenceSyntaxError(f"expected a primitive token, got {tokens[i]!r}")
+                prim, i = _parse_part(tokens, i)
+                prims.append(prim)
             loops.append(Loop(tuple(prims)))
-        ext = _parse_extrusion(cur)
-        sep = cur.take()
-        if sep != SEP:
-            raise StructureError(f"expected SEP after extrusion, got {sep!r}")
+        if i == end:
+            raise SequenceSyntaxError("unexpected end of stream")
+        if tokens[i] != "E":
+            raise StructureError(f"expected extrusion block, got {tokens[i]!r}")
+        ext, i = _parse_part(tokens, i)
+        if i == end:
+            raise SequenceSyntaxError("unexpected end of stream")
+        if tokens[i] != SEP:
+            raise StructureError(f"expected SEP after extrusion, got {tokens[i]!r}")
+        i += 1
         pairs.append((Sketch(tuple(loops)), ext))
-    if cur.peek() is not None:
+    if i == end:
+        raise StructureError("stream ended without EOS")
+    if i + 1 < end:
         raise StructureError("tokens after EOS")
     seq = ConstructionSequence(tuple(pairs))
     problems = validate_sequence(seq)
@@ -319,9 +309,7 @@ def parse_sequence(text: str) -> ConstructionSequence:
         msg = f"{first.where}: {first.message}"
         if len(problems) > 1:
             msg += f" (+{len(problems) - 1} more)"
-        if first.kind is ViolationKind.RANGE:
-            raise BinRangeError(msg)
-        raise StructureError(msg)
+        raise first.error(msg)
     return seq
 
 
@@ -329,15 +317,12 @@ def parse_sequence(text: str) -> ConstructionSequence:
 # validation
 
 
-class ViolationKind(Enum):
-    RANGE = "range"
-    CLOSURE = "closure"
-    STRUCTURE = "structure"
-
-
 @dataclass(frozen=True)
 class Violation:
-    kind: ViolationKind
+    """A broken rule: the error class ``parse_sequence`` raises for it, where
+    it is broken and how."""
+
+    error: type[CadfitError]
     where: str
     message: str
 
@@ -347,38 +332,27 @@ def _validate_loop(pi: int, li: int, loop: Loop, out: list[Violation]) -> None:
     circles = [p for p in loop.primitives if isinstance(p, Circle)]
     if circles:
         if len(loop.primitives) > 1:
-            out.append(
-                Violation(ViolationKind.STRUCTURE, where, "circle must be the only primitive of its loop")
-            )
+            out.append(Violation(StructureError, where, "circle must be the only primitive of its loop"))
             return
         circle = circles[0]
         if circle.radius < 1:
-            out.append(Violation(ViolationKind.RANGE, f"{where}.c0", "circle radius bin must be positive"))
+            out.append(Violation(BinRangeError, f"{where}.c0", "circle radius bin must be positive"))
         return
     for k, prim in enumerate(loop.primitives):
         if isinstance(prim, Arc) and not 1 <= prim.sweep <= 254:
-            out.append(
-                Violation(
-                    ViolationKind.RANGE,
-                    f"{where}.c{k}",
-                    "arc sweep bin must be in [1, 254]; a full turn is a circle",
-                )
-            )
+            message = "arc sweep bin must be in [1, 254]; a full turn is a circle"
+            out.append(Violation(BinRangeError, f"{where}.c{k}", message))
     verts = chain_vertices(loop)
     n = len(loop.primitives)
     if n < 2:
-        out.append(Violation(ViolationKind.CLOSURE, where, "chain loop needs at least two primitives"))
+        out.append(Violation(StructureError, where, "chain loop needs at least two primitives"))
         return
     if n < 3 and all(isinstance(p, Line) for p in loop.primitives):
-        out.append(Violation(ViolationKind.CLOSURE, where, "line-only loop needs at least three lines"))
+        out.append(Violation(StructureError, where, "line-only loop needs at least three lines"))
     for k in range(n):
         if verts[k] == verts[(k + 1) % n]:
             out.append(
-                Violation(
-                    ViolationKind.CLOSURE,
-                    f"{where}.c{k}",
-                    "zero-length step: chain revisits its previous vertex",
-                )
+                Violation(StructureError, f"{where}.c{k}", "zero-length step: chain revisits its previous vertex")
             )
 
 
@@ -387,17 +361,15 @@ def validate_sequence(seq: ConstructionSequence) -> list[Violation]:
     out: list[Violation] = []
     first_op = seq.pairs[0][1].bool_op
     if first_op is not BoolOp.NEW:
-        out.append(
-            Violation(ViolationKind.STRUCTURE, "p0.ext", f"first pair must start a body, got {first_op.name}")
-        )
+        out.append(Violation(StructureError, "p0.ext", f"first pair must start a body, got {first_op.name}"))
     for pi, (sketch, ext) in enumerate(seq.pairs):
         for li, loop in enumerate(sketch.loops):
             _validate_loop(pi, li, loop, out)
         where = f"p{pi}.ext"
         if ext.scale < 1:
-            out.append(Violation(ViolationKind.RANGE, where, "scale bin must be positive"))
+            out.append(Violation(BinRangeError, where, "scale bin must be positive"))
         if ext.dist_pos < 1 and ext.dist_neg < 1:
-            out.append(Violation(ViolationKind.RANGE, where, "at least one extrusion distance must be positive"))
+            out.append(Violation(BinRangeError, where, "at least one extrusion distance must be positive"))
     return out
 
 
@@ -456,13 +428,13 @@ def _layout(seq: ConstructionSequence) -> dict[SegmentId, Segment]:
             loop_start = pos
             pos += 1  # SOL
             for ci, prim in enumerate(loop.primitives):
-                width = len(primitive_tokens(prim))
+                width = _WIDTH[type(prim)]
                 sid = SegmentId(pi, SegmentKind.PRIMITIVE, li, ci)
                 out[sid] = Segment(sid, (pos, pos + width), prim)
                 pos += width
             sid = SegmentId(pi, SegmentKind.LOOP, li)
             out[sid] = Segment(sid, (loop_start, pos), loop)
-        width = len(extrusion_tokens(ext))
+        width = _WIDTH[Extrusion]
         sid = SegmentId(pi, SegmentKind.EXTRUSION)
         out[sid] = Segment(sid, (pos, pos + width), ext)
         pos += width

@@ -287,13 +287,13 @@ def _mutated(seq: ConstructionSequence, edit_class: str, rng, spec: GridSpec):
     return None
 
 
-def mutate(seq: ConstructionSequence, edit_class: str, rng, spec: GridSpec | None = None):
+def mutate(seq: ConstructionSequence, edit_class: str, rng, spec: GridSpec):
     """One edit of the given class, or None when the class cannot apply here.
 
     The result always validates and renders; candidates that fail either
     check are resampled internally.
     """
-    edit = _mutated(seq, edit_class, rng, spec or GridSpec())
+    edit = _mutated(seq, edit_class, rng, spec)
     return None if edit is None else edit[0]
 
 

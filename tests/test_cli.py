@@ -12,9 +12,10 @@ from click.testing import CliRunner
 
 from helpers import circle_pair, cylinder_sequence
 
+from cadfit import engine
 from cadfit.cli import main
-from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file
-from cadfit.kernel import GridSpec, render
+from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file, write_tsdf
+from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.report import fmt
 from cadfit.sequence import ConstructionSequence
 from cadfit.synth import EDIT_CLASSES, load_corpus
@@ -361,6 +362,28 @@ def test_edit_unrenderable_original_exits_two(runner):
         )
         assert res.exit_code == 2
         assert res.stderr.startswith("RenderInvalidError:")
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["all-outside", "all-inside"])
+def test_edit_against_a_target_with_no_surface_fails_before_round_one(runner, monkeypatch, sign):
+    spec = GridSpec()
+    target = TSDFGrid(spec, np.full((spec.resolution,) * 3, sign * spec.tau, dtype=np.float32))
+    attributed, real = [], engine.attribute
+
+    def attribute(*args, **kwargs):
+        attributed.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "attribute", attribute)
+    with runner.isolated_filesystem():
+        _write_models()
+        write_tsdf("t.tsdf", target)
+        res = runner.invoke(main, ["edit", "cyl.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("EmptySurfaceError: ") and res.stderr.count("\n") == 1
+        assert not os.path.exists("out.seq") and not os.path.exists("run.txt")
+    assert attributed == []
 
 
 def test_edit_recovers_a_radius_change(runner):

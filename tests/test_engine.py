@@ -20,7 +20,7 @@ from cadfit.engine import (
     run,
     run_corpus,
 )
-from cadfit.errors import InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
+from cadfit.errors import EmptySurfaceError, InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
 from cadfit.report import run_report
@@ -349,6 +349,16 @@ def test_target_must_match_pool_resolution():
     for cfg in (EngineConfig(), EngineConfig(n=0)):
         with pytest.raises(ResolutionMismatchError, match="resolution 12 not divisible by pool 8"):
             run(seq, target, cfg)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["all-outside", "all-inside"])
+def test_target_must_have_a_surface(sign):
+    spec = GridSpec()
+    target = TSDFGrid(spec, np.full((spec.resolution,) * 3, sign * spec.tau, dtype=np.float32))
+    inside = 0 if sign > 0 else spec.resolution**3
+    for cfg in (EngineConfig(), EngineConfig(n=0)):
+        with pytest.raises(EmptySurfaceError, match=f"target has no surface: {inside} of 32768 cells inside"):
+            run(cylinder_sequence(), target, cfg)
 
 
 @pytest.mark.parametrize("mode", ["plan", "verify", "queue"])

@@ -22,7 +22,6 @@ from cadfit.sequence import (
     SegmentId,
     SegmentKind,
     Sketch,
-    ViolationKind,
     apply_mask,
     edit_distance,
     parse_sequence,
@@ -240,7 +239,7 @@ def test_validate_flags_zero_radius():
     seq = ConstructionSequence((circle_pair(r=0),))
     problems = validate_sequence(seq)
     assert len(problems) == 1
-    assert problems[0].kind is ViolationKind.RANGE
+    assert problems[0].error is BinRangeError
     assert "radius" in problems[0].message
 
 
@@ -249,26 +248,26 @@ def test_validate_flags_degenerate_three_line_loop():
     loop = Loop((Line((60, 60)), Line((200, 60)), Line((200, 60))))
     seq = ConstructionSequence(((Sketch((loop,)), extrusion()),))
     problems = validate_sequence(seq)
-    assert any(p.kind is ViolationKind.CLOSURE for p in problems)
+    assert any(p.error is StructureError and "zero-length step" in p.message for p in problems)
     assert any(p.where.startswith("p0.l0") for p in problems)
 
 
 def test_validate_flags_short_line_loop():
     loop = Loop((Line((60, 60)), Line((200, 60))))
     seq = ConstructionSequence(((Sketch((loop,)), extrusion()),))
-    assert any(p.kind is ViolationKind.CLOSURE for p in validate_sequence(seq))
+    assert any(p.error is StructureError and "three lines" in p.message for p in validate_sequence(seq))
 
 
 def test_validate_flags_full_turn_arc():
     loop = Loop((Line((60, 60)), Arc((200, 60), 255, True), Line((128, 200))))
     seq = ConstructionSequence(((Sketch((loop,)), extrusion()),))
-    assert any(p.kind is ViolationKind.RANGE for p in validate_sequence(seq))
+    assert any(p.error is BinRangeError and "arc sweep" in p.message for p in validate_sequence(seq))
 
 
 def test_validate_flags_wrong_first_op():
     seq = ConstructionSequence((circle_pair(op=BoolOp.JOIN),))
     problems = validate_sequence(seq)
-    assert any(p.kind is ViolationKind.STRUCTURE and p.where == "p0.ext" for p in problems)
+    assert any(p.error is StructureError and p.where == "p0.ext" for p in problems)
 
 
 def test_validate_flags_zero_scale_and_distances():
