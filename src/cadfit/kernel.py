@@ -5,9 +5,9 @@ loop boundary distance with a winding-number sign.  Bodies extrude those
 profiles along a placed sketch plane.  Booleans fold the bodies left to
 right: the first body starts the scene, then NEW and JOIN apply
 ``sdf_union`` (min), CUT ``sdf_difference`` (max with the negated body) and
-INTERSECT ``sdf_intersection`` (max).  An attribution folds float64 fields
-and truncates to [-tau, tau] once, when the composed field is stored on a
-float32 grid; a render folds float32 clamped bodies to the same bits.
+INTERSECT ``sdf_intersection`` (max).  A render and an attribution fold
+one thing, h(f) = clip(float32(f), -tau, tau) of every body, in float32,
+and store the scene as the fold leaves it.
 
 The 2D layer works on x and y planes, and every distance is
 sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
@@ -67,60 +67,16 @@ rounding.
 
 Every body obeys one band rule: its field is exact wherever |f| < tau, and
 elsewhere |f| >= tau with f's sign; a filled block is one case, a bounded
-hypot patch (below) the other.  Clamping to [-tau, tau] maps a body that
-obeys the rule to the clamp of its full field, and it commutes with min,
-max and negation, so the fold of such bodies clamps like the dense one; the
-float32 cast is monotone with tau exact in float32, so the stored grid is
-bit-identical: an in-band value (|v| < tau) lies strictly between the
-out-of-band values of either sign, so every min and max of the fold picks
-the same in-band operand, bit for bit, and every out-of-band result keeps
-its sign and clamps to the same +-tau.
-
-An attribution fills a culled block's cap mask with False and its nearest
-primitive with 0, and folds bodies that differ from the full fields out of
-the band, so it guarantees owners only in the band, where |v| < tau; there
-they are the dense fold's.  Proof: min and max return one of their
-operands, so the last pair that changed an in-band value v left its own
-value f (or -f for CUT) equal to v, in the band; there that body is exact,
-its block is not culled, and its cap mask and nearest primitive are exact.
-The banded fold names the same pair: by the clamp commutation its scene
-clamps like the dense one after every pair, and a value that clamps to an
-in-band v is v, so from that pair on its scene is v, and before it the
-scene is not, as the dense one is not.  So a cell out of a body's band,
-also in a body taken from a base, never owns an in-band voxel.  Owners in
-|v| < tau are all the planner reads, since its band never exceeds tau.
-
-The extrusion formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0))
-is max(d, slab) + 0.0 where d <= 0 or slab <= 0: hypot(0, x) == |x|
-exactly, and the + 0.0 turns a -0.0 into +0.0 as the formula's
-+ hypot(0, 0) does; where both are positive it is 0.0 + hypot(d, slab).
-So ``_field`` takes max(d, slab) + 0.0 and writes hypot(d, slab) only
-where both are positive and below a bound ``top``, bit for bit the formula
-there.  Every body of a render or an attribution takes top = tau, which
-keeps the band rule: where both are positive and one is at least tau,
-max(d, slab) and hypot(d, slab) are both at least tau; ``body_sdf`` and
-the cull's block centers take the full field.  On the lattice, with d the
-profile term on the n^2 xy cells and slab the slab term on the n z layers,
-``render`` and ``attribute`` take max(d + 0.0, slab + 0.0) over the grid
-and write hypot only on the xy cells with 0 < d < tau and the z layers
-with 0 < slab < tau.  The slab term is |z - mid| - half, so those layers
-form at most two runs, below and above the slab, and each is one slice of
-the (n^2, n) grid.
-
-A render folds h(f) = clip(float32(f), -tau, tau) of each body instead of f,
-in float32, and stores its scene without a final cast or clip: the lattice
-takes max(h(d + 0.0), h(slab + 0.0)) and writes h of its hypot patch,
-``_banded`` scatters h of its evaluated cells among the filled +-tau, and a
-body taken from a base is h of its stored float64 field.  The cast rounds to
-nearest and the clamp is symmetric, so h is non-decreasing and odd:
-h(min(a, b)) = min(h(a), h(b)), likewise for max, and h(-a) = -h(a).  So,
-pair by pair, the float32 scene is h of the float64 fold of the same
-bodies, which by the band rule is what an attribution stores: where
-h(a) < h(b) both folds pick the same operand, and where h(a) == h(b) in
-value, the operands' bits differ only as +0.0 and -0.0, among which min and
-max pick by position alike in either precision, and h keeps a zero's sign.
-The lattice's max of h(d + 0.0) and h(slab + 0.0) is h of their max the
-same way, and the + 0.0 still turns -0.0 into +0.0 before h sees it.
+hypot patch (below) the other.  So h of a body is h of its full field
+(``body_sdf``'s) at every cell, bit for bit: in the band the two are one
+value, and elsewhere both clamp to sign * tau, tau being exact in float32.
+The cast rounds to nearest and the clamp is symmetric, so h is
+non-decreasing and odd: h(min(a, b)) = min(h(a), h(b)), likewise for max,
+and h(-a) = -h(a).  So, pair by pair, the scene is h of the float64 fold of
+the full fields, the dense fold clamped once: where h(a) < h(b) both folds
+pick the same operand, and where h(a) == h(b) in value, the operands' bits
+differ only as +0.0 and -0.0, among which min and max pick by position
+alike in either precision, and h keeps a zero's sign.
 
 That needs h(a) to be a zero only where a is one: a nonzero |a| <= 2**-150
 casts to a signed zero, and min or max of opposite zeros may then keep
@@ -134,18 +90,42 @@ hypot at least as large, so none casts to a zero it is not.  Values above
 2**-150 stay: float32 keeps them nonzero, so a flush of more, such as
 -1e-40, would only turn occupied cells empty.
 
-An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
-Extrusion)`` of the sequence to its float64 field, cap mask and nearest
-primitive, all read-only.  Given a ``base`` attribution at the same spec,
-``render`` and ``attribute`` take the bodies it holds and evaluate only the
-others.  A reused body is exact: its arrays depend only on the key and the
-spec, so an attribution folds the very arrays it would compute, and a
-render h of a field that obeys the band rule, which is all the shortcuts
-above are proven to need.
+An attribution's fold is thus, step by step, the dense h-fold: the float32
+fold of h of every full field.  A pair takes a voxel where it changes the
+scene, so exactly where it changes the dense h-scene; one that ties it in
+float32, though not in float64, leaves it with the earlier pair.  Every
+voxel has the dense h-fold's owning pair, and its segment too but where the
+owning body's block was culled: there the cap mask is False and the nearest
+primitive 0, and the voxel holds that body's +-tau, outside the band
+|v| < tau that holds every owner the planner reads.
 
-Kernel grids are trusted.  ``_compose`` hands back a fresh, C-ordered
-float32 array that it made read-only, in [-tau, tau] by the clamp of every
-body (a render) or of the scene (an attribution), so ``render`` and
+The extrusion formula min(max(d, slab), 0) + hypot(max(d, 0), max(slab, 0))
+is max(d, slab) + 0.0 where d <= 0 or slab <= 0: hypot(0, x) == |x|
+exactly, and the + 0.0 turns a -0.0 into +0.0 as the formula's
++ hypot(0, 0) does; where both are positive it is 0.0 + hypot(d, slab).
+So ``_field`` takes max(d, slab) + 0.0 and writes hypot(d, slab) only
+where both are positive and below a bound ``top``, bit for bit the formula
+there.  Every body of a render or an attribution takes top = tau, which
+keeps the band rule: where both are positive and one is at least tau,
+max(d, slab) and hypot(d, slab) are both at least tau; ``body_sdf`` and
+the cull's block centers take the full field.  On the lattice, with d the
+profile term on the n^2 xy cells and slab the slab term on the n z layers,
+``render`` and ``attribute`` take max(h(d + 0.0), h(slab + 0.0)), h of
+their max as h is non-decreasing, over the grid and write h of hypot only
+on the xy cells with 0 < d < tau and the z layers with 0 < slab < tau.  The
+slab term is |z - mid| - half, so those layers form at most two runs, below
+and above the slab, and each is one slice of the (n^2, n) grid;
+``_banded`` scatters h of its evaluated cells among the filled +-tau.
+
+An attribution keeps its bodies: ``bodies`` maps each ``(Sketch,
+Extrusion)`` of the sequence to its float32 h-field, cap mask and nearest
+primitive, all read-only.  Given a ``base`` attribution at the same spec,
+``render`` and ``attribute`` fold the bodies it holds as they are stored
+and evaluate only the others: a body's arrays depend only on the key and
+the spec.
+
+Kernel grids are trusted.  ``_compose`` hands back a C-ordered, read-only
+float32 array, in [-tau, tau] by the clamp of every body, so ``render`` and
 ``AttributionGrid.grid`` wrap it in a TSDFGrid without the constructor's
 cast, scan and copy.  The constructor keeps them for every other caller,
 so a grid read from a file is checked at that boundary.
@@ -284,9 +264,12 @@ def _kernel_grid(spec: GridSpec, values: np.ndarray) -> TSDFGrid:
 class AttributionGrid:
     """Composed field plus, per voxel, the segment that owns it.
 
-    ``owner`` holds indices into ``segment_ids`` (primitive-granularity ids:
-    primitives and extrusion blocks).  ``bodies`` holds every body of the
-    sequence, for a later call to reuse (see the module notes).
+    ``values`` is the float32 fold of every body's h-field, h(f) =
+    clip(float32(f), -tau, tau), as a render folds it.  ``owner`` holds
+    indices into ``segment_ids`` (primitive-granularity ids: primitives and
+    extrusion blocks).  ``bodies`` holds those h-fields, each with its cap
+    mask and nearest primitive, read-only, for a later call to fold as
+    stored (see the module notes).
     """
 
     spec: GridSpec
@@ -498,10 +481,10 @@ def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
 
 
 def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, origin: np.ndarray, owners: bool):
-    """Body field on the (n, n, n) grid, h of it unless ``owners``, and when
-    ``owners`` its cap mask and nearest primitive: in every block the field
-    can bring into the band, the field bounded by tau, and sign * tau, False
-    and 0 in every other (see the module notes)."""
+    """Body h-field on the (n, n, n) grid, and when ``owners`` its cap mask
+    and nearest primitive: in every block the field can bring into the band,
+    h of the field bounded by tau, and sign * tau, False and 0 in every
+    other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb, cube = -(-n // _BLOCK), _BLOCK**3
     fc = _field(*_extrude(sketch, ext, *_local(*spec._block_centers, rot, origin))[:2])
@@ -520,8 +503,7 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
         out = out.reshape((nb,) * 3 + (_BLOCK,) * 3).transpose(0, 3, 1, 4, 2, 5)
         return out.reshape((nb * _BLOCK,) * 3)[:n, :n, :n]
 
-    f = _field(d, slab, tau)
-    f = grid(f if owners else _clamped(f, tau), np.where(fc < 0, -tau, tau)[:, None])
+    f = grid(_clamped(_field(d, slab, tau), tau), np.where(fc < 0, -tau, tau)[:, None])
     if not owners:
         return f, None, None
     return f, grid(slab > d, False), grid(np.argmin(np.stack(rows), axis=0), 0)
@@ -556,23 +538,21 @@ _BOOLEAN = {
 
 
 def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: AttributionGrid | None):
-    """Truncated (n, n, n) field and, when ``owners``, the owner grid, the
-    primitive-granularity ids its values index (each pair's primitives in
-    loop order, then its extrusion block) and the sequence's bodies.  Bodies
-    ``base`` holds at this spec are reused (see the module notes).
+    """The (n, n, n) fold of every body's h-field and, when ``owners``, the
+    owner grid, the primitive-granularity ids its values index (each pair's
+    primitives in loop order, then its extrusion block) and the sequence's
+    bodies.  Bodies ``base`` holds at this spec are folded as stored (see
+    the module notes).
     """
     n, tau = spec.resolution, spec.tau
 
-    def h(a):  # what a render folds in place of a body value (see the module notes)
-        return a if owners else _clamped(a, tau)
-
     def evaluate(sketch, ext):
-        """A body's field (h of it in a render), cap mask and nearest
+        """A body's h-field and, when ``owners``, its cap mask and nearest
         primitive, broadcastable to (n, n, n); its coordinates die with the
         call, before the fold allocates."""
         body = reused.get((sketch, ext))
         if body is not None:
-            return body if owners else (h(body[0]), None, None)
+            return body
         rot, origin = placement_frame(ext)
         if not rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
             return _banded(sketch, ext, spec, rot, origin, owners)
@@ -580,12 +560,13 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
         # the first n of them (see the module notes)
         plane, height = _local(*spec._lattice, rot, origin)
         d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
-        f = np.maximum(h(d + 0.0), h(slab + 0.0))
+        f = np.maximum(_clamped(d + 0.0, tau), _clamped(slab + 0.0, tau))
         xy = np.flatnonzero((d > 0) & (d < tau))
         z = np.flatnonzero((slab > 0) & (slab < tau))
         for run in np.split(z, np.flatnonzero(np.diff(z) > 1) + 1):  # below and above the slab
             if run.size:
-                f.reshape(n * n, n)[xy, run[0] : run[-1] + 1] = h(np.hypot(d.reshape(-1)[xy, None], slab[run]))
+                patch = np.hypot(d.reshape(-1)[xy, None], slab[run])
+                f.reshape(n * n, n)[xy, run[0] : run[-1] + 1] = _clamped(patch, tau)
         if not owners:
             return f, None, None
         return f, slab > d, np.argmin(np.stack(rows), axis=0)
@@ -609,7 +590,7 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             took = True if scene is None else composed != scene
             np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
         scene = composed
-    values = np.ascontiguousarray(_clamped(scene, tau) if owners else scene)
+    values = np.ascontiguousarray(scene)
     if not (values < 0).any():
         raise RenderInvalidError("composed field has no interior voxels")
     return _read_only(values), owner, tuple(ids), MappingProxyType(bodies)

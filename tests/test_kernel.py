@@ -460,14 +460,21 @@ def test_attribution_disjoint_union_against_field_oracle():
     assert np.array_equal(owner_pair, (fb[band] < fa[band]).astype(int))
 
 
+def _h(f, spec):
+    """h(f) = clip(float32(f), -tau, tau), what the kernel folds and stores
+    in place of a body's field."""
+    tau = np.float32(spec.tau)
+    return np.clip(np.asarray(f).astype(np.float32), -tau, tau)
+
+
 def _dense_fold(seq, spec):
-    """Clamped field and owner grid of a strict-comparison chain over every
-    cell center: each body from ``body_sdf``, its cap mask and nearest
+    """Field and owner grid of a strict-comparison chain in float32 over
+    every cell center: each body h(``body_sdf``), its cap mask and nearest
     primitive from the same dense per-point evaluation."""
     pts = cell_points(spec)
     scene, owner, first = None, np.zeros(len(pts), dtype=np.int32), 0
     for sketch, ext in seq.pairs:
-        f = body_sdf(sketch, ext, pts)
+        f = _h(body_sdf(sketch, ext, pts), spec)
         rot, origin = placement_frame(ext)
         local = (pts - origin) @ rot
         d, slab, rows = _extrude(sketch, ext, local[:, :2], local[:, 2])
@@ -483,8 +490,8 @@ def _dense_fold(seq, spec):
         ext_id = first + sum(len(loop.primitives) for loop in sketch.loops)
         owner[takes] = np.where(cap, ext_id, first + nearest)[takes]
         first = ext_id + 1
-    n, tau = spec.resolution, np.float32(spec.tau)
-    return np.clip(scene.astype(np.float32), -tau, tau).reshape(n, n, n), owner.reshape(n, n, n)
+    n = spec.resolution
+    return scene.reshape(n, n, n), owner.reshape(n, n, n)
 
 
 def _in_band(values, spec):
@@ -494,8 +501,8 @@ def _in_band(values, spec):
 
 def _assert_equals_dense_fold(seq, spec):
     """render and attribute against ``_dense_fold``, values bit for bit (so
-    -0.0 and 0.0 differ) and owners in the band; False when the sequence has
-    no interior voxels."""
+    -0.0 and 0.0 differ), owners in the band and owning pairs everywhere;
+    False when the sequence has no interior voxels."""
     values, owner = _dense_fold(seq, spec)
     if not (values < 0).any():
         with pytest.raises(RenderInvalidError):
@@ -507,16 +514,16 @@ def _assert_equals_dense_fold(seq, spec):
     assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), values.view(np.uint32))
     band = _in_band(values, spec)
     assert np.array_equal(ag.owner[band], owner[band])
+    pair_of = np.array([sid.pair for sid in ag.segment_ids])
+    assert np.array_equal(pair_of[ag.owner], pair_of[owner])
     return True
 
 
-def _assert_band_exact(f, dense, tau):
-    """The one band rule for body fields: bitwise ``dense`` where |dense| <
-    tau, and elsewhere |f| >= tau with dense's sign."""
-    band = np.abs(dense) < tau
-    assert np.array_equal(f[band].view(np.uint64), dense[band].view(np.uint64))
-    assert (np.abs(f[~band]) >= tau).all()
-    assert (np.signbit(f[~band]) == np.signbit(dense[~band])).all()
+def _assert_h_field(f, dense, spec):
+    """A stored body field: read-only float32 h(``dense``), bit for bit at
+    every cell."""
+    assert f.dtype == np.float32 and not f.flags.writeable
+    assert np.array_equal(f.view(np.uint32), _h(dense.reshape(f.shape), spec).view(np.uint32))
 
 
 def test_attribution_owner_pair_matches_strict_chain_oracle():
@@ -536,9 +543,9 @@ def test_attribution_owner_pair_matches_strict_chain_oracle():
             ag = attribute(seq, spec)
         except RenderInvalidError:
             continue
+        # every voxel, out of the band too: only a culled block's segments differ
         pair_of = np.array([sid.pair for sid in ag.segment_ids])
-        band = _in_band(ag.values, spec)
-        assert np.array_equal(pair_of[ag.owner[band]], pair_of[_dense_fold(seq, spec)[1][band]])
+        assert np.array_equal(pair_of[ag.owner], pair_of[_dense_fold(seq, spec)[1]])
         checked += 1
 
 
@@ -586,24 +593,21 @@ def test_z_aligned_sequences_match_the_dense_fold_bitwise(spec):
 
 @pytest.mark.parametrize("resolution", [16, 32])
 def test_z_aligned_body_fields_equal_body_sdf_in_float64(resolution):
-    """The lattice path's body fields are the dense path's bit for bit in
-    float64 wherever the dense value is in the band, not only after the
-    float32 clamp: every projection is one (N, 2) product.  Elsewhere they
-    keep its sign and at least tau."""
+    """The lattice path stores h of the dense path's float64 field bit for
+    bit at every cell: every projection is one (N, 2) product, and the
+    hypot bound only moves values that h clamps."""
     rng = np.random.default_rng([resolution, 131])
     spec = GridSpec(resolution=resolution)
-    pts, bodies, bounded = cell_points(spec), 0, 0
+    pts, bodies = cell_points(spec), 0
     for _ in range(30):
         try:
             ag = attribute(_z_aligned(random_sequence(rng), rng), spec)
         except RenderInvalidError:
             continue
         for (sketch, ext), (f, _, _) in ag.bodies.items():
-            dense = body_sdf(sketch, ext, pts).reshape(f.shape)
-            _assert_band_exact(f, dense, spec.tau)
-            bounded += (f != dense).any()
+            _assert_h_field(f, body_sdf(sketch, ext, pts), spec)
             bodies += 1
-    assert bodies >= 40 and bounded
+    assert bodies >= 40
 
 
 @st.composite
@@ -782,8 +786,8 @@ def test_an_off_axis_attribution_evaluates_the_cells_a_render_does(monkeypatch):
 def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolution):
     """A 4^3 block of an off-axis attribution body whose center value lies
     past tau plus the half-diagonal is filled with exactly sign * tau; every
-    other block is evaluated, bitwise body_sdf's in float64 where that is in
-    the band, and elsewhere at least tau with its sign."""
+    other block is evaluated, and the stored field is h of body_sdf's float64
+    field bit for bit at every cell."""
     rng = np.random.default_rng([resolution, 137])
     spec = GridSpec(resolution=resolution)
     n, tau, nb = resolution, spec.tau, -(-resolution // 4)
@@ -802,7 +806,7 @@ def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolut
         except RenderInvalidError:
             continue
         for (sketch, ext), (f, _, _) in ag.bodies.items():
-            _assert_band_exact(f, body_sdf(sketch, ext, pts).reshape(f.shape), tau)
+            _assert_h_field(f, body_sdf(sketch, ext, pts), spec)
             fc = body_sdf(sketch, ext, mids)
             culled = np.abs(fc) >= tau + 1.5 * math.sqrt(3.0) * spec.pitch + 1e-9
             assert (blocks(f)[culled] == np.copysign(tau, fc[culled])[:, None]).all()
@@ -963,21 +967,16 @@ def test_an_attribution_keeps_exactly_its_sequences_bodies_read_only(variant):
     assert ag.bodies.keys() == set(seq.pairs) and len(ag.bodies) == len(seq.pairs) - 1
     with pytest.raises(TypeError):
         ag.bodies[seq.pairs[0]] = ag.bodies[seq.pairs[1]]
-    n, tau = spec.resolution, np.float32(spec.tau)
-
-    def clamped(f):
-        return np.clip(np.broadcast_to(f, (n, n, n)).astype(np.float32), -tau, tau).view(np.uint32)
-
     for (sketch, ext), (f, cap, nearest) in ag.bodies.items():
         for arr in (f, cap, nearest):
             with pytest.raises(ValueError, match="read-only"):
                 arr[(0,) * arr.ndim] = 0
-        assert np.array_equal(clamped(f), clamped(body_sdf(sketch, ext, cell_points(spec)).reshape(n, n, n)))
+        _assert_h_field(f, body_sdf(sketch, ext, cell_points(spec)), spec)
     # they are the very fields the attribution folded
     scene = ag.bodies[seq.pairs[0]][0]
     for sketch, ext in seq.pairs[1:]:
         scene = kernel._BOOLEAN[ext.bool_op](scene, ag.bodies[sketch, ext][0])
-    assert np.array_equal(clamped(scene), ag.values.view(np.uint32))
+    assert np.array_equal(scene.view(np.uint32), ag.values.view(np.uint32))
 
 
 def test_a_base_at_another_spec_is_not_reused():
@@ -1015,15 +1014,15 @@ def test_a_render_off_the_z_axis_builds_no_meshgrid(monkeypatch, variant):
 # -- float32 clamped renders ----------------------------------------------------
 
 
-def _float64_render(seq, spec, bodies):
-    """The render fold in float64 over ``bodies``' fields, clamped once at the
-    end: the oracle for a render's fold of float32 clamped bodies."""
+def _float64_render(seq, spec):
+    """The fold in float64 of every body's ``body_sdf`` field, clamped once
+    at the end: the oracle for the kernel's float32 fold of h-fields."""
+    pts, n = cell_points(spec), spec.resolution
     scene = None
     for sketch, ext in seq.pairs:
-        f = bodies[sketch, ext][0]
+        f = body_sdf(sketch, ext, pts)
         scene = f if scene is None else kernel._BOOLEAN[ext.bool_op](scene, f)
-    tau = np.float32(spec.tau)
-    return np.clip(scene.astype(np.float32), -tau, tau)
+    return _h(scene, spec).reshape(n, n, n)
 
 
 @pytest.mark.parametrize("variant", ["z-aligned", "tilted", "mixed"])
@@ -1034,7 +1033,8 @@ def test_the_float32_render_fold_is_the_float64_fold_bitwise(resolution, variant
     ops, checked = set(), 0
     while checked < 4 or ops != set(BoolOp):
         seq, ag = _renderable(rng, spec, variant)
-        want = _float64_render(seq, spec, ag.bodies).view(np.uint32)
+        want = _float64_render(seq, spec).view(np.uint32)
+        assert np.array_equal(ag.values.view(np.uint32), want)
         assert np.array_equal(render(seq, spec).values.view(np.uint32), want)
         assert np.array_equal(render(seq, spec, base=ag).values.view(np.uint32), want)
         ops.update(ext.bool_op for _, ext in seq.pairs)
@@ -1047,8 +1047,8 @@ def test_a_profile_value_that_casts_to_a_signed_zero_leaves_both_folds_equal(mon
     one cell inside both slabs.  Unflushed, their float64 difference keeps
     the 1e-300, which clamps to +0.0, while the difference of their float32
     casts, max(+0.0, -0.0), is -0.0.  The flush makes the first body +0.0
-    there, so the render's float32 fold is the float64 fold of the bodies
-    the attribution keeps, and it keeps both."""
+    there, so the kernel's float32 fold is the float64 fold of the full
+    fields clamped once, the -0.0 included."""
     spec = GridSpec(resolution=16)
     a = circle_pair(r=60, dist_pos=120, origin=(128, 128, 70), orientation=(0, 64 if tilted else 0, 0))
     b = circle_pair(op=BoolOp.CUT, cx=150, r=40, dist_pos=80, origin=(128, 128, 90))
@@ -1076,7 +1076,7 @@ def test_a_profile_value_that_casts_to_a_signed_zero_leaves_both_folds_equal(mon
 
     ag = attribute(seq, spec)
     assert ag.bodies.keys() == {a, b}
-    want = _float64_render(seq, spec, ag.bodies).view(np.uint32)
+    want = _float64_render(seq, spec).view(np.uint32)
     assert np.signbit(want.reshape(-1)[cell].view(np.float32))
     assert np.array_equal(ag.values.view(np.uint32), want)
     assert np.array_equal(render(seq, spec).values.view(np.uint32), want)
@@ -1109,10 +1109,9 @@ def test_extrude_flushes_exactly_the_terms_float32_rounds_to_a_zero(monkeypatch)
 # sha256 of the render values, attribute values and owners below, and of
 # every body's float64 field, which the float32 grid would hide a last-bit
 # change in: any change to a rounding anywhere in the kernel moves it.  The
-# owners outside the band follow which blocks an attribution culls and
-# where its bodies bound the hypot patch, so a change to either moves it
-# too; IN_BAND_OWNER_PIN holds the guaranteed ones
-KERNEL_PIN = "e891575193cfb0096e8fdb2d221644edd8f4a98a6762fe10e68a5ff8053d3b40"
+# owners outside the band follow which blocks an attribution culls, so a
+# change to the cull moves it too; IN_BAND_OWNER_PIN holds the guaranteed ones
+KERNEL_PIN = "716625e1f07cb296ace21adc7100b25ff2693339406b08485c3ace0154950ff0"
 
 
 def test_seeded_renders_and_attributions_are_pinned():
