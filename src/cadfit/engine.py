@@ -217,8 +217,8 @@ def run(
     POOL_RES (ResolutionMismatchError, from ``embed_shape``), a target with
     no surface, all inside or all outside, which the final report could not
     score (EmptySurfaceError), and, with generation enabled, an original
-    that renders empty (RenderInvalidError).  The two target checks hold at
-    ``cfg.n == 0`` too.
+    that renders empty or fills the domain (RenderInvalidError).  The two
+    target checks hold at ``cfg.n == 0`` too.
 
     Each round plans from one attribution of the current sequence; round 1
     reuses the original's, which also gives the starting latent.  Each

@@ -34,7 +34,7 @@ class ZeroExtentError(CadfitError):
 
 
 class RenderInvalidError(CadfitError):
-    """Rendered field has empty occupancy: nothing solid inside the domain."""
+    """Rendered field has no surface: no voxel is solid, or every voxel is."""
 
 
 class EmptySurfaceError(CadfitError):

@@ -591,8 +591,11 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
         scene = composed
     values = np.ascontiguousarray(scene)
-    if not (values < 0).any():
+    inside = np.count_nonzero(values < 0)
+    if not inside:
         raise RenderInvalidError("composed field has no interior voxels")
+    if inside == values.size:
+        raise RenderInvalidError("composed field has no exterior voxels")
     return _read_only(values), owner, tuple(ids), MappingProxyType(bodies)
 
 
@@ -600,8 +603,8 @@ def render(
     seq: ConstructionSequence, spec: GridSpec = GridSpec(), *, base: AttributionGrid | None = None
 ) -> TSDFGrid:
     """Fold the sequence's bodies into one truncated grid, reusing those
-    ``base`` holds.  Raises RenderInvalidError when the composed occupancy
-    is empty.
+    ``base`` holds.  Raises RenderInvalidError when no voxel is inside, or
+    every voxel is.
     """
     return _kernel_grid(spec, _compose(seq, spec, False, base)[0])
 

@@ -147,8 +147,8 @@ def report_for(
     The objective is the chamfer distance between surface samples of the
     candidate's rendering and of the target, plus lam times the edit
     distance normalized by the original's token count; a candidate that
-    fails to render scores infinite rather than raising.  The render
-    reuses the bodies ``base`` holds.
+    fails to render, empty or filling the domain, scores infinite rather
+    than raising.  The render reuses the bodies ``base`` holds.
     """
     dist = edit_distance(candidate, original) if original is not None else None
     try:

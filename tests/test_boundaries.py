@@ -5,6 +5,7 @@ as ``ErrorClass: message`` (CadfitError, ValueError, OSError), never
 something that would surface as a traceback.
 """
 
+import dataclasses
 import os
 import re
 import struct
@@ -16,13 +17,13 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cell_points, cylinder_sequence
+from helpers import cell_points, circle_pair, cylinder_sequence
 
 from cadfit.cli import main
 from cadfit.errors import CadfitError
 from cadfit.gridio import read_grid_text, read_tsdf, tsdf_bytes, write_grid_text
 from cadfit.kernel import GridSpec, TSDFGrid, render
-from cadfit.sequence import parse_sequence, serialize_sequence
+from cadfit.sequence import BoolOp, ConstructionSequence, parse_sequence, serialize_sequence
 from cadfit.synth import SynthSpec, random_sequence, save_corpus, synth
 
 REPORTED = (CadfitError, ValueError, OSError)
@@ -244,3 +245,60 @@ def test_scoring_a_damaged_target_fails_in_one_line_and_writes_nothing(scoring_i
         assert re.fullmatch(rf"ValueError: {re.escape(str(target))}: [^\n]*\n", res.stderr), res.stderr
         assert res.stdout == ""
         assert sorted(os.listdir(path)) == before
+
+
+# a circle of radius bin 255 swept through the domain: every cell is inside
+_FILL = parse_sequence("SOL C 128 128 255 E 0 0 0 128 128 0 255 255 0 0 0 SEP EOS").pairs[0]
+# a body whose every point lies outside the domain
+_OUTSIDE = circle_pair(origin=(255, 255, 255), r=30)
+_NO_INTERIOR, _NO_EXTERIOR = "no interior voxels", "no exterior voxels"
+
+
+@st.composite
+def surfaceless_sequences(draw):
+    """A valid sequence whose render has no surface, and the message that
+    says why: the filling body or the outside one alone, or a random
+    sequence joined with the filling body, cut by it, or intersected with
+    the outside body."""
+    kind = draw(st.sampled_from(("fill", "outside", "join-fill", "cut-fill", "intersect-outside")))
+    if kind == "fill":
+        return ConstructionSequence((_FILL,)), _NO_EXTERIOR
+    if kind == "outside":
+        return ConstructionSequence((_OUTSIDE,)), _NO_INTERIOR
+    (sketch, ext), op = {
+        "join-fill": (_FILL, BoolOp.JOIN),
+        "cut-fill": (_FILL, BoolOp.CUT),
+        "intersect-outside": (_OUTSIDE, BoolOp.INTERSECT),
+    }[kind]
+    seq = random_sequence(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    pairs = seq.pairs + ((sketch, dataclasses.replace(ext, bool_op=op)),)
+    return ConstructionSequence(pairs), _NO_EXTERIOR if kind == "join-fill" else _NO_INTERIOR
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_a_sequence_without_a_surface_exits_two_or_scores_invalid(scoring_inputs, data):
+    """``render``, ``edit`` and ``inspect`` exit 2 in one line and write
+    nothing; ``metrics`` scores the sequence invalid, against a grid and
+    against another sequence."""
+    path, grid = scoring_inputs
+    seq, why = data.draw(surfaceless_sequences())
+    src, target = path / "surfaceless.seq", path / "target.tsdf"
+    src.write_text(serialize_sequence(seq) + "\n", encoding="utf-8")
+    target.write_bytes(tsdf_bytes(grid))
+    before = sorted(os.listdir(path))
+    for args in (
+        ["render", str(src), "-o", str(path / "out.tsdf"), "--res", "16"],
+        ["edit", str(src), str(target), "-o", str(path / "out.seq"), "--report", str(path / "r.txt"), "--rounds", "1"],
+        ["inspect", str(src), str(target)],
+    ):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit), (args[0], res.output)
+        assert res.stderr == f"RenderInvalidError: composed field has {why}\n"
+        assert res.stdout == ""
+        assert sorted(os.listdir(path)) == before
+    res = CliRunner().invoke(main, ["metrics", str(src), str(target)])
+    assert (res.exit_code, res.stderr, res.stdout) == (0, "", "invalid True\n")
+    res = CliRunner().invoke(main, ["metrics", str(src), str(path / "cyl.seq"), "--res", "16"])
+    assert res.exit_code == 0 and res.stderr == ""
+    assert res.stdout.splitlines()[0] == "invalid True" and "objective inf" in res.stdout.splitlines()

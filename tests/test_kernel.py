@@ -502,9 +502,9 @@ def _in_band(values, spec):
 def _assert_equals_dense_fold(seq, spec):
     """render and attribute against ``_dense_fold``, values bit for bit (so
     -0.0 and 0.0 differ), owners in the band and owning pairs everywhere;
-    False when the sequence has no interior voxels."""
+    False when no voxel is inside, or every voxel is."""
     values, owner = _dense_fold(seq, spec)
-    if not (values < 0).any():
+    if (values < 0).all() or not (values < 0).any():
         with pytest.raises(RenderInvalidError):
             render(seq, spec)
         return False
@@ -816,7 +816,8 @@ def test_off_axis_body_fields_equal_body_sdf_outside_their_filled_blocks(resolut
 
 def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch):
     """A block whose center value is exactly tau plus the 4^3 half-diagonal
-    inside the body still has every cell evaluated."""
+    inside the body still has every cell evaluated.  The field is then
+    inside everywhere, which is no shape."""
     spec = GridSpec(resolution=16)
     edge = -(spec.tau + 1.5 * math.sqrt(3.0) * spec.pitch)
     seen = []
@@ -827,9 +828,9 @@ def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch)
         return np.full(shape, edge), np.full(shape, edge), []  # both terms at edge: a field of edge
 
     monkeypatch.setattr(kernel, "_extrude", flat)
-    grid = render(ConstructionSequence((circle_pair(orientation=(0, 64, 0)),)), spec)
+    with pytest.raises(RenderInvalidError, match="^composed field has no exterior voxels$"):
+        render(ConstructionSequence((circle_pair(orientation=(0, 64, 0)),)), spec)
     assert seen == [4**3, 16**3]
-    assert (grid.values == -grid.spec.tau).all()
 
 
 def test_bodies_are_placed_once_and_store_hits_build_no_coordinates(monkeypatch):

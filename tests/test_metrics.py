@@ -9,10 +9,13 @@ from scipy.spatial import cKDTree
 
 from helpers import cell_points, circle_pair, cylinder_sequence
 
+from cadfit import metrics
+from cadfit.engine import EngineConfig, run
 from cadfit.errors import (
     EmptyListError,
     EmptySetError,
     NormalizationError,
+    RenderInvalidError,
     SpecMismatchError,
 )
 from cadfit.kernel import GridSpec, TSDFGrid, render, surface_points
@@ -25,7 +28,7 @@ from cadfit.metrics import (
     occupancy_histogram,
     report_for,
 )
-from cadfit.sequence import ConstructionSequence
+from cadfit.sequence import ConstructionSequence, parse_sequence
 from cadfit.synth import random_renderable
 
 
@@ -293,6 +296,25 @@ def test_objective_invalid_render_is_infinite():
     bad = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
     target = render(cylinder_sequence())
     assert report_for(bad, target, cylinder_sequence(), 0.1).objective == math.inf
+
+
+def test_a_candidate_that_fills_the_domain_is_invalid_before_any_surface_pass(monkeypatch):
+    """Every voxel inside is no surface: ``report_for`` scores such a
+    candidate infinite, and ``engine.run`` rejects it as an original,
+    without a call to ``surface_points``."""
+    fill = parse_sequence("SOL C 128 128 255 E 0 0 0 128 128 0 255 255 0 0 0 SEP EOS")
+    target = render(cylinder_sequence())
+
+    def refuse(*_, **__):
+        raise AssertionError("surface_points was called")
+
+    monkeypatch.setattr(metrics, "surface_points", refuse)
+    rep = report_for(fill, target, cylinder_sequence())
+    assert rep.invalid and rep.objective == math.inf and rep.edit_distance > 0
+    assert report_for(fill, target) == MetricsReport(invalid=True)
+    assert run(fill, target, EngineConfig(n=0)).report == MetricsReport(invalid=True, edit_distance=0, objective=math.inf)
+    with pytest.raises(RenderInvalidError, match="^composed field has no exterior voxels$"):
+        run(fill, target, EngineConfig(max_rounds=1))
 
 
 # -- report assembly --------------------------------------------------------
