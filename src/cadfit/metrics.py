@@ -81,19 +81,17 @@ def occupancy_histogram(grids) -> np.ndarray:
 
     A fixed spatial binning makes the divergence comparable across grid
     resolutions.  Each axis's n cell centers are binned once, by the rule
-    ``np.histogramdd`` applies (a bin holds its left edge, the last bin its
-    right edge too), so the counts equal histogramdd's on the n^3 centers.
+    ``np.histogramdd`` applies (a bin holds its left edge), so the counts
+    equal histogramdd's on the n^3 centers; every center lies strictly
+    inside [-0.5, 0.5], so none falls outside a bin or on the last edge.
     """
     bins = HISTOGRAM_BINS
     edges = np.linspace(-0.5, 0.5, bins + 1)
     total = np.zeros(bins**3)
     for grid in grids:
-        c = grid.spec.centers()
-        k = np.searchsorted(edges, c, side="right") - (c == edges[-1]) - 1
-        inside = (k >= 0) & (k < bins)
+        k = np.searchsorted(edges, grid.spec.centers(), side="right") - 1
         ix, iy, iz = np.unravel_index(np.flatnonzero(grid.occupancy()), grid.values.shape)
-        keep = inside[ix] & inside[iy] & inside[iz]
-        total += np.bincount(((k[ix] * bins + k[iy]) * bins + k[iz])[keep], minlength=bins**3)
+        total += np.bincount((k[ix] * bins + k[iy]) * bins + k[iz], minlength=bins**3)
     mass = total.sum()
     if mass == 0:
         raise NormalizationError("no occupied voxels to histogram")

@@ -22,9 +22,9 @@ Canonical text form, whitespace separated, one token per field::
 
 Numeric fields are decimal bins 0..255; ``ccw`` is 0|1, ``op`` 0..3 and
 ``ext`` 0..2.  ``_PARTS`` is the one place that lists each part's fields,
-their limits and the error past each: the parser reads a part through it,
-``part_tokens`` writes the fields in its order and segment spans take each
-part's width from it.
+their limits and the error past each: the parser reads a part through it
+and segment spans take each part's width from it; ``part_tokens`` writes
+the fields in its order, spelled out.
 """
 
 from __future__ import annotations

@@ -163,8 +163,22 @@ _EXT = "E 0 0 0 128 128 128 64 128 0 0 0"
             SequenceSyntaxError,
             "arc ccw: value 7 outside [0, 1]",
         ),
+        (
+            f"SOL C 128 128 64 L 10 20 {_EXT} SEP EOS",
+            StructureError,
+            "p0.l0: circle must be the only primitive of its loop",
+        ),
+        (f"SOL L 10 20 {_EXT} SEP EOS", StructureError, "p0.l0: chain loop needs at least two primitives"),
+        (
+            "SOL C 128 128 64 E 0 0 0 128 128 128 0 0 0 0 0 SEP EOS",
+            BinRangeError,
+            "p0.ext: scale bin must be positive (+1 more)",
+        ),
     ],
-    ids=["no-pairs", "empty-loop", "empty-sketch", "no-sol", "bin-300", "arc-flag-7"],
+    ids=[
+        "no-pairs", "empty-loop", "empty-sketch", "no-sol", "bin-300", "arc-flag-7",
+        "circle-with-line", "one-primitive-chain", "zero-scale-and-distances",
+    ],
 )
 def test_parse_names_the_rule_a_stream_breaks(text, kind, message):
     with pytest.raises(kind) as err:
