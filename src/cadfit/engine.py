@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySurfaceError, InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
+from .errors import InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
 from .generator import ExternalGenerator, infill
 from .kernel import AttributionGrid, GridSpec, TSDFGrid, attribute, render
 from .metrics import MetricsReport, report_for
@@ -214,11 +214,10 @@ def run(
 
     Before round 1 it rejects an original that fails validation
     (InvalidOriginalError), a target whose resolution is not a multiple of
-    POOL_RES (ResolutionMismatchError, from ``embed_shape``), a target with
-    no surface, all inside or all outside, which the final report could not
-    score (EmptySurfaceError), and, with generation enabled, an original
-    that renders empty or fills the domain (RenderInvalidError).  The two
-    target checks hold at ``cfg.n == 0`` too.
+    POOL_RES (ResolutionMismatchError, from ``embed_shape``), also at
+    ``cfg.n == 0``, and, with generation enabled, an original that renders
+    empty or fills the domain (RenderInvalidError).  The target has a
+    surface, as every TSDFGrid has, so the final report can score it.
 
     Each round plans from one attribution of the current sequence; round 1
     reuses the original's, which also gives the starting latent.  Each
@@ -231,9 +230,6 @@ def run(
         first = problems[0]
         raise InvalidOriginalError(f"{first.where}: {first.message}")
     target_latent = embed_shape(target)
-    inside = np.count_nonzero(target.values < 0)
-    if not 0 < inside < target.values.size:
-        raise EmptySurfaceError(f"target has no surface: {inside} of {target.values.size} cells inside")
 
     if cfg.n == 0:
         report = report_for(original, target, original)

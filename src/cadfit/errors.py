@@ -38,7 +38,7 @@ class RenderInvalidError(CadfitError):
 
 
 class EmptySurfaceError(CadfitError):
-    """Grid has no sign change anywhere, so no surface can be extracted."""
+    """Grid has no surface: no cell is inside, or every cell is."""
 
 
 class SpecMismatchError(CadfitError):

@@ -124,11 +124,11 @@ primitive, all read-only.  Given a ``base`` attribution at the same spec,
 and evaluate only the others: a body's arrays depend only on the key and
 the spec.
 
-Kernel grids are trusted.  ``_compose`` hands back a C-ordered, read-only
-float32 array, in [-tau, tau] by the clamp of every body, so ``render`` and
-``AttributionGrid.grid`` wrap it in a TSDFGrid without the constructor's
-cast, scan and copy.  The constructor keeps them for every other caller,
-so a grid read from a file is checked at that boundary.
+Both ways of building a TSDFGrid guarantee a surface.  ``_compose`` raises
+RenderInvalidError on a fold without one, else hands back a C-ordered,
+read-only float32 array, in [-tau, tau] by the clamp of every body, which
+``render`` and ``AttributionGrid.grid`` wrap without the constructor's cast,
+scan and copy.  The constructor checks every other grid, a file's included.
 """
 
 from __future__ import annotations
@@ -221,11 +221,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TSDFGrid:
-    """Truncated SDF samples at cell centers, clamped to [-tau, tau].
+    """Truncated SDF samples at cell centers, in [-tau, tau], with a
+    surface: some cell is inside (negative) and some is not.
 
-    The constructor checks and copies ``values``, so a grid read from a file
-    is rejected at that boundary; the kernel's own grids are trusted and
-    built by ``_kernel_grid`` without that pass.
+    The constructor checks and copies ``values``: a bad shape, a NaN or a
+    value past tau raises ValueError, and only then no surface raises
+    EmptySurfaceError.
+    The kernel's own grids are built by ``_kernel_grid`` without that pass.
     """
 
     spec: GridSpec
@@ -243,6 +245,8 @@ class TSDFGrid:
             raise ValueError("values must be finite")
         if lo < -tau or hi > tau:
             raise ValueError("values exceed the truncation band")
+        if not lo < 0 <= hi:
+            raise EmptySurfaceError(f"grid has no surface: {'every' if lo < 0 else 'no'} cell is inside")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -253,7 +257,7 @@ class TSDFGrid:
 
 def _kernel_grid(spec: GridSpec, values: np.ndarray) -> TSDFGrid:
     """A TSDFGrid of ``_compose``'s values, which are fresh, read-only,
-    C-ordered float32 in [-tau, tau]: not cast, scanned or copied again."""
+    C-ordered float32 in [-tau, tau] with a surface, used as they are."""
     grid = object.__new__(TSDFGrid)
     object.__setattr__(grid, "spec", spec)
     object.__setattr__(grid, "values", values)
@@ -627,7 +631,7 @@ def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> np.
     Crossing locations come from linear interpolation along grid edges, in
     float64.  Each axis's crossings are found as flat indices into the grid,
     in C order, so only a crossing's two samples are read and widened.
-    Raises EmptySurfaceError when no adjacent pair changes sign.
+    Every grid has a surface, so the result is never empty.
     """
     n, pitch = grid.spec.resolution, grid.spec.pitch
     occ = grid.values < 0
@@ -646,8 +650,6 @@ def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> np.
         coords = DOMAIN_MIN + (np.stack(np.unravel_index(at, occ.shape), axis=-1) + 0.5) * pitch
         coords[:, axis] += t * pitch
         pts.append(coords)
-    if not pts:
-        raise EmptySurfaceError("grid has no sign change between adjacent cells")
     allpts = np.concatenate(pts, axis=0)
     if len(allpts) > max_points:
         rng = np.random.default_rng(seed)

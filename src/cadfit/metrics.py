@@ -28,14 +28,11 @@ HISTOGRAM_BINS = 28
 
 
 def iou(a: TSDFGrid, b: TSDFGrid) -> float:
-    """Occupancy intersection over union; two empty shapes count as equal."""
+    """Occupancy intersection over union; every grid has an inside cell."""
     if a.spec != b.spec:
         raise SpecMismatchError("grids use different specs")
     occ_a, occ_b = a.occupancy(), b.occupancy()
-    union = int(np.count_nonzero(occ_a | occ_b))
-    if union == 0:
-        return 1.0
-    return int(np.count_nonzero(occ_a & occ_b)) / union
+    return int(np.count_nonzero(occ_a & occ_b)) / int(np.count_nonzero(occ_a | occ_b))
 
 
 def chamfer(a, b) -> float:

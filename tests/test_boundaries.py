@@ -8,7 +8,9 @@ something that would surface as a traceback.
 import dataclasses
 import os
 import re
+import shutil
 import struct
+import sys
 import tempfile
 
 import numpy as np
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from helpers import cell_points, circle_pair, cylinder_sequence
 
+from cadfit import kernel
 from cadfit.cli import main
 from cadfit.errors import CadfitError
 from cadfit.gridio import read_grid_text, read_tsdf, tsdf_bytes, write_grid_text
@@ -302,3 +305,175 @@ def test_a_sequence_without_a_surface_exits_two_or_scores_invalid(scoring_inputs
     res = CliRunner().invoke(main, ["metrics", str(src), str(path / "cyl.seq"), "--res", "16"])
     assert res.exit_code == 0 and res.stderr == ""
     assert res.stdout.splitlines()[0] == "invalid True" and "objective inf" in res.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def one_triplet_corpus(tmp_path_factory):
+    """A saved 1-triplet resolution-16 corpus and its grid spec."""
+    path = tmp_path_factory.mktemp("one-triplet")
+    spec = SynthSpec(corpus_size=1, seed=5, grid=GridSpec(resolution=16, tau=0.1))
+    save_corpus(path, synth(spec), spec)
+    return path, spec.grid
+
+
+def _surfaceless_bytes(suffix, spec, value):
+    """A ``.tsdf`` or ``.grid`` file's bytes, every sample ``value``."""
+    n = spec.resolution
+    if suffix == ".tsdf":
+        return b"TSDF" + struct.pack("<BHf", 1, n, spec.tau) + np.full(n**3, value, dtype="<f4").tobytes()
+    row = " ".join([f"{np.float32(value):.9g}"] * n)
+    return (f"{n} {spec.tau:.9g}\n" + "\n".join([row] * n * n) + "\n").encode()
+
+
+def _tree(path):
+    """Every entry under ``path``: a directory, a symlink's target or a
+    file's bytes, by relative path; symlinks are not followed."""
+    out = {}
+    for root, dirs, files in os.walk(path):
+        for name in dirs + files:
+            full = os.path.join(root, name)
+            key = os.path.relpath(full, path)
+            if os.path.islink(full):
+                out[key] = ("link", os.readlink(full))
+            elif os.path.isdir(full):
+                out[key] = ("dir",)
+            else:
+                with open(full, "rb") as fh:
+                    out[key] = ("file", fh.read())
+    return out
+
+
+@pytest.mark.parametrize("suffix", [".tsdf", ".grid"])
+@pytest.mark.parametrize(
+    "value, which",
+    [(0.1, "no"), (-0.1, "every"), (0.0, "no"), (-0.0, "no")],
+    ids=["tau", "minus-tau", "zero", "minus-zero"],
+)
+def test_a_target_with_no_surface_fails_every_command_before_any_render(
+    one_triplet_corpus, tmp_path, monkeypatch, suffix, value, which
+):
+    """``metrics``, ``inspect`` and ``edit`` against such a file, and, for
+    ``.tsdf``, the form a corpus holds, ``eval`` on a corpus whose target it
+    replaces, exit 1 with one line that names the file, print nothing, write
+    nothing and never reach the kernel."""
+    corpus, spec = one_triplet_corpus
+    work = tmp_path / "corpus"
+    shutil.copytree(corpus, work)
+    target = work / ("0000.target.tsdf" if suffix == ".tsdf" else "target.grid")
+    target.write_bytes(_surfaceless_bytes(suffix, spec, value))
+    calls, real = [], {name: getattr(kernel, name) for name in ("render", "attribute")}
+    for mod in [m for key, m in sys.modules.items() if key.partition(".")[0] == "cadfit"]:
+        for name, fn in real.items():
+            if vars(mod).get(name) is fn:  # wherever the name is bound
+                monkeypatch.setattr(mod, name, lambda *a, _name=name, **k: calls.append(_name))
+    seq = str(work / "0000.orig.seq")
+    commands = [
+        ["metrics", seq, str(target)],
+        ["inspect", seq, str(target)],
+        ["edit", seq, str(target), "-o", str(work / "out.seq"), "--report", str(work / "r.txt"), "--rounds", "1"],
+    ]
+    if suffix == ".tsdf":
+        commands.append(["eval", str(work), "--report", str(work / "eval.txt"), "--rounds", "1", "--n", "1"])
+    before = _tree(work)
+    for args in commands:
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), (args[0], res.output)
+        assert res.stderr == f"EmptySurfaceError: {target}: grid has no surface: {which} cell is inside\n", args[0]
+        assert res.stdout == ""
+        assert _tree(work) == before
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def output_inputs(tmp_path_factory, one_triplet_corpus):
+    """A directory of every command's inputs, intact and damaged, and of the
+    entries the outputs below collide with or cannot be written to."""
+    path = tmp_path_factory.mktemp("output-inputs")
+    corpus, spec = one_triplet_corpus
+    for name in ("corpus", "garbage-corpus", "surfaceless-corpus"):
+        shutil.copytree(corpus, path / name)
+    (path / "garbage-corpus" / "manifest").write_text("junk\n", encoding="utf-8")
+    (path / "surfaceless-corpus" / "0000.target.tsdf").write_bytes(_surfaceless_bytes(".tsdf", spec, spec.tau))
+    (path / "cyl.seq").write_text(serialize_sequence(cylinder_sequence()) + "\n", encoding="utf-8")
+    (path / "garbage.seq").write_text("SOL X\n", encoding="utf-8")
+    surfaceless = ConstructionSequence((_OUTSIDE,))
+    (path / "surfaceless.seq").write_text(serialize_sequence(surfaceless) + "\n", encoding="utf-8")
+    (path / "target.tsdf").write_bytes(tsdf_bytes(render(cylinder_sequence(), spec)))
+    (path / "garbage.tsdf").write_bytes(b"TSDF junk")
+    (path / "surfaceless.tsdf").write_bytes(_surfaceless_bytes(".tsdf", spec, -spec.tau))
+    (path / "recipe").write_text("corpus_size 1\nresolution 16\ntau 0.1\nseed 5\n", encoding="utf-8")
+    (path / "garbage.recipe").write_text("corpus_size x\n", encoding="utf-8")
+    (path / "a-dir").mkdir()
+    (path / "alias").symlink_to("out-o")  # names edit's -o output
+    (path / "corpus-with-dir" / "manifest").mkdir(parents=True)
+    (path / "corpus-with-alias").mkdir()
+    (path / "corpus-with-alias" / "0000.truth.seq").symlink_to("0000.orig.seq")
+    return path
+
+
+# output paths in the inputs' directory that cannot be written: a
+# directory, under a missing directory, under a file, a name too long
+_BAD_OUTPUTS = ("a-dir", "missing/out", "cyl.seq/out", "x" * 300)
+# and synth's: a file, under a file, a name too long, a corpus holding a
+# directory where the manifest goes, or a link that makes two files one
+_BAD_SYNTH_OUTPUTS = ("cyl.seq", "cyl.seq/corpus", "x" * 300, "corpus-with-dir", "corpus-with-alias")
+# each command's input: intact, missing, garbage and, but for synth's recipe, with no surface
+_INPUTS = {
+    "render": ("cyl.seq", "none.seq", "garbage.seq", "surfaceless.seq"),
+    "edit": ("target.tsdf", "none.tsdf", "garbage.tsdf", "surfaceless.tsdf"),
+    "synth": ("recipe", "none.recipe", "garbage.recipe"),
+    "eval": ("corpus", "none", "garbage-corpus", "surfaceless-corpus"),
+}
+
+
+@st.composite
+def bad_output_commands(draw, base):
+    """Each command's arguments, with one of its inputs in ``base`` intact or
+    damaged and at least one of its outputs a path that collides or cannot
+    be written."""
+    bad = st.sampled_from(_BAD_OUTPUTS)
+    inputs = {cmd: f"{base}/{draw(st.sampled_from(names))}" for cmd, names in _INPUTS.items()}
+    out, report = draw(st.sampled_from([("ok", "bad"), ("bad", "ok"), ("bad", "bad"), ("ok", "collide")]))
+    out = "out-o" if out == "ok" else draw(bad)
+    if report == "collide":
+        report = draw(st.sampled_from([out, "./" + out, "alias"]))
+    else:
+        report = "out-r" if report == "ok" else draw(bad)
+    rounds = ["--rounds", "1", "--n", "1"]
+    return [
+        ["render", inputs["render"], "-o", f"{base}/{draw(bad)}", "--res", "16"],
+        ["edit", f"{base}/cyl.seq", inputs["edit"], "-o", f"{base}/{out}", "--report", f"{base}/{report}", *rounds],
+        ["synth", "--spec", inputs["synth"], "-o", f"{base}/{draw(st.sampled_from(_BAD_SYNTH_OUTPUTS))}"],
+        ["eval", inputs["eval"], "--report", f"{base}/{draw(bad)}", *rounds],
+    ]
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_an_output_that_collides_or_cannot_be_written_fails_in_one_line_and_writes_nothing(output_inputs, data):
+    """``render``, ``edit``, ``synth`` and ``eval``, each with an output
+    that is a directory, under a missing directory or a file, too long a
+    name, or another output's file, beside intact or damaged inputs."""
+    before = _tree(output_inputs)
+    for args in data.draw(bad_output_commands(output_inputs)):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code in (1, 2) and isinstance(res.exception, SystemExit), (args, res.output)
+        assert re.fullmatch(r"[A-Z]\w*: [^\n]*\n", res.stderr), (args, res.stderr)
+        assert res.stdout == ""
+        assert _tree(output_inputs) == before, args
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="write_atomic replaces its outputs one by one, so a later one that fails leaves an earlier one written",
+)
+def test_an_edit_whose_report_cannot_be_replaced_writes_nothing(output_inputs, tmp_path):
+    """A report name too long for the file system passes ``check_outputs``
+    and fails only at its replace, after ``-o`` was replaced."""
+    base = tmp_path / "inputs"
+    shutil.copytree(output_inputs, base, symlinks=True)
+    before = _tree(base)
+    args = ["edit", f"{base}/cyl.seq", f"{base}/target.tsdf", "-o", f"{base}/out-o", "--report", f"{base}/{'x' * 300}"]
+    res = CliRunner().invoke(main, args + ["--rounds", "1", "--n", "1"])
+    assert res.exit_code == 1 and re.fullmatch(r"OSError: [^\n]*\n", res.stderr), res.output
+    assert _tree(base) == before

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import statistics
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ from helpers import circle_pair, cylinder_sequence
 
 from cadfit import engine
 from cadfit.cli import main
-from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file, write_tsdf
-from cadfit.kernel import GridSpec, TSDFGrid, render
+from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file
+from cadfit.kernel import GridSpec, render
 from cadfit.report import fmt
 from cadfit.sequence import ConstructionSequence
 from cadfit.synth import EDIT_CLASSES, load_corpus
@@ -367,7 +368,8 @@ def test_edit_unrenderable_original_exits_two(runner):
 @pytest.mark.parametrize("sign", [1, -1], ids=["all-outside", "all-inside"])
 def test_edit_against_a_target_with_no_surface_fails_before_round_one(runner, monkeypatch, sign):
     spec = GridSpec()
-    target = TSDFGrid(spec, np.full((spec.resolution,) * 3, sign * spec.tau, dtype=np.float32))
+    header = b"TSDF" + struct.pack("<BHf", 1, spec.resolution, spec.tau)
+    raw = header + np.full(spec.resolution**3, sign * spec.tau, dtype="<f4").tobytes()
     attributed, real = [], engine.attribute
 
     def attribute(*args, **kwargs):
@@ -377,11 +379,12 @@ def test_edit_against_a_target_with_no_surface_fails_before_round_one(runner, mo
     monkeypatch.setattr(engine, "attribute", attribute)
     with runner.isolated_filesystem():
         _write_models()
-        write_tsdf("t.tsdf", target)
+        Path("t.tsdf").write_bytes(raw)
         res = runner.invoke(main, ["edit", "cyl.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt"])
         assert res.exit_code == 1
         assert res.stdout == ""
-        assert res.stderr.startswith("EmptySurfaceError: ") and res.stderr.count("\n") == 1
+        which = "no" if sign > 0 else "every"
+        assert res.stderr == f"EmptySurfaceError: t.tsdf: grid has no surface: {which} cell is inside\n"
         assert not os.path.exists("out.seq") and not os.path.exists("run.txt")
     assert attributed == []
 

@@ -39,11 +39,14 @@ def _sphere_grid(spec: GridSpec, radius: float = 0.35) -> TSDFGrid:
 
 
 def test_constant_grid_embeds_to_constant_latent():
+    """A grid constant on each pooling block embeds to those constants: 0.125,
+    but -0.125 in the first pooled x layer, which gives the grid a surface."""
     spec = GridSpec()
-    grid = TSDFGrid(spec, np.full((32, 32, 32), 0.125, dtype=np.float32))
-    lat = embed_shape(grid)
+    vals = np.full((32, 32, 32), 0.125, dtype=np.float32)
+    vals[:4] = -0.125
+    lat = embed_shape(TSDFGrid(spec, vals))
     assert lat.shape == (512,)
-    assert np.allclose(lat, 0.125)
+    assert np.allclose(lat.reshape(8, 8, 8), np.where(np.arange(8) == 0, -0.125, 0.125)[:, None, None])
 
 
 def _numpy_block_means(vals: np.ndarray) -> np.ndarray:
@@ -353,12 +356,11 @@ def test_target_must_match_pool_resolution():
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["all-outside", "all-inside"])
 def test_target_must_have_a_surface(sign):
+    """``run`` checks no target's surface: a grid without one cannot be built."""
     spec = GridSpec()
-    target = TSDFGrid(spec, np.full((spec.resolution,) * 3, sign * spec.tau, dtype=np.float32))
-    inside = 0 if sign > 0 else spec.resolution**3
-    for cfg in (EngineConfig(), EngineConfig(n=0)):
-        with pytest.raises(EmptySurfaceError, match=f"target has no surface: {inside} of 32768 cells inside"):
-            run(cylinder_sequence(), target, cfg)
+    which = "no" if sign > 0 else "every"
+    with pytest.raises(EmptySurfaceError, match=f"^grid has no surface: {which} cell is inside$"):
+        TSDFGrid(spec, np.full((spec.resolution,) * 3, sign * spec.tau, dtype=np.float32))
 
 
 @pytest.mark.parametrize("mode", ["plan", "verify", "queue"])

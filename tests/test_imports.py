@@ -1,11 +1,15 @@
 """Static checks: every name a cadfit module imports is used in that module,
 every module-level private name is referenced in the module defining it, and
-every public function and class has a caller outside the tests.
+every public function and class has a caller outside the tests, and the
+benchmark's modules still import and trace what they name.
 
-Standard library only, so it runs wherever the tests do; no linter needed.
+Standard library and the package only, so it runs wherever the tests do; no
+linter needed.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +158,31 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
     outside = [ast.parse(p.read_text(), filename=str(p)) for p in PERFBENCH]
     assert sorted(_uncalled(modules, outside)) == sorted(_TEST_ONLY)
+
+
+_BENCHMARK_MODULES = ("spans", "workloads", "drive")
+
+
+def test_the_benchmark_imports_and_traces_what_it_names(monkeypatch):
+    """perfbench reaches cadfit by name: its modules import cadfit's, and its
+    tracer wraps each function ``SPANNED`` and ``COUNTED`` name.  So a change
+    to ``src`` that breaks the benchmark fails here.  ``run.py`` stays out,
+    as it sets BLAS variables when imported."""
+    from cadfit import kernel
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        spans, _, _ = map(importlib.import_module, _BENCHMARK_MODULES)
+        tracer = spans.Tracer()
+        try:
+            tracer.install()
+            assert kernel.render.perfbench_original
+        finally:
+            tracer.uninstall()
+        assert not hasattr(kernel.render, "perfbench_original")
+    finally:
+        for name in _BENCHMARK_MODULES:
+            sys.modules.pop(name, None)
 
 
 # method names that change a list, dict or set in place

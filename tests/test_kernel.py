@@ -374,6 +374,68 @@ def test_grid_rejects_non_finite_values(bad):
         TSDFGrid(spec, vals)
 
 
+def _resolution_8(*values, rest=None):
+    """An (8, 8, 8) float32 grid of ``rest``, or of the first value, with the
+    given values in its first cells."""
+    vals = np.full(8**3, values[0] if rest is None else rest, dtype=np.float32)
+    vals[: len(values)] = values
+    return vals.reshape(8, 8, 8)
+
+
+@pytest.mark.parametrize(
+    "vals, which",
+    [
+        (_resolution_8(0.2), "no"),
+        (_resolution_8(0.0), "no"),
+        (_resolution_8(-0.0), "no"),
+        (_resolution_8(0.0, -0.0, 1e-30, rest=0.2), "no"),
+        (_resolution_8(-0.2), "every"),
+        (_resolution_8(-1e-30, -0.1, rest=-0.2), "every"),
+    ],
+    ids=[
+        "no-cell-inside-tau",
+        "all-zero",
+        "all-negative-zero",
+        "no-cell-inside-mixed",
+        "every-cell-inside-tau",
+        "every-cell-inside-mixed",
+    ],
+)
+def test_a_grid_with_no_surface_is_rejected(vals, which):
+    """A grid needs a cell inside, below zero, and one that is not; -0.0 is
+    not inside, as occupancy is ``values < 0``."""
+    with pytest.raises(EmptySurfaceError, match=f"^grid has no surface: {which} cell is inside$"):
+        TSDFGrid(GridSpec(resolution=8), vals)
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        _resolution_8(-1e-30, rest=0.2),
+        _resolution_8(-0.2, rest=0.0),
+        _resolution_8(0.0, rest=-0.2),
+        _resolution_8(-0.0, rest=-0.1),
+    ],
+    ids=["one-cell-inside", "one-cell-inside-of-zeros", "one-cell-outside", "one-negative-zero-outside"],
+)
+def test_a_grid_with_one_cell_either_side_is_accepted(vals):
+    grid = TSDFGrid(GridSpec(resolution=8), vals)
+    assert 0 < np.count_nonzero(grid.occupancy()) < grid.values.size
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [_resolution_8(np.nan, rest=-0.1), _resolution_8(-0.3, rest=-0.1), np.full((8, 8, 7), 0.1, dtype=np.float32)],
+    ids=["nan-all-inside", "past-minus-tau-all-inside", "shape"],
+)
+def test_a_damaged_grid_with_no_surface_is_a_value_error(vals):
+    """Shape, NaN and band come before the surface, so a damaged file with
+    no surface still reads as damaged: a ValueError, not EmptySurfaceError
+    (``test_grid_rejects_non_finite_values`` holds no cell inside)."""
+    with pytest.raises(ValueError):
+        TSDFGrid(GridSpec(resolution=8), vals)
+
+
 def test_render_out_of_domain_profile_is_invalid():
     seq = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
     with pytest.raises(RenderInvalidError):
@@ -1269,11 +1331,3 @@ def test_surface_points_subsample_is_seeded():
     assert np.array_equal(a, b)
     assert len(a) == 64
     assert not np.array_equal(a, c)
-
-
-def test_surface_points_empty_grid_raises():
-    spec = GridSpec()
-    n = spec.resolution
-    grid = TSDFGrid(spec, np.full((n, n, n), spec.tau, dtype=np.float32))
-    with pytest.raises(EmptySurfaceError):
-        surface_points(grid)
