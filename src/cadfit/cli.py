@@ -2,13 +2,16 @@
 
 Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2 when
 a render found no solid, or nothing but solid, and 1 for everything else, a
-missing input file, an unwritable output path and two outputs that name one
-file included.  Such an output fails before the work: ``render``, ``edit`` and
+missing input file, an unwritable output path, one whose name is too long
+for its file system and two outputs that name one file included.  Such an
+output fails before the work: ``render``, ``edit`` and
 ``eval`` check theirs with ``check_outputs`` before they read an input, and
 ``synth`` checks every file of its corpus as soon as it has made its directory,
 before it draws.  A failed ``edit`` or ``synth`` writes no file: each writes
 all of its outputs through one ``write_atomic`` call, so an existing corpus
-stays whole (a failed ``synth`` may leave a new output directory, empty).  A
+stays whole (a failed ``synth`` may leave a new output directory, empty).  An
+``edit --generator-cmd`` endpoint that fails is no failure: the surrogate
+fills its rounds, so the edit writes what it writes without one.  A
 malformed command line, such as ``--res abc``, is a click usage error and exits
 2.  ``--res`` and ``--seed`` defaults can come from CADFIT_RESOLUTION and
 CADFIT_SEED.

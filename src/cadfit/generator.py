@@ -3,7 +3,8 @@
 The surrogate sampler draws grammar-valid fragments centered on the original
 parameters.  Given an endpoint speaking the line protocol documented on
 ``ExternalGenerator``, ``infill`` puts the candidates it accepts first and
-fills the rest from the surrogate, which also stands in for a failed endpoint.
+fills the rest from the surrogate; a failed endpoint gives none, so the
+surrogate fills them all.  A candidate is its sequence alone.
 """
 
 from __future__ import annotations
@@ -39,20 +40,16 @@ from .sequence import (
     validate_sequence,
 )
 
-ORIGIN_SURROGATE = "surrogate"
-ORIGIN_EXTERNAL = "external"
-
 _RETRIES_PER_CANDIDATE = 64
 _MAX_LINE_BYTES = 1 << 20  # one endpoint response line; far beyond any candidate
 
 
 @dataclass(frozen=True)
 class Candidate:
-    """One proposed sequence plus where it came from."""
+    """One proposed sequence.  Which source drew it is not recorded:
+    ``infill`` returns the endpoint's candidates first."""
 
     seq: ConstructionSequence
-    origin: str
-    note: str = ""
 
 
 # -- surrogate sampling ------------------------------------------------------
@@ -205,10 +202,8 @@ def _fill_once(masked: MaskedSequence, rng) -> ConstructionSequence:
 
 def _surrogate(masked: MaskedSequence, count: int, seed: int) -> tuple[Candidate, ...]:
     if not masked.entries:
-        return (Candidate(masked.base, ORIGIN_SURROGATE),) * count
-    return tuple(
-        Candidate(_fill_once(masked, np.random.default_rng([seed, k])), ORIGIN_SURROGATE) for k in range(count)
-    )
+        return (Candidate(masked.base),) * count
+    return tuple(Candidate(_fill_once(masked, np.random.default_rng([seed, k]))) for k in range(count))
 
 
 # -- external endpoint -------------------------------------------------------
@@ -335,20 +330,18 @@ def infill(
     so the first ones do not depend on ``n``; zero masked spans give copies
     of the base.  An endpoint's accepted lines come first, in its order, and
     surrogate candidates 0, 1, ... fill the rest; a garbage line is dropped
-    alone.  An unreachable, silent or protocol-breaking endpoint gives the
-    full surrogate set with a note in each candidate's provenance, and its
-    process is closed so a later request cannot read this one's leftovers.
+    alone.  An unreachable, silent or protocol-breaking endpoint counts as
+    one that sent no line, and its process is closed so a later request
+    cannot read this one's leftovers.
     """
     if n < 1:
         raise ValueError("need at least one candidate per round")
-    if endpoint is None:
-        return _surrogate(masked, n, seed)
-    try:
-        lines = endpoint.request(masked.text(), n, seed)
-    except (EndpointUnavailableError, GeneratorProtocolError) as err:
-        endpoint.close()
-        note = f"endpoint failed, surrogate fallback: {err}"
-        return tuple(dataclasses.replace(c, note=note) for c in _surrogate(masked, n, seed))
+    lines = []
+    if endpoint is not None:
+        try:
+            lines = endpoint.request(masked.text(), n, seed)
+        except (EndpointUnavailableError, GeneratorProtocolError):
+            endpoint.close()
     accepted = (_accept_external(line, masked) for line in lines)
-    kept = tuple(Candidate(seq, ORIGIN_EXTERNAL) for seq in accepted if seq is not None)
+    kept = tuple(Candidate(seq) for seq in accepted if seq is not None)
     return kept + _surrogate(masked, n - len(kept), seed)

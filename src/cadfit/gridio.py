@@ -41,10 +41,10 @@ def check_outputs(*paths: str) -> None:
     """Raise if ``write_atomic`` could not write these paths: a
     ``ValueError`` for two paths that name one file, since the later would
     replace the earlier, else an ``OSError`` for a path that is a directory,
-    or whose parent is not one or is one this process cannot write and
-    search.  Each error names the caller's path as a plain string.  A
-    command calls this before its work, so a bad output fails at once and
-    not after the run."""
+    whose parent is not one or is one this process cannot write and search,
+    or whose name is longer than its parent's file system takes.  Each error
+    names the caller's path as a plain string.  A command calls this before
+    its work, so a bad output fails at once and not after the run."""
     seen = set()
     for path in paths:
         real = os.path.realpath(path)
@@ -59,6 +59,8 @@ def check_outputs(*paths: str) -> None:
             raise OSError(code, os.strerror(code), os.fspath(path))  # the subclass for the code
         if not os.access(parent, os.W_OK | os.X_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        if len(os.fsencode(os.path.basename(path))) > os.pathconf(parent, "PC_NAME_MAX"):
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), os.fspath(path))
 
 
 def write_atomic(*outputs: tuple[str, bytes]) -> None:

@@ -6,8 +6,10 @@ something that would surface as a traceback.
 """
 
 import dataclasses
+import functools
 import os
 import re
+import shlex
 import shutil
 import struct
 import sys
@@ -20,10 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import cell_points, circle_pair, cylinder_sequence
+from test_generator import DYING_STUB, EARLY_END_STUB, FLOOD_STUB, GARBAGE_STUB, STALL_STUB
 
 from cadfit import kernel
 from cadfit.cli import main
 from cadfit.errors import CadfitError
+from cadfit.generator import ExternalGenerator
 from cadfit.gridio import read_grid_text, read_tsdf, tsdf_bytes, write_grid_text
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.sequence import BoolOp, ConstructionSequence, parse_sequence, serialize_sequence
@@ -463,13 +467,9 @@ def test_an_output_that_collides_or_cannot_be_written_fails_in_one_line_and_writ
         assert _tree(output_inputs) == before, args
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="write_atomic replaces its outputs one by one, so a later one that fails leaves an earlier one written",
-)
 def test_an_edit_whose_report_cannot_be_replaced_writes_nothing(output_inputs, tmp_path):
-    """A report name too long for the file system passes ``check_outputs``
-    and fails only at its replace, after ``-o`` was replaced."""
+    """A report name too long for the file system fails ``check_outputs``
+    before the edit, so ``-o`` is not replaced ahead of it."""
     base = tmp_path / "inputs"
     shutil.copytree(output_inputs, base, symlinks=True)
     before = _tree(base)
@@ -477,3 +477,49 @@ def test_an_edit_whose_report_cannot_be_replaced_writes_nothing(output_inputs, t
     res = CliRunner().invoke(main, args + ["--rounds", "1", "--n", "1"])
     assert res.exit_code == 1 and re.fullmatch(r"OSError: [^\n]*\n", res.stderr), res.output
     assert _tree(base) == before
+
+
+# stubs that fail in every way an endpoint can, each started with its pid
+# file as its one argument
+_PID_LINE = "import os, sys\nwith open(sys.argv[1], 'a') as fh:\n    fh.write(f'{os.getpid()}\\n')\n"
+_FAILING_ENDPOINTS = {
+    "floods": FLOOD_STUB,
+    "goes-silent": STALL_STUB,
+    "closes-mid-response": DYING_STUB,
+    "exits-at-once": "",
+    "ends-early": EARLY_END_STUB,
+    "answers-garbage": GARBAGE_STUB,
+}
+
+
+@pytest.fixture(scope="module")
+def endpointless_edit(one_triplet_corpus, tmp_path_factory):
+    """A two-round edit's arguments, and its stdout, ``-o`` bytes and
+    ``--report`` bytes with no endpoint."""
+    corpus, _ = one_triplet_corpus
+    path = tmp_path_factory.mktemp("endpointless")
+    args = ["edit", str(corpus / "0000.orig.seq"), str(corpus / "0000.target.tsdf"), "--rounds", "2", "--n", "2"]
+    res = CliRunner().invoke(main, args + ["-o", str(path / "out.seq"), "--report", str(path / "r.txt")])
+    assert res.exit_code == 0, res.output
+    return args, res.stdout, (path / "out.seq").read_bytes(), (path / "r.txt").read_bytes()
+
+
+@pytest.mark.parametrize("body", _FAILING_ENDPOINTS.values(), ids=_FAILING_ENDPOINTS.keys())
+def test_an_edit_whose_endpoint_fails_writes_what_it_writes_without_one(endpointless_edit, tmp_path, monkeypatch, body):
+    """Every round falls back to the surrogate, so the edit exits 0 with the
+    endpointless edit's stdout and bytes, and every stub it started is
+    gone when it returns."""
+    args, stdout, out, report = endpointless_edit
+    stub, pids = tmp_path / "stub.py", tmp_path / "pids"
+    stub.write_text(_PID_LINE + body)
+    monkeypatch.setattr("cadfit.cli.ExternalGenerator", functools.partial(ExternalGenerator, timeout=0.3))
+    outputs = ["-o", str(tmp_path / "out.seq"), "--report", str(tmp_path / "r.txt")]
+    cmd = shlex.join([sys.executable, str(stub), str(pids)])
+    res = CliRunner().invoke(main, args + outputs + ["--generator-cmd", cmd])
+    assert (res.exit_code, res.stderr, res.stdout) == (0, "", stdout)
+    assert ((tmp_path / "out.seq").read_bytes(), (tmp_path / "r.txt").read_bytes()) == (out, report)
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert started
+    for pid in started:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)

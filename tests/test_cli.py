@@ -140,6 +140,8 @@ _IS_A_DIRECTORY = "IsADirectoryError: [Errno 21] Is a directory: 'adir'"
 _NO_PARENT = "FileNotFoundError: [Errno 2] No such file or directory: 'missing/%s'"
 _TWICE = "ValueError: r.txt: named by two outputs"
 _LOCKED = "PermissionError: [Errno 13] Permission denied: 'locked/%s'"
+_LONG = "x" * 300  # past any file system's NAME_MAX
+_TOO_LONG = f"OSError: [Errno 36] File name too long: '{_LONG}'"
 # what a command reads or runs after it has checked its outputs
 _THE_WORK = ("read_sequence_file", "read_grid", "load_corpus", "render", "run", "run_corpus", "synth")
 
@@ -167,6 +169,10 @@ def _tree() -> dict:
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", "locked/r.txt", "--n", "0"], _LOCKED % "r.txt"),
         (["eval", "corpus", "--report", "locked/r.txt", "--n", "0"], _LOCKED % "r.txt"),
         (["synth", "--spec", "recipe", "-o", "locked"], _LOCKED % "0000.orig.seq"),
+        (["render", "cyl.seq", "-o", _LONG], _TOO_LONG),
+        (["edit", "cyl.seq", "t.tsdf", "-o", _LONG, "--report", "r.txt", "--n", "0"], _TOO_LONG),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", _LONG, "--n", "0"], _TOO_LONG),
+        (["eval", "corpus", "--report", _LONG, "--n", "0"], _TOO_LONG),
     ],
     ids=[
         "render-o",
@@ -184,6 +190,10 @@ def _tree() -> dict:
         "edit-report-parent-locked",
         "eval-report-parent-locked",
         "synth-o-locked",
+        "render-o-too-long",
+        "edit-o-too-long",
+        "edit-report-too-long",
+        "eval-report-too-long",
     ],
 )
 def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, monkeypatch, args, message):

@@ -10,13 +10,8 @@ from helpers import cylinder_sequence, extrusion
 
 from cadfit import generator
 from cadfit.engine import EngineConfig, run
-from cadfit.errors import GeneratorProtocolError
-from cadfit.generator import (
-    ORIGIN_EXTERNAL,
-    ORIGIN_SURROGATE,
-    ExternalGenerator,
-    infill,
-)
+from cadfit.errors import EndpointUnavailableError, GeneratorProtocolError
+from cadfit.generator import ExternalGenerator, infill
 from cadfit.kernel import GridSpec, render
 from cadfit.sequence import (
     Arc,
@@ -71,11 +66,7 @@ def test_infill_rejects_zero_candidates():
 def test_zero_masks_returns_base_copies():
     seq = cylinder_sequence()
     masked = apply_mask(seq, ())
-    out = infill(masked, 5, 3)
-    assert len(out) == 5
-    for cand in out:
-        assert cand.seq == seq
-        assert cand.origin == ORIGIN_SURROGATE
+    assert [c.seq for c in infill(masked, 5, 3)] == [seq] * 5
 
 
 def test_candidates_validate_and_preserve_unmasked_spans():
@@ -125,7 +116,7 @@ def test_seeded_infill_streams_are_pinned():
                     lines.append(f"{name} {gran.value} {seed} [{labels}] {serialize_sequence(cand.seq)}")
     _, masked = _masked_circle()
     for cand in infill(masked, 4, 3, ExternalGenerator(["/nonexistent/binary/path"])):
-        lines.append(f"fallback {cand.origin} {cand.note.split(':')[0]} {serialize_sequence(cand.seq)}")
+        lines.append(f"fallback surrogate endpoint failed, surrogate fallback {serialize_sequence(cand.seq)}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SAMPLER_PIN
 
@@ -395,11 +386,7 @@ def test_echo_endpoint_restores_base(tmp_path):
     )
     with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, *span.split())) as gen:
         out = infill(masked, 4, 0, gen)
-    assert len(out) == 4
-    for cand in out:
-        assert cand.seq == seq
-        assert cand.origin == ORIGIN_EXTERNAL
-        assert cand.note == ""
+    assert [c.seq for c in out] == [seq] * 4
 
 
 def test_garbage_endpoint_backfills_with_surrogate(tmp_path):
@@ -407,8 +394,6 @@ def test_garbage_endpoint_backfills_with_surrogate(tmp_path):
     n, seed = 5, 8
     with ExternalGenerator(_stub(tmp_path, "garbage.py", GARBAGE_STUB)) as gen:
         out = infill(masked, n, seed, gen)
-    assert len(out) == 5
-    assert all(c.origin == ORIGIN_SURROGATE for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
@@ -421,10 +406,9 @@ def test_partial_endpoint_mixes_external_and_surrogate(tmp_path, monkeypatch):
     cmd = _stub(tmp_path, "partial.py", PARTIAL_STUB, "C", "90", "90", "40")
     with ExternalGenerator(cmd) as gen:
         out = infill(masked, n, seed, gen)
-    origins = [c.origin for c in out]
-    assert origins == [ORIGIN_EXTERNAL] + [ORIGIN_SURROGATE] * 4
-    got = out[0].seq.pairs[0][0].loops[0].primitives[0]
-    assert got == Circle((90, 90), 40)
+    # the endpoint's one parsed line first
+    assert out[0].seq == parse_sequence(masked.text().replace("MASK", "C 90 90 40"))
+    assert out[0].seq.pairs[0][0].loops[0].primitives[0] == Circle((90, 90), 40)
     # the backfill is the surrogate's first four, drawn once each
     assert [c.seq for c in out[1:]] == [c.seq for c in alone[:4]]
     assert len(draws) == 4
@@ -440,44 +424,55 @@ def test_tampering_endpoint_is_rejected(tmp_path):
     n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "tamper.py", TAMPER_STUB, *tampered.split())) as gen:
         out = infill(masked, n, seed, gen)
-    assert all(c.origin == ORIGIN_SURROGATE for c in out)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
-def test_unreachable_endpoint_falls_back_with_note():
+def test_unreachable_endpoint_falls_back():
     _, masked = _masked_circle()
     n, seed = 4, 8
     gen = ExternalGenerator(["/nonexistent/binary/path"])
+    with pytest.raises(EndpointUnavailableError, match="^cannot spawn '/nonexistent/binary/path': "):
+        gen.request(masked.text(), n, seed)
     out = infill(masked, n, seed, gen)
-    assert len(out) == 4
-    for cand in out:
-        assert cand.origin == ORIGIN_SURROGATE
-        assert "fallback" in cand.note
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 def test_stalling_endpoint_times_out_to_fallback(tmp_path):
     _, masked = _masked_circle()
+    n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "stall.py", STALL_STUB), timeout=0.3) as gen:
-        out = infill(masked, 3, 8, gen)
-    assert all("fallback" in c.note for c in out)
+        with pytest.raises(EndpointUnavailableError, match=r"^endpoint silent past 0\.3s$"):
+            gen.request(masked.text(), n, seed)
+        out = infill(masked, n, seed, gen)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
 def test_endpoint_flooding_one_line_falls_back_at_the_bound(tmp_path):
     _, masked = _masked_circle()
     n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "flood.py", FLOOD_STUB), timeout=10) as gen:
+        with pytest.raises(GeneratorProtocolError, match="^endpoint sent a line over 1048576 bytes$"):
+            gen.request(masked.text(), n, seed)
+        gen.close()  # so infill meets a flood of its own, not this one's unread bytes
         out = infill(masked, n, seed, gen)
-    assert all(c.origin == ORIGIN_SURROGATE and "line over 1048576 bytes" in c.note for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
-@pytest.mark.parametrize("body", [PARTIAL_LINE_STUB, DYING_STUB], ids=["partial-line", "dies"])
-def test_endpoint_breaking_off_mid_response_falls_back(tmp_path, body):
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        (PARTIAL_LINE_STUB, EndpointUnavailableError, r"^endpoint silent past 0\.3s$"),
+        (DYING_STUB, EndpointUnavailableError, "^endpoint closed the stream mid-response$"),
+    ],
+    ids=["partial-line", "dies"],
+)
+def test_endpoint_breaking_off_mid_response_falls_back(tmp_path, body, error, message):
     _, masked = _masked_circle()
     n, seed = 3, 8
     with ExternalGenerator(_stub(tmp_path, "broken.py", body), timeout=0.3) as gen:
+        with pytest.raises(error, match=message):
+            gen.request(masked.text(), n, seed)
         out = infill(masked, n, seed, gen)
-    assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
@@ -490,7 +485,6 @@ def test_missing_end_is_a_protocol_error(tmp_path):
     n, seed = 3, 8
     with ExternalGenerator(cmd) as gen:
         out = infill(masked, n, seed, gen)
-    assert all(c.origin == ORIGIN_SURROGATE and "fallback" in c.note for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
@@ -502,7 +496,6 @@ def test_an_early_end_is_a_protocol_error_at_once(tmp_path):
         with pytest.raises(GeneratorProtocolError, match="^END after 1 of 4 candidate lines$"):
             gen.request(masked.text(), n, seed)
         out = infill(masked, n, seed, gen)
-    assert all(c.origin == ORIGIN_SURROGATE and c.note.endswith("END after 1 of 4 candidate lines") for c in out)
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
@@ -524,8 +517,7 @@ def test_late_answer_is_not_read_by_the_next_request(tmp_path):
     with ExternalGenerator(cmd, timeout=1.0) as gen:
         first = infill(masked, 2, 1, gen)
         second = infill(masked, 2, 7, gen)
-    assert all("fallback" in c.note for c in first)
-    assert all(c.origin == ORIGIN_EXTERNAL for c in second)
+    assert [c.seq for c in first] == [c.seq for c in infill(masked, 2, 1)]
     assert [c.seq.pairs[0][0].loops[0].primitives[0].radius for c in second] == [17, 17]
 
 
@@ -535,8 +527,7 @@ def test_endpoint_survives_repeated_requests(tmp_path):
     with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, *span)) as gen:
         first = infill(masked, 2, 0, gen)
         second = infill(masked, 2, 1, gen)
-    assert [c.seq for c in first] == [c.seq for c in second]
-    assert all(c.origin == ORIGIN_EXTERNAL for c in second)
+    assert [c.seq for c in first] == [c.seq for c in second] == [seq, seq]
 
 
 def test_an_endpoint_that_stopped_reading_falls_back_and_is_stopped(tmp_path):
@@ -546,11 +537,12 @@ def test_an_endpoint_that_stopped_reading_falls_back_and_is_stopped(tmp_path):
     with ExternalGenerator(_stub(tmp_path, "deaf.py", DEAF_STUB), timeout=2.0) as gen:
         first = infill(masked, n, seed, gen)
         proc = gen._proc
+        broken = r"^endpoint rejected the request: \[Errno 32\] Broken pipe$"
+        with pytest.raises(EndpointUnavailableError, match=broken):
+            gen.request(masked.text(), n, seed)
         out = infill(masked, n, seed, gen)
         assert gen._proc is None and proc.poll() is not None
-    assert [(c.seq, c.note) for c in first] == [(seq, "") for seq in alone]
-    note = "endpoint failed, surrogate fallback: endpoint rejected the request: [Errno 32] Broken pipe"
-    assert [(c.seq, c.origin, c.note) for c in out] == [(seq, ORIGIN_SURROGATE, note) for seq in alone]
+    assert [c.seq for c in first] == [c.seq for c in out] == alone
 
 
 def test_an_endpoint_needs_a_command_line():

@@ -1,7 +1,8 @@
 """Static checks: every name a cadfit module imports is used in that module,
-every module-level private name is referenced in the module defining it, and
-every public function and class has a caller outside the tests, and the
-benchmark's modules still import and trace what they name.
+every module-level private name is referenced in the module defining it,
+every public function and class has a caller outside the tests, every class
+field is read, and the benchmark's modules still import and trace what they
+name.
 
 Standard library and the package only, so it runs wherever the tests do; no
 linter needed.
@@ -160,29 +161,113 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     assert sorted(_uncalled(modules, outside)) == sorted(_TEST_ONLY)
 
 
+def _fields(tree: ast.Module) -> list[str]:
+    """``Class.name`` of each annotated name in a class body."""
+    return [
+        f"{node.name}.{stmt.target.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def _unread_fields(modules: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module.Class.name`` of each field of ``modules`` whose name no
+    ``readers`` tree reads as an attribute of anything but ``self``, nor
+    holds as a string."""
+    read = set()
+    for tree in readers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    fields = (f"{mod}.{field}" for mod, tree in modules.items() for field in _fields(tree))
+    return [field for field in fields if field.rsplit(".", 1)[1] not in read]
+
+
+def test_field_check_follows_its_rules():
+    modules = {
+        "a": ast.parse(
+            "class P:\n"
+            "    read: int\n"
+            "    by_string: int\n"
+            "    own: int\n"
+            "    written: int = 0\n"
+            "    def f(self):\n"
+            "        return self.own\n"
+            "def g(p):\n"
+            "    return p.read\n"
+        )
+    }
+    readers = [*modules.values(), ast.parse("getattr(p, 'by_string')\np.written = 1\n")]
+    assert _unread_fields(modules, readers) == ["a.P.own", "a.P.written"]
+
+
+def test_every_class_field_is_read():
+    """A field that nothing reads is data no caller needs.  A read is an
+    attribute of anything but ``self``, in a cadfit or perfbench module, or
+    a string there.  The check matches by name, so a field passes when any
+    read shares its name: a ``Candidate.origin`` would pass beside
+    ``Extrusion.origin``."""
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    readers = [*modules.values(), *(ast.parse(p.read_text(), filename=str(p)) for p in PERFBENCH)]
+    assert _unread_fields(modules, readers) == []
+
+
 _BENCHMARK_MODULES = ("spans", "workloads", "drive")
 
 
-def test_the_benchmark_imports_and_traces_what_it_names(monkeypatch):
-    """perfbench reaches cadfit by name: its modules import cadfit's, and its
-    tracer wraps each function ``SPANNED`` and ``COUNTED`` name.  So a change
-    to ``src`` that breaks the benchmark fails here.  ``run.py`` stays out,
-    as it sets BLAS variables when imported."""
-    from cadfit import kernel
-
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench's ``spans`` module, imported with ``workloads`` and
+    ``drive`` and dropped again after the test.  ``run.py`` stays out, as
+    it sets BLAS variables when imported."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     try:
         spans, _, _ = map(importlib.import_module, _BENCHMARK_MODULES)
-        tracer = spans.Tracer()
-        try:
-            tracer.install()
-            assert kernel.render.perfbench_original
-        finally:
-            tracer.uninstall()
-        assert not hasattr(kernel.render, "perfbench_original")
+        yield spans
     finally:
         for name in _BENCHMARK_MODULES:
             sys.modules.pop(name, None)
+
+
+def test_the_benchmark_imports_and_traces_what_it_names(spans):
+    """perfbench reaches cadfit by name: its modules import cadfit's, and its
+    tracer wraps each function ``SPANNED`` and ``COUNTED`` name.  So a change
+    to ``src`` that breaks the benchmark fails here."""
+    from cadfit import kernel
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert kernel.render.perfbench_original
+    finally:
+        tracer.uninstall()
+    assert not hasattr(kernel.render, "perfbench_original")
+
+
+def test_the_benchmark_traces_a_run(spans):
+    """The tracer also reads what traced calls return, such as ``cand.seq``
+    of each of infill's candidates, so a change to such a shape fails here
+    and not only in the benchmark."""
+    from helpers import cylinder_sequence
+
+    from cadfit import engine
+    from cadfit.kernel import GridSpec, render
+
+    target = render(cylinder_sequence(r=90), GridSpec(resolution=16))
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        engine.run(cylinder_sequence(), target, engine.EngineConfig(max_rounds=1, n=2))
+    finally:
+        tracer.uninstall()
+    layers = tracer.layer_metrics()
+    assert layers["generator.candidates"] == (2, "count")
+    assert layers["kernel.render.calls"][0] > 0
 
 
 # method names that change a list, dict or set in place
