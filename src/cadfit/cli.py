@@ -2,19 +2,21 @@
 
 Every failure prints ``ErrorClass: message`` on stderr; the exit code is 2 when
 a render found no solid, or nothing but solid, and 1 for everything else, a
-missing input file, an unwritable output path, one whose name is too long
-for its file system and two outputs that name one file included.  Such an
-output fails before the work: ``render``, ``edit`` and
-``eval`` check theirs with ``check_outputs`` before they read an input, and
-``synth`` checks every file of its corpus as soon as it has made its directory,
-before it draws.  A failed ``edit`` or ``synth`` writes no file: each writes
-all of its outputs through one ``write_atomic`` call, so an existing corpus
-stays whole (a failed ``synth`` may leave a new output directory, empty).  An
-``edit --generator-cmd`` endpoint that fails is no failure: the surrogate
-fills its rounds, so the edit writes what it writes without one.  A
-malformed command line, such as ``--res abc``, is a click usage error and exits
-2.  ``--res`` and ``--seed`` defaults can come from CADFIT_RESOLUTION and
-CADFIT_SEED.
+missing input file, an unwritable output path, one whose name is too long for
+its file system and two outputs that name one file included.  Such an output
+fails before the work: ``render``, ``edit`` and ``eval`` check theirs with
+``check_outputs`` before they read an input, and ``synth`` checks every file of
+its corpus as soon as it has made its directory, before it draws.  ``edit`` and
+``synth`` write all of their outputs through one ``write_atomic`` call, which
+checks every path and stages every output before the first replace: a failure
+``check_outputs`` can predict writes no file, so an existing corpus stays whole
+(a failed ``synth`` may leave a new output directory, empty), but a replace
+refused later, by a full disk for one, can leave the earlier outputs replaced.
+An ``edit --generator-cmd`` endpoint that fails is no failure: the surrogate
+fills its rounds, so the edit writes what it writes without one.  A malformed
+command line, such as ``--res abc``, is a click usage error and exits 2.  Every
+output depends on the command line and the input files alone; every objective
+weighs edit distance by ``metrics.LAMBDA``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .gridio import (
     write_text_atomic,
 )
 from .kernel import GridSpec, attribute, render
-from .metrics import DEFAULT_LAMBDA, report_for
+from .metrics import report_for
 from .planner import relative_scores, select_segments
 from .report import eval_report, influence_lines, metrics_lines, run_report
 from .sequence import Granularity
@@ -49,7 +51,6 @@ _res_option = click.option(
     "--res",
     type=int,
     default=GridSpec.resolution,
-    envvar="CADFIT_RESOLUTION",
     show_default=True,
     help="Grid resolution per axis.",
 )
@@ -57,7 +58,6 @@ _seed_option = click.option(
     "--seed",
     type=int,
     default=0,
-    envvar="CADFIT_SEED",
     show_default=True,
     help="Run seed.",
 )
@@ -165,9 +165,8 @@ def inspect_cmd(seq_file, target_file, granularity):
 @click.argument("seq_file")
 @click.argument("other_file")
 @_res_option
-@click.option("--lam", type=float, default=DEFAULT_LAMBDA, show_default=True)
 @_guarded
-def metrics_cmd(seq_file, other_file, res, lam):
+def metrics_cmd(seq_file, other_file, res):
     """Score a sequence against a grid file, or against another sequence.
 
     A second sequence is rendered first and also serves as the structure
@@ -176,11 +175,11 @@ def metrics_cmd(seq_file, other_file, res, lam):
     """
     seq = read_sequence_file(seq_file)
     if other_file.endswith((".tsdf", ".grid")):
-        rep = report_for(seq, read_grid(other_file), lam=lam)
+        rep = report_for(seq, read_grid(other_file))
     else:
         other = read_sequence_file(other_file)
         target = render(other, GridSpec(resolution=res))
-        rep = report_for(seq, target, other, lam=lam)
+        rep = report_for(seq, target, other)
     for line in metrics_lines(rep):
         click.echo(line)
 

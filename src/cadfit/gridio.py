@@ -64,10 +64,11 @@ def check_outputs(*paths: str) -> None:
 
 
 def write_atomic(*outputs: tuple[str, bytes]) -> None:
-    """Write all ``(path, data)`` outputs or none: every path passes
-    ``check_outputs`` and each is staged beside its path before any is
-    replaced, so no late replace fails on a directory.  An ``OSError`` names
-    the caller's path."""
+    """Write the ``(path, data)`` outputs: every path passes
+    ``check_outputs`` and each is staged beside its path before the first is
+    replaced, so a failure ``check_outputs`` can predict writes nothing.  A
+    replace refused later, by a full disk for one, can leave the earlier
+    outputs replaced.  An ``OSError`` names the caller's path."""
     check_outputs(*(path for path, _ in outputs))
     staged = []
     try:

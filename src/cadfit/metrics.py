@@ -23,7 +23,7 @@ from .errors import (
 from .kernel import AttributionGrid, TSDFGrid, render, surface_points
 from .sequence import ConstructionSequence, edit_distance, sequence_tokens
 
-DEFAULT_LAMBDA = 0.1
+LAMBDA = 0.1
 HISTOGRAM_BINS = 28
 
 
@@ -133,15 +133,14 @@ def report_for(
     candidate: ConstructionSequence,
     target: TSDFGrid,
     original: ConstructionSequence | None = None,
-    lam: float = DEFAULT_LAMBDA,
     *,
     base: AttributionGrid | None = None,
 ) -> MetricsReport:
     """Assemble the full report for a candidate against a target grid.
 
     The objective is the chamfer distance between surface samples of the
-    candidate's rendering and of the target, plus lam times the edit
-    distance normalized by the original's token count; a candidate that
+    candidate's rendering and of the target, plus ``LAMBDA`` times the
+    edit distance normalized by the original's token count; a candidate that
     fails to render, empty or filling the domain, scores infinite rather
     than raising.  The render reuses the bodies ``base`` holds.
     """
@@ -154,7 +153,7 @@ def report_for(
     geometry = chamfer(surface_points(rendered), surface_points(target))
     objective = None
     if original is not None:
-        objective = geometry + lam * (dist / len(sequence_tokens(original)))
+        objective = geometry + LAMBDA * (dist / len(sequence_tokens(original)))
     return MetricsReport(
         invalid=False,
         iou=iou(rendered, target),

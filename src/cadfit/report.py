@@ -10,7 +10,7 @@ from __future__ import annotations
 import statistics
 
 from .engine import EPSILON, PATIENCE, POOL_RES, EditResult, EngineConfig
-from .metrics import DEFAULT_LAMBDA, MetricsReport, invalid_rate, jsd, occupancy_histogram
+from .metrics import LAMBDA, MetricsReport, invalid_rate, jsd, occupancy_histogram
 from .planner import InfluenceEntry
 from .synth import Triplet
 
@@ -47,7 +47,7 @@ def run_report(result: EditResult, cfg: EngineConfig) -> str:
             ("pool_res", POOL_RES),
             ("epsilon", EPSILON),
             ("patience", PATIENCE),
-            ("lam", DEFAULT_LAMBDA),
+            ("lam", LAMBDA),
             ("ablate", cfg.ablate or "none"),
             ("rounds_used", result.rounds_used),
             ("stop_reason", result.stop_reason),

@@ -27,6 +27,22 @@ def runner():
     return CliRunner()
 
 
+@pytest.fixture
+def environment(request, monkeypatch):
+    """Unset, then set as the test's parameter asks, the variables that once
+    gave ``--res`` and ``--seed`` their defaults."""
+    for name in ("CADFIT_RESOLUTION", "CADFIT_SEED"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in request.param.items():
+        monkeypatch.setenv(name, value)
+
+
+# a pinned output must not move with the environment
+in_any_environment = pytest.mark.parametrize(
+    "environment", [{}, {"CADFIT_RESOLUTION": "16", "CADFIT_SEED": "9"}], ids=["clean-env", "cadfit-env"], indirect=True
+)
+
+
 def _write_models():
     write_sequence_file("cyl.seq", cylinder_sequence())
     write_sequence_file("big.seq", cylinder_sequence(r=90))
@@ -235,16 +251,6 @@ def test_malformed_option_value_is_a_usage_error(runner):
         assert not Path("x.tsdf").exists()
 
 
-def test_render_resolution_env_override(runner):
-    with runner.isolated_filesystem():
-        _write_models()
-        res = runner.invoke(
-            main, ["render", "cyl.seq", "-o", "s.tsdf"], env={"CADFIT_RESOLUTION": "16"}
-        )
-        assert res.exit_code == 0
-        assert read_tsdf("s.tsdf").spec.resolution == 16
-
-
 def test_corrupt_grid_file_reports_error_class(runner):
     with runner.isolated_filesystem():
         _write_models()
@@ -339,7 +345,8 @@ def test_edit_fixed_point_round_trips_the_input(runner):
         assert sections["final"]["iou"] == ["1"]
 
 
-def test_edit_report_engine_section_is_pinned(runner):
+@in_any_environment
+def test_edit_report_engine_section_is_pinned(runner, environment):
     with runner.isolated_filesystem():
         _write_models()
         runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
@@ -657,8 +664,9 @@ EVAL_REPORT_PINS = {
 }
 
 
+@in_any_environment
 @pytest.mark.parametrize("args, pin", EVAL_REPORT_PINS.items())
-def test_eval_reports_are_pinned(runner, args, pin):
+def test_eval_reports_are_pinned(runner, environment, args, pin):
     with runner.isolated_filesystem():
         _tiny_corpus(runner)
         res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", *args])
@@ -727,15 +735,6 @@ def test_eval_ablation_toggle_runs(runner):
                                    "--rounds", "2", "--ablate", "plan"])
         assert res.exit_code == 0
         assert "ablate plan" in Path("r.txt").read_text()
-
-
-def test_eval_seed_env_override(runner):
-    with runner.isolated_filesystem():
-        _tiny_corpus(runner)
-        res = runner.invoke(main, ["eval", "corpus", "--report", "r.txt", "--rounds", "1"],
-                            env={"CADFIT_SEED": "9"})
-        assert res.exit_code == 0
-        assert "seed 9" in Path("r.txt").read_text()
 
 
 @pytest.mark.parametrize("command", ["edit", "eval", "synth"])

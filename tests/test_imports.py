@@ -1,8 +1,8 @@
 """Static checks: every name a cadfit module imports is used in that module,
 every module-level private name is referenced in the module defining it,
 every public function and class has a caller outside the tests, every class
-field is read, and the benchmark's modules still import and trace what they
-name.
+field is read, no module reads the environment, and the benchmark's modules
+still import and trace what they name.
 
 Standard library and the package only, so it runs wherever the tests do; no
 linter needed.
@@ -383,6 +383,62 @@ def test_module_keeps_no_state_across_calls(path):
     """Caches are owned by a run, not by module globals."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [f"{path.name}:{entry}" for entry in _module_state_writes(tree)] == []
+
+
+# what reads the process environment: os's mappings and getter, and click's
+# keywords that make an option default to a variable
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv"}
+_ENVIRONMENT_KEYWORDS = {"envvar", "auto_envvar_prefix"}
+
+
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Line and spelling of each attribute or ``from os`` import named
+    ``environ``, ``environb`` or ``getenv``, and of each ``envvar=`` or
+    ``auto_envvar_prefix=`` keyword."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_NAMES:
+            found.append(f"{node.lineno} .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"{node.lineno} from os import {a.name}" for a in node.names if a.name in _ENVIRONMENT_NAMES]
+        elif isinstance(node, ast.keyword) and node.arg in _ENVIRONMENT_KEYWORDS:
+            found.append(f"{node.lineno} {node.arg}=")
+    return found
+
+
+def test_environment_check_flags_every_spelling():
+    source = """
+import os
+import os as system
+from os import environ, environb as raw, getenv, path
+import click
+
+def f():
+    os.environ["A"]
+    os.environb.get(b"A")
+    os.getenv("A", "0")
+    system.environ.copy()
+    environ, raw, getenv("A")
+    click.option("--res", envvar="A")
+    main(auto_envvar_prefix="A")
+    os.path.join("environ", "getenv")
+    click.option("--seed", default=0)
+"""
+    found = [entry.split(" ", 1)[1] for entry in _environment_reads(ast.parse(source))]
+    assert sorted(found) == sorted(
+        ["from os import environ", "from os import environb", "from os import getenv",
+         ".environ", ".environb", ".getenv", ".environ", "envvar=", "auto_envvar_prefix="]
+    )
+
+
+def test_no_module_reads_the_environment():
+    """Every output depends on its command line and input files alone."""
+    found = [
+        f"{path.name}:{entry}"
+        for path in SOURCES
+        for entry in _environment_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
 
 
 # multi-dimensional index finders; np.unravel_index(np.flatnonzero(mask),

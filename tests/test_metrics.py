@@ -20,6 +20,7 @@ from cadfit.errors import (
 )
 from cadfit.kernel import GridSpec, TSDFGrid, render, surface_points
 from cadfit.metrics import (
+    LAMBDA,
     MetricsReport,
     chamfer,
     invalid_rate,
@@ -28,7 +29,7 @@ from cadfit.metrics import (
     occupancy_histogram,
     report_for,
 )
-from cadfit.sequence import ConstructionSequence, parse_sequence
+from cadfit.sequence import ConstructionSequence, parse_sequence, sequence_tokens
 from cadfit.synth import random_renderable
 
 
@@ -258,20 +259,16 @@ def test_invalid_rate_counting():
 # -- objective --------------------------------------------------------------
 
 
-def test_objective_zero_at_fixed_point():
+def test_objective_is_chamfer_plus_lambda_times_normalized_edit_distance():
     seq = cylinder_sequence()
-    target = render(seq)
-    for lam in (0.0, 0.1, 5.0):
-        assert report_for(seq, target, seq, lam).objective == pytest.approx(0.0, abs=1e-12)
-
-
-def test_objective_lambda_zero_ignores_original():
-    seq = cylinder_sequence()
-    other = ConstructionSequence((circle_pair(r=40),))
+    assert report_for(seq, render(seq), seq).objective == 0.0
     target = render(ConstructionSequence((circle_pair(r=80),)))
-    a = report_for(seq, target, seq, 0.0)
-    b = report_for(seq, target, other, 0.0)
-    assert a.objective == b.objective == a.chamfer_mean
+    same = report_for(seq, target, seq)
+    other = ConstructionSequence((circle_pair(r=40),))
+    rep = report_for(seq, target, other)
+    assert same.edit_distance == 0 and rep.edit_distance == 2
+    assert same.objective == same.chamfer_mean
+    assert rep.objective == rep.chamfer_mean + LAMBDA * (2 / len(sequence_tokens(other)))
 
 
 def test_objective_grows_with_distance_error():
@@ -281,7 +278,7 @@ def test_objective_grows_with_distance_error():
     # stay under bin 191 so the taller candidates still fit in the domain
     for dist in (128, 144, 160, 184):
         cand = ConstructionSequence((circle_pair(dist_pos=dist, origin=(128, 128, 64)),))
-        vals.append(report_for(cand, target, base, 0.1).objective)
+        vals.append(report_for(cand, target, base).objective)
     assert vals == sorted(vals)
     assert vals[0] < vals[1] < vals[2] < vals[3]
 
@@ -289,7 +286,7 @@ def test_objective_grows_with_distance_error():
 def test_objective_invalid_render_is_infinite():
     bad = ConstructionSequence((circle_pair(origin=(255, 255, 255), r=30),))
     target = render(cylinder_sequence())
-    assert report_for(bad, target, cylinder_sequence(), 0.1).objective == math.inf
+    assert report_for(bad, target, cylinder_sequence()).objective == math.inf
 
 
 def test_a_candidate_that_fills_the_domain_is_invalid_before_any_surface_pass(monkeypatch):
