@@ -259,9 +259,27 @@ def test_invalid_rate_counting():
 # -- objective --------------------------------------------------------------
 
 
+def test_objective_zero_at_fixed_point():
+    seq = cylinder_sequence()
+    rep = report_for(seq, render(seq), seq)
+    assert rep.chamfer_mean == 0.0 and rep.edit_distance == 0
+    assert rep.objective == 0.0
+
+
+def test_objective_lambda_zero_ignores_original(monkeypatch):
+    """The original enters the objective only through the ``LAMBDA`` term."""
+    monkeypatch.setattr(metrics, "LAMBDA", 0.0)
+    seq = cylinder_sequence()
+    other = ConstructionSequence((circle_pair(r=40),))
+    target = render(ConstructionSequence((circle_pair(r=80),)))
+    a = report_for(seq, target, seq)
+    b = report_for(seq, target, other)
+    assert a.edit_distance == 0 and b.edit_distance == 2
+    assert a.objective == b.objective == a.chamfer_mean
+
+
 def test_objective_is_chamfer_plus_lambda_times_normalized_edit_distance():
     seq = cylinder_sequence()
-    assert report_for(seq, render(seq), seq).objective == 0.0
     target = render(ConstructionSequence((circle_pair(r=80),)))
     same = report_for(seq, target, seq)
     other = ConstructionSequence((circle_pair(r=40),))
