@@ -71,10 +71,7 @@ _granularity_option = click.option(
 
 
 def _engine_options(fn):
-    """--rounds, --n and --queue, each defaulting to its EngineConfig field."""
-    fn = click.option(
-        "--queue", type=int, default=EngineConfig.queue_capacity, show_default=True, help="Queue capacity."
-    )(fn)
+    """--rounds and --n, each defaulting to its EngineConfig field."""
     fn = click.option("--n", type=int, default=EngineConfig.n, show_default=True, help="Candidates per round.")(fn)
     return click.option("--rounds", type=int, default=EngineConfig.max_rounds, show_default=True)(fn)
 
@@ -111,13 +108,11 @@ def render_cmd(seq_file: str, out: str, res: int, tau: float) -> None:
     click.echo(f"wrote {out}")
 
 
-def _engine_config(rounds, n, queue, seed, granularity, ablate) -> EngineConfig:
-    for flag, value, least in (("--rounds", rounds, 1), ("--n", n, 0), ("--queue", queue, 1)):
+def _engine_config(rounds, n, seed, granularity, ablate) -> EngineConfig:
+    for flag, value, least in (("--rounds", rounds, 1), ("--n", n, 0)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
-    return EngineConfig(
-        max_rounds=rounds, n=n, queue_capacity=queue, seed=seed, granularity=granularity, ablate=ablate
-    )
+    return EngineConfig(max_rounds=rounds, n=n, seed=seed, granularity=granularity, ablate=ablate)
 
 
 @main.command("edit")
@@ -130,9 +125,9 @@ def _engine_config(rounds, n, queue, seed, granularity, ablate) -> EngineConfig:
 @click.option("--report", "report_file", required=True)
 @_granularity_option
 @_guarded
-def edit_cmd(seq_file, target_file, out, rounds, n, queue, seed, generator_cmd, report_file, granularity):
+def edit_cmd(seq_file, target_file, out, rounds, n, seed, generator_cmd, report_file, granularity):
     """Update a sequence toward a target grid and write the run report."""
-    cfg = _engine_config(rounds, n, queue, seed, granularity, None)
+    cfg = _engine_config(rounds, n, seed, granularity, None)
     check_outputs(out, report_file)
     original = read_sequence_file(seq_file)
     target = read_grid(target_file)
@@ -213,9 +208,9 @@ def synth_cmd(spec_file, out, seed, res):
 @_seed_option
 @_granularity_option
 @_guarded
-def eval_cmd(corpus_dir, report_file, ablate, rounds, n, queue, seed, granularity):
+def eval_cmd(corpus_dir, report_file, ablate, rounds, n, seed, granularity):
     """Run the engine over every triplet in a corpus and aggregate metrics."""
-    cfg = _engine_config(rounds, n, queue, seed, granularity, ablate)
+    cfg = _engine_config(rounds, n, seed, granularity, ablate)
     check_outputs(report_file)
     triplets = load_corpus(corpus_dir)
     results = [result for _, result in run_corpus(triplets, cfg)]

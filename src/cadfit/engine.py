@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
+from .errors import RenderInvalidError, ResolutionMismatchError
 from .generator import ExternalGenerator, infill
 from .kernel import AttributionGrid, GridSpec, TSDFGrid, attribute, render
 from .metrics import MetricsReport, report_for
@@ -37,6 +37,8 @@ POOL_RES = 8
 EPSILON = 1e-3
 # rounds without a new best latent distance before the run gives up
 PATIENCE = 3
+# sequences the queue keeps across rounds
+QUEUE_CAPACITY = 5
 
 
 # -- latent embedding --------------------------------------------------------
@@ -100,7 +102,7 @@ class PriorityQueue:
     """Keeps the lowest-distance sequences seen, each at most once (equal
     sequences are those with equal token streams: serialization round-trips)."""
 
-    def __init__(self, capacity: int = 5):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("queue capacity must be at least 1")
         self.capacity = capacity
@@ -144,7 +146,6 @@ class PriorityQueue:
 class EngineConfig:
     max_rounds: int = 10
     n: int = 8
-    queue_capacity: int = 5
     seed: int = 0
     granularity: Granularity = Granularity.PRIMITIVE
     ablate: str | None = None
@@ -153,8 +154,6 @@ class EngineConfig:
         object.__setattr__(self, "granularity", Granularity(self.granularity))
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be at least 1")
         if self.n < 0:
             raise ValueError("candidate count cannot be negative")
         if self.seed < 0:
@@ -212,11 +211,12 @@ def run(
     candidate instead of the embedding argmin, "queue" forgets everything
     but the current round's argmin.
 
-    Before round 1 it rejects an original that fails validation
-    (InvalidOriginalError), a target whose resolution is not a multiple of
-    POOL_RES (ResolutionMismatchError, from ``embed_shape``), also at
-    ``cfg.n == 0``, and, with generation enabled, an original that renders
-    empty or fills the domain (RenderInvalidError).  The target has a
+    Before round 1 it rejects an original that fails validation (with the
+    class ``parse_sequence`` raises for its first violation), a target
+    whose resolution is not a multiple of POOL_RES
+    (ResolutionMismatchError, from ``embed_shape``), also at ``cfg.n ==
+    0``, and, with generation enabled, an original that renders empty or
+    fills the domain (RenderInvalidError).  The target has a
     surface, as every TSDFGrid has, so the final report can score it.
 
     Each round plans from one attribution of the current sequence; round 1
@@ -228,7 +228,7 @@ def run(
     problems = validate_sequence(original)
     if problems:
         first = problems[0]
-        raise InvalidOriginalError(f"{first.where}: {first.message}")
+        raise first.error(f"{first.where}: {first.message}")
     target_latent = embed_shape(target)
 
     if cfg.n == 0:
@@ -236,7 +236,7 @@ def run(
         return EditResult(original, (), report, "generation-disabled")
 
     spec = target.spec
-    queue = PriorityQueue(cfg.queue_capacity)
+    queue = PriorityQueue(QUEUE_CAPACITY)
     # the starting sequence counts as seen, so the loop can never end
     # on something farther from the target than where it began
     ag = attribute(original, spec)

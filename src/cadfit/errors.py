@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A failure gets a class of its own only if a caller can tell it apart: an
+``except`` clause names it, or a command can print it.  Any other guard
+raises ``ValueError``, which a command reports the same way.
+"""
 
 
 class CadfitError(Exception):
@@ -21,18 +26,6 @@ class UnknownSegmentError(CadfitError):
     """A segment id does not resolve against the given sequence."""
 
 
-class OverlappingSegmentsError(CadfitError):
-    """Two segment ids cover overlapping token spans."""
-
-
-class DegenerateLoopError(CadfitError):
-    """Loop geometry collapses: zero-length chain step."""
-
-
-class ZeroExtentError(CadfitError):
-    """Both extrusion distances dequantize to zero."""
-
-
 class RenderInvalidError(CadfitError):
     """Rendered field has no surface: no voxel is solid, or every voxel is."""
 
@@ -41,28 +34,8 @@ class EmptySurfaceError(CadfitError):
     """Grid has no surface: no cell is inside, or every cell is."""
 
 
-class SpecMismatchError(CadfitError):
-    """Two grids disagree on resolution or truncation."""
-
-
-class EmptySetError(CadfitError):
-    """A point set that must be non-empty is empty."""
-
-
-class EmptyListError(CadfitError):
-    """An outcome list that must be non-empty is empty."""
-
-
-class NormalizationError(CadfitError):
-    """Histogram does not normalize to a probability distribution."""
-
-
 class ResolutionMismatchError(CadfitError):
     """Grid resolution is not divisible by the pooling resolution."""
-
-
-class InvalidOriginalError(CadfitError):
-    """The starting sequence fails validation."""
 
 
 class EndpointUnavailableError(CadfitError):

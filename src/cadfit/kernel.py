@@ -141,12 +141,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    DegenerateLoopError,
-    EmptySurfaceError,
-    RenderInvalidError,
-    ZeroExtentError,
-)
+from .errors import EmptySurfaceError, RenderInvalidError
 from .quant import Channel, dequantize
 from .sequence import (
     BoolOp,
@@ -316,7 +311,7 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     chord = b - a
     clen = float(np.linalg.norm(chord))
     if clen == 0.0 or not 0.0 < sweep < _TWO_PI:
-        raise DegenerateLoopError("arc with empty chord or degenerate sweep")
+        raise ValueError("arc with empty chord or degenerate sweep")
     radius = clen / (2.0 * math.sin(sweep / 2.0))
     normal = np.array([-chord[1], chord[0]]) / clen
     side = 1.0 if ccw else -1.0
@@ -364,7 +359,7 @@ def _loop_vertices(loop: Loop) -> list[np.ndarray]:
     bins = chain_vertices(loop)
     # distinct bins dequantize to distinct coordinates
     if any(bins[k - 1] == bins[k] for k in range(len(bins))):
-        raise DegenerateLoopError("zero-length chain step")
+        raise ValueError("zero-length chain step")
     return [np.array([dequantize(x, Channel.COORD_2D), dequantize(y, Channel.COORD_2D)]) for x, y in bins]
 
 
@@ -425,7 +420,7 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
     dpos = dequantize(ext.dist_pos, Channel.DISTANCE)
     dneg = dequantize(ext.dist_neg, Channel.DISTANCE)
     if ext.dist_pos == 0 and ext.dist_neg == 0:
-        raise ZeroExtentError("both extrusion distances are zero")
+        raise ValueError("both extrusion distances are zero")
     if ext.extent is Extent.ONE_SIDED:
         return 0.0, dpos
     if ext.extent is Extent.SYMMETRIC:

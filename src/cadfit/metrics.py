@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (
-    EmptyListError,
-    EmptySetError,
-    NormalizationError,
-    RenderInvalidError,
-    SpecMismatchError,
-)
+from .errors import RenderInvalidError
 from .kernel import AttributionGrid, TSDFGrid, render, surface_points
 from .sequence import ConstructionSequence, edit_distance, sequence_tokens
 
@@ -30,7 +24,7 @@ HISTOGRAM_BINS = 28
 def iou(a: TSDFGrid, b: TSDFGrid) -> float:
     """Occupancy intersection over union; every grid has an inside cell."""
     if a.spec != b.spec:
-        raise SpecMismatchError("grids use different specs")
+        raise ValueError("grids use different specs")
     occ_a, occ_b = a.occupancy(), b.occupancy()
     return int(np.count_nonzero(occ_a & occ_b)) / int(np.count_nonzero(occ_a | occ_b))
 
@@ -40,7 +34,7 @@ def chamfer(a, b) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
-        raise EmptySetError("chamfer needs two nonempty point sets")
+        raise ValueError("chamfer needs two nonempty point sets")
     # unbalanced, uncompacted trees build faster and find the same nearest distances
     d_ab = cKDTree(b, balanced_tree=False, compact_nodes=False).query(a)[0]
     d_ba = cKDTree(a, balanced_tree=False, compact_nodes=False).query(b)[0]
@@ -50,7 +44,7 @@ def chamfer(a, b) -> float:
 def _check_distribution(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if (p < 0).any() or not math.isclose(float(p.sum()), 1.0, abs_tol=1e-9):
-        raise NormalizationError("histogram must be non-negative and sum to 1")
+        raise ValueError("histogram must be non-negative and sum to 1")
     return p
 
 
@@ -59,7 +53,7 @@ def jsd(p, q) -> float:
     p = _check_distribution(p)
     q = _check_distribution(q)
     if p.shape != q.shape:
-        raise NormalizationError("histograms must share a shape")
+        raise ValueError("histograms must share a shape")
     m = (p + q) / 2
     term = np.empty_like(m)
 
@@ -91,16 +85,8 @@ def occupancy_histogram(grids) -> np.ndarray:
         total += np.bincount((k[ix] * bins + k[iy]) * bins + k[iz], minlength=bins**3)
     mass = total.sum()
     if mass == 0:
-        raise NormalizationError("no occupied voxels to histogram")
+        raise ValueError("no occupied voxels to histogram")
     return (total / mass).reshape(bins, bins, bins)
-
-
-def invalid_rate(invalid_flags) -> float:
-    """Fraction of outcomes that failed to parse or render."""
-    flags = list(invalid_flags)
-    if not flags:
-        raise EmptyListError("no outcomes to rate")
-    return sum(bool(f) for f in flags) / len(flags)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptyListError
 from .kernel import AttributionGrid, GridSpec, TSDFGrid
 from .sequence import Granularity, SegmentId, holder
 
@@ -83,7 +82,7 @@ def select_segments(iv: InfluenceVector) -> tuple[SegmentId, ...]:
     An empty result is the engine's termination signal.
     """
     if not iv.entries:
-        raise EmptyListError("influence vector has no entries")
+        raise ValueError("influence vector has no entries")
     # exact rational comparison: "all equal" must select nothing even when
     # the float mean rounds below the shared value
     js = [Fraction(e.j) for e in iv.entries]

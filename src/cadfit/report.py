@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import statistics
 
-from .engine import EPSILON, PATIENCE, POOL_RES, EditResult, EngineConfig
-from .metrics import LAMBDA, MetricsReport, invalid_rate, jsd, occupancy_histogram
+from .engine import EPSILON, PATIENCE, POOL_RES, QUEUE_CAPACITY, EditResult, EngineConfig
+from .metrics import LAMBDA, MetricsReport, jsd, occupancy_histogram
 from .planner import InfluenceEntry
 from .synth import Triplet
 
@@ -43,7 +43,7 @@ def run_report(result: EditResult, cfg: EngineConfig) -> str:
             ("seed", cfg.seed),
             ("max_rounds", cfg.max_rounds),
             ("candidates_per_round", cfg.n),
-            ("queue_capacity", cfg.queue_capacity),
+            ("queue_capacity", QUEUE_CAPACITY),
             ("pool_res", POOL_RES),
             ("epsilon", EPSILON),
             ("patience", PATIENCE),
@@ -80,7 +80,7 @@ def eval_report(cfg: EngineConfig, triplets: list[Triplet], results: list[EditRe
         ("seed", cfg.seed),
         ("rounds", cfg.max_rounds),
         ("candidates_per_round", cfg.n),
-        ("queue_capacity", cfg.queue_capacity),
+        ("queue_capacity", QUEUE_CAPACITY),
         ("granularity", cfg.granularity.value),
         ("ablate", cfg.ablate or "none"),
         ("triplets", len(results)),
@@ -103,7 +103,7 @@ def eval_report(cfg: EngineConfig, triplets: list[Triplet], results: list[EditRe
         agg.append(("chamfer_median", statistics.median(rep.chamfer_mean for rep, _ in valid)))
         finals = occupancy_histogram([rep.grid for rep, _ in valid])
         agg.append(("jsd", jsd(finals, occupancy_histogram([target for _, target in valid]))))
-    agg.append(("invalid_rate", invalid_rate([r.invalid for r in reports])))
+    agg.append(("invalid_rate", statistics.fmean(r.invalid for r in reports)))
     agg.append(("edit_distance_mean", statistics.fmean(r.edit_distance for r in reports)))
     lines.extend(_section("aggregate", agg))
     return "\n".join(lines[:-1]) + "\n"

@@ -35,7 +35,6 @@ from enum import Enum, IntEnum
 from .errors import (
     BinRangeError,
     CadfitError,
-    OverlappingSegmentsError,
     SequenceSyntaxError,
     StructureError,
     UnknownSegmentError,
@@ -247,10 +246,10 @@ def _parse_part(tokens: list[str], i: int) -> tuple[Primitive | Extrusion, int]:
     raw = tokens[i + 1 : i + 1 + len(fields)]
     values = []
     for (field, limit, error), tok in zip(fields, raw):
-        try:
-            value = int(tok)
-        except ValueError:
-            raise SequenceSyntaxError(f"{name} {field}: expected an integer, got {tok!r}") from None
+        digits = tok.removeprefix("-")  # int() would also take "+1", "1_0" and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise SequenceSyntaxError(f"{name} {field}: expected an integer, got {tok!r}")
+        value = int(tok)
         if not 0 <= value <= limit:
             raise error(f"{name} {field}: value {value} outside [0, {limit}]")
         values.append(value)
@@ -525,7 +524,7 @@ def apply_mask(seq: ConstructionSequence, ids) -> MaskedSequence:
     entries.sort(key=lambda s: s.span)
     for a, b in zip(entries, entries[1:]):
         if b.span[0] < a.span[1]:
-            raise OverlappingSegmentsError(f"segments {a.id.label()} and {b.id.label()} overlap")
+            raise ValueError(f"segments {a.id.label()} and {b.id.label()} overlap")
     return MaskedSequence(seq, tuple(entries))
 
 

@@ -1,6 +1,9 @@
 """Shared builders for test models."""
 
+import contextlib
+
 import numpy as np
+import pytest
 
 from cadfit.quant import Channel, quantize
 from cadfit.sequence import (
@@ -14,6 +17,15 @@ from cadfit.sequence import (
     Loop,
     Sketch,
 )
+
+
+@contextlib.contextmanager
+def raises_exactly(kind, message):
+    """Expect an error of class ``kind`` itself, not a subclass, saying ``message``."""
+    with pytest.raises(kind) as err:
+        yield
+    assert type(err.value) is kind
+    assert str(err.value) == message
 
 
 def cell_points(spec):

@@ -686,6 +686,8 @@ def test_eval_aggregate_recomputes_from_triplet_rows(runner):
         assert math.isclose(
             float(agg["edit_distance_mean"][0]), statistics.fmean(dists), rel_tol=1e-8
         )
+        flags = [sections[f"triplet {k:04d}"]["invalid"][0] == "True" for k in range(2)]
+        assert agg["invalid_rate"] == [fmt(statistics.fmean(flags))]
 
 
 def test_eval_names_a_truth_sequence_it_cannot_parse(runner):
@@ -757,7 +759,7 @@ def test_negative_seed_is_rejected_before_any_work(runner, command):
 
 @pytest.mark.parametrize("command", ["edit", "eval"])
 @pytest.mark.parametrize(
-    "flag, value, least", [("--rounds", "0", 1), ("--n", "-1", 0), ("--queue", "0", 1)]
+    "flag, value, least", [("--rounds", "0", 1), ("--n", "-1", 0)]
 )
 def test_bad_engine_flag_is_named_in_the_error(runner, command, flag, value, least):
     with runner.isolated_filesystem():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import cell_points, circle_pair, cylinder_sequence, extrusion, square_loop
+from helpers import cell_points, circle_pair, cylinder_sequence, extrusion, raises_exactly, square_loop
 
 from cadfit import engine, kernel
 from cadfit.engine import (
@@ -20,11 +20,11 @@ from cadfit.engine import (
     run,
     run_corpus,
 )
-from cadfit.errors import EmptySurfaceError, InvalidOriginalError, RenderInvalidError, ResolutionMismatchError
+from cadfit.errors import EmptySurfaceError, RenderInvalidError, ResolutionMismatchError, StructureError
 from cadfit.kernel import GridSpec, TSDFGrid, render
 from cadfit.metrics import iou
 from cadfit.report import run_report
-from cadfit.sequence import BoolOp, ConstructionSequence, Granularity, Sketch, serialize_sequence
+from cadfit.sequence import BoolOp, ConstructionSequence, Granularity, Sketch, parse_sequence, serialize_sequence
 from cadfit.synth import SynthSpec, random_renderable, synth
 
 
@@ -217,7 +217,7 @@ def test_queue_ties_break_by_insertion_order():
 
 
 def test_queue_rejects_bad_distances():
-    q = PriorityQueue()
+    q = PriorityQueue(capacity=5)
     with pytest.raises(ValueError):
         q.push(cylinder_sequence(), -0.5)
     with pytest.raises(ValueError):
@@ -335,7 +335,11 @@ def test_invalid_original_is_rejected():
         ((circle_pair(BoolOp.JOIN)),)
     )
     target = render(cylinder_sequence(), GridSpec())
-    with pytest.raises(InvalidOriginalError):
+    """With the class and the message parse_sequence gives the same violation."""
+    message = "p0.ext: first pair must start a body, got JOIN"
+    with raises_exactly(StructureError, message):
+        parse_sequence(serialize_sequence(bad))
+    with raises_exactly(StructureError, message):
         run(bad, target)
 
 
@@ -431,7 +435,6 @@ def test_run_evaluates_only_changed_bodies_and_keeps_its_results(monkeypatch):
     "kw",
     [
         {"max_rounds": 0},
-        {"queue_capacity": 0},
         {"n": -1},
         {"seed": -1},
         {"ablate": "everything"},

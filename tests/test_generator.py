@@ -6,11 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import cylinder_sequence, extrusion
+from helpers import cylinder_sequence, extrusion, raises_exactly
 
 from cadfit import generator
 from cadfit.engine import EngineConfig, run
-from cadfit.errors import EndpointUnavailableError, GeneratorProtocolError
+from cadfit.errors import EndpointUnavailableError, GeneratorProtocolError, GrammarExhaustedError
 from cadfit.generator import ExternalGenerator, infill
 from cadfit.kernel import GridSpec, render
 from cadfit.sequence import (
@@ -61,6 +61,13 @@ def test_infill_rejects_zero_candidates():
         infill(masked, 0, 0)
     with pytest.raises(ValueError):
         infill(masked, 0, 0, ExternalGenerator(["/nonexistent/binary/path"]))
+
+
+def test_a_span_with_no_valid_fragment_exhausts_the_grammar(monkeypatch):
+    monkeypatch.setattr(generator, "validate_sequence", lambda seq: ["a violation"])
+    masked = apply_mask(cylinder_sequence(), [SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)])
+    with raises_exactly(GrammarExhaustedError, "masked spans admitted no valid fragment in 64 draws"):
+        infill(masked, 1, 0)
 
 
 def test_zero_masks_returns_base_copies():

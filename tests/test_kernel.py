@@ -15,17 +15,13 @@ from helpers import (
     cube_sequence,
     cylinder_sequence,
     extrusion,
+    raises_exactly,
     square_loop,
     star_polygon_loop,
 )
 
 from cadfit import kernel
-from cadfit.errors import (
-    DegenerateLoopError,
-    EmptySurfaceError,
-    RenderInvalidError,
-    ZeroExtentError,
-)
+from cadfit.errors import EmptySurfaceError, RenderInvalidError
 from cadfit.kernel import (
     DOMAIN_MIN,
     GridSpec,
@@ -174,9 +170,9 @@ def test_degenerate_chain_raises():
             if arc:
                 prims[repeat] = Arc(ends[repeat], 40, True)
             loop = Loop(tuple(prims))
-            with pytest.raises(DegenerateLoopError):
+            with raises_exactly(ValueError, "zero-length chain step"):
                 kernel._loop_eval(loop, np.zeros(1), np.zeros(1))
-            with pytest.raises(DegenerateLoopError):
+            with raises_exactly(ValueError, "zero-length chain step"):
                 render(ConstructionSequence(((Sketch((loop,)), extrusion()),)), GridSpec(resolution=8))
 
 
@@ -305,8 +301,26 @@ def test_extent_interval_symmetric_and_two_sided():
 def test_zero_extent_raises():
     sk, _ = circle_pair()
     bad = extrusion(dist_pos=0, dist_neg=0)
-    with pytest.raises(ZeroExtentError):
+    with raises_exactly(ValueError, "both extrusion distances are zero"):
         body_sdf(sk, bad, np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: arc_center_radius((0.1, 0.2), (0.1, 0.2), 1.0, True), "arc with empty chord or degenerate sweep"),
+        (lambda: arc_center_radius((0.1, 0.2), (0.3, 0.2), 0.0, True), "arc with empty chord or degenerate sweep"),
+        (
+            lambda: render(ConstructionSequence((circle_pair(scale=0),)), GridSpec(resolution=8)),
+            "extrusion scale dequantizes to zero",
+        ),
+    ],
+    ids=["empty-chord", "zero-sweep", "scale-bin-0"],
+)
+def test_a_guard_behind_validation_is_a_value_error(call, message):
+    """Guards behind validate_sequence, reached only by an unvalidated sequence or a direct call."""
+    with raises_exactly(ValueError, message):
+        call()
 
 
 # -- boolean algebra --------------------------------------------------------

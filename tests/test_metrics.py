@@ -7,23 +7,16 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from helpers import cell_points, circle_pair, cylinder_sequence
+from helpers import cell_points, circle_pair, cylinder_sequence, raises_exactly
 
 from cadfit import metrics
 from cadfit.engine import EngineConfig, run
-from cadfit.errors import (
-    EmptyListError,
-    EmptySetError,
-    NormalizationError,
-    RenderInvalidError,
-    SpecMismatchError,
-)
+from cadfit.errors import RenderInvalidError
 from cadfit.kernel import GridSpec, TSDFGrid, render, surface_points
 from cadfit.metrics import (
     LAMBDA,
     MetricsReport,
     chamfer,
-    invalid_rate,
     iou,
     jsd,
     occupancy_histogram,
@@ -78,7 +71,7 @@ def test_iou_is_symmetric():
 def test_iou_rejects_mismatched_specs():
     a = render(cylinder_sequence(), GridSpec(resolution=16))
     b = render(cylinder_sequence(), GridSpec(resolution=32))
-    with pytest.raises(SpecMismatchError):
+    with raises_exactly(ValueError, "grids use different specs"):
         iou(a, b)
 
 
@@ -134,10 +127,9 @@ def test_chamfer_equals_the_default_trees_bit_for_bit():
 
 def test_chamfer_empty_raises():
     pts = np.zeros((3, 3))
-    with pytest.raises(EmptySetError):
-        chamfer(pts, np.zeros((0, 3)))
-    with pytest.raises(EmptySetError):
-        chamfer(np.zeros((0, 3)), pts)
+    for a, b in ((pts, np.zeros((0, 3))), (np.zeros((0, 3)), pts)):
+        with raises_exactly(ValueError, "chamfer needs two nonempty point sets"):
+            chamfer(a, b)
 
 
 # -- jsd --------------------------------------------------------------------
@@ -166,10 +158,11 @@ def test_jsd_two_bin_hand_case():
 
 
 def test_jsd_rejects_unnormalized():
-    with pytest.raises(NormalizationError):
-        jsd(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
-    with pytest.raises(NormalizationError):
-        jsd(np.array([1.5, -0.5]), np.array([0.5, 0.5]))
+    for p in (np.array([0.5, 0.6]), np.array([1.5, -0.5])):
+        with raises_exactly(ValueError, "histogram must be non-negative and sum to 1"):
+            jsd(p, np.array([0.5, 0.5]))
+    with raises_exactly(ValueError, "histograms must share a shape"):
+        jsd(np.array([0.5, 0.5]), np.array([0.25, 0.25, 0.5]))
 
 
 def test_occupancy_histogram_normalized_and_usable():
@@ -241,19 +234,8 @@ def test_surface_points_and_histograms_are_pinned():
 def test_occupancy_histogram_empty_raises():
     """No grid means no occupied voxel, the one way to get none: every grid
     has an inside cell."""
-    with pytest.raises(NormalizationError):
+    with raises_exactly(ValueError, "no occupied voxels to histogram"):
         occupancy_histogram([])
-
-
-# -- invalid rate -----------------------------------------------------------
-
-
-def test_invalid_rate_counting():
-    assert invalid_rate([False] * 4) == 0.0
-    assert invalid_rate([True] * 4) == 1.0
-    assert invalid_rate([True, True, True] + [False] * 7) == pytest.approx(0.3)
-    with pytest.raises(EmptyListError):
-        invalid_rate([])
 
 
 # -- objective --------------------------------------------------------------

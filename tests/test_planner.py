@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import circle_pair
+from helpers import circle_pair, raises_exactly
 
-from cadfit.errors import EmptyListError, RenderInvalidError
+from cadfit.errors import RenderInvalidError
 from cadfit.kernel import GridSpec, TSDFGrid, attribute, render
 from cadfit.planner import (
     BAND_WIDTH,
@@ -238,5 +238,5 @@ def test_select_scale_invariant():
 
 
 def test_select_rejects_empty_vector():
-    with pytest.raises(EmptyListError):
+    with raises_exactly(ValueError, "influence vector has no entries"):
         select_segments(InfluenceVector(()))

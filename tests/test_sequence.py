@@ -5,7 +5,6 @@ import pytest
 
 from cadfit.errors import (
     BinRangeError,
-    OverlappingSegmentsError,
     SequenceSyntaxError,
     StructureError,
     UnknownSegmentError,
@@ -34,7 +33,7 @@ from cadfit.sequence import (
 )
 from cadfit.synth import EDIT_CLASSES, mutate, random_renderable, random_sequence
 
-from helpers import circle_pair, extrusion, square_loop
+from helpers import circle_pair, extrusion, raises_exactly, square_loop
 
 
 def one_circle_sequence():
@@ -209,6 +208,8 @@ def _field_cases():
             what = f"{name} {field}"
             yield head, k, "x", SequenceSyntaxError, f"{what}: expected an integer, got 'x'"
             yield head, k, "1.5", SequenceSyntaxError, f"{what}: expected an integer, got '1.5'"
+            for tok in ("+1", "1_0", "\u0661"):  # a sign, a separator, an Arabic-Indic digit
+                yield head, k, tok, SequenceSyntaxError, f"{what}: expected an integer, got {tok!r}"
             yield head, k, str(limit + 1), error, f"{what}: value {limit + 1} outside [0, {limit}]"
             yield head, k, "-1", error, f"{what}: value -1 outside [0, {limit}]"
             yield head, k, None, SequenceSyntaxError, "unexpected end of stream"
@@ -233,6 +234,12 @@ def test_parse_names_the_field_a_token_breaks(head, k, token, kind, message):
         parse_sequence(text)
     assert type(err.value) is kind
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("placement", [{"orientation": (0, 0)}, {"origin": (128, 128, 128, 128)}])
+def test_extrusion_takes_three_bins_for_orientation_and_origin(placement):
+    with raises_exactly(StructureError, "orientation and origin take three bins each"):
+        extrusion(**placement)
 
 
 def test_parse_rejects_first_op_not_new():
@@ -394,7 +401,7 @@ def test_mask_unknown_segment():
 
 def test_mask_overlapping_segments():
     seq = one_circle_sequence()
-    with pytest.raises(OverlappingSegmentsError):
+    with raises_exactly(ValueError, "segments p0.l0 and p0.l0.c0 overlap"):
         apply_mask(
             seq,
             [SegmentId(0, SegmentKind.LOOP, 0), SegmentId(0, SegmentKind.PRIMITIVE, 0, 0)],
