@@ -246,10 +246,13 @@ def _parse_part(tokens: list[str], i: int) -> tuple[Primitive | Extrusion, int]:
     raw = tokens[i + 1 : i + 1 + len(fields)]
     values = []
     for (field, limit, error), tok in zip(fields, raw):
-        digits = tok.removeprefix("-")  # int() would also take "+1", "1_0" and non-ASCII digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise SequenceSyntaxError(f"{name} {field}: expected an integer, got {tok!r}")
-        value = int(tok)
+        digits = tok.removeprefix("-")
+        try:
+            if not (digits.isascii() and digits.isdigit()):  # int() also takes "+1", "1_0", non-ASCII digits
+                raise ValueError(tok)
+            value = int(tok)  # which refuses more than sys.get_int_max_str_digits() digits
+        except ValueError:
+            raise SequenceSyntaxError(f"{name} {field}: expected an integer, got {tok!r}") from None
         if not 0 <= value <= limit:
             raise error(f"{name} {field}: value {value} outside [0, {limit}]")
         values.append(value)

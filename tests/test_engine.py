@@ -331,11 +331,11 @@ def test_generation_disabled_returns_original():
 
 
 def test_invalid_original_is_rejected():
+    """With the class and the message parse_sequence gives the same violation."""
     bad = ConstructionSequence(
         ((circle_pair(BoolOp.JOIN)),)
     )
     target = render(cylinder_sequence(), GridSpec())
-    """With the class and the message parse_sequence gives the same violation."""
     message = "p0.ext: first pair must start a body, got JOIN"
     with raises_exactly(StructureError, message):
         parse_sequence(serialize_sequence(bad))

@@ -404,6 +404,15 @@ def test_garbage_endpoint_backfills_with_surrogate(tmp_path):
     assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
 
 
+def test_an_endpoint_line_with_an_overlong_number_is_dropped(tmp_path):
+    # int() refuses a 5000-digit field; the line is garbage, not an error
+    _, masked = _masked_circle()
+    n, seed = 3, 8
+    with ExternalGenerator(_stub(tmp_path, "echo.py", ECHO_STUB, "C", "9" * 5000, "90", "40")) as gen:
+        out = infill(masked, n, seed, gen)
+    assert [c.seq for c in out] == [c.seq for c in infill(masked, n, seed)]
+
+
 def test_partial_endpoint_mixes_external_and_surrogate(tmp_path, monkeypatch):
     _, masked = _masked_circle()
     n, seed = 5, 8

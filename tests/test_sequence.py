@@ -208,7 +208,8 @@ def _field_cases():
             what = f"{name} {field}"
             yield head, k, "x", SequenceSyntaxError, f"{what}: expected an integer, got 'x'"
             yield head, k, "1.5", SequenceSyntaxError, f"{what}: expected an integer, got '1.5'"
-            for tok in ("+1", "1_0", "\u0661"):  # a sign, a separator, an Arabic-Indic digit
+            # a sign, a separator, an Arabic-Indic digit, more digits than int() converts
+            for tok in ("+1", "1_0", "\u0661", "9" * 5000):
                 yield head, k, tok, SequenceSyntaxError, f"{what}: expected an integer, got {tok!r}"
             yield head, k, str(limit + 1), error, f"{what}: value {limit + 1} outside [0, {limit}]"
             yield head, k, "-1", error, f"{what}: value -1 outside [0, {limit}]"
@@ -218,7 +219,10 @@ def _field_cases():
 @pytest.mark.parametrize(
     "head, k, token, kind, message",
     list(_field_cases()),
-    ids=[f"{h}-{_PART_FIELDS[h][2][k][0]}-{'cut' if t is None else t}" for h, k, t, *_ in _field_cases()],
+    ids=[
+        f"{h}-{_PART_FIELDS[h][2][k][0]}-{'cut' if t is None else t if len(t) < 9 else f'{t[0]}x{len(t)}'}"
+        for h, k, t, *_ in _field_cases()
+    ],
 )
 def test_parse_names_the_field_a_token_breaks(head, k, token, kind, message):
     """A bad token in field k of a part, or the stream cut after field k."""
