@@ -3,6 +3,9 @@
 A metric reads ``TSDFGrid`` values without checking them again: a kernel
 grid is built inside the band, and a grid from a file was checked where
 ``gridio`` read it.
+
+scipy is imported inside ``chamfer``, its only user, so a command that
+never scores a shape starts without it.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import RenderInvalidError
 from .kernel import AttributionGrid, TSDFGrid, render, surface_points
@@ -35,6 +37,7 @@ def chamfer(a, b) -> float:
     b = np.asarray(b, dtype=float)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("chamfer needs two nonempty point sets")
+    from scipy.spatial import cKDTree
     # unbalanced, uncompacted trees build faster and find the same nearest distances
     d_ab = cKDTree(b, balanced_tree=False, compact_nodes=False).query(a)[0]
     d_ba = cKDTree(a, balanced_tree=False, compact_nodes=False).query(b)[0]

@@ -5,6 +5,8 @@ import math
 import os
 import statistics
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -774,6 +776,47 @@ def test_bad_engine_flag_is_named_in_the_error(runner, command, flag, value, lea
         assert res.exit_code == 1
         assert res.stderr == f"ValueError: {flag} must be at least {least}, got {value}\n"
         assert not any(Path(p).exists() for p in ("out.seq", "run.txt", "r.txt"))
+
+
+# The child runs each command that never scores a shape, and one that fails
+# before its first score, then one chamfer; it prints the scipy modules loaded
+# before that chamfer and whether the chamfer loaded scipy.spatial.
+_LAZY_SCIPY_CHILD = """
+import sys
+from pathlib import Path
+from click.testing import CliRunner
+from cadfit import metrics
+from cadfit.cli import main
+from cadfit.synth import load_corpus
+
+def cli(*args, code=0):
+    res = CliRunner().invoke(main, list(args))
+    assert res.exit_code == code, res.output
+
+cli("--help")
+Path("recipe").write_text("corpus_size 1\\nclasses param-jitter\\n")
+cli("synth", "--spec", "recipe", "-o", "corpus", "--res", "16")
+assert len(load_corpus("corpus")) == 1
+cli("render", "corpus/0000.orig.seq", "-o", "orig.tsdf", "--res", "16")
+cli("inspect", "corpus/0000.orig.seq", "corpus/0000.target.tsdf")
+cli("metrics", "corpus/0000.orig.seq", "missing.tsdf", code=1)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+metrics.chamfer([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_only_a_score_loads_scipy(tmp_path):
+    """Start-up, --help, synth, render, inspect and a failed metrics import no scipy;
+    the first chamfer does.  A fresh process, as scipy may already be loaded
+    in this one."""
+    src = Path(engine.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_CHILD], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
 
 
 # -- report formatting -------------------------------------------------------
