@@ -54,24 +54,18 @@ _res_option = click.option(
     show_default=True,
     help="Grid resolution per axis.",
 )
-_seed_option = click.option(
-    "--seed",
-    type=int,
-    default=0,
-    show_default=True,
-    help="Run seed.",
-)
 _granularity_option = click.option(
     "--granularity",
     type=click.Choice(sorted(g.value for g in Granularity)),
-    default="primitive",
+    default=EngineConfig.granularity.value,
     show_default=True,
     help="Segment size the planner scores and masks.",
 )
 
 
 def _engine_options(fn):
-    """--rounds and --n, each defaulting to its EngineConfig field."""
+    """--rounds, --n and --seed, each defaulting to its EngineConfig field."""
+    fn = click.option("--seed", type=int, default=EngineConfig.seed, show_default=True, help="Run seed.")(fn)
     fn = click.option("--n", type=int, default=EngineConfig.n, show_default=True, help="Candidates per round.")(fn)
     return click.option("--rounds", type=int, default=EngineConfig.max_rounds, show_default=True)(fn)
 
@@ -120,7 +114,6 @@ def _engine_config(rounds, n, seed, granularity, ablate) -> EngineConfig:
 @click.argument("target_file")
 @click.option("-o", "--out", required=True)
 @_engine_options
-@_seed_option
 @click.option("--generator-cmd", default=None, help="External infill endpoint command line.")
 @click.option("--report", "report_file", required=True)
 @_granularity_option
@@ -182,17 +175,15 @@ def metrics_cmd(seq_file, other_file, res):
 @main.command("synth")
 @click.option("--spec", "spec_file", required=True)
 @click.option("-o", "--out", required=True)
-@_seed_option
-@_res_option
 @_guarded
-def synth_cmd(spec_file, out, seed, res):
+def synth_cmd(spec_file, out):
     """Generate a benchmark corpus from a recipe file of ``key value`` lines.
 
     Keys and their defaults: corpus_size 50, min_pairs 1, max_pairs 4, seed
-    --seed, resolution --res, tau 0.2, and classes (comma-separated) all of
+    0, resolution 32, tau 0.2, and classes (comma-separated) all of
     param-jitter, primitive-substitute, loop-add-remove, pair-add-remove.
     """
-    spec = read_recipe(spec_file, seed, res)
+    spec = read_recipe(spec_file)
     Path(out).mkdir(parents=True, exist_ok=True)
     check_outputs(*corpus_files(out, spec.corpus_size))
     triplets = synth(spec)
@@ -205,7 +196,6 @@ def synth_cmd(spec_file, out, seed, res):
 @click.option("--report", "report_file", required=True)
 @click.option("--ablate", type=click.Choice(ABLATION_MODES), default=None)
 @_engine_options
-@_seed_option
 @_granularity_option
 @_guarded
 def eval_cmd(corpus_dir, report_file, ablate, rounds, n, seed, granularity):

@@ -24,6 +24,7 @@ from .errors import (
     GeneratorProtocolError,
     GrammarExhaustedError,
 )
+from .quant import BIN_MAX
 from .sequence import (
     Arc,
     Circle,
@@ -70,11 +71,11 @@ _WIDE_FACTOR = 4.0
 _FOCUS_KEEP = 0.93
 
 
-def _gauss_bin(rng, center: int, sigma: float, lo: int = 0, hi: int = 255) -> int:
+def _gauss_bin(rng, center: int, sigma: float, lo: int = 0, hi: int = BIN_MAX) -> int:
     return min(max(round(rng.normal(center, sigma)), lo), hi)
 
 
-def _num_tok(rng, keep: float, center: int, lo: int = 0, hi: int = 255) -> int:
+def _num_tok(rng, keep: float, center: int, lo: int = 0, hi: int = BIN_MAX) -> int:
     """One numeric token: usually kept, else jittered, sometimes widely.
 
     Sparse updates keep most proposals a small Hamming step from the base,
@@ -114,7 +115,7 @@ def _sample_primitive(rng, prim, keep: float):
             _num_tok(rng, keep, prim.center[0]),
             _num_tok(rng, keep, prim.center[1]),
         )
-        return Circle(center, _num_tok(rng, keep, prim.radius, 1, 255))
+        return Circle(center, _num_tok(rng, keep, prim.radius, lo=1))
     return _sample_chain_prim(rng, prim, keep)
 
 
@@ -123,7 +124,7 @@ def _sample_extrusion(rng, ext, keep: float):
         ext,
         orientation=tuple(_num_tok(rng, keep, b) for b in ext.orientation),
         origin=tuple(_num_tok(rng, keep, b) for b in ext.origin),
-        scale=_num_tok(rng, keep, ext.scale, 1, 255),
+        scale=_num_tok(rng, keep, ext.scale, lo=1),
         dist_pos=_num_tok(rng, keep, ext.dist_pos),
         dist_neg=_num_tok(rng, keep, ext.dist_neg),
     )

@@ -40,17 +40,20 @@ def _naming(path):
 def check_outputs(*paths: str) -> None:
     """Raise if ``write_atomic`` could not write these paths: a
     ``ValueError`` for two paths that name one file, since the later would
-    replace the earlier, else an ``OSError`` for a path that is a directory,
-    whose parent is not one or is one this process cannot write and search,
-    or whose name is longer than its parent's file system takes.  Each error
-    names the caller's path as a plain string.  A command calls this before
-    its work, so a bad output fails at once and not after the run."""
+    replace the earlier, else the ``OSError`` ``open(path, "wb")`` raises
+    for a path that is empty, ends in a separator or is a directory, whose
+    parent is not a directory this process can write and search, or whose
+    name is longer than the parent's file system takes.  Each error names
+    the caller's path as a plain string.  A command calls this before its
+    work, so a bad output fails at once and not after the run."""
     seen = set()
     for path in paths:
         real = os.path.realpath(path)
         if real in seen:
             raise ValueError(f"{os.fspath(path)}: named by two outputs")
         seen.add(real)
+        if not os.fspath(path):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
         if os.path.isdir(path) and not os.path.islink(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         parent = os.path.dirname(os.path.abspath(path))
@@ -59,6 +62,8 @@ def check_outputs(*paths: str) -> None:
             raise OSError(code, os.strerror(code), os.fspath(path))  # the subclass for the code
         if not os.access(parent, os.W_OK | os.X_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        if not os.path.basename(path):  # a trailing separator: open() takes the path for a directory
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         if len(os.fsencode(os.path.basename(path))) > os.pathconf(parent, "PC_NAME_MAX"):
             raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), os.fspath(path))
 
@@ -68,14 +73,17 @@ def write_atomic(*outputs: tuple[str, bytes]) -> None:
     ``check_outputs`` and each is staged beside its path before the first is
     replaced, so a failure ``check_outputs`` can predict writes nothing.  A
     replace refused later, by a full disk for one, can leave the earlier
-    outputs replaced.  An ``OSError`` names the caller's path."""
+    outputs replaced.  Each output gets the mode ``open()`` would give a new
+    file, 0o666 less the umask.  An ``OSError`` names the caller's path."""
     check_outputs(*(path for path, _ in outputs))
+    os.umask(umask := os.umask(0))  # POSIX reads the umask only by setting it
     staged = []
     try:
         for path, data in outputs:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
             staged.append(tmp)
             with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fd, 0o666 & ~umask)  # mkstemp makes 0o600
                 fh.write(data)
         for tmp, (path, _) in zip(staged, outputs):
             os.replace(tmp, path)

@@ -152,9 +152,9 @@ from .sequence import (
     Line,
     Loop,
     SegmentId,
-    SegmentKind,
     Sketch,
     chain_vertices,
+    segments,
 )
 
 DOMAIN_MIN = -0.5
@@ -265,10 +265,10 @@ class AttributionGrid:
 
     ``values`` is the float32 fold of every body's h-field, h(f) =
     clip(float32(f), -tau, tau), as a render folds it.  ``owner`` holds
-    indices into ``segment_ids`` (primitive-granularity ids: primitives and
-    extrusion blocks).  ``bodies`` holds those h-fields, each with its cap
-    mask and nearest primitive, read-only, for a later call to fold as
-    stored (see the module notes).
+    indices into ``segment_ids``, the ids of the sequence's ``segments`` at
+    primitive granularity (primitives and extrusion blocks).  ``bodies``
+    holds those h-fields, each with its cap mask and nearest primitive,
+    read-only, for a later call to fold as stored (see the module notes).
     """
 
     spec: GridSpec
@@ -538,10 +538,10 @@ _BOOLEAN = {
 
 def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: AttributionGrid | None):
     """The (n, n, n) fold of every body's h-field and, when ``owners``, the
-    owner grid, the primitive-granularity ids its values index (each pair's
-    primitives in loop order, then its extrusion block) and the sequence's
-    bodies.  Bodies ``base`` holds at this spec are folded as stored (see
-    the module notes).
+    owner grid and the sequence's bodies.  Owner values index ``segments(seq)``
+    at primitive granularity: each pair's primitives in loop order, then its
+    extrusion block.  Bodies ``base`` holds at this spec are folded as stored
+    (see the module notes).
     """
     n, tau = spec.resolution, spec.tau
 
@@ -574,20 +574,18 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
     bodies = {}
     scene = None
     owner = np.empty((n, n, n), dtype=np.int32) if owners else None
-    ids: list[SegmentId] = []
-    for pi, (sketch, ext) in enumerate(seq.pairs):
+    first = 0  # owner value of the pair's first primitive
+    for sketch, ext in seq.pairs:
         body = f, cap, nearest = evaluate(sketch, ext)
         composed = f if scene is None else _BOOLEAN[ext.bool_op](scene, f)
         if owners:
             for a in body:
                 a.flags.writeable = False
             bodies[sketch, ext] = body
-            first = len(ids)  # owner value of the pair's first primitive
-            for li, loop in enumerate(sketch.loops):
-                ids += (SegmentId(pi, SegmentKind.PRIMITIVE, li, k) for k in range(len(loop.primitives)))
-            ids.append(SegmentId(pi, SegmentKind.EXTRUSION))
+            extrusion = first + sum(len(loop.primitives) for loop in sketch.loops)  # its owner value
             took = True if scene is None else composed != scene
-            np.copyto(owner, np.where(cap, len(ids) - 1, first + nearest), where=took)
+            np.copyto(owner, np.where(cap, extrusion, first + nearest), where=took)
+            first = extrusion + 1
         scene = composed
     values = np.ascontiguousarray(scene)
     inside = np.count_nonzero(values < 0)
@@ -595,7 +593,7 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
         raise RenderInvalidError("composed field has no interior voxels")
     if inside == values.size:
         raise RenderInvalidError("composed field has no exterior voxels")
-    return _read_only(values), owner, tuple(ids), MappingProxyType(bodies)
+    return _read_only(values), owner, MappingProxyType(bodies)
 
 
 def render(
@@ -613,7 +611,8 @@ def attribute(
 ) -> AttributionGrid:
     """Composed field plus per-voxel owning segment, reusing the bodies
     ``base`` holds (see the module notes)."""
-    return AttributionGrid(spec, *_compose(seq, spec, True, base))
+    values, owner, bodies = _compose(seq, spec, True, base)
+    return AttributionGrid(spec, values, owner, tuple(s.id for s in segments(seq)), bodies)
 
 
 # --------------------------------------------------------------------------

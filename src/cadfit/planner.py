@@ -49,11 +49,9 @@ def relative_scores(
 ) -> InfluenceVector:
     """Contribution change of every segment between ag's shape and the target.
 
-    Entries follow the segments of the attributed sequence at
-    ``granularity`` in document order: attribution ids are its primitive
-    and extrusion segments in document order, so their holders,
-    deduplicated in order, are ``segments(seq, granularity)`` by the
-    definition of ``segments``.
+    Entries follow ``segments(seq, granularity)`` of the attributed
+    sequence: attribution ids are the ids of ``segments(seq)``, and both
+    lists are the holders of those ids, deduplicated in order.
     """
     # each holder's slot, numbered in first-seen order; lifted maps an
     # attribution id's index to its holder's slot

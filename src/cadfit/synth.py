@@ -436,12 +436,11 @@ def load_corpus(path) -> list[Triplet]:
     return out
 
 
-def read_recipe(path, seed: int, resolution: int) -> SynthSpec:
+def read_recipe(path) -> SynthSpec:
     """The SynthSpec of a recipe file: ``key value`` lines, ``#`` comments.
 
-    ``seed`` and ``resolution`` stand in for those keys when the recipe
-    omits them; other omitted keys keep their SynthSpec or GridSpec default.
-    A key may appear once.
+    An omitted key keeps its SynthSpec or GridSpec default.  A key may
+    appear once.
     """
     given: dict[str, object] = {}
     for line in map(str.strip, Path(path).read_text(encoding="utf-8").splitlines()):
@@ -451,5 +450,5 @@ def read_recipe(path, seed: int, resolution: int) -> SynthSpec:
         if key not in _SETTINGS or key == "edits_per_triplet":
             raise ValueError(f"{path}: unknown recipe key {key!r}")
         _read_setting(given, line, path)
-    grid = GridSpec(given.pop("resolution", resolution), given.pop("tau", GridSpec.tau))
-    return SynthSpec(grid=grid, **{"seed": seed, **given})
+    grid = GridSpec(given.pop("resolution", GridSpec.resolution), given.pop("tau", GridSpec.tau))
+    return SynthSpec(grid=grid, **given)

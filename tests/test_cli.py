@@ -17,6 +17,7 @@ from helpers import circle_pair, cylinder_sequence
 
 from cadfit import engine
 from cadfit.cli import main
+from cadfit.engine import EngineConfig
 from cadfit.gridio import read_sequence_file, read_tsdf, write_sequence_file
 from cadfit.kernel import GridSpec, render
 from cadfit.report import fmt
@@ -191,6 +192,11 @@ def _tree() -> dict:
         (["edit", "cyl.seq", "t.tsdf", "-o", _LONG, "--report", "r.txt", "--n", "0"], _TOO_LONG),
         (["edit", "cyl.seq", "t.tsdf", "-o", "x.seq", "--report", _LONG, "--n", "0"], _TOO_LONG),
         (["eval", "corpus", "--report", _LONG, "--n", "0"], _TOO_LONG),
+        (["render", "cyl.seq", "-o", ""], "FileNotFoundError: [Errno 2] No such file or directory: ''"),
+        (["render", "cyl.seq", "-o", "cyl.seq/"], "IsADirectoryError: [Errno 21] Is a directory: 'cyl.seq/'"),
+        (["edit", "cyl.seq", "t.tsdf", "-o", "out.seq", "--report", "x/", "--n", "0"],
+         "IsADirectoryError: [Errno 21] Is a directory: 'x/'"),
+        (["eval", "corpus", "--report", "missing/x/", "--n", "0"], _NO_PARENT % "x/"),
     ],
     ids=[
         "render-o",
@@ -212,6 +218,10 @@ def _tree() -> dict:
         "edit-o-too-long",
         "edit-report-too-long",
         "eval-report-too-long",
+        "render-o-empty",
+        "render-o-file-with-separator",
+        "edit-report-separator",
+        "eval-report-separator-parent",
     ],
 )
 def test_output_path_that_cannot_be_written_exits_one_naming_it(runner, monkeypatch, args, message):
@@ -516,10 +526,10 @@ def test_metrics_names_a_sequence_file_that_is_not_utf8(runner):
 # -- synth and eval ----------------------------------------------------------
 
 
-def _tiny_corpus(runner, out="corpus", seed="7", extra=""):
+def _tiny_corpus(runner, out="corpus", seed=7, extra=""):
     with open("recipe", "w") as fh:
-        fh.write("corpus_size 2\nclasses param-jitter\n" + extra)
-    res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", out, "--seed", seed])
+        fh.write(f"corpus_size 2\nclasses param-jitter\nseed {seed}\n" + extra)
+    res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", out])
     assert res.exit_code == 0, res.stderr
 
 
@@ -543,17 +553,17 @@ def test_synth_emits_documented_layout(runner):
 
 def test_a_failed_synth_leaves_the_old_corpus_whole(runner, monkeypatch):
     with runner.isolated_filesystem():
-        _tiny_corpus(runner, out="c", seed="0")
+        _tiny_corpus(runner, out="c", seed=0)
         old = load_corpus("c")
         Path("c/0002.orig.seq").mkdir()
-        Path("recipe").write_text("corpus_size 3\nclasses param-jitter\n")
+        Path("recipe").write_text("corpus_size 3\nclasses param-jitter\nseed 1\n")
         before = _tree()
 
         def draw(_spec):
             raise RuntimeError("drew before every corpus file was checked")
 
         monkeypatch.setattr("cadfit.cli.synth", draw)
-        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c", "--seed", "1"])
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"])
         assert res.exit_code == 1
         assert res.stderr == "IsADirectoryError: [Errno 21] Is a directory: 'c/0002.orig.seq'\n"
         assert _tree() == before
@@ -606,15 +616,23 @@ def test_synth_names_the_recipe_and_key_it_rejects(runner, line, message):
         assert res.stderr == f"ValueError: recipe: {message}\n"
 
 
-@pytest.mark.parametrize("where", ["flag", "recipe"])
-def test_synth_rejects_a_resolution_the_engine_cannot_pool(runner, where):
+def test_synth_rejects_a_resolution_the_engine_cannot_pool(runner):
     with runner.isolated_filesystem():
-        with open("recipe", "w") as fh:
-            fh.write("corpus_size 2\nclasses param-jitter\n" + ("resolution 12\n" if where == "recipe" else ""))
-        extra = ["--res", "12"] if where == "flag" else []
-        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"] + extra)
+        Path("recipe").write_text("corpus_size 2\nclasses param-jitter\nresolution 12\n")
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c"])
         assert res.exit_code == 1
         assert res.stderr == "ValueError: resolution must be a multiple of 8, got 12\n"
+        assert not Path("c").exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--res", "16"]], ids=["seed", "res"])
+def test_synth_takes_its_settings_from_the_recipe_alone(runner, flag):
+    with runner.isolated_filesystem():
+        Path("recipe").write_text("corpus_size 1\nclasses param-jitter\n")
+        res = runner.invoke(main, ["synth", "--spec", "recipe", "-o", "c", *flag])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("Usage:")
+        assert f"No such option '{flag[0]}'" in res.stderr
         assert not Path("c").exists()
 
 
@@ -747,16 +765,24 @@ def test_negative_seed_is_rejected_before_any_work(runner, command):
         _write_models()
         runner.invoke(main, ["render", "cyl.seq", "-o", "t.tsdf"])
         _tiny_corpus(runner)
+        Path("negative").write_text("corpus_size 1\nseed -1\n")
         args = {
-            "edit": ["edit", "big.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt", "--n", "0"],
-            "eval": ["eval", "corpus", "--report", "r.txt", "--rounds", "1"],
-            "synth": ["synth", "--spec", "recipe", "-o", "c2"],
+            "edit": ["edit", "big.seq", "t.tsdf", "-o", "out.seq", "--report", "run.txt", "--n", "0", "--seed", "-1"],
+            "eval": ["eval", "corpus", "--report", "r.txt", "--rounds", "1", "--seed", "-1"],
+            "synth": ["synth", "--spec", "negative", "-o", "c2"],
         }[command]
-        res = runner.invoke(main, args + ["--seed", "-1"])
+        res = runner.invoke(main, args)
         assert res.exit_code == 1
         assert res.stderr == "ValueError: seed must be non-negative, got -1\n"
         assert "Traceback" not in res.output
         assert not any(Path(p).exists() for p in ("out.seq", "run.txt", "r.txt", "c2"))
+
+
+@pytest.mark.parametrize("command", ["edit", "eval"])
+def test_engine_flags_default_to_the_engine_config_defaults(command):
+    flags = {p.name: p.default for p in main.commands[command].params}
+    made = EngineConfig(max_rounds=flags["rounds"], n=flags["n"], seed=flags["seed"], granularity=flags["granularity"])
+    assert made == EngineConfig()
 
 
 @pytest.mark.parametrize("command", ["edit", "eval"])
@@ -794,8 +820,8 @@ def cli(*args, code=0):
     assert res.exit_code == code, res.output
 
 cli("--help")
-Path("recipe").write_text("corpus_size 1\\nclasses param-jitter\\n")
-cli("synth", "--spec", "recipe", "-o", "corpus", "--res", "16")
+Path("recipe").write_text("corpus_size 1\\nclasses param-jitter\\nresolution 16\\n")
+cli("synth", "--spec", "recipe", "-o", "corpus")
 assert len(load_corpus("corpus")) == 1
 cli("render", "corpus/0000.orig.seq", "-o", "orig.tsdf", "--res", "16")
 cli("inspect", "corpus/0000.orig.seq", "corpus/0000.target.tsdf")

@@ -99,6 +99,19 @@ def test_outputs_that_name_one_file_write_nothing(tmp_path, monkeypatch, second)
     assert Path("out").read_bytes() == b"old"
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_an_output_gets_the_mode_open_would_give_it(tmp_path, umask):
+    previous = os.umask(umask)  # this process's alone, and put back below
+    try:
+        write_atomic((tmp_path / "out", b"data"))
+        with open(tmp_path / "opened", "wb"):
+            pass
+    finally:
+        os.umask(previous)
+    modes = [(tmp_path / name).stat().st_mode & 0o777 for name in ("out", "opened")]
+    assert modes == [0o666 & ~umask] * 2
+
+
 def test_sequence_file_round_trip(tmp_path):
     seq = cylinder_sequence()
     path = tmp_path / "model.txt"

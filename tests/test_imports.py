@@ -546,10 +546,7 @@ def f(seq, seg, sid, rows):
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "sequence.py"], ids=lambda p: p.name)
 def test_only_sequence_addresses_segments(path):
-    """Callers take parts from segments() and rebuild with replace_segment;
-    the kernel alone names SegmentIds, the owners of its attribution fold."""
-    tree = ast.parse(path.read_text(), filename=str(path))
-    found = _segment_addressing(tree)
-    if path.name == "kernel.py":
-        found = [entry for entry in found if not entry.endswith("SegmentId()")]
+    """Callers take parts and ids from segments() and rebuild with
+    replace_segment; no module but sequence builds a SegmentId."""
+    found = _segment_addressing(ast.parse(path.read_text(), filename=str(path)))
     assert [f"{path.name}:{entry}" for entry in found] == []

@@ -363,12 +363,12 @@ def test_recipe_reads_its_seven_keys_and_defaults_the_rest(tmp_path):
         "max_pairs 3\nseed 9\n\nresolution 16\ntau 0.1\n",
         encoding="utf-8",
     )
-    assert read_recipe(path, 5, 64) == SynthSpec(
+    assert read_recipe(path) == SynthSpec(
         3, ("param-jitter", "pair-add-remove"), 2, 3, 9, GridSpec(resolution=16, tau=0.1)
     )
     # an empty recipe gives the defaults README and `cadfit synth --help` list
     path.write_text("", encoding="utf-8")
-    assert read_recipe(path, 5, 64) == SynthSpec(50, EDIT_CLASSES, 1, 4, 5, GridSpec(resolution=64, tau=0.2))
+    assert read_recipe(path) == SynthSpec(50, EDIT_CLASSES, 1, 4, 0, GridSpec(resolution=32, tau=0.2))
 
 
 @pytest.mark.parametrize("key, lines", [("corpus_size", "corpus_size 1\ncorpus_size 2\n"), ("tau", "tau 0.1\n# again\ntau 0.1\n")])
@@ -376,7 +376,7 @@ def test_recipe_rejects_a_key_given_twice(tmp_path, key, lines):
     path = tmp_path / "recipe"
     path.write_text(lines, encoding="utf-8")
     with pytest.raises(ValueError) as err:
-        read_recipe(path, 5, 64)
+        read_recipe(path)
     assert str(err.value) == f"{path}: {key}: given twice"
 
 
