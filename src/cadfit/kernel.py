@@ -619,18 +619,24 @@ def attribute(
 # surface extraction
 
 
-def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> np.ndarray:
-    """Zero-crossing points between adjacent cell centers, subsampled.
+def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-crossing points between adjacent cell centers, subsampled, and
+    their edge keys.
 
     Crossing locations come from linear interpolation along grid edges, in
     float64.  Each axis's crossings are found as flat indices into the grid,
     in C order, so only a crossing's two samples are read and widened.
     Every grid has a surface, so the result is never empty.
+
+    A point's edge key is ``axis * n**3 + at``, for the edge from the cell
+    with flat index ``at`` to its neighbor along ``axis``, so grids of one
+    spec key crossings on the same edge alike.  The integer keys strictly
+    increase in the order of the points, and the subsample keeps that order.
     """
     n, pitch = grid.spec.resolution, grid.spec.pitch
     occ = grid.values < 0
     flat = grid.values.reshape(-1)
-    pts = []
+    pts, keys = [], []
     for axis in range(3):
         # occ[i] != occ[i + 1] along the axis, found as flat indices k of the
         # (n - 1)-layer comparison and moved to the grid by the layers skipped
@@ -644,9 +650,10 @@ def surface_points(grid: TSDFGrid, max_points: int = 4096, seed: int = 0) -> np.
         coords = DOMAIN_MIN + (np.stack(np.unravel_index(at, occ.shape), axis=-1) + 0.5) * pitch
         coords[:, axis] += t * pitch
         pts.append(coords)
-    allpts = np.concatenate(pts, axis=0)
+        keys.append(at + axis * n**3)
+    allpts, allkeys = np.concatenate(pts, axis=0), np.concatenate(keys)
     if len(allpts) > max_points:
         rng = np.random.default_rng(seed)
-        keep = rng.choice(len(allpts), size=max_points, replace=False)
-        allpts = allpts[np.sort(keep)]
-    return allpts
+        keep = np.sort(rng.choice(len(allpts), size=max_points, replace=False))
+        allpts, allkeys = allpts[keep], allkeys[keep]
+    return allpts, allkeys

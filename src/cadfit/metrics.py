@@ -32,15 +32,34 @@ def iou(a: TSDFGrid, b: TSDFGrid) -> float:
 
 
 def chamfer(a, b) -> float:
-    """Symmetric mean squared nearest-neighbor distance between point sets."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if len(a) == 0 or len(b) == 0:
+    """Symmetric mean squared nearest-neighbor distance between point sets.
+
+    ``a`` and ``b`` are (points, keys) pairs as ``surface_points`` gives
+    them, one key per point; raw point sets may pass
+    ``np.arange(len(points))``.  A sample is shared when the other set holds
+    one with the same key and equal coordinates, which ``np.searchsorted``
+    finds in the other set's increasing keys.  Its nearest distance is 0.0,
+    the exact value a tree query gives a duplicate, so only the unshared
+    samples are queried, against a tree over the whole other set, and the
+    result is bit for bit the one querying every sample gives.  A shared
+    sample the keys miss is queried, which costs time only.
+    """
+    (pa, ka), (pb, kb) = ((np.asarray(p, dtype=float), np.asarray(k)) for p, k in (a, b))
+    if len(pa) == 0 or len(pb) == 0:
         raise ValueError("chamfer needs two nonempty point sets")
+    if ka.shape != pa.shape[:1] or kb.shape != pb.shape[:1]:
+        raise ValueError("chamfer needs one key per point")
     from scipy.spatial import cKDTree
-    # unbalanced, uncompacted trees build faster and find the same nearest distances
-    d_ab = cKDTree(b, balanced_tree=False, compact_nodes=False).query(a)[0]
-    d_ba = cKDTree(a, balanced_tree=False, compact_nodes=False).query(b)[0]
+
+    def nearest(p, k, q, kq):
+        j = np.searchsorted(kq, k).clip(max=len(kq) - 1)
+        ask = (kq[j] != k) | (q[j] != p).any(axis=1)
+        d = np.zeros(len(p))
+        # unbalanced, uncompacted trees build faster and find the same nearest distances
+        d[ask] = cKDTree(q, balanced_tree=False, compact_nodes=False).query(p[ask])[0]
+        return d
+
+    d_ab, d_ba = nearest(pa, ka, pb, kb), nearest(pb, kb, pa, ka)
     return 0.5 * float(np.mean(d_ab**2)) + 0.5 * float(np.mean(d_ba**2))
 
 

@@ -168,7 +168,7 @@ def test_criterion_04_render_oracles(capfd):
     pts = cell_points(spec)
     vals = np.clip(np.linalg.norm(pts, axis=1) - 0.35, -spec.tau, spec.tau)
     sphere = TSDFGrid(spec, vals.reshape((spec.resolution,) * 3).astype(np.float32))
-    radii = np.linalg.norm(surface_points(sphere, max_points=100_000), axis=1)
+    radii = np.linalg.norm(surface_points(sphere, max_points=100_000)[0], axis=1)
     on_sphere = float(np.mean(np.abs(radii - 0.35) < spec.pitch))
     el = time.perf_counter() - t0
     ok = cyl_err < 0.05 and carved_err < 0.05 and on_sphere == 1.0 and el < 30.0

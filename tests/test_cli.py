@@ -827,7 +827,7 @@ cli("render", "corpus/0000.orig.seq", "-o", "orig.tsdf", "--res", "16")
 cli("inspect", "corpus/0000.orig.seq", "corpus/0000.target.tsdf")
 cli("metrics", "corpus/0000.orig.seq", "missing.tsdf", code=1)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-metrics.chamfer([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]])
+metrics.chamfer(([[0.0, 0.0, 0.0]], [0]), ([[1.0, 0.0, 0.0]], [0]))
 print("scipy.spatial" in sys.modules)
 """
 

@@ -1331,7 +1331,7 @@ def _sphere_grid(radius=0.35, spec=GridSpec()):
 
 def test_sphere_surface_points_sit_on_the_sphere():
     grid = _sphere_grid()
-    pts = surface_points(grid, max_points=100000)
+    pts, _ = surface_points(grid, max_points=100000)
     radii = np.linalg.norm(pts, axis=1)
     assert np.abs(radii - 0.35).max() < grid.spec.pitch
     assert len(pts) > 500
@@ -1339,9 +1339,27 @@ def test_sphere_surface_points_sit_on_the_sphere():
 
 def test_surface_points_subsample_is_seeded():
     grid = _sphere_grid()
-    a = surface_points(grid, max_points=64, seed=5)
-    b = surface_points(grid, max_points=64, seed=5)
-    c = surface_points(grid, max_points=64, seed=6)
-    assert np.array_equal(a, b)
-    assert len(a) == 64
+    a, ka = surface_points(grid, max_points=64, seed=5)
+    b, kb = surface_points(grid, max_points=64, seed=5)
+    c, _ = surface_points(grid, max_points=64, seed=6)
+    assert np.array_equal(a, b) and np.array_equal(ka, kb)
+    assert len(a) == len(ka) == 64
     assert not np.array_equal(a, c)
+
+
+def test_surface_point_keys_name_their_edges_in_increasing_order():
+    """Key axis * n**3 + at: the point lies on the edge from cell ``at``'s
+    center to its neighbor's along ``axis``, and a subsample keeps each
+    point's key."""
+    grid = _sphere_grid()
+    n, pitch = grid.spec.resolution, grid.spec.pitch
+    pts, keys = surface_points(grid, max_points=10**6)
+    assert np.issubdtype(keys.dtype, np.integer) and (np.diff(keys) > 0).all()
+    axis, at = np.divmod(keys, n**3)
+    assert set(axis.tolist()) == {0, 1, 2}
+    start = DOMAIN_MIN + (np.stack(np.unravel_index(at, (n,) * 3), axis=-1) + 0.5) * pitch
+    along = np.arange(3) == axis[:, None]
+    assert np.array_equal(pts[~along], start[~along])
+    assert ((pts[along] >= start[along]) & (pts[along] <= start[along] + pitch)).all()
+    sub, sub_keys = surface_points(grid, max_points=97, seed=3)
+    assert np.array_equal(sub, pts[np.searchsorted(keys, sub_keys)])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from helpers import cell_points, circle_pair, cylinder_sequence, raises_exactly
@@ -83,31 +85,43 @@ def _brute_chamfer(a, b):
     return 0.5 * d_ab.min(1).mean() + 0.5 * d_ab.min(0).mean()
 
 
+def _keyed(p):
+    """A raw point set as ``chamfer`` takes it, keyed by position."""
+    p = np.asarray(p, dtype=float)
+    return p, np.arange(len(p))
+
+
 def test_chamfer_identical_zero():
     pts = np.random.default_rng(3).uniform(-1, 1, size=(50, 3))
-    assert chamfer(pts, pts) == 0.0
+    assert chamfer(_keyed(pts), _keyed(pts)) == 0.0
+    assert chamfer(_keyed(pts), _keyed(pts[::-1])) == 0.0
 
 
 def test_chamfer_single_points():
     a = np.array([[0.0, 0.0, 0.0]])
     b = np.array([[0.1, 0.0, 0.0]])
-    assert chamfer(a, b) == pytest.approx(0.01)
+    assert chamfer(_keyed(a), _keyed(b)) == pytest.approx(0.01)
 
 
 def test_chamfer_matches_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        a = rng.uniform(-1, 1, size=(rng.integers(1, 40), 3))
-        b = rng.uniform(-1, 1, size=(rng.integers(1, 40), 3))
-        assert chamfer(a, b) == pytest.approx(_brute_chamfer(a, b), abs=1e-12)
+        a = _keyed(rng.uniform(-1, 1, size=(rng.integers(1, 40), 3)))
+        b = _keyed(rng.uniform(-1, 1, size=(rng.integers(1, 40), 3)))
+        assert chamfer(a, b) == pytest.approx(_brute_chamfer(a[0], b[0]), abs=1e-12)
         assert chamfer(a, b) == pytest.approx(chamfer(b, a), abs=1e-12)
 
 
 def _default_tree_chamfer(a, b):
-    """``chamfer`` on scipy's default balanced, compacted trees."""
+    """``chamfer`` of two point sets with every sample queried, on scipy's
+    default balanced, compacted trees: the reference for the keyed form."""
     d_ab = cKDTree(b).query(a)[0]
     d_ba = cKDTree(a).query(b)[0]
     return 0.5 * float(np.mean(d_ab**2)) + 0.5 * float(np.mean(d_ba**2))
+
+
+def _same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
 def test_chamfer_equals_the_default_trees_bit_for_bit():
@@ -118,17 +132,88 @@ def test_chamfer_equals_the_default_trees_bit_for_bit():
     # eight corners, and every corner from its eight nearest centers
     lattice = np.stack(np.meshgrid(*[np.arange(12) / 16] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     cases += [(lattice, lattice[::3] + 1 / 32), (lattice + 1 / 32, lattice), (lattice, rng.permutation(lattice))]
-    spec = GridSpec(resolution=32)
-    surfaces = [surface_points(render(cylinder_sequence(r=r, dist=d), spec)) for r, d in ((64, 128), (50, 90))]
-    cases.append(tuple(surfaces))
     for a, b in cases:
-        assert chamfer(a, b) == _default_tree_chamfer(a, b)
+        assert _same_bits(chamfer(_keyed(a), _keyed(b)), _default_tree_chamfer(a, b))
+    spec = GridSpec(resolution=32)
+    a, b = (surface_points(render(cylinder_sequence(r=r, dist=d), spec)) for r, d in ((64, 128), (50, 90)))
+    assert _same_bits(chamfer(a, b), _default_tree_chamfer(a[0], b[0]))
+
+
+# rows drawn from a few coordinates, +0.0 and -0.0 among them, under few
+# keys, so that rows and keys repeat within a set and across the two
+_COORD = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1 / 3])
+_SAMPLES = st.lists(st.tuples(st.integers(0, 9), st.tuples(_COORD, _COORD, _COORD)), min_size=1, max_size=12)
+
+
+def _sample_set(samples):
+    """Points and non-decreasing keys.  A key may repeat within a set,
+    which ``surface_points`` never gives: keys only find shared samples, so
+    the result may not depend on them."""
+    samples = sorted(samples, key=lambda s: s[0])
+    return np.array([row for _, row in samples], dtype=float), np.array([k for k, _ in samples])
+
+
+@settings(max_examples=150, derandomize=True)
+@given(a=_SAMPLES, b=_SAMPLES)
+# one-sample sets: shared, +0.0 against -0.0, one key with unequal coordinates
+@example(a=[(0, (0.0, 0.0, 0.0))], b=[(0, (0.0, 0.0, 0.0))])
+@example(a=[(0, (0.0, -0.0, 0.0))], b=[(0, (-0.0, 0.0, -0.0))])
+@example(a=[(3, (0.25, 0.0, 0.0))], b=[(3, (0.0, 0.0, 0.0))])
+# duplicate rows within one set and across the two, under equal and unequal keys
+@example(a=[(1, (0.25, 0.25, 0.0)), (2, (0.25, 0.25, 0.0))], b=[(2, (0.25, 0.25, 0.0)), (5, (0.25, 0.25, 0.0))])
+def test_chamfer_is_the_query_of_every_sample_bit_for_bit(a, b):
+    a, b = _sample_set(a), _sample_set(b)
+    assert _same_bits(chamfer(a, b), _default_tree_chamfer(a[0], b[0]))
+
+
+def _unshared(p, other):
+    """The points of ``p`` whose key and coordinates ``other`` does not hold."""
+    held = set(zip(other[1].tolist(), map(tuple, other[0].tolist())))
+    return p[0][[(k, tuple(x)) not in held for k, x in zip(p[1].tolist(), p[0].tolist())]]
+
+
+def test_only_unshared_samples_reach_the_tree(monkeypatch):
+    import scipy.spatial
+
+    queried = []
+
+    class RecordingTree(scipy.spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(np.array(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+    spec = GridSpec(resolution=32)
+    a, b = (surface_points(render(cylinder_sequence(dist=d), spec)) for d in (160, 128))
+    chamfer(a, b)
+    assert len(queried) == 2
+    assert np.array_equal(queried[0], _unshared(a, b)) and np.array_equal(queried[1], _unshared(b, a))
+    assert 0 < len(queried[0]) < len(a[0]) and 0 < len(queried[1]) < len(b[0])
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+def test_report_chamfer_is_the_query_of_every_sample_on_rendered_grids(resolution):
+    spec = GridSpec(resolution=resolution)
+    target = render(cylinder_sequence(), spec)
+    candidate = cylinder_sequence(dist=160)
+    a, b = surface_points(render(candidate, spec)), surface_points(target)
+    assert len(_unshared(a, b)) < len(a[0])
+    if resolution == 64:  # the subsample path
+        assert len(surface_points(target, max_points=10**6)[0]) > 4096 == len(b[0])
+    assert _same_bits(report_for(candidate, target).chamfer_mean, _default_tree_chamfer(a[0], b[0]))
 
 
 def test_chamfer_empty_raises():
-    pts = np.zeros((3, 3))
-    for a, b in ((pts, np.zeros((0, 3))), (np.zeros((0, 3)), pts)):
+    pts = _keyed(np.zeros((3, 3)))
+    for a, b in ((pts, _keyed(np.zeros((0, 3)))), (_keyed(np.zeros((0, 3))), pts)):
         with raises_exactly(ValueError, "chamfer needs two nonempty point sets"):
+            chamfer(a, b)
+
+
+def test_chamfer_needs_one_key_per_point():
+    pts = np.zeros((3, 3))
+    for a, b in (((pts, np.arange(2)), _keyed(pts)), (_keyed(pts), (pts, np.arange(4)))):
+        with raises_exactly(ValueError, "chamfer needs one key per point"):
             chamfer(a, b)
 
 
@@ -223,11 +308,11 @@ def test_surface_points_and_histograms_are_pinned():
     digest = hashlib.sha256()
     grids = list(_pin_grids())
     for seed, grid in enumerate(grids):
-        for arr in (surface_points(grid), surface_points(grid, max_points=97, seed=seed), occupancy_histogram([grid])):
+        for arr in (surface_points(grid)[0], surface_points(grid, max_points=97, seed=seed)[0], occupancy_histogram([grid])):
             digest.update(arr.tobytes())
     digest.update(occupancy_histogram(grids).tobytes())
     column = grids[-1]
-    assert np.isin(surface_points(column, max_points=10**6)[:, 2], column.spec.centers()).all()
+    assert np.isin(surface_points(column, max_points=10**6)[0][:, 2], column.spec.centers()).all()
     assert digest.hexdigest() == SURFACE_PIN
 
 
