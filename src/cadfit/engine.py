@@ -25,8 +25,8 @@ from .sequence import (
     Granularity,
     SegmentId,
     apply_mask,
+    check_sequence,
     serialize_sequence,
-    validate_sequence,
 )
 
 ABLATION_MODES = ("plan", "verify", "queue")
@@ -212,7 +212,7 @@ def run(
     but the current round's argmin.
 
     Before round 1 it rejects an original that fails validation (with the
-    class ``parse_sequence`` raises for its first violation), a target
+    error ``parse_sequence`` raises for it, from ``check_sequence``), a target
     whose resolution is not a multiple of POOL_RES
     (ResolutionMismatchError, from ``embed_shape``), also at ``cfg.n ==
     0``, and, with generation enabled, an original that renders empty or
@@ -225,10 +225,7 @@ def run(
     bodies they share with the latest one (see ``cadfit.kernel``).
     """
     cfg = cfg or EngineConfig()
-    problems = validate_sequence(original)
-    if problems:
-        first = problems[0]
-        raise first.error(f"{first.where}: {first.message}")
+    check_sequence(original)
     target_latent = embed_shape(target)
 
     if cfg.n == 0:

@@ -9,23 +9,13 @@ INTERSECT ``sdf_intersection`` (max).  A render and an attribution fold
 one thing, h(f) = clip(float32(f), -tau, tau) of every body, in float32,
 and store the scene as the fold leaves it.
 
-The 2D layer works on x and y planes, and every distance is
-sqrt(dx**2 + dy**2), the very sum ``norm(..., axis=-1)`` reduces over a
-length-2 axis, so the values are bit-identical without that reduction.  A
-segment's projection parameter stays a matmul, whose fused multiply-add the
-elementwise form would round differently, and one product of the points as
-an (N, 2) matrix, whatever their shape: a stacked product rounds by the
-size of its cores.
-
-Coordinate planes and block-major order are exact.  A product's operand,
-p - o for the placement or q - a for a segment, is written one coordinate
-at a time into an empty (N, 3) or (N, 2) array, and ``_extrude`` divides x
-and y by the scale one at a time: each element is the very operation a
-broadcast over the (N, k) array makes, so BLAS gets the same operand.  An
-elementwise result depends only on its own point, and each row of an
-(N, 3) @ (3, 3) or (N, 2) @ (2,) product rounds the same at any position
-(the dense-fold tests check both), so evaluating the cells block by block
-gives each the same bits, and a transpose into the grid only moves them.
+The 2D layer works on x and y planes and the placement on x, y and z
+planes, and no product goes through BLAS: every distance is
+sqrt(dx**2 + dy**2), and every other product is written out as its terms
+summed in a fixed order, so the kernel's float64 arithmetic is numpy's
+elementwise operations alone.  Each value then depends only on its own
+point, so evaluating the cells block by block gives each the same bits, and
+a transpose into the grid only moves them.
 
 Attribution runs inside the same fold, which is what the planner consumes.
 A voxel belongs to the last pair that changed its composed value; a pair
@@ -290,13 +280,9 @@ def _distance(x: np.ndarray, y: np.ndarray, p) -> np.ndarray:
 
 
 def _segment_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    ab = b - a
-    denom = float(ab @ ab)
-    rel = np.empty(x.shape + (2,))
-    np.subtract(x, a[0], out=rel[..., 0])
-    np.subtract(y, a[1], out=rel[..., 1])
-    t = np.clip((rel.reshape(-1, 2) @ ab).reshape(x.shape) / denom, 0.0, 1.0)
-    return _distance(x, y, (a[0] + t * ab[0], a[1] + t * ab[1]))
+    ab0, ab1 = b[0] - a[0], b[1] - a[1]
+    t = np.clip(((x - a[0]) * ab0 + (y - a[1]) * ab1) / (ab0 * ab0 + ab1 * ab1), 0.0, 1.0)
+    return _distance(x, y, (a[0] + t * ab0, a[1] + t * ab1))
 
 
 def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]:
@@ -309,7 +295,7 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     chord = b - a
-    clen = float(np.linalg.norm(chord))
+    clen = math.sqrt(chord[0] * chord[0] + chord[1] * chord[1])
     if clen == 0.0 or not 0.0 < sweep < _TWO_PI:
         raise ValueError("arc with empty chord or degenerate sweep")
     radius = clen / (2.0 * math.sin(sweep / 2.0))
@@ -407,12 +393,17 @@ def placement_frame(ext: Extrusion) -> tuple[np.ndarray, np.ndarray]:
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(phi), math.sin(phi)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    rz1 = np.array([[ct, -st, 0.0], [st, ct, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
-    rz2 = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
-    rot = rz1 @ ry @ rz2
+    rz1 = ((ct, -st, 0.0), (st, ct, 0.0), (0.0, 0.0, 1.0))
+    ry = ((cp, 0.0, sp), (0.0, 1.0, 0.0), (-sp, 0.0, cp))
+    rz2 = ((cg, -sg, 0.0), (sg, cg, 0.0), (0.0, 0.0, 1.0))
+    rot = _product(_product(rz1, ry), rz2)
     origin = np.array([dequantize(b, Channel.COORD_3D) for b in ext.origin])
-    return rot, origin
+    return np.array(rot), origin
+
+
+def _product(a, b) -> tuple:
+    """The 3x3 product a b, each entry summed in k order."""
+    return tuple(tuple(a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)) for i in range(3))
 
 
 def extent_interval(ext: Extrusion) -> tuple[float, float]:
@@ -428,15 +419,15 @@ def extent_interval(ext: Extrusion) -> tuple[float, float]:
     return -dneg, dpos
 
 
-def _extrude(sketch: Sketch, ext: Extrusion, plane: np.ndarray, height: np.ndarray):
-    """Profile term, in ``plane``'s shape, slab term, in ``height``'s, and the
-    primitives' boundary distances in loop order, from sketch-plane
-    coordinates (..., 2) and heights along the normal, each term flushed
-    (see the module notes)."""
+def _extrude(sketch: Sketch, ext: Extrusion, u: np.ndarray, v: np.ndarray, height: np.ndarray):
+    """Profile term, in the shape of the sketch-plane coordinate planes ``u``
+    and ``v``, slab term, in that of ``height`` along the normal, and the
+    primitives' boundary distances in loop order, each term flushed (see the
+    module notes)."""
     scale = dequantize(ext.scale, Channel.SCALE)
     if scale <= 0.0:
         raise ValueError("extrusion scale dequantizes to zero")
-    d, rows = _profile_eval(sketch, plane[..., 0] / scale, plane[..., 1] / scale)
+    d, rows = _profile_eval(sketch, u / scale, v / scale)
     lo, hi = extent_interval(ext)
     mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
     return _flushed(d * scale), _flushed(np.abs(height - mid) - half), rows
@@ -464,13 +455,11 @@ def _clamped(f: np.ndarray, tau: float) -> np.ndarray:
     return g.clip(-np.float32(tau), np.float32(tau), out=g)
 
 
-def _local(x, y, z, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sketch-plane coordinates (..., 2) and heights of the points (x, y, z), all of one shape."""
-    rel = np.empty(np.shape(x) + (3,))
-    for k, coord in enumerate((x, y, z)):
-        np.subtract(coord, origin[k], out=rel[..., k])
-    local = rel @ rot  # rows of p - o times R == R^T (p - o)
-    return local[..., :2], local[..., 2]
+def _local(x, y, z, rot: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sketch-plane coordinate planes u and v and heights of the points
+    (x, y, z), all of one shape: R^T (p - o), each summed in x, y, z order."""
+    px, py, pz = x - origin[0], y - origin[1], z - origin[2]
+    return tuple(px * rot[0, k] + py * rot[1, k] + pz * rot[2, k] for k in range(3))
 
 
 def body_sdf(sketch: Sketch, ext: Extrusion, pts) -> np.ndarray:
@@ -557,8 +546,8 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
             return _banded(sketch, ext, spec, rot, origin, owners)
         # z-aligned: the profile at the points (x_i, y_j, z_j), the slab at
         # the first n of them (see the module notes)
-        plane, height = _local(*spec._lattice, rot, origin)
-        d, slab, rows = _extrude(sketch, ext, plane.reshape(n, n, 1, 2), height[:n])
+        u, v, height = _local(*spec._lattice, rot, origin)
+        d, slab, rows = _extrude(sketch, ext, u.reshape(n, n, 1), v.reshape(n, n, 1), height[:n])
         f = np.maximum(_clamped(d + 0.0, tau), _clamped(slab + 0.0, tau))
         xy = np.flatnonzero((d > 0) & (d < tau))
         z = np.flatnonzero((slab > 0) & (slab < tau))

@@ -305,13 +305,7 @@ def parse_sequence(text: str) -> ConstructionSequence:
     if i + 1 < end:
         raise StructureError("tokens after EOS")
     seq = ConstructionSequence(tuple(pairs))
-    problems = validate_sequence(seq)
-    if problems:
-        first = problems[0]
-        msg = f"{first.where}: {first.message}"
-        if len(problems) > 1:
-            msg += f" (+{len(problems) - 1} more)"
-        raise first.error(msg)
+    check_sequence(seq)
     return seq
 
 
@@ -373,6 +367,16 @@ def validate_sequence(seq: ConstructionSequence) -> list[Violation]:
         if ext.dist_pos < 1 and ext.dist_neg < 1:
             out.append(Violation(BinRangeError, where, "at least one extrusion distance must be positive"))
     return out
+
+
+def check_sequence(seq: ConstructionSequence) -> None:
+    """Raise the error class of ``seq``'s first violation, with where and
+    how it is broken and how many more there are; pass a valid sequence."""
+    problems = validate_sequence(seq)
+    if problems:
+        first = problems[0]
+        more = f" (+{len(problems) - 1} more)" if len(problems) > 1 else ""
+        raise first.error(f"{first.where}: {first.message}{more}")
 
 
 # --------------------------------------------------------------------------

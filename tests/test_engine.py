@@ -331,16 +331,16 @@ def test_generation_disabled_returns_original():
 
 
 def test_invalid_original_is_rejected():
-    """With the class and the message parse_sequence gives the same violation."""
-    bad = ConstructionSequence(
-        ((circle_pair(BoolOp.JOIN)),)
-    )
+    """With the class and the message parse_sequence gives the same
+    violations: the first, and how many more there are."""
     target = render(cylinder_sequence(), GridSpec())
-    message = "p0.ext: first pair must start a body, got JOIN"
-    with raises_exactly(StructureError, message):
-        parse_sequence(serialize_sequence(bad))
-    with raises_exactly(StructureError, message):
-        run(bad, target)
+    for radius, more in ((64, ""), (0, " (+1 more)")):  # radius bin 0 is a second violation
+        bad = ConstructionSequence((circle_pair(BoolOp.JOIN, r=radius),))
+        message = f"p0.ext: first pair must start a body, got JOIN{more}"
+        with raises_exactly(StructureError, message):
+            parse_sequence(serialize_sequence(bad))
+        with raises_exactly(StructureError, message):
+            run(bad, target)
 
 
 def test_unrenderable_original_is_rejected_before_round_one():

@@ -551,9 +551,7 @@ def _dense_fold(seq, spec):
     scene, owner, first = None, np.zeros(len(pts), dtype=np.int32), 0
     for sketch, ext in seq.pairs:
         f = _h(body_sdf(sketch, ext, pts), spec)
-        rot, origin = placement_frame(ext)
-        local = (pts - origin) @ rot
-        d, slab, rows = _extrude(sketch, ext, local[:, :2], local[:, 2])
+        d, slab, rows = _extrude(sketch, ext, *kernel._local(*pts.T, *placement_frame(ext)))
         cap, nearest = slab > d, np.argmin(np.stack(rows), axis=0)
         if scene is None:
             takes, scene = np.ones(len(pts), dtype=bool), f
@@ -719,14 +717,14 @@ def test_z_aligned_sequences_never_build_every_cell_center(monkeypatch):
     seq = _z_aligned(random_renderable(np.random.default_rng(71), GridSpec())[0], np.random.default_rng(73))
     seen, real = [], kernel._extrude
 
-    def counted(sketch, ext, plane, height):
-        seen.append((plane.shape[:-1], np.shape(height)))
-        return real(sketch, ext, plane, height)
+    def counted(sketch, ext, u, v, height):
+        seen.append((u.shape, v.shape, np.shape(height)))
+        return real(sketch, ext, u, v, height)
 
     monkeypatch.setattr(kernel, "_extrude", counted)
     n = GridSpec().resolution
     assert (attribute(seq).values < 0).any()
-    assert seen == [((n, n, 1), (n,))] * len(seq.pairs)  # n^2 profile points, n heights
+    assert seen == [((n, n, 1), (n, n, 1), (n,))] * len(seq.pairs)  # n^2 profile points, n heights
 
 
 # -- band-limited slab term ------------------------------------------------------
@@ -830,9 +828,9 @@ def test_tilted_body_matches_the_dense_fold_bitwise(case):
 def test_banded_render_skips_the_cells_a_small_tilted_body_cannot_reach(monkeypatch):
     seen, real = [], kernel._extrude
 
-    def counted(sketch, ext, plane, height):
-        seen.append(math.prod(np.broadcast_shapes(plane.shape[:-1], np.shape(height))))
-        return real(sketch, ext, plane, height)
+    def counted(sketch, ext, u, v, height):
+        seen.append(math.prod(np.broadcast_shapes(u.shape, v.shape, np.shape(height))))
+        return real(sketch, ext, u, v, height)
 
     monkeypatch.setattr(kernel, "_extrude", counted)
     spec = GridSpec()
@@ -844,9 +842,9 @@ def test_banded_render_skips_the_cells_a_small_tilted_body_cannot_reach(monkeypa
 def test_an_off_axis_attribution_evaluates_the_cells_a_render_does(monkeypatch):
     seen, real = [], kernel._extrude
 
-    def counted(sketch, ext, plane, height):
-        seen.append(math.prod(np.broadcast_shapes(plane.shape[:-1], np.shape(height))))
-        return real(sketch, ext, plane, height)
+    def counted(sketch, ext, u, v, height):
+        seen.append(math.prod(np.broadcast_shapes(u.shape, v.shape, np.shape(height))))
+        return real(sketch, ext, u, v, height)
 
     monkeypatch.setattr(kernel, "_extrude", counted)
     spec = GridSpec()
@@ -898,8 +896,8 @@ def test_banded_render_culls_only_past_the_half_diagonal_and_margin(monkeypatch)
     edge = -(spec.tau + 1.5 * math.sqrt(3.0) * spec.pitch)
     seen = []
 
-    def flat(sketch, ext, plane, height):
-        shape = np.broadcast_shapes(plane.shape[:-1], np.shape(height))
+    def flat(sketch, ext, u, v, height):
+        shape = np.broadcast_shapes(u.shape, v.shape, np.shape(height))
         seen.append(math.prod(shape))
         return np.full(shape, edge), np.full(shape, edge), []  # both terms at edge: a field of edge
 
@@ -1139,8 +1137,8 @@ def test_a_profile_value_that_casts_to_a_signed_zero_leaves_both_folds_equal(mon
     assert np.signbit(np.maximum(np.float32(1e-300), np.float32(-0.0)))
     planted, real = {}, kernel._profile_eval
     for (sketch, ext), value in ((a, 1e-300), (b, 0.0)):
-        plane, _ = kernel._local(*pts[cell, :, None], *placement_frame(ext))
-        planted[sketch] = plane[0], value  # the scale dequantizes to 1.0, so x and y are the plane's
+        u, v, _ = kernel._local(*pts[cell, :, None], *placement_frame(ext))
+        planted[sketch] = (u[0], v[0]), value  # the scale dequantizes to 1.0, so x and y are u and v
 
     def plant(sketch, x, y):
         f, rows = real(sketch, x, y)
@@ -1173,7 +1171,7 @@ def test_extrude_flushes_exactly_the_terms_float32_rounds_to_a_zero(monkeypatch)
     assert dequantize(ext.scale, Channel.SCALE) == 1.0
     monkeypatch.setattr(kernel, "_profile_eval", lambda sketch, x, y: (values.copy(), []))
     monkeypatch.setattr(kernel, "extent_interval", lambda ext: (0.0, 0.0))  # the slab term is |height|
-    d, slab, _ = _extrude(sketch, ext, np.zeros((len(values), 2)), values.copy())
+    d, slab, _ = _extrude(sketch, ext, np.zeros(len(values)), np.zeros(len(values)), values.copy())
     for got, want in ((d, values), (slab, np.abs(values))):
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert not got[: len(flushed)].any()
@@ -1240,16 +1238,13 @@ def test_seeded_in_band_owners_are_pinned():
 
 
 def test_profiles_take_no_norm_over_a_coordinate_axis(monkeypatch):
-    """The 2D layer works on x and y planes: no distance in it is a norm
-    over a trailing length-2 axis (the arc chord's norm on one 2-vector
-    stays)."""
-    real = kernel.np.linalg.norm
+    """The 2D layer works on x and y planes: no distance in it is a norm,
+    the arc chord's length included."""
 
-    def flat_only(x, *args, **kwargs):
-        assert np.ndim(x) <= 1, f"norm over a {np.shape(x)} array"
-        return real(x, *args, **kwargs)
+    def refuse(x, *args, **kwargs):
+        raise AssertionError(f"norm over a {np.shape(x)} array")
 
-    monkeypatch.setattr(kernel.np.linalg, "norm", flat_only)
+    monkeypatch.setattr(kernel.np.linalg, "norm", refuse)
     rng = np.random.default_rng(83)
     spec = GridSpec(resolution=16)
     for variant in ("tilted", "mixed"):
@@ -1317,6 +1312,117 @@ def test_attribution_caps_go_to_extrusion_block():
     ix_wall = int(np.argmin(np.abs(c - radius)))
     wall_owner = ag.segment_ids[ag.owner[ix_wall, ix, iz_mid]]
     assert wall_owner.kind is SegmentKind.PRIMITIVE
+
+
+# -- scalar oracle --------------------------------------------------------------
+#
+# ``body_sdf`` at one point in Python floats, which do one IEEE operation per
+# step and never fuse: a field equal to it bit for bit is the kernel's fixed
+# order of elementwise operations, whatever BLAS the host has.  The oracle
+# calls numpy's scalar np.arctan2 and np.hypot where the kernel calls those
+# ufuncs, as math.atan2 and math.hypot round some inputs otherwise.
+
+
+def _scalar_distance(x, y, px, py):
+    dx, dy = x - px, y - py
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def _scalar_winding(a, b, x, y):
+    cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+    dot = (a[0] - x) * (b[0] - x) + (a[1] - y) * (b[1] - y)
+    return cross, float(np.arctan2(cross, dot))
+
+
+def _scalar_segment(a, b, x, y):
+    ab0, ab1 = b[0] - a[0], b[1] - a[1]
+    t = min(max(((x - a[0]) * ab0 + (y - a[1]) * ab1) / (ab0 * ab0 + ab1 * ab1), 0.0), 1.0)
+    return _scalar_distance(x, y, a[0] + t * ab0, a[1] + t * ab1)
+
+
+def _scalar_arc(a, b, sweep, ccw, x, y):
+    c0, c1 = b[0] - a[0], b[1] - a[1]
+    clen = math.sqrt(c0 * c0 + c1 * c1)
+    radius = clen / (2.0 * math.sin(sweep / 2.0))
+    k = (1.0 if ccw else -1.0) * radius * math.cos(sweep / 2.0)
+    cx, cy = (a[0] + b[0]) / 2.0 + k * (-c1 / clen), (a[1] + b[1]) / 2.0 + k * (c0 / clen)
+    from_center = _scalar_distance(x, y, cx, cy)
+    start, ang = math.atan2(a[1] - cy, a[0] - cx), float(np.arctan2(y - cy, x - cx))
+    diff = ang - start if ccw else start - ang
+    if (diff + 2.0 * math.pi if diff < 0 else diff) <= sweep or diff == 2.0 * math.pi:
+        dist = abs(from_center - radius)
+    else:
+        dist = min(_scalar_distance(x, y, *a), _scalar_distance(x, y, *b))
+    cross, angle = _scalar_winding(a, b, x, y)
+    if from_center < radius and cross == 0:
+        return dist, math.pi if ccw else -math.pi
+    if from_center < radius and (cross < 0 if ccw else cross > 0):
+        angle += 2.0 * math.pi if ccw else -2.0 * math.pi
+    return dist, angle
+
+
+def _scalar_loop(loop, x, y):
+    prim = loop.primitives[0]
+    if isinstance(prim, Circle):
+        cx, cy = (dequantize(c, Channel.COORD_2D) for c in prim.center)
+        return _scalar_distance(x, y, cx, cy) - dequantize(prim.radius, Channel.DISTANCE)
+    verts = [tuple(dequantize(c, Channel.COORD_2D) for c in v) for v in chain_vertices(loop)]
+    dist, total = math.inf, 0.0
+    for k, p in enumerate(loop.primitives):
+        a, b = verts[k], verts[(k + 1) % len(verts)]
+        if isinstance(p, Line):
+            d, angle = _scalar_segment(a, b, x, y), _scalar_winding(a, b, x, y)[1]
+        else:
+            d, angle = _scalar_arc(a, b, dequantize(p.sweep, Channel.ANGLE), p.ccw, x, y)
+        dist, total = min(dist, d), total + angle
+    return -dist if round(total / (2.0 * math.pi)) else dist
+
+
+def _scalar_product(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)] for i in range(3)]
+
+
+def _scalar_flushed(t):
+    return math.copysign(0.0, t) if abs(t) <= 2.0**-150 else t
+
+
+def _scalar_body(sketch, ext, x, y, z):
+    """``body_sdf`` of the pair at the point (x, y, z)."""
+    theta, phi, gamma = (dequantize(b, Channel.ANGLE) for b in ext.orientation)
+    ct, st, cp, sp, cg, sg = math.cos(theta), math.sin(theta), math.cos(phi), math.sin(phi), math.cos(gamma), math.sin(gamma)
+    rz1 = [[ct, -st, 0.0], [st, ct, 0.0], [0.0, 0.0, 1.0]]
+    ry = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]
+    rz2 = [[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]]
+    rot = _scalar_product(_scalar_product(rz1, ry), rz2)
+    px, py, pz = (c - dequantize(o, Channel.COORD_3D) for c, o in zip((x, y, z), ext.origin))
+    u, v, w = (px * rot[0][k] + py * rot[1][k] + pz * rot[2][k] for k in range(3))
+    scale = dequantize(ext.scale, Channel.SCALE)
+    f = _scalar_loop(sketch.loops[0], u / scale, v / scale)
+    for hole in sketch.loops[1:]:
+        f = max(f, -_scalar_loop(hole, u / scale, v / scale))
+    lo, hi = extent_interval(ext)
+    d, slab = _scalar_flushed(f * scale), _scalar_flushed(abs(w - (lo + hi) / 2.0) - (hi - lo) / 2.0)
+    return float(np.hypot(d, slab)) if d > 0 and slab > 0 else max(d, slab) + 0.0
+
+
+def test_body_fields_equal_a_scalar_oracle_bitwise():
+    """Lines, arcs, circles and holes in z-aligned and tilted frames, over
+    the three extents, inside and out, and in the hypot corner region."""
+    rng = np.random.default_rng(211)
+    seen = set()
+    for variant in ("z-aligned", "tilted"):
+        for _ in range(8):
+            seq = _placed(random_sequence(rng, min_pairs=2), rng, variant)
+            pts = rng.uniform(-0.5, 0.5, size=(40, 3))
+            for sketch, ext in seq.pairs:
+                got = body_sdf(sketch, ext, pts)
+                want = np.array([_scalar_body(sketch, ext, *map(float, p)) for p in pts])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                d, slab, _ = _extrude(sketch, ext, *kernel._local(*pts.T, *placement_frame(ext)))
+                seen |= {variant, ext.extent, *(type(p) for loop in sketch.loops for p in loop.primitives)}
+                flags = {"hole": len(sketch.loops) > 1, "inside": (got < 0).any(), "corner": ((d > 0) & (slab > 0)).any()}
+                seen |= {flag for flag, hit in flags.items() if hit}
+    assert seen == {"z-aligned", "tilted", *Extent, Line, Arc, Circle, "hole", "inside", "corner"}
 
 
 # -- surface extraction -----------------------------------------------------
