@@ -1186,7 +1186,7 @@ def test_extrude_flushes_exactly_the_terms_float32_rounds_to_a_zero(monkeypatch)
 # change in: any change to a rounding anywhere in the kernel moves it.  The
 # owners outside the band follow which blocks an attribution culls, so a
 # change to the cull moves it too; IN_BAND_OWNER_PIN holds the guaranteed ones
-KERNEL_PIN = "716625e1f07cb296ace21adc7100b25ff2693339406b08485c3ace0154950ff0"
+KERNEL_PIN = "85a971e2fd49c383b7a60cee10be1056aae066a2c3df95b97613488d3d77612b"
 
 
 def test_seeded_renders_and_attributions_are_pinned():
