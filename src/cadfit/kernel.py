@@ -17,6 +17,15 @@ elementwise operations alone.  Each value then depends only on its own
 point, so evaluating the cells block by block gives each the same bits, and
 a transpose into the grid only moves them.
 
+A loop's sign is its winding number, counted without angles (D. Sunday,
+"Inclusion of a point in a polygon", 2001): each chord adds its signed
+crossing of the point's +x ray, half-open in y, so a point level with a
+vertex counts as at y + eps, and one on a chord's line takes the side of
+y + eps, the left of a chord towards +x.  An arc adds 1 (ccw) or -1 (cw)
+inside its circle on its chord's bulge side, and is nearest where the point
+lies between its end radii, by two cross-product signs.  Left to round as
+a library build does: np.hypot, and math.sin and math.cos of bin values.
+
 Attribution runs inside the same fold, which is what the planner consumes.
 A voxel belongs to the last pair that changed its composed value; a pair
 that only ties the value leaves it with the earlier pair.  Within that
@@ -149,8 +158,6 @@ from .sequence import (
 
 DOMAIN_MIN = -0.5
 DOMAIN_MAX = 0.5
-
-_TWO_PI = 2.0 * math.pi
 
 _BLOCK = 4  # cell edge of the blocks a banded evaluation culls (see the module notes)
 _CULL_MARGIN = 1e-9  # slack over the Lipschitz bound for float64 rounding
@@ -292,11 +299,10 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     half turn the cos term goes negative and pushes it across the chord, so
     one formula covers both minor and major arcs.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     chord = b - a
     clen = math.sqrt(chord[0] * chord[0] + chord[1] * chord[1])
-    if clen == 0.0 or not 0.0 < sweep < _TWO_PI:
+    if clen == 0.0 or not 0.0 < sweep < 2.0 * math.pi:
         raise ValueError("arc with empty chord or degenerate sweep")
     radius = clen / (2.0 * math.sin(sweep / 2.0))
     normal = np.array([-chord[1], chord[0]]) / clen
@@ -305,40 +311,36 @@ def arc_center_radius(a, b, sweep: float, ccw: bool) -> tuple[np.ndarray, float]
     return center, radius
 
 
-def _on_arc(ang: np.ndarray, start: float, sweep: float, ccw: bool) -> np.ndarray:
-    """Whether the turn from ``start`` to ``ang`` is within the sweep: diff % 2pi <= sweep
-    without the remainder, which, as |diff| <= 2pi, adds 2pi to a negative diff and maps +-0, +-2pi to +0."""
-    diff = (ang - start) if ccw else (start - ang)
-    return (np.where(diff < 0, diff + _TWO_PI, diff) <= sweep) | (diff == _TWO_PI)
+def _in_sector(lo, hi, sweep: float, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Whether each direction (dx, dy) lies in the sector that turns ccw by ``sweep``
+    from the radius ``lo`` to the radius ``hi``, both radii included."""
+    after, before = lo[0] * dy - lo[1] * dx >= 0, dx * hi[1] - dy * hi[0] >= 0
+    return after & before if sweep < math.pi else after | before
 
 
-def _winding_contribution(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Cross product and angle swept at each point by travel along the chord from ``a`` to ``b``."""
+def _crossing(a, b, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each point lies left of the chord from ``a`` to ``b``, and the
+    chord's signed, half-open crossing of its +x ray (see the module notes)."""
     cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-    dot = (a[0] - x) * (b[0] - x) + (a[1] - y) * (b[1] - y)
-    return cross, np.arctan2(cross, dot)
+    left = cross >= 0 if b[0] > a[0] else cross > 0  # on the chord's line, the side of y + eps
+    up = a[1] < b[1]
+    lo, hi = (a[1], b[1]) if up else (b[1], a[1])
+    return left, ((lo <= y) & (y < hi) & (left == up)) * (1 if up else -1)
 
 
 def _arc(a, b, sweep, ccw, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary distance and winding angle of the arc from ``a`` to ``b``.
-
-    The chord's cross product feeds both the chord angle and the bulge-side
-    test, so the two cannot disagree on which side a borderline point falls.
-    Points exactly on the open chord get the value both one-sided limits share.
-    """
+    """Boundary distance and winding count of the arc from ``a`` to ``b``,
+    whose two terms read one ``left``, so they cannot disagree on which side
+    of the chord a borderline point falls (see the module notes)."""
     center, radius = arc_center_radius(a, b, sweep, ccw)
     dx, dy = x - center[0], y - center[1]
     from_center = np.sqrt(dx**2 + dy**2)
-    on_arc = _on_arc(np.arctan2(dy, dx), math.atan2(a[1] - center[1], a[0] - center[0]), sweep, ccw)
+    lo, hi = (a - center, b - center) if ccw else (b - center, a - center)
     caps = np.minimum(_distance(x, y, a), _distance(x, y, b))
-    dist = np.where(on_arc, np.abs(from_center - radius), caps)
-    cross, angle = _winding_contribution(a, b, x, y)
+    dist = np.where(_in_sector(lo, hi, sweep, dx, dy), np.abs(from_center - radius), caps)
+    left, crossing = _crossing(a, b, x, y)
     inside = from_center < radius
-    if ccw:
-        angle = np.where(inside & (cross < 0), angle + _TWO_PI, angle)
-        return dist, np.where(inside & (cross == 0), math.pi, angle)
-    angle = np.where(inside & (cross > 0), angle - _TWO_PI, angle)
-    return dist, np.where(inside & (cross == 0), -math.pi, angle)
+    return dist, (crossing + (inside & ~left)) if ccw else (crossing - (inside & left))
 
 
 def _loop_vertices(loop: Loop) -> list[np.ndarray]:
@@ -357,19 +359,16 @@ def _loop_eval(loop: Loop, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, li
         f = _distance(x, y, center) - dequantize(prim.radius, Channel.DISTANCE)
         return f, [np.abs(f)]
     verts = _loop_vertices(loop)
-    rows = []
-    total = np.zeros(x.shape)
+    rows, winding = [], 0
     for k, p in enumerate(loop.primitives):
         a, b = verts[k], verts[(k + 1) % len(verts)]
         if isinstance(p, Line):
-            rows.append(_segment_distance(a, b, x, y))
-            total += _winding_contribution(a, b, x, y)[1]
+            dist, crossing = _segment_distance(a, b, x, y), _crossing(a, b, x, y)[1]
         else:
-            dist, angle = _arc(a, b, dequantize(p.sweep, Channel.ANGLE), p.ccw, x, y)
-            rows.append(dist)
-            total += angle
+            dist, crossing = _arc(a, b, dequantize(p.sweep, Channel.ANGLE), p.ccw, x, y)
+        rows.append(dist)
+        winding += crossing
     dist = functools.reduce(np.minimum, rows)  # no distance is NaN or -0.0: any order picks the same
-    winding = np.rint(total / _TWO_PI)
     return np.where(winding != 0, -dist, dist), rows
 
 

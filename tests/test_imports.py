@@ -486,31 +486,35 @@ def test_module_finds_indices_with_flatnonzero(path):
     assert [f"{path.name}:{entry}" for entry in _index_finder_calls(tree)] == []
 
 
-# numpy's entry points to BLAS products, beside the ``@`` operator
-_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
+# numpy's entry points to BLAS products, the ``@`` operator among them
+_BLAS_NAMES = {"@", "dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
 # the products that stay, and why: embed_shape's pooling sums are exact in
 # any order (its docstring proves it), and latent_distance's norm is on the
 # ROADMAP, as fixing it moves every report
 _BLAS_EXEMPT = {"engine.embed_shape", "engine.latent_distance"}
+# library calls that round as the host's numpy or libm build does: no angle
+# is taken anywhere, and hypot only in the extrusion formula's corner
+_LIBM_NAMES = {"arctan2", "atan2", "hypot"}
+_HYPOT_USERS = {"kernel._field", "kernel._compose"}
 
 
-def _blas_products(tree: ast.Module) -> list[tuple[str, str]]:
-    """(top-level definition, line and spelling) of each ``@`` or ``@=``,
-    each attribute named in ``_BLAS_NAMES``, each call of such a bare name,
-    and each import of a dotted name with such a part."""
+def _uses(tree: ast.Module, names: set[str]) -> list[tuple[str, str]]:
+    """(top-level definition, line and spelling) of each attribute named in
+    ``names``, each call of such a bare name, each import of a dotted name
+    with such a part, and, where "@" is among them, each ``@`` or ``@=``."""
     found = []
     for stmt in tree.body:
         where = getattr(stmt, "name", "<module>")
         for node in ast.walk(stmt):
-            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult) and "@" in names:
                 spelling = "@=" if isinstance(node, ast.AugAssign) else "@"
-            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+            elif isinstance(node, ast.Attribute) and node.attr in names:
                 spelling = f".{node.attr}"
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in _BLAS_NAMES:
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in names:
                 spelling = f"{node.func.id}()"
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = (".".join(filter(None, (getattr(node, "module", None), a.name))) for a in node.names)
-                hits = [name for name in names if _BLAS_NAMES & set(name.split("."))]
+                dotted = (".".join(filter(None, (getattr(node, "module", None), a.name))) for a in node.names)
+                hits = [name for name in dotted if names & set(name.split("."))]
                 if not hits:
                     continue
                 spelling = f"import {', '.join(hits)}"
@@ -518,6 +522,16 @@ def _blas_products(tree: ast.Module) -> list[tuple[str, str]]:
                 continue
             found.append((where, f"{node.lineno} {spelling}"))
     return found
+
+
+def _package_uses(names: set[str]) -> list[tuple[str, str]]:
+    """``_uses`` over every module of the package, each definition named
+    ``module.definition``."""
+    return [
+        (f"{path.stem}.{where}", entry)
+        for path in SOURCES
+        for where, entry in _uses(ast.parse(path.read_text(), filename=str(path)), names)
+    ]
 
 
 def test_blas_check_flags_every_spelling():
@@ -548,7 +562,7 @@ class C:
     def g(self, a):
         return a.T @ a
 """
-    found = _blas_products(ast.parse(source))
+    found = _uses(ast.parse(source), _BLAS_NAMES)
     assert sorted((where, entry.split(" ", 1)[1]) for where, entry in found) == sorted([
         ("<module>", "import numpy.linalg"),
         ("<module>", "import numpy.dot, numpy.einsum"),
@@ -573,13 +587,56 @@ def test_no_product_goes_through_blas():
     """Every product in the package is written out as a fixed-order
     elementwise expression, so its rounding is numpy's elementwise
     arithmetic on every host, but in exactly the exempt places."""
-    found = [
-        (f"{path.stem}.{where}", entry)
-        for path in SOURCES
-        for where, entry in _blas_products(ast.parse(path.read_text(), filename=str(path)))
-    ]
+    found = _package_uses(_BLAS_NAMES)
     assert [f"{where}:{entry}" for where, entry in found if where not in _BLAS_EXEMPT] == []
     assert {where for where, _ in found} == _BLAS_EXEMPT
+
+
+def test_libm_check_flags_every_spelling():
+    source = """
+import math
+import numpy as np
+from math import atan2 as angle, sqrt
+from numpy import arctan2, arctan, hypot
+
+def f(x, y):
+    np.arctan2(y, x)
+    math.atan2(y, x)
+    arctan2(y, x)
+    np.hypot(x, y)
+    math.hypot(x, y)
+    hypot(x, y)
+    x.hypot
+    atan2 = np.arctan(y / x)
+    hypot = math.sqrt(x * x + y * y)
+    return atan2, hypot, np.sqrt(x), np.arctan(x), angle(y, x)
+
+class C:
+    def g(self, x, y):
+        return np.hypot(x, y)
+"""
+    found = _uses(ast.parse(source), _LIBM_NAMES)
+    assert sorted((where, entry.split(" ", 1)[1]) for where, entry in found) == sorted([
+        ("<module>", "import math.atan2"),
+        ("<module>", "import numpy.arctan2, numpy.hypot"),
+        ("f", ".arctan2"),
+        ("f", ".atan2"),
+        ("f", "arctan2()"),
+        ("f", ".hypot"),
+        ("f", ".hypot"),
+        ("f", "hypot()"),
+        ("f", ".hypot"),
+        ("C", ".hypot"),
+    ])
+
+
+def test_no_angle_is_taken_and_hypot_only_in_the_extrusion_corner():
+    """The profile layer's sign and sector tests are crossing counts and
+    cross-product signs, so no module takes an angle; hypot, the last
+    build-dependent call, stays in the extrusion formula alone."""
+    found = _package_uses(_LIBM_NAMES)
+    assert [f"{where}:{entry}" for where, entry in found if where not in _HYPOT_USERS or "atan" in entry] == []
+    assert {where for where, _ in found} == _HYPOT_USERS
 
 
 def _raised(tree: ast.Module) -> set[str]:

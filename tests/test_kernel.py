@@ -98,7 +98,12 @@ def _even_odd_inside(poly, pts):
 
 def _check_loop_against_oracle(loop, rng, tol=1e-4):
     poly = _dense_polyline(loop)
-    pts = rng.uniform(-0.5, 0.5, size=(250, 2))
+    # uniform points, then points level with each vertex, where the half-open
+    # crossing rule decides; the second set comes from a child stream, so the
+    # first set and the loops drawn after it stay as they were
+    level = [dequantize(v[1], Channel.COORD_2D) for v in chain_vertices(loop)]
+    xs = rng.spawn(1)[0].uniform(-0.5, 0.5, size=30 * len(level))
+    pts = np.concatenate([rng.uniform(-0.5, 0.5, size=(250, 2)), np.stack([xs, np.repeat(level, 30)], axis=-1)])
     brute = np.array([np.linalg.norm(poly - p, axis=1).min() for p in pts])
     keep = brute > 2e-3  # stay clear of the boundary so sampling error is negligible
     sdf = kernel._loop_eval(loop, *pts[keep].T)[0]
@@ -144,19 +149,63 @@ def test_lens_loop_of_two_arcs():
 
 
 @pytest.mark.parametrize("ccw", [True, False])
-def test_arc_sweep_test_equals_the_float_remainder(ccw):
+def test_an_arc_is_nearest_in_the_sector_between_its_end_radii(ccw):
+    """The arc turns ccw from the radius ``lo`` to ``hi``.  Off those radii by
+    more than 1e-9 rad, its distance is the ring's exactly where the point's
+    ccw turn from ``lo``, taken with math.atan2, is within the sweep, and the
+    nearer end's elsewhere; a point on an end radius itself is in the
+    sector."""
     rng = np.random.default_rng(19)
-    y, x = rng.standard_normal((2, 20_000))
-    signs = np.array([0.0, -0.0, 1.0, -1.0])
-    y = np.concatenate([y, np.repeat(signs, 4), [1e-300, -1e-300]])
-    x = np.concatenate([x, np.tile(signs, 4), [-1.0, -1.0]])
-    ang = np.arctan2(y, x)  # every output in [-pi, pi], +-pi and +-0 among them
-    assert {math.pi, -math.pi}.issubset(ang.tolist()) and (np.signbit(ang) & (ang == 0)).any()
-    starts = np.concatenate([np.linspace(-math.pi, math.pi, 200), [math.pi, -math.pi, 0.0, -0.0]])
-    for sweep in (dequantize(b, Channel.ANGLE) for b in (1, 64, 128, 255)):
-        for start in starts:
-            diff = (ang - start) if ccw else (start - ang)
-            assert np.array_equal(kernel._on_arc(ang, float(start), sweep, ccw), diff % (2 * math.pi) <= sweep)
+    a, b = (np.array([dequantize(u, Channel.COORD_2D), dequantize(v, Channel.COORD_2D)]) for u, v in ((90, 100), (170, 140)))
+    for sweep in (dequantize(k, Channel.ANGLE) for k in (1, 64, 127, 128, 200, 254)):
+        center, radius = arc_center_radius(a, b, sweep, ccw)
+        lo, hi = (a - center, b - center) if ccw else (b - center, a - center)
+        first = math.atan2(lo[1], lo[0])
+        # directions spread over the circle and crowded about both end radii
+        turn = np.concatenate([rng.uniform(0, 2 * math.pi, 4000), rng.normal(0, 1e-6, 4000), sweep + rng.normal(0, 1e-6, 4000)])
+        rho = radius * rng.uniform(0, 2, turn.size)
+        x, y = center[0] + rho * np.cos(first + turn), center[1] + rho * np.sin(first + turn)
+        dx, dy = x - center[0], y - center[1]
+        turned = np.array([(math.atan2(q, p) - first) % (2 * math.pi) for p, q in zip(dx, dy)])
+        clear = np.minimum.reduce([turned, 2 * math.pi - turned, np.abs(turned - sweep)]) > 1e-9
+        ring = np.abs(np.sqrt(dx**2 + dy**2) - radius)
+        caps = np.minimum(np.sqrt((x - a[0]) ** 2 + (y - a[1]) ** 2), np.sqrt((x - b[0]) ** 2 + (y - b[1]) ** 2))
+        want = np.where(turned <= sweep, ring, caps)
+        got = kernel._arc(a, b, sweep, ccw, x, y)[0]
+        assert np.array_equal(got[clear], want[clear])
+        assert np.count_nonzero(clear & (turned <= sweep)) > 100 and np.count_nonzero(clear & (turned > sweep)) > 100
+        t = 2.0 ** np.arange(-30, 31)  # powers of two keep t * lo on the radius exactly
+        for end in (lo, hi):
+            assert kernel._in_sector(lo, hi, sweep, t * end[0], t * end[1]).all()
+
+
+_CHORD_CASES = {
+    # (loop, index of its arc, whether the chord is horizontal)
+    "-x, bulge in": (Loop((Line((64, 64)), Line((192, 64)), Line((192, 192)), Arc((64, 192), 40, False))), 3, True),
+    "-x, bulge out": (Loop((Line((64, 64)), Line((192, 64)), Line((192, 192)), Arc((64, 192), 40, True))), 3, True),
+    "+x, bulge in": (Loop((Line((64, 192)), Arc((192, 192), 40, True), Line((192, 64)), Line((64, 64)))), 1, True),
+    "+x, bulge out": (Loop((Line((64, 192)), Arc((192, 192), 40, False), Line((192, 64)), Line((64, 64)))), 1, True),
+    "vertical, bulge in": (Loop((Line((192, 64)), Arc((192, 192), 40, False), Line((64, 192)), Line((64, 64)))), 1, False),
+    "vertical, bulge out": (Loop((Line((192, 64)), Arc((192, 192), 40, True), Line((64, 192)), Line((64, 64)))), 1, False),
+}
+
+
+@pytest.mark.parametrize("case", _CHORD_CASES)
+def test_a_point_on_an_arcs_chord_has_the_sign_of_its_neighbors(case):
+    """An arc's chord is no boundary: a point on its open chord, at least
+    1e-3 from the arc, is inside exactly where the points 1e-6 to either
+    side of the chord are, whichever way the chord runs."""
+    loop, arc, horizontal = _CHORD_CASES[case]
+    along = np.array([dequantize(k, Channel.COORD_2D) for k in range(65, 192)])
+    across = np.full(along.shape, dequantize(192, Channel.COORD_2D))
+    x, y = (along, across) if horizontal else (across, along)
+    f, rows = kernel._loop_eval(loop, x, y)
+    clear = rows[arc] >= 1e-3
+    assert np.count_nonzero(clear) > 100
+    for nudge in (1e-6, -1e-6):
+        g = kernel._loop_eval(loop, x, y + nudge)[0] if horizontal else kernel._loop_eval(loop, x + nudge, y)[0]
+        assert np.array_equal(f[clear] < 0, g[clear] < 0)
+    assert np.all((f[clear] < 0) == ("out" in case))
 
 
 def test_degenerate_chain_raises():
@@ -1318,9 +1367,10 @@ def test_attribution_caps_go_to_extrusion_block():
 #
 # ``body_sdf`` at one point in Python floats, which do one IEEE operation per
 # step and never fuse: a field equal to it bit for bit is the kernel's fixed
-# order of elementwise operations, whatever BLAS the host has.  The oracle
-# calls numpy's scalar np.arctan2 and np.hypot where the kernel calls those
-# ufuncs, as math.atan2 and math.hypot round some inputs otherwise.
+# order of elementwise operations, whatever BLAS the host has.  The sign is
+# a count of crossings and the on-arc test two cross-product signs, so the
+# only numpy scalar the oracle borrows is np.hypot, called where the kernel
+# calls that ufunc, as math.hypot rounds some inputs otherwise.
 
 
 def _scalar_distance(x, y, px, py):
@@ -1328,10 +1378,12 @@ def _scalar_distance(x, y, px, py):
     return math.sqrt(dx * dx + dy * dy)
 
 
-def _scalar_winding(a, b, x, y):
+def _scalar_crossing(a, b, x, y):
+    """Whether (x, y) is left of the chord from a to b, on its line the side
+    y + eps takes, and the chord's signed crossing of the point's +x ray."""
     cross = (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-    dot = (a[0] - x) * (b[0] - x) + (a[1] - y) * (b[1] - y)
-    return cross, float(np.arctan2(cross, dot))
+    left = cross > 0 or (cross == 0 and b[0] > a[0])
+    return left, int(a[1] <= y < b[1] and left) - int(b[1] <= y < a[1] and not left)
 
 
 def _scalar_segment(a, b, x, y):
@@ -1347,18 +1399,17 @@ def _scalar_arc(a, b, sweep, ccw, x, y):
     k = (1.0 if ccw else -1.0) * radius * math.cos(sweep / 2.0)
     cx, cy = (a[0] + b[0]) / 2.0 + k * (-c1 / clen), (a[1] + b[1]) / 2.0 + k * (c0 / clen)
     from_center = _scalar_distance(x, y, cx, cy)
-    start, ang = math.atan2(a[1] - cy, a[0] - cx), float(np.arctan2(y - cy, x - cx))
-    diff = ang - start if ccw else start - ang
-    if (diff + 2.0 * math.pi if diff < 0 else diff) <= sweep or diff == 2.0 * math.pi:
+    start, end = (a[0] - cx, a[1] - cy), (b[0] - cx, b[1] - cy)
+    lo, hi = (start, end) if ccw else (end, start)
+    dx, dy = x - cx, y - cy
+    after, before = lo[0] * dy - lo[1] * dx >= 0, dx * hi[1] - dy * hi[0] >= 0
+    if (after and before) if sweep < math.pi else (after or before):
         dist = abs(from_center - radius)
     else:
         dist = min(_scalar_distance(x, y, *a), _scalar_distance(x, y, *b))
-    cross, angle = _scalar_winding(a, b, x, y)
-    if from_center < radius and cross == 0:
-        return dist, math.pi if ccw else -math.pi
-    if from_center < radius and (cross < 0 if ccw else cross > 0):
-        angle += 2.0 * math.pi if ccw else -2.0 * math.pi
-    return dist, angle
+    left, crossing = _scalar_crossing(a, b, x, y)
+    inside = from_center < radius
+    return dist, crossing + (inside and not left) if ccw else crossing - (inside and left)
 
 
 def _scalar_loop(loop, x, y):
@@ -1367,15 +1418,15 @@ def _scalar_loop(loop, x, y):
         cx, cy = (dequantize(c, Channel.COORD_2D) for c in prim.center)
         return _scalar_distance(x, y, cx, cy) - dequantize(prim.radius, Channel.DISTANCE)
     verts = [tuple(dequantize(c, Channel.COORD_2D) for c in v) for v in chain_vertices(loop)]
-    dist, total = math.inf, 0.0
+    dist, winding = math.inf, 0
     for k, p in enumerate(loop.primitives):
         a, b = verts[k], verts[(k + 1) % len(verts)]
         if isinstance(p, Line):
-            d, angle = _scalar_segment(a, b, x, y), _scalar_winding(a, b, x, y)[1]
+            d, crossing = _scalar_segment(a, b, x, y), _scalar_crossing(a, b, x, y)[1]
         else:
-            d, angle = _scalar_arc(a, b, dequantize(p.sweep, Channel.ANGLE), p.ccw, x, y)
-        dist, total = min(dist, d), total + angle
-    return -dist if round(total / (2.0 * math.pi)) else dist
+            d, crossing = _scalar_arc(a, b, dequantize(p.sweep, Channel.ANGLE), p.ccw, x, y)
+        dist, winding = min(dist, d), winding + crossing
+    return -dist if winding else dist
 
 
 def _scalar_product(a, b):
