@@ -48,22 +48,21 @@ def embed_shape(grid: TSDFGrid) -> np.ndarray:
     """Block-mean pool the grid to POOL_RES per axis and flatten.
 
     Bit for bit numpy's float64 ``mean(axis=(1, 3, 5))`` over (P, b, P, b, P,
-    b) blocks, P = POOL_RES, from one sum over x and two products with a 0/1
-    matrix.  Let e = ceil(log2(b^3 tau)) - 30 (frexp's exponent: one more
+    b) blocks, P = POOL_RES, from three float64 sums, over x, y and z in
+    turn.  Let e = ceil(log2(b^3 tau)) - 30 (frexp's exponent: one more
     when b^3 tau is a power of two).  A float32 v with |v| >= 2^e, or v = 0,
     is a multiple of 2^(e - 23).  If every sample is, a block's partial sums
     are such multiples of magnitude at most b^3 tau <= 2^(e + 30), exact in
-    float64 in any order, BLAS and FMA included, so a nonzero block sum is
-    numpy's, and both divide it by b^3 once.  Otherwise, or when a block
-    sums to zero, numpy's mean is taken, which settles a zero's sign.
+    float64 in any order, so a nonzero block sum is numpy's, and both divide
+    it by b^3 once.  Otherwise, or when a block sums to zero, numpy's mean is
+    taken, which settles a zero's sign.
     """
     n = grid.spec.resolution
     if n % POOL_RES:
         raise ResolutionMismatchError(f"resolution {n} not divisible by pool {POOL_RES}")
     b = n // POOL_RES
-    pool = np.repeat(np.eye(POOL_RES), b, axis=1)  # pool[i, x] = 1 where x // b == i
     sums = grid.values.reshape(POOL_RES, b, n * n).sum(axis=1, dtype=np.float64)  # [i, y, z]
-    sums = pool @ (sums.reshape(POOL_RES * n, n) @ pool.T).reshape(POOL_RES, n, POOL_RES)
+    sums = sums.reshape(POOL_RES, POOL_RES, b, n).sum(axis=2).reshape(POOL_RES, POOL_RES, POOL_RES, b).sum(axis=3)
     mag, tiny = np.abs(grid.values), 2.0 ** (math.frexp(b**3 * grid.spec.tau)[1] - 30)
     if sums.all() and not (mag.min() < tiny and ((mag < tiny) & (mag > 0)).any()):
         return sums.ravel() / b**3

@@ -35,17 +35,17 @@ one on a distance tie).
 
 A body whose placement frame is exactly z-aligned, that is whose rotation
 has rot[2,0] == rot[2,1] == rot[0,2] == rot[1,2] == 0 (every phi-bin-0
-extrusion, whatever its theta and gamma), is evaluated on the n^2 lattice
-points (x_i, y_j, z_j) of cell-center coordinates: the profile at all of
-them for the xy cells (i, j), the slab term at the first n for the z
+extrusion, whatever its theta and gamma), is evaluated on the (n, n) points
+(x_i, y_j, z_j), a broadcast of the cell-center axis: the profile at all of
+them for the xy cells (i, j), the slab term on their row i = 0 for the z
 layers j, both broadcast over the grid.  The result is exact, not close: a
 point's sketch-plane coordinates gain only the term (z - o_z) * 0 = +-0 from
 its height, whatever z is, which leaves every nonzero sum unchanged and can
 flip only the sign of a zero one, and the profile never sees that sign
 because no quantized 2D coordinate is zero; likewise x and y enter the
-height only as +-0 terms, and the slab term takes its absolute value.
-Every float64 term and field value the lattice computes is bit-identical
-to evaluating the body at that cell center, as ``body_sdf`` does.
+height only as +-0 terms, and the slab term takes its absolute value.  Every
+float64 term and field value the lattice computes is bit-identical to
+evaluating the body at that cell center, as ``body_sdf`` does.
 
 ``render`` and ``attribute`` evaluate a body that is off the z axis, and not
 taken from a base, only in the blocks of cells its surface band can reach.
@@ -53,16 +53,18 @@ They first evaluate the body at the centers of 4^3-cell blocks, laid over
 the grid padded up to whole blocks when 4 does not divide n (at resolution
 32 these are ``embed_shape``'s pooling blocks).  A block whose center value
 f_c has |f_c| >= tau + 1.5 sqrt(3) pitch + a 1e-9 margin is filled with
-sign(f_c) * tau, and only the other blocks' cells are evaluated.  The fill
-keeps the band rule below.  Every body field is 1-Lipschitz: a loop's
-boundary distance is, and its winding sign flips only on the boundary, where
-that distance is zero; the max with negated holes, uniform scaling, the
-extrusion formula (the distance to the quadrant d <= 0, slab <= 0, with d
-and the slab term 1-Lipschitz in orthogonal coordinates) and an orthonormal
-placement all keep that.  Every cell center lies within the half-diagonal
-1.5 sqrt(3) pitch of its block's center, so a filled cell's true value has
-the sign of f_c and a magnitude of at least tau; the margin absorbs float64
-rounding.
+sign(f_c) * tau, and only the other blocks' cells are evaluated.  Both point
+sets are broadcasts of 1-D axes: the block centers of one axis of block
+midpoints, and each near block's cells of its three runs of 4 cell centers,
+(near blocks, 4, 4, 4) in C order.  The fill keeps the band rule below.
+Every body field is 1-Lipschitz: a loop's boundary distance is, and its
+winding sign flips only on the boundary, where that distance is zero; the
+max with negated holes, uniform scaling, the extrusion formula (the distance
+to the quadrant d <= 0, slab <= 0, with d and the slab term 1-Lipschitz in
+orthogonal coordinates) and an orthonormal placement all keep that.  Every
+cell center lies within the half-diagonal 1.5 sqrt(3) pitch of its block's
+center, so a filled cell's true value has the sign of f_c and a magnitude of
+at least tau; the margin absorbs float64 rounding.
 
 Every body obeys one band rule: its field is exact wherever |f| < tau, and
 elsewhere |f| >= tau with f's sign; a filled block is one case, a bounded
@@ -188,27 +190,6 @@ class GridSpec:
     def centers(self) -> np.ndarray:
         i = np.arange(self.resolution)
         return DOMAIN_MIN + (i + 0.5) * self.pitch
-
-    @functools.cached_property
-    def _lattice(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x, y and z of the n^2 lattice points (x_i, y_j, z_j) a z-aligned
-        body is evaluated at (see the module notes), read-only."""
-        c, n = self.centers(), self.resolution
-        x, yz = _read_only(np.repeat(c, n)), _read_only(np.tile(c, n))
-        return x, yz, yz
-
-    @functools.cached_property
-    def _block_centers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x, y and z of the centers of the blocks ``_banded`` culls, in C
-        order, read-only."""
-        nb = -(-self.resolution // _BLOCK)
-        mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * self.pitch)
-        return tuple(map(_read_only, (mid.repeat(nb * nb), np.tile(mid.repeat(nb), nb), np.tile(mid, nb * nb))))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,14 +455,14 @@ def _banded(sketch: Sketch, ext: Extrusion, spec: GridSpec, rot: np.ndarray, ori
     other (see the module notes)."""
     n, pitch, tau = spec.resolution, spec.pitch, spec.tau
     nb, cube = -(-n // _BLOCK), _BLOCK**3
-    fc = _field(*_extrude(sketch, ext, *_local(*spec._block_centers, rot, origin))[:2])
+    mid = DOMAIN_MIN + (np.arange(nb) + 0.5) * (_BLOCK * pitch)  # block centers per axis
+    fc = _field(*_extrude(sketch, ext, *_local(mid[:, None, None], mid[:, None], mid, rot, origin))[:2]).reshape(-1)
     near = np.flatnonzero(np.abs(fc) < tau + (_BLOCK - 1) / 2 * math.sqrt(3.0) * pitch + _CULL_MARGIN)
     # per axis, each near block's cell centers, the last standing in for pad
-    # cells; cells run block by block, each block's in C order
+    # cells, broadcast to (near blocks, 4, 4, 4): each block's cells in C order
     c, step = spec.centers(), np.arange(_BLOCK)
     cx, cy, cz = (c[np.minimum(b[:, None] * _BLOCK + step, n - 1)] for b in (near // nb**2, near // nb % nb, near % nb))
-    xs, ys, zs = cx.repeat(_BLOCK**2, 1), np.tile(cy.repeat(_BLOCK, 1), _BLOCK), np.tile(cz, _BLOCK**2)
-    d, slab, rows = _extrude(sketch, ext, *_local(xs.reshape(-1), ys.reshape(-1), zs.reshape(-1), rot, origin))
+    d, slab, rows = _extrude(sketch, ext, *_local(cx[..., None, None], cy[:, None, :, None], cz[:, None, None], rot, origin))
 
     def grid(values, fill):  # near blocks' values, one block row each, over fill
         out = np.empty((nb**3, cube), values.dtype)
@@ -543,10 +524,11 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
         rot, origin = placement_frame(ext)
         if not rot[2, 0] == rot[2, 1] == rot[0, 2] == rot[1, 2] == 0.0:
             return _banded(sketch, ext, spec, rot, origin, owners)
-        # z-aligned: the profile at the points (x_i, y_j, z_j), the slab at
-        # the first n of them (see the module notes)
-        u, v, height = _local(*spec._lattice, rot, origin)
-        d, slab, rows = _extrude(sketch, ext, u.reshape(n, n, 1), v.reshape(n, n, 1), height[:n])
+        # z-aligned: the profile at the broadcast (n, n) points (x_i, y_j,
+        # z_j), the slab on their row i = 0 (see the module notes)
+        c = spec.centers()
+        u, v, height = _local(c[:, None], c, c, rot, origin)
+        d, slab, rows = _extrude(sketch, ext, u[..., None], v[..., None], height[0])
         f = np.maximum(_clamped(d + 0.0, tau), _clamped(slab + 0.0, tau))
         xy = np.flatnonzero((d > 0) & (d < tau))
         z = np.flatnonzero((slab > 0) & (slab < tau))
@@ -581,7 +563,8 @@ def _compose(seq: ConstructionSequence, spec: GridSpec, owners: bool, base: Attr
         raise RenderInvalidError("composed field has no interior voxels")
     if inside == values.size:
         raise RenderInvalidError("composed field has no exterior voxels")
-    return _read_only(values), owner, MappingProxyType(bodies)
+    values.flags.writeable = False
+    return values, owner, MappingProxyType(bodies)
 
 
 def render(

@@ -75,7 +75,7 @@ def test_embed_matches_bruteforce_block_means():
     _assert_bitwise(lat, _numpy_block_means(vals))
 
 
-@pytest.mark.parametrize("resolution", [32, 64])
+@pytest.mark.parametrize("resolution", [8, 16, 32, 64])  # block edges 1, 2, 4 and 8
 def test_embed_equals_numpy_block_mean_bitwise(resolution):
     rng = np.random.default_rng(resolution)
     spec = GridSpec(resolution=resolution)

@@ -1,9 +1,9 @@
 """Static checks: every name a cadfit module imports is used in that module,
 every module-level private name is referenced in the module defining it,
 every public function and class has a caller outside the tests, every class
-field is read, no module reads the environment, no product goes through
-BLAS but in the exempt places, and the benchmark's modules still import and
-trace what they name.
+field is read, no module memoizes or reads the environment, no product
+goes through BLAS but in the exempt places, and the benchmark's modules
+still import and trace what they name.
 
 Standard library and the package only, so it runs wherever the tests do; no
 linter needed.
@@ -386,6 +386,53 @@ def test_module_keeps_no_state_across_calls(path):
     assert [f"{path.name}:{entry}" for entry in _module_state_writes(tree)] == []
 
 
+# functools' memoizers: a cache on a function or an instance outlives the run
+# that filled it, as a module-level one does
+_MEMO_NAMES = {"cache", "lru_cache", "cached_property"}
+
+
+def test_memo_check_flags_every_spelling():
+    source = """
+import functools
+import functools as ft
+from functools import cache, lru_cache as memo, cached_property, reduce
+
+@functools.cache
+def a(x):
+    return x
+
+@ft.lru_cache(maxsize=None)
+def b(x):
+    return functools.reduce(max, x)
+
+keep = functools.cached_property
+
+class C:
+    @cached_property
+    def c(self):
+        cache = {}
+        return cache, reduce(max, [1]), functools.wraps(a)
+
+    @memo
+    def d(self):
+        return cache(a)
+"""
+    found = _uses(ast.parse(source), _MEMO_NAMES)
+    assert sorted((where, entry.split(" ", 1)[1]) for where, entry in found) == sorted([
+        ("<module>", "import functools.cache, functools.lru_cache, functools.cached_property"),
+        ("a", ".cache"),
+        ("b", ".lru_cache"),
+        ("<module>", ".cached_property"),
+        ("C", "cache()"),
+    ])
+
+
+def test_no_module_memoizes():
+    """Caches are owned by a run: no function or instance of the package
+    keeps a result for a later call (``_uses`` is defined below)."""
+    assert [f"{where}:{entry}" for where, entry in _package_uses(_MEMO_NAMES)] == []
+
+
 # what reads the process environment: os's mappings and getter, and click's
 # keywords that make an option default to a variable
 _ENVIRONMENT_NAMES = {"environ", "environb", "getenv"}
@@ -488,10 +535,10 @@ def test_module_finds_indices_with_flatnonzero(path):
 
 # numpy's entry points to BLAS products, the ``@`` operator among them
 _BLAS_NAMES = {"@", "dot", "vdot", "inner", "matmul", "einsum", "tensordot", "linalg"}
-# the products that stay, and why: embed_shape's pooling sums are exact in
-# any order (its docstring proves it), and latent_distance's norm is on the
-# ROADMAP, as fixing it moves every report
-_BLAS_EXEMPT = {"engine.embed_shape", "engine.latent_distance"}
+# the product that stays, and why: embed_shape pools by elementwise float64
+# sums, and only latent_distance's norm is left, on the ROADMAP, as fixing it
+# moves every report
+_BLAS_EXEMPT = {"engine.latent_distance"}
 # library calls that round as the host's numpy or libm build does: no angle
 # is taken anywhere, and hypot only in the extrusion formula's corner
 _LIBM_NAMES = {"arctan2", "atan2", "hypot"}

@@ -1117,6 +1117,22 @@ def test_a_base_at_another_spec_is_not_reused():
         assert not any(ag.bodies[key][0] is base.bodies[key][0] for key in ag.bodies)
 
 
+@pytest.mark.parametrize("variant", ["z-aligned", "tilted"])
+def test_a_render_leaves_its_spec_a_plain_value(variant):
+    """Caches are owned by a run: a render or an attribution stores nothing
+    on its spec, not even on the default specs that calls without one share."""
+    rng = np.random.default_rng([len(variant), 97])
+    for resolution in (17, 32):
+        spec = GridSpec(resolution=resolution)
+        seq, _ = _renderable(rng, spec, variant)  # attributed at spec
+        render(seq, spec)
+        assert vars(spec) == {"resolution": resolution, "tau": spec.tau}
+    render(seq)  # the resolution-32 sequence
+    attribute(seq)
+    for default in (render.__defaults__[0], attribute.__defaults__[0]):
+        assert vars(default) == {"resolution": 32, "tau": default.tau}
+
+
 @pytest.mark.parametrize("variant", ["tilted", "mixed"])
 def test_a_render_off_the_z_axis_builds_no_meshgrid(monkeypatch, variant):
     rng = np.random.default_rng([len(variant), 93])
